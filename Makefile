@@ -9,7 +9,7 @@ FUZZTIME  ?= 10s
 COVER_FLOOR ?= 74.0
 COVER_OUT   ?= /tmp/segscale-cover.out
 
-.PHONY: build test race lint vet fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke cover bench-json bench-check ci
+.PHONY: build test race lint vet fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke cover bench-json bench-check bench-e2e ci
 
 build:
 	go build ./...
@@ -92,6 +92,13 @@ bench-json:
 # counts, measured at GOMAXPROCS=1, do not).
 bench-check:
 	go run ./cmd/segbench -fast -o /tmp/segscale-bench.json -check BENCH_kernels.json
+
+# bench-e2e runs the end-to-end benchmark (bench/README.md): all five
+# workloads, one seed, every metric by name, output checks included.
+# Throughput claims need alternating parent/change pairs — one run on
+# a shared host proves nothing about speed.
+bench-e2e:
+	go run ./bench -seed 1
 
 cover:
 	go test -count=1 -coverprofile=$(COVER_OUT) ./...

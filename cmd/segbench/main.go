@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -56,7 +57,8 @@ import (
 // v2: per-entry gomaxprocs.
 // v3: fp16 encode/decode wire-cast kernels.
 // v4: serial entries pinned to GOMAXPROCS=1, _mp4 entries pinned to 4.
-const schemaVersion = 4
+// v5: fp16 kernels on gradient-like input, fp16_addinto_4m added.
+const schemaVersion = 5
 
 // mpProcs is the parallelism the _mp4 entries pin. Four workers is
 // enough to exercise the tensor.Parallel fan-out path (closure +
@@ -258,13 +260,49 @@ func benchPerfsimHier(iters int) Entry {
 // (16 MiB of fp32, the Horovod default fusion threshold).
 const fp16Elems = 4 << 20
 
+// gradientLike fills d the way a gradient buffer looks to the binary16
+// casts: magnitudes log-uniform over 1e-9…10, both signs, 5 % exact
+// zeros. Sign and exponent class change from element to element, which
+// is what a data-dependent branch in a converter pays for; uniform
+// [-0.5, 0.5) input (fill) sits in two binades and hides it.
+func gradientLike(d []float32, seed uint32) {
+	s := seed
+	next := func() float64 {
+		s = s*1664525 + 1013904223
+		return float64(s>>8) / (1 << 24)
+	}
+	for i := range d {
+		if next() < 0.05 {
+			d[i] = 0
+			continue
+		}
+		m := math.Exp(math.Log(1e-9) + next()*math.Log(1e10))
+		if next() < 0.5 {
+			m = -m
+		}
+		d[i] = float32(m)
+	}
+}
+
+// gradientHalves is a gradient-like buffer as it sits on the wire:
+// loss-scaled by 2¹⁰ and encoded.
+func gradientHalves(seed uint32) []uint16 {
+	f := make([]float32, fp16Elems)
+	h := make([]uint16, fp16Elems)
+	gradientLike(f, seed)
+	if err := fp16.EncodeScaled(f, h, 1024); err != nil {
+		fatalf("fp16 encode: %v", err)
+	}
+	return h
+}
+
 // benchFP16Encode measures the binary16 pack cast over one fusion
 // buffer. The kernel must be allocation-free: it runs once per
 // fused group per step on the allreduce critical path.
 func benchFP16Encode(iters int) Entry {
 	src := make([]float32, fp16Elems)
 	dst := make([]uint16, fp16Elems)
-	fill(src, 6)
+	gradientLike(src, 6)
 	return bench(iters, func() {
 		if err := fp16.Encode(src, dst); err != nil {
 			fatalf("fp16 encode: %v", err)
@@ -274,15 +312,29 @@ func benchFP16Encode(iters int) Entry {
 
 // benchFP16Decode measures the matching unpack cast.
 func benchFP16Decode(iters int) Entry {
+	h := gradientHalves(7)
 	f := make([]float32, fp16Elems)
-	h := make([]uint16, fp16Elems)
-	fill(f, 7)
-	if err := fp16.Encode(f, h); err != nil {
-		fatalf("fp16 encode: %v", err)
-	}
 	return bench(iters, func() {
 		if err := fp16.Decode(h, f); err != nil {
 			fatalf("fp16 decode: %v", err)
+		}
+	})
+}
+
+// benchFP16AddInto measures one reduce hop of the binary16 allreduce:
+// decode both operands, add in float32, re-encode. The accumulator is
+// restored from a spare copy before every call so the sums never drift
+// to Inf (which would move the kernel onto its rare path); the copy is
+// a 2-byte-per-element memmove inside the timed region, a few percent
+// of the kernel.
+func benchFP16AddInto(iters int) Entry {
+	src := gradientHalves(8)
+	start := gradientHalves(9)
+	dst := make([]uint16, fp16Elems)
+	return bench(iters, func() {
+		copy(dst, start)
+		if err := fp16.AddInto(dst, src); err != nil {
+			fatalf("fp16 addinto: %v", err)
 		}
 	})
 }
@@ -317,6 +369,7 @@ func run(fast bool) *Report {
 	r.Benchmarks["perfsim_1056gpu_hier"] = withProcs(1, func() Entry { return benchPerfsimHier(iters) })
 	r.Benchmarks["fp16_encode_4m"] = withProcs(1, func() Entry { return benchFP16Encode(iters) })
 	r.Benchmarks["fp16_decode_4m"] = withProcs(1, func() Entry { return benchFP16Decode(iters) })
+	r.Benchmarks["fp16_addinto_4m"] = withProcs(1, func() Entry { return benchFP16AddInto(iters) })
 
 	// Multi-core variants of the kernels with a tensor.Parallel fan-out
 	// path. These pin the parallel path's allocation shape (closures and

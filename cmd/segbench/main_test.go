@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -58,7 +58,8 @@ func TestRunFastReportShape(t *testing.T) {
 	for _, name := range []string{
 		"matmul_tiled_256x2304x1089", "matmul_ref_256x2304x1089",
 		"conv2d_fwd_ws", "conv2d_bwd_ws", "train_step_rank0", "perfsim_132gpu",
-		"perfsim_1056gpu_hier",
+		"perfsim_1056gpu_hier", "train_step_rank0_mp4",
+		"fp16_encode_4m", "fp16_decode_4m", "fp16_addinto_4m",
 	} {
 		e, ok := r.Benchmarks[name]
 		if !ok {
@@ -68,8 +69,16 @@ func TestRunFastReportShape(t *testing.T) {
 		if e.NsPerOp <= 0 {
 			t.Errorf("%s: ns/op %v", name, e.NsPerOp)
 		}
-		if e.GOMAXPROCS != runtime.GOMAXPROCS(0) {
-			t.Errorf("%s: gomaxprocs %d, want ambient %d", name, e.GOMAXPROCS, runtime.GOMAXPROCS(0))
+	}
+	// Every entry records the parallelism it pinned, whatever the host
+	// offers: serial entries 1, the _mp4 variants mpProcs.
+	for name, e := range r.Benchmarks {
+		want := 1
+		if strings.HasSuffix(name, "_mp4") {
+			want = mpProcs
+		}
+		if e.GOMAXPROCS != want {
+			t.Errorf("%s: gomaxprocs %d, want pinned %d", name, e.GOMAXPROCS, want)
 		}
 	}
 	if r.Benchmarks["train_step_rank0"].ImgPerSec <= 0 ||

@@ -230,6 +230,9 @@ var allocFreeFuncs = map[string]bool{
 	"(*sync.WaitGroup).Done":  true,
 	"(*sync.WaitGroup).Wait":  true,
 	"(*sync.Map).Load":        true,
+	// Once.Do is one atomic load after the first call; what the first
+	// call runs is start-up work by construction, not steady state.
+	"(*sync.Once).Do":         true,
 	"(time.Duration).Seconds": true,
 	"sort.SearchInts":         true,
 	"sort.Search":             true,

@@ -367,12 +367,3 @@ func AllreduceHierLeader(c *transport.Comm, mach topology.Machine, buf []float32
 	}
 	return nil
 }
-
-// Scale multiplies buf by 1/worldSize — the averaging step Horovod
-// applies after its summing allreduce.
-func Scale(buf []float32, worldSize int) {
-	inv := float32(1) / float32(worldSize)
-	for i := range buf {
-		buf[i] *= inv
-	}
-}

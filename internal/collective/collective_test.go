@@ -208,14 +208,6 @@ func TestAllgatherRing(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	buf := []float32{2, 4, 8}
-	Scale(buf, 2)
-	if buf[0] != 1 || buf[1] != 2 || buf[2] != 4 {
-		t.Fatalf("Scale result %v", buf)
-	}
-}
-
 func TestStrangerRankErrors(t *testing.T) {
 	runGroup(2, func(c *transport.Comm, group []int) {
 		if c.Rank() != 0 {

@@ -2,8 +2,9 @@
 // wire format behind hvd.Compression.fp16. Payloads travel as
 // []uint16 (2 bytes per element on the wire, which the transport
 // byte counters account), and every reduce hop accumulates in
-// float32: decode both halves, add, re-encode. The encode/decode at
-// the fused-buffer boundary happens exactly once, in the Horovod
+// float32: decode both halves, add, re-encode (fp16.AddInto — only
+// the stored value is 16-bit, never the arithmetic). The encode/decode
+// at the fused-buffer boundary happens exactly once, in the Horovod
 // runtime's pack/unpack; these collectives never widen the wire.
 //
 // The schedules mirror the float32 implementations line for line —
@@ -36,22 +37,6 @@ const (
 	tagHierAG16 = 17 << 16
 )
 
-// addInto16 reduces src into dst elementwise with float32
-// accumulation: each hop decodes both binary16 operands, adds in
-// float32, and re-encodes with round-to-nearest-even. Accumulating in
-// the wider type at every hop is what keeps the compressed allreduce
-// numerically honest — only the stored value is 16-bit, never the
-// arithmetic.
-func addInto16(dst, src []uint16) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("collective: reduce length mismatch %d vs %d", len(dst), len(src))
-	}
-	for i, v := range src {
-		dst[i] = fp16.FromFloat32(fp16.ToFloat32(dst[i]) + fp16.ToFloat32(v))
-	}
-	return nil
-}
-
 // AllreduceNaive16 gathers every contribution to group[0], reduces,
 // and broadcasts the result linearly — the reference the other
 // binary16 algorithms are verified against.
@@ -69,7 +54,7 @@ func AllreduceNaive16(c *transport.Comm, group []int, buf []uint16) error {
 			if err != nil {
 				return fmt.Errorf("allreduce naive fp16: rank %d contribution: %w", r, err)
 			}
-			if err := addInto16(buf, got); err != nil {
+			if err := fp16.AddInto(buf, got); err != nil {
 				return fmt.Errorf("allreduce naive fp16: rank %d contribution: %w", r, err)
 			}
 		}
@@ -119,7 +104,7 @@ func AllreduceRing16(c *transport.Comm, group []int, buf []uint16) error {
 		if err != nil {
 			return fmt.Errorf("allreduce ring fp16: reduce-scatter step %d: %w", s, err)
 		}
-		if err := addInto16(buf[rlo:rhi], got); err != nil {
+		if err := fp16.AddInto(buf[rlo:rhi], got); err != nil {
 			return fmt.Errorf("allreduce ring fp16: reduce-scatter step %d: %w", s, err)
 		}
 	}
@@ -170,7 +155,7 @@ func AllreduceRecursiveDoubling16(c *transport.Comm, group []int, buf []uint16) 
 		if err != nil {
 			return fmt.Errorf("allreduce recursive-doubling fp16: fold: %w", err)
 		}
-		if err := addInto16(buf, got); err != nil {
+		if err := fp16.AddInto(buf, got); err != nil {
 			return fmt.Errorf("allreduce recursive-doubling fp16: fold: %w", err)
 		}
 		newrank = me / 2
@@ -191,7 +176,7 @@ func AllreduceRecursiveDoubling16(c *transport.Comm, group []int, buf []uint16) 
 			if err != nil {
 				return fmt.Errorf("allreduce recursive-doubling fp16: distance %d: %w", dist, err)
 			}
-			if err := addInto16(buf, got); err != nil {
+			if err := fp16.AddInto(buf, got); err != nil {
 				return fmt.Errorf("allreduce recursive-doubling fp16: distance %d: %w", dist, err)
 			}
 		}
@@ -244,7 +229,7 @@ func AllreduceRabenseifner16(c *transport.Comm, group []int, buf []uint16) error
 		if err != nil {
 			return fmt.Errorf("allreduce rabenseifner fp16: fold: %w", err)
 		}
-		if err := addInto16(buf, got); err != nil {
+		if err := fp16.AddInto(buf, got); err != nil {
 			return fmt.Errorf("allreduce rabenseifner fp16: fold: %w", err)
 		}
 		newrank = me / 2
@@ -274,7 +259,7 @@ func AllreduceRabenseifner16(c *transport.Comm, group []int, buf []uint16) error
 			if err != nil {
 				return fmt.Errorf("allreduce rabenseifner fp16: halving step %d: %w", step, err)
 			}
-			if err := addInto16(buf[keepLo:keepHi], got); err != nil {
+			if err := fp16.AddInto(buf[keepLo:keepHi], got); err != nil {
 				return fmt.Errorf("allreduce rabenseifner fp16: halving step %d: %w", step, err)
 			}
 			lo, hi = keepLo, keepHi
@@ -344,7 +329,7 @@ func ReduceTree16(c *transport.Comm, group []int, buf []uint16) error {
 				if err != nil {
 					return fmt.Errorf("reduce tree fp16: from rank %d: %w", group[src], err)
 				}
-				if err := addInto16(buf, got); err != nil {
+				if err := fp16.AddInto(buf, got); err != nil {
 					return fmt.Errorf("reduce tree fp16: from rank %d: %w", group[src], err)
 				}
 			}
@@ -520,7 +505,7 @@ func hierTorus16(c *transport.Comm, groups [][]int, inter topology.LinkSpec, buf
 		if err != nil {
 			return fmt.Errorf("hier-2level torus fp16: reduce-scatter step %d: %w", s, err)
 		}
-		if err := addInto16(buf[rlo:rhi], got); err != nil {
+		if err := fp16.AddInto(buf[rlo:rhi], got); err != nil {
 			return fmt.Errorf("hier-2level torus fp16: reduce-scatter step %d: %w", s, err)
 		}
 	}

@@ -17,6 +17,9 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(float32(math.NaN()))
 
 	f.Fuzz(func(t *testing.T, v float32) {
+		if got, want := FromFloat32(v), oracleFromFloat32(v); got != want {
+			t.Fatalf("FromFloat32(%x) = %#04x, oracle %#04x", math.Float32bits(v), got, want)
+		}
 		q := ToFloat32(FromFloat32(v))
 		// Encode/Decode must agree bit-for-bit with Quantize: one is
 		// the wire path, the other the in-place precision model, and
@@ -71,6 +74,9 @@ func FuzzHalfBits(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, h uint16) {
 		v := ToFloat32(h)
+		if want := oracleToFloat32(h); math.Float32bits(v) != math.Float32bits(want) {
+			t.Fatalf("ToFloat32(%#04x) = %x, oracle %x", h, math.Float32bits(v), math.Float32bits(want))
+		}
 		if h&0x7C00 == 0x7C00 && h&0x3FF != 0 && !math.IsNaN(float64(v)) {
 			t.Fatalf("NaN pattern %#04x decoded to %g", h, v)
 		}

@@ -2,6 +2,7 @@ package horovod
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"segscale/internal/collective"
@@ -24,8 +25,9 @@ type Runtime struct {
 	Cfg  Config
 
 	world   []int
-	fused   []float32 // reusable fusion buffer
+	fused   []float32 // reusable fusion buffer (float32 wire)
 	fused16 []uint16  // reusable binary16 wire buffer (FP16Compression)
+	sum32   []float32 // reusable AllreduceSumFloat64 staging, grown to the widest batch norm once
 
 	// members maps comm rank → original machine slot: the identity for
 	// a full world, the ascending survivor slots for an elastic one.
@@ -129,31 +131,62 @@ var fusedBucketsBytes = telemetry.ExpBuckets(4<<10, 4, 9)
 // AllreduceGrads averages gradients across all ranks in place,
 // fusing consecutive tensors up to the configured threshold per
 // buffer. Every rank must call it with an identically-shaped
-// parameter list (guaranteed by deterministic model construction).
-//
-// Under FP16Compression the fused buffer is encoded to binary16 once
-// at pack, the collective runs over the []uint16 wire (2 bytes per
-// element, which every byte counter below reports), and the result is
-// decoded once at unpack — hvd.Compression.fp16 as a real wire
-// format, not a precision simulation.
+// parameter list (guaranteed by deterministic model construction). It
+// is the unscaled, unjudged form of AllreduceGradsScaled.
 func (r *Runtime) AllreduceGrads(params []*nn.Param) error {
 	if r.Size() == 1 {
 		return nil
 	}
+	_, err := r.allreduceGrads(params, 1, 1, false)
+	return err
+}
+
+// AllreduceGradsScaled is the gradient allreduce with a loss scaler
+// riding its two passes: every gradient is multiplied by pre on the
+// way into the wire buffer, and on the way back by 1/size and then by
+// post, in that order, each product rounded to float32 — bit for bit
+// what scaling the gradients in place, averaging them, and unscaling
+// them in place produces, with each element touched once per
+// direction. nonFinite reports whether any averaged gradient was Inf
+// or NaN before the post multiply; every rank reduces to the same
+// bytes, so every rank gets the same verdict. A one-rank world has no
+// wire and no average: the gradients are multiplied by pre, judged,
+// and multiplied by post.
+func (r *Runtime) AllreduceGradsScaled(params []*nn.Param, pre, post float32) (nonFinite bool, err error) {
+	if r.Size() == 1 {
+		for _, p := range params {
+			if scaleJudged(p.G.Data, pre, post) {
+				nonFinite = true
+			}
+		}
+		return nonFinite, nil
+	}
+	return r.allreduceGrads(params, pre, post, true)
+}
+
+// allreduceGrads runs the fusion plan over a multi-rank world.
+//
+// Under FP16Compression each tensor is encoded to binary16 straight
+// into the wire buffer, the collective runs over []uint16 (2 bytes per
+// element, which every byte counter below reports), and the reduced
+// half-words are decoded straight back into the tensors —
+// hvd.Compression.fp16 as a real wire format, not a precision
+// simulation — with the verdict read off their exponent fields, where
+// it is all but free. On the float32 wire the verdict is a few more
+// instructions per element in a pass that has nothing else to hide
+// them behind, so the unscaled form (judge false) leaves it out.
+func (r *Runtime) allreduceGrads(params []*nn.Param, pre, post float32, judge bool) (nonFinite bool, err error) {
 	elemBytes := 4
 	if r.Cfg.FP16Compression {
 		elemBytes = 2
 	}
+	inv := 1 / float32(r.Size())
 	groups := r.fusionPlan(params)
 	for _, group := range groups {
 		n := 0
 		for _, i := range group {
 			n += params[i].G.Len()
 		}
-		if cap(r.fused) < n {
-			r.fused = make([]float32, n) //seglint:ignore hotalloc fusion buffer grows to the largest group once, then is reused every step
-		}
-		buf := r.fused[:n]
 
 		r.probe.Counter("horovod_fused_buffers_total").Inc()
 		r.probe.Counter("horovod_fused_bytes").Add(float64(elemBytes * n))
@@ -165,6 +198,7 @@ func (r *Runtime) AllreduceGrads(params []*nn.Param) error {
 			r.probe.Gauge("horovod_fusion_fill_ratio").Set(float64(elemBytes*n) / float64(r.Cfg.FusionThreshold))
 		}
 
+		var bad bool
 		if r.Cfg.FP16Compression {
 			if cap(r.fused16) < n {
 				r.fused16 = make([]uint16, n) //seglint:ignore hotalloc wire buffer grows to the largest group once, then is reused every step
@@ -172,44 +206,43 @@ func (r *Runtime) AllreduceGrads(params []*nn.Param) error {
 			buf16 := r.fused16[:n]
 
 			pack := r.probe.Span(timeline.PhaseMemcpy, "pack")
-			packFused(buf, params, group)
-			err := fp16.Encode(buf, buf16)
+			err = encodeFused(buf16, params, group, pre)
 			pack.End()
 			if err != nil {
-				return fmt.Errorf("horovod: allreduce grads: %w", err)
+				return false, fmt.Errorf("horovod: allreduce grads: %w", err)
 			}
 
-			if err := r.allreduce16(buf16); err != nil {
-				return fmt.Errorf("horovod: allreduce grads: %w", err)
+			if err = r.allreduce16(buf16); err != nil {
+				return false, fmt.Errorf("horovod: allreduce grads: %w", err)
 			}
 
 			unpack := r.probe.Span(timeline.PhaseMemcpy, "unpack")
-			err = fp16.Decode(buf16, buf)
-			if err == nil {
-				collective.Scale(buf, r.Size())
-				unpackFused(params, group, buf)
-			}
+			bad, err = decodeFused(params, group, buf16, inv, post)
 			unpack.End()
 			if err != nil {
-				return fmt.Errorf("horovod: allreduce grads: %w", err)
+				return false, fmt.Errorf("horovod: allreduce grads: %w", err)
 			}
-			continue
+		} else {
+			if cap(r.fused) < n {
+				r.fused = make([]float32, n) //seglint:ignore hotalloc fusion buffer grows to the largest group once, then is reused every step
+			}
+			buf := r.fused[:n]
+
+			pack := r.probe.Span(timeline.PhaseMemcpy, "pack")
+			packFused(buf, params, group, pre)
+			pack.End()
+
+			if err = r.allreduce(buf); err != nil {
+				return false, fmt.Errorf("horovod: allreduce grads: %w", err)
+			}
+
+			unpack := r.probe.Span(timeline.PhaseMemcpy, "unpack")
+			bad = unpackFused(params, group, buf, inv, post, judge)
+			unpack.End()
 		}
-
-		pack := r.probe.Span(timeline.PhaseMemcpy, "pack")
-		packFused(buf, params, group)
-		pack.End()
-
-		if err := r.allreduce(buf); err != nil {
-			return fmt.Errorf("horovod: allreduce grads: %w", err)
-		}
-		collective.Scale(buf, r.Size())
-
-		unpack := r.probe.Span(timeline.PhaseMemcpy, "unpack")
-		unpackFused(params, group, buf)
-		unpack.End()
+		nonFinite = nonFinite || bad
 	}
-	return nil
+	return nonFinite, nil
 }
 
 // fusionPlan returns the cached fusion grouping for params, recomputing
@@ -237,29 +270,102 @@ func (r *Runtime) fusionPlan(params []*nn.Param) [][]int {
 	return r.plan
 }
 
-// packFused copies each grouped tensor's gradient back-to-back into
-// the fusion buffer — the memcpy half of Horovod's tensor fusion that
-// runs once per group per step.
+// packFused copies each grouped tensor's gradient, times scale,
+// back-to-back into the fusion buffer — the memcpy half of Horovod's
+// tensor fusion that runs once per group per step. The unscaled
+// allreduce keeps the plain copy.
 //
 //seglint:hotpath per-step gradient pack into the reused fusion buffer
-func packFused(buf []float32, params []*nn.Param, group []int) {
+func packFused(buf []float32, params []*nn.Param, group []int, scale float32) {
 	off := 0
 	for _, i := range group {
-		copy(buf[off:], params[i].G.Data)
-		off += params[i].G.Len()
+		g := params[i].G.Data
+		dst := buf[off : off+len(g)]
+		if scale == 1 {
+			copy(dst, g)
+		} else {
+			for j, v := range g {
+				dst[j] = v * scale
+			}
+		}
+		off += len(g)
 	}
 }
 
-// unpackFused scatters the averaged fusion buffer back into the
-// grouped tensors' gradients.
+// unpackFused averages (and unscales) the summed fusion buffer, then
+// scatters it into the grouped tensors' gradients; with judge set it
+// reports whether any average was non-finite. The arithmetic runs in
+// place on the buffer, which the collective has just left in cache,
+// and the scatter stays a memmove: storing products one float at a
+// time straight into the gradients — cold by now, and too many to stay
+// cached — stalls on the store buffer and measured twice as slow.
 //
 //seglint:hotpath per-step gradient unpack from the reused fusion buffer
-func unpackFused(params []*nn.Param, group []int, buf []float32) {
+func unpackFused(params []*nn.Param, group []int, buf []float32, inv, post float32, judge bool) (nonFinite bool) {
+	if judge {
+		nonFinite = scaleJudged(buf, inv, post)
+	} else {
+		for i, v := range buf {
+			buf[i] = v * inv * post
+		}
+	}
 	off := 0
 	for _, i := range group {
-		copy(params[i].G.Data, buf[off:off+params[i].G.Len()])
-		off += params[i].G.Len()
+		off += copy(params[i].G.Data, buf[off:])
 	}
+	return nonFinite
+}
+
+// scaleJudged multiplies buf by a and then by b in place (each product
+// rounded to float32) and reports whether any buf[i]·a was Inf or NaN.
+// The test is on the bit pattern and branch-free: adding one to an
+// all-ones exponent field carries into the sign position.
+//
+//seglint:hotpath per-step scale-and-judge pass over every gradient
+func scaleJudged(buf []float32, a, b float32) bool {
+	var acc uint32
+	for i, v := range buf {
+		v *= a
+		acc |= math.Float32bits(v)&^(1<<31) + 1<<23
+		buf[i] = v * b
+	}
+	return acc>>31 != 0
+}
+
+// encodeFused is packFused for the binary16 wire: each grouped
+// tensor's gradient, times scale, is cast straight into the wire
+// buffer — no float32 staging copy.
+//
+//seglint:hotpath per-step scale-and-encode of every gradient into the reused wire buffer
+func encodeFused(buf []uint16, params []*nn.Param, group []int, scale float32) error {
+	off := 0
+	for _, i := range group {
+		g := params[i].G.Data
+		if err := fp16.EncodeScaled(g, buf[off:off+len(g)], scale); err != nil {
+			return err
+		}
+		off += len(g)
+	}
+	return nil
+}
+
+// decodeFused is unpackFused for the binary16 wire: the reduced
+// half-words are decoded, averaged and unscaled straight into the
+// grouped tensors, and the verdict comes from the half-words.
+//
+//seglint:hotpath per-step decode-average-unscale of every gradient from the reused wire buffer
+func decodeFused(params []*nn.Param, group []int, buf []uint16, inv, post float32) (nonFinite bool, err error) {
+	off := 0
+	for _, i := range group {
+		g := params[i].G.Data
+		bad, err := fp16.DecodeScaled(buf[off:off+len(g)], g, inv, post)
+		if err != nil {
+			return false, err
+		}
+		nonFinite = nonFinite || bad
+		off += len(g)
+	}
+	return nonFinite, nil
 }
 
 // allreduce dispatches one fused buffer to the configured collective.
@@ -316,7 +422,10 @@ func (r *Runtime) AllreduceSumFloat64(buf []float64) error {
 	if r.Size() == 1 {
 		return nil
 	}
-	f := make([]float32, len(buf))
+	if cap(r.sum32) < len(buf) {
+		r.sum32 = make([]float32, len(buf))
+	}
+	f := r.sum32[:len(buf)]
 	for i, v := range buf {
 		f[i] = float32(v)
 	}

@@ -9,6 +9,7 @@ import (
 	"segscale/internal/checkpoint"
 	"segscale/internal/deeplab"
 	"segscale/internal/horovod"
+	"segscale/internal/modelhealth"
 	"segscale/internal/nn"
 	"segscale/internal/segdata"
 	"segscale/internal/telemetry"
@@ -266,6 +267,15 @@ func (rs *runState) elasticIncarnation(startEpoch, inc int) ([]int, error) {
 		if probe != nil {
 			c.SetProbe(probe)
 		}
+		// The health plane observes an elastic replica exactly as it does
+		// a fixed-world one, keyed by machine slot like the lanes. The
+		// replica's network outlives the incarnation, so the tap is
+		// re-pointed at this incarnation's collector every time.
+		var health *modelhealth.Collector
+		if cfg.Health != nil {
+			health = cfg.Health.Rank(slot, inc, probe)
+			rep.net.SetActivationTap(health)
+		}
 		rt, err := horovod.NewElasticRuntime(c, rs.mach, members, cfg.Horovod)
 		if err != nil {
 			return err
@@ -324,6 +334,7 @@ func (rs *runState) elasticIncarnation(startEpoch, inc int) ([]int, error) {
 			shard:  shard,
 			accum:  cfg.Horovod.AccumPasses(),
 			scaler: scalerFor(cfg),
+			health: health,
 			ids:    make([]int, 0, cfg.BatchPerRank),
 			gstep:  rep.gstep,
 			x:      tensor.New(cfg.BatchPerRank, 3, rs.trainSet.H, rs.trainSet.W),

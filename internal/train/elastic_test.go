@@ -1,6 +1,7 @@
 package train
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"segscale/internal/faultinject"
+	"segscale/internal/modelhealth"
 )
 
 // elasticCfg is the shared configuration for the elastic tests: four
@@ -178,6 +180,43 @@ func TestElasticUnfailedMatchesFixedWorld(t *testing.T) {
 			t.Errorf("epoch %d: elastic diverged from fixed world:\nfixed:   %+v\nelastic: %+v",
 				e, rf.History[e], re.History[e])
 		}
+	}
+}
+
+// TestElasticKeepsHealthPlane: -elastic must not drop the health
+// plane. A fault-free World 4 elastic run writes the same rows — not
+// merely the same non-zero count — as the fixed-world run.
+func TestElasticKeepsHealthPlane(t *testing.T) {
+	ledger := func(elastic bool) (int, []byte) {
+		cfg := elasticCfg()
+		cfg.Elastic = elastic
+		if !elastic {
+			cfg.MaxRestarts = 0
+		}
+		plane := modelhealth.New(modelhealth.Config{})
+		cfg.Health = plane
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := plane.WriteLedger(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return len(plane.Rows()), buf.Bytes()
+	}
+	if w := elasticCfg().World; w != 4 {
+		t.Fatalf("elasticCfg world %d, this test wants 4", w)
+	}
+	fixedRows, fixed := ledger(false)
+	elasticRows, elastic := ledger(true)
+	if fixedRows == 0 {
+		t.Fatal("fixed-world run wrote no health rows")
+	}
+	if elasticRows != fixedRows {
+		t.Fatalf("elastic run wrote %d health rows, fixed world %d", elasticRows, fixedRows)
+	}
+	if !bytes.Equal(elastic, fixed) {
+		t.Error("elastic health ledger differs from the fixed-world ledger on a fault-free run")
 	}
 }
 

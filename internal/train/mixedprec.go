@@ -15,7 +15,10 @@ import (
 // zero. Multiplying every gradient by a power-of-two scale before the
 // allreduce and dividing it back out afterwards keeps the payload in
 // binary16's dynamic range without changing any mantissa bit — a
-// power-of-two scale is exact in both formats.
+// power-of-two scale is exact in both formats. Both multiplies ride
+// the allreduce's pack and unpack passes
+// (horovod.AllreduceGradsScaled); no separate pass over the gradients
+// exists for the scaler.
 //
 // The schedule is the standard one: on overflow (any Inf/NaN in the
 // reduced gradients — identical on every rank, since all ranks decode
@@ -63,25 +66,6 @@ func validLossScale(s float64) bool {
 	return frac == 0.5
 }
 
-// apply multiplies every gradient by the current scale — immediately
-// before the fused allreduce encodes them to binary16.
-func (ls *lossScaler) apply(params []*nn.Param) {
-	s := float32(ls.scale)
-	for _, p := range params {
-		p.G.Scale(s)
-	}
-}
-
-// unapply divides the scale back out of the (finite) reduced
-// gradients, restoring true magnitudes before clipping and the
-// optimiser step.
-func (ls *lossScaler) unapply(params []*nn.Param) {
-	s := float32(1 / ls.scale)
-	for _, p := range params {
-		p.G.Scale(s)
-	}
-}
-
 // backoff records an overflow: halve the scale (floor 1) and restart
 // the growth counter. Reports whether the scale actually moved, so
 // the caller can mark the transition in the flight recorder.
@@ -107,33 +91,19 @@ func (ls *lossScaler) stepped() bool {
 	return false
 }
 
-// gradOverflow reports whether any gradient holds an Inf or NaN after
-// the allreduce. The scan is branch-cheap and allocation-free: a
-// float32 is non-finite exactly when its exponent field is all ones.
-//
-//seglint:hotpath per-step overflow scan over every gradient under mixed precision
-func gradOverflow(params []*nn.Param) bool {
-	for _, p := range params {
-		for _, v := range p.G.Data {
-			if math.Float32bits(v)&0x7F800000 == 0x7F800000 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // mpStep runs the communicate-and-update half of a training step under
-// mixed precision: scale, allreduce over the binary16 wire, then
-// either skip (overflow: drop the poisoned gradients, halve the scale)
-// or unscale and apply the optimiser update. Returns the loss-scale
-// verdict for telemetry.
+// mixed precision. The scaler rides the allreduce's own two passes:
+// gradients are multiplied by the scale as they are encoded onto the
+// binary16 wire and by 1/scale as the average is decoded back, and the
+// overflow verdict (any Inf/NaN among the reduced gradients) comes
+// from the same unpack pass. Then either skip (overflow: drop the
+// poisoned gradients, halve the scale) or apply the optimiser update.
 func (t *rankStep) mpStep() error {
-	t.scaler.apply(t.params)
-	if err := t.rt.AllreduceGrads(t.params); err != nil {
+	overflow, err := t.rt.AllreduceGradsScaled(t.params, float32(t.scaler.scale), float32(1/t.scaler.scale))
+	if err != nil {
 		return err
 	}
-	if gradOverflow(t.params) {
+	if overflow {
 		// Every rank sees the same reduced bytes, so every rank skips
 		// together — no extra agreement round needed. The backoff is
 		// recorded as an instantaneous flight-recorder event so a dump
@@ -144,7 +114,6 @@ func (t *rankStep) mpStep() error {
 		t.probe.Counter("amp_overflow_steps_total").Inc()
 		nn.ZeroGrads(t.params)
 	} else {
-		t.scaler.unapply(t.params)
 		if t.scaler.stepped() {
 			t.probe.Mark(phaseAMP, "loss_scale_regrow")
 		}

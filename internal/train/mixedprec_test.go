@@ -7,8 +7,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"segscale/internal/horovod"
 	"segscale/internal/nn"
 	"segscale/internal/tensor"
+	"segscale/internal/topology"
+	"segscale/internal/transport"
 )
 
 // mpCfg is the shared mixed-precision configuration: two ranks so the
@@ -180,36 +183,60 @@ func TestLossScalerStateMachine(t *testing.T) {
 	}
 }
 
+// TestGradOverflowAndScaling exercises the scaler's data path — scale,
+// overflow verdict, unscale — through the entry point mpStep uses, on
+// a one-rank world where there is no wire to round anything.
 func TestGradOverflowAndScaling(t *testing.T) {
 	mk := func(vals ...float32) []*nn.Param {
 		g := tensor.New(len(vals))
 		copy(g.Data, vals)
 		return []*nn.Param{{Name: "p", W: tensor.New(len(vals)), G: g}}
 	}
-	if gradOverflow(mk(1, -2, 0.5)) {
+	scaled := func(ps []*nn.Param, pre, post float32) (overflow bool) {
+		t.Helper()
+		err := transport.Run(1, func(c *transport.Comm) error {
+			rt, err := horovod.NewRuntime(c, topology.ForGPUs(1), horovod.Default())
+			if err != nil {
+				return err
+			}
+			overflow, err = rt.AllreduceGradsScaled(ps, pre, post)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return overflow
+	}
+	if scaled(mk(1, -2, 0.5), 1, 1) {
 		t.Error("finite gradients reported as overflow")
 	}
-	if !gradOverflow(mk(1, float32(math.Inf(1)))) {
+	if !scaled(mk(1, float32(math.Inf(1))), 1, 1) {
 		t.Error("Inf not detected")
 	}
-	if !gradOverflow(mk(float32(math.NaN()))) {
+	if !scaled(mk(float32(math.NaN())), 1, 1) {
 		t.Error("NaN not detected")
+	}
+	if !scaled(mk(1, 3e38), 8, 0.125) {
+		t.Error("overflow of the scaled gradient not detected")
 	}
 
 	ps := mk(1, -0.25, 3)
-	ls := newLossScaler(8)
-	ls.apply(ps)
+	if scaled(ps, 8, 1) {
+		t.Error("finite scaled gradients reported as overflow")
+	}
 	want := []float32{8, -2, 24}
 	for i, v := range ps[0].G.Data {
 		if v != want[i] {
-			t.Fatalf("apply: grad[%d] = %g, want %g", i, v, want[i])
+			t.Fatalf("scale: grad[%d] = %g, want %g", i, v, want[i])
 		}
 	}
-	ls.unapply(ps)
+	ls := newLossScaler(8)
+	ps = mk(1, -0.25, 3)
+	scaled(ps, float32(ls.scale), float32(1/ls.scale))
 	back := []float32{1, -0.25, 3}
 	for i, v := range ps[0].G.Data {
 		if v != back[i] {
-			t.Fatalf("unapply: grad[%d] = %g, want %g (power-of-two scaling must be exact)", i, v, back[i])
+			t.Fatalf("scale and unscale: grad[%d] = %g, want %g (power-of-two scaling must be exact)", i, v, back[i])
 		}
 	}
 }
