@@ -25,6 +25,7 @@ vet:
 	go vet ./...
 
 lint: vet
+	test -z "$$(gofmt -l .)"
 	go run ./cmd/seglint -suppressions ./...
 
 fuzz-smoke:

@@ -39,10 +39,10 @@ func BenchmarkAllreduce(b *testing.B) {
 		name string
 		fn   allreduceFn
 	}{
-		{"ring", AllreduceRing},
-		{"recursive-doubling", AllreduceRecursiveDoubling},
-		{"rabenseifner", AllreduceRabenseifner},
-		{"naive", AllreduceNaive},
+		{"ring", AllreduceRing[float32]},
+		{"recursive-doubling", AllreduceRecursiveDoubling[float32]},
+		{"rabenseifner", AllreduceRabenseifner[float32]},
+		{"naive", AllreduceNaive[float32]},
 	}
 	for _, alg := range algs {
 		for _, p := range []int{4, 8} {

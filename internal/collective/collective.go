@@ -10,6 +10,11 @@
 // (which enables the hierarchical compositions) and reduce with
 // summation — Horovod divides by world size afterwards to average.
 //
+// Each schedule exists once, generic over the wire element (Elem:
+// float32, or a binary16 word in a uint16). What differs between the
+// two wires — transport entry points, reduce hop, tag bases, span
+// names, error prefixes — is one table per wire, in wire.go.
+//
 // Misuse — a rank outside its group, mismatched buffer lengths, a
 // machine/world mismatch — is reported as a returned error with
 // context, never a panic: a panicking collective tears down every
@@ -24,17 +29,6 @@ import (
 	"segscale/internal/timeline"
 	"segscale/internal/topology"
 	"segscale/internal/transport"
-)
-
-// Tag bases keep concurrent phases of composed collectives from
-// colliding. Each collective call consumes tags [base, base+steps).
-const (
-	tagRing   = 1 << 16
-	tagRD     = 2 << 16
-	tagNaive  = 3 << 16
-	tagReduce = 4 << 16
-	tagBcast  = 5 << 16
-	tagGather = 6 << 16
 )
 
 // instrument opens a span and bumps the per-algorithm op/byte
@@ -85,192 +79,193 @@ func addInto(dst, src []float32) error {
 	return nil
 }
 
-// AllreduceNaive gathers every contribution to group[0], reduces, and
-// broadcasts the result linearly. O(p) time and the reference other
-// algorithms are verified against.
-func AllreduceNaive(c *transport.Comm, group []int, buf []float32) error {
-	sp := instrument(c, timeline.PhaseAllreduce, "naive", 4*len(buf))
-	defer sp.End()
-	me, err := indexIn(group, c.Rank())
-	if err != nil {
-		return fmt.Errorf("allreduce naive: %w", err)
-	}
-	root := group[0]
-	if me == 0 {
-		for _, r := range group[1:] {
-			got, err := c.Recv(r, tagNaive)
-			if err != nil {
-				return fmt.Errorf("allreduce naive: rank %d contribution: %w", r, err)
-			}
-			if err := addInto(buf, got); err != nil {
-				return fmt.Errorf("allreduce naive: rank %d contribution: %w", r, err)
-			}
+// ringReduceScatter runs the p−1 reduce-scatter steps of a ring over
+// buf's p segments under tags [tag, tag+p−1): afterwards ring index me
+// holds the full sum of segment (me+1) mod p. Callers prefix the error.
+func ringReduceScatter[T Elem](c *transport.Comm, w *wire[T], ring []int, me, tag int, buf []T) error {
+	p, n := len(ring), len(buf)
+	next, prev := ring[(me+1)%p], ring[(me-1+p)%p]
+	for s := 0; s < p-1; s++ {
+		slo, shi := segment(n, p, ((me-s)%p+p)%p)
+		if err := w.send(c, next, tag+s, buf[slo:shi]); err != nil {
+			return fmt.Errorf("reduce-scatter step %d: %w", s, err)
 		}
-		for _, r := range group[1:] {
-			if err := c.Send(r, tagNaive+1, buf); err != nil {
-				return fmt.Errorf("allreduce naive: result to rank %d: %w", r, err)
-			}
+		rlo, rhi := segment(n, p, ((me-s-1)%p+p)%p)
+		got, err := w.recv(c, prev, tag+s)
+		if err != nil {
+			return fmt.Errorf("reduce-scatter step %d: %w", s, err)
 		}
-		return nil
-	}
-	if err := c.Send(root, tagNaive, buf); err != nil {
-		return fmt.Errorf("allreduce naive: contribution to root: %w", err)
-	}
-	if err := c.RecvInto(root, tagNaive+1, buf); err != nil {
-		return fmt.Errorf("allreduce naive: result from root: %w", err)
+		if err := w.add(buf[rlo:rhi], got); err != nil {
+			return fmt.Errorf("reduce-scatter step %d: %w", s, err)
+		}
 	}
 	return nil
 }
 
-// AllreduceRing is the bandwidth-optimal ring: p−1 reduce-scatter
-// steps followed by p−1 allgather steps over ceil(n/p) segments.
-func AllreduceRing(c *transport.Comm, group []int, buf []float32) error {
-	p := len(group)
-	if p <= 1 {
-		return nil
-	}
-	sp := instrument(c, timeline.PhaseAllreduce, "ring", 4*len(buf))
-	defer sp.End()
-	me, err := indexIn(group, c.Rank())
-	if err != nil {
-		return fmt.Errorf("allreduce ring: %w", err)
-	}
-	next := group[(me+1)%p]
-	prev := group[(me-1+p)%p]
-	n := len(buf)
-
-	// Reduce-scatter: after step s, each rank holds the full sum of
-	// segment (me+1) mod p ... converging to segment (me+1).
+// ringAllgather circulates the segments ringReduceScatter completed,
+// under tags [tag, tag+p−1). Callers prefix the error.
+func ringAllgather[T Elem](c *transport.Comm, w *wire[T], ring []int, me, tag int, buf []T) error {
+	p, n := len(ring), len(buf)
+	next, prev := ring[(me+1)%p], ring[(me-1+p)%p]
 	for s := 0; s < p-1; s++ {
-		sendSeg := ((me-s)%p + p) % p
-		recvSeg := ((me-s-1)%p + p) % p
-		slo, shi := segment(n, p, sendSeg)
-		if err := c.Send(next, tagRing+s, buf[slo:shi]); err != nil {
-			return fmt.Errorf("allreduce ring: reduce-scatter step %d: %w", s, err)
+		slo, shi := segment(n, p, ((me-s+1)%p+p)%p)
+		if err := w.send(c, next, tag+s, buf[slo:shi]); err != nil {
+			return fmt.Errorf("allgather step %d: %w", s, err)
 		}
-		rlo, rhi := segment(n, p, recvSeg)
-		got, err := c.Recv(prev, tagRing+s)
+		rlo, rhi := segment(n, p, ((me-s)%p+p)%p)
+		got, err := w.recv(c, prev, tag+s)
 		if err != nil {
-			return fmt.Errorf("allreduce ring: reduce-scatter step %d: %w", s, err)
-		}
-		if err := addInto(buf[rlo:rhi], got); err != nil {
-			return fmt.Errorf("allreduce ring: reduce-scatter step %d: %w", s, err)
-		}
-	}
-	// Allgather: circulate the completed segments.
-	for s := 0; s < p-1; s++ {
-		sendSeg := ((me-s+1)%p + p) % p
-		recvSeg := ((me-s)%p + p) % p
-		slo, shi := segment(n, p, sendSeg)
-		if err := c.Send(next, tagRing+p+s, buf[slo:shi]); err != nil {
-			return fmt.Errorf("allreduce ring: allgather step %d: %w", s, err)
-		}
-		rlo, rhi := segment(n, p, recvSeg)
-		got, err := c.Recv(prev, tagRing+p+s)
-		if err != nil {
-			return fmt.Errorf("allreduce ring: allgather step %d: %w", s, err)
+			return fmt.Errorf("allgather step %d: %w", s, err)
 		}
 		copy(buf[rlo:rhi], got)
 	}
 	return nil
 }
 
-// AllreduceRecursiveDoubling is the latency-optimal log₂(p)-step
-// exchange, with the MPICH-style fold for non-power-of-two groups.
-func AllreduceRecursiveDoubling(c *transport.Comm, group []int, buf []float32) error {
+// AllreduceRing is the bandwidth-optimal ring: p−1 reduce-scatter
+// steps followed by p−1 allgather steps over ceil(n/p) segments.
+func AllreduceRing[T Elem](c *transport.Comm, group []int, buf []T) error {
 	p := len(group)
 	if p <= 1 {
 		return nil
 	}
-	sp := instrument(c, timeline.PhaseAllreduce, "recursive-doubling", 4*len(buf))
+	w := wireOf[T]()
+	sp := instrument(c, timeline.PhaseAllreduce, w.spanRing, w.elemBytes*len(buf))
+	defer sp.End()
+	me, err := indexIn(group, c.Rank())
+	if err == nil {
+		err = ringReduceScatter(c, w, group, me, w.tagRing, buf)
+	}
+	if err == nil {
+		err = ringAllgather(c, w, group, me, w.tagRing+p, buf)
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", w.errRing, err)
+	}
+	return nil
+}
+
+// folded is a rank's place after the MPICH fold that recursive
+// doubling and Rabenseifner run on non-power-of-two groups: the first
+// 2·rem ranks pair up, each even one donates its buffer to the odd one
+// above it and sits out (rank −1), and the pow = p − rem ranks left
+// renumber densely.
+type folded struct{ pow, rem, rank int }
+
+// peer returns the group index of the active rank at distance dist.
+func (f folded) peer(dist int) int {
+	nr := f.rank ^ dist
+	if nr < f.rem {
+		return nr*2 + 1
+	}
+	return nr + f.rem
+}
+
+// fold runs the fold under tag. Callers prefix the error.
+func fold[T Elem](c *transport.Comm, w *wire[T], group []int, me, tag int, buf []T) (folded, error) {
+	f := folded{pow: 1}
+	for f.pow*2 <= len(group) {
+		f.pow *= 2
+	}
+	f.rem = len(group) - f.pow
+	switch {
+	case me < 2*f.rem && me%2 == 0:
+		f.rank = -1
+		if err := w.send(c, group[me+1], tag, buf); err != nil {
+			return f, fmt.Errorf("fold: %w", err)
+		}
+	case me < 2*f.rem:
+		f.rank = me / 2
+		got, err := w.recv(c, group[me-1], tag)
+		if err != nil {
+			return f, fmt.Errorf("fold: %w", err)
+		}
+		if err := w.add(buf, got); err != nil {
+			return f, fmt.Errorf("fold: %w", err)
+		}
+	default:
+		f.rank = me - f.rem
+	}
+	return f, nil
+}
+
+// unfold returns the result from each odd rank of a folded pair to the
+// even one that sat out. Callers prefix the error.
+func unfold[T Elem](c *transport.Comm, w *wire[T], group []int, me, tag int, f folded, buf []T) error {
+	if me >= 2*f.rem {
+		return nil
+	}
+	var err error
+	if me%2 == 0 {
+		err = w.recvInto(c, group[me+1], tag, buf)
+	} else {
+		err = w.send(c, group[me-1], tag, buf)
+	}
+	if err != nil {
+		return fmt.Errorf("unfold: %w", err)
+	}
+	return nil
+}
+
+// AllreduceRecursiveDoubling is the latency-optimal log₂(p)-step
+// exchange, with the MPICH-style fold for non-power-of-two groups.
+func AllreduceRecursiveDoubling[T Elem](c *transport.Comm, group []int, buf []T) error {
+	if len(group) <= 1 {
+		return nil
+	}
+	w := wireOf[T]()
+	sp := instrument(c, timeline.PhaseAllreduce, w.spanRD, w.elemBytes*len(buf))
 	defer sp.End()
 	me, err := indexIn(group, c.Rank())
 	if err != nil {
-		return fmt.Errorf("allreduce recursive-doubling: %w", err)
+		return fmt.Errorf("%s: %w", w.errRD, err)
 	}
-	pow := 1
-	for pow*2 <= p {
-		pow *= 2
+	f, err := fold(c, w, group, me, w.tagRD, buf)
+	if err != nil {
+		return fmt.Errorf("%s: %w", w.errRD, err)
 	}
-	rem := p - pow
-
-	// Fold: the first 2·rem ranks pair up; evens donate and go idle.
-	newrank := -1
-	switch {
-	case me < 2*rem && me%2 == 0:
-		if err := c.Send(group[me+1], tagRD, buf); err != nil {
-			return fmt.Errorf("allreduce recursive-doubling: fold: %w", err)
-		}
-	case me < 2*rem: // odd
-		got, err := c.Recv(group[me-1], tagRD)
-		if err != nil {
-			return fmt.Errorf("allreduce recursive-doubling: fold: %w", err)
-		}
-		if err := addInto(buf, got); err != nil {
-			return fmt.Errorf("allreduce recursive-doubling: fold: %w", err)
-		}
-		newrank = me / 2
-	default:
-		newrank = me - rem
-	}
-
-	if newrank >= 0 {
-		old := func(nr int) int {
-			if nr < rem {
-				return nr*2 + 1
-			}
-			return nr + rem
-		}
-		for dist := 1; dist < pow; dist *= 2 {
-			partner := group[old(newrank^dist)]
-			got, err := c.SendRecv(partner, tagRD+1+dist, buf, partner, tagRD+1+dist)
+	if f.rank >= 0 {
+		for dist := 1; dist < f.pow; dist *= 2 {
+			partner := group[f.peer(dist)]
+			got, err := w.sendRecv(c, partner, w.tagRD+1+dist, buf, partner, w.tagRD+1+dist)
 			if err != nil {
-				return fmt.Errorf("allreduce recursive-doubling: distance %d: %w", dist, err)
+				return fmt.Errorf("%s: distance %d: %w", w.errRD, dist, err)
 			}
-			if err := addInto(buf, got); err != nil {
-				return fmt.Errorf("allreduce recursive-doubling: distance %d: %w", dist, err)
+			if err := w.add(buf, got); err != nil {
+				return fmt.Errorf("%s: distance %d: %w", w.errRD, dist, err)
 			}
 		}
 	}
-
-	// Unfold: odd ranks return the result to their even partner.
-	if me < 2*rem {
-		if me%2 == 0 {
-			if err := c.RecvInto(group[me+1], tagRD+2*pow, buf); err != nil {
-				return fmt.Errorf("allreduce recursive-doubling: unfold: %w", err)
-			}
-		} else {
-			if err := c.Send(group[me-1], tagRD+2*pow, buf); err != nil {
-				return fmt.Errorf("allreduce recursive-doubling: unfold: %w", err)
-			}
-		}
+	if err := unfold(c, w, group, me, w.tagRD+2*f.pow, f, buf); err != nil {
+		return fmt.Errorf("%s: %w", w.errRD, err)
 	}
 	return nil
 }
 
 // ReduceTree reduces every rank's buf into group[0] using a binomial
 // tree (non-roots' buffers are left with partial sums).
-func ReduceTree(c *transport.Comm, group []int, buf []float32) error {
+func ReduceTree[T Elem](c *transport.Comm, group []int, buf []T) error {
+	w := wireOf[T]()
 	p := len(group)
 	me, err := indexIn(group, c.Rank())
 	if err != nil {
-		return fmt.Errorf("reduce tree: %w", err)
+		return fmt.Errorf("%s: %w", w.errReduce, err)
 	}
 	for dist := 1; dist < p; dist *= 2 {
 		if me%(2*dist) == 0 {
 			src := me + dist
 			if src < p {
-				got, err := c.Recv(group[src], tagReduce+dist)
+				got, err := w.recv(c, group[src], w.tagReduce+dist)
 				if err != nil {
-					return fmt.Errorf("reduce tree: from rank %d: %w", group[src], err)
+					return fmt.Errorf("%s: from rank %d: %w", w.errReduce, group[src], err)
 				}
-				if err := addInto(buf, got); err != nil {
-					return fmt.Errorf("reduce tree: from rank %d: %w", group[src], err)
+				if err := w.add(buf, got); err != nil {
+					return fmt.Errorf("%s: from rank %d: %w", w.errReduce, group[src], err)
 				}
 			}
 		} else if me%dist == 0 {
-			if err := c.Send(group[me-dist], tagReduce+dist, buf); err != nil {
-				return fmt.Errorf("reduce tree: to rank %d: %w", group[me-dist], err)
+			if err := w.send(c, group[me-dist], w.tagReduce+dist, buf); err != nil {
+				return fmt.Errorf("%s: to rank %d: %w", w.errReduce, group[me-dist], err)
 			}
 			return nil
 		}
@@ -279,13 +274,14 @@ func ReduceTree(c *transport.Comm, group []int, buf []float32) error {
 }
 
 // BcastTree broadcasts group[0]'s buf to the group via binomial tree.
-func BcastTree(c *transport.Comm, group []int, buf []float32) error {
-	sp := instrument(c, timeline.PhaseBcast, "binomial-tree", 4*len(buf))
+func BcastTree[T Elem](c *transport.Comm, group []int, buf []T) error {
+	w := wireOf[T]()
+	sp := instrument(c, timeline.PhaseBcast, w.spanBcast, w.elemBytes*len(buf))
 	defer sp.End()
 	p := len(group)
 	me, err := indexIn(group, c.Rank())
 	if err != nil {
-		return fmt.Errorf("bcast tree: %w", err)
+		return fmt.Errorf("%s: %w", w.errBcast, err)
 	}
 	// Highest power of two ≥ p.
 	top := 1
@@ -296,49 +292,15 @@ func BcastTree(c *transport.Comm, group []int, buf []float32) error {
 		if me%(2*dist) == 0 {
 			dst := me + dist
 			if dst < p {
-				if err := c.Send(group[dst], tagBcast+dist, buf); err != nil {
-					return fmt.Errorf("bcast tree: to rank %d: %w", group[dst], err)
+				if err := w.send(c, group[dst], w.tagBcast+dist, buf); err != nil {
+					return fmt.Errorf("%s: to rank %d: %w", w.errBcast, group[dst], err)
 				}
 			}
 		} else if me%dist == 0 {
-			if err := c.RecvInto(group[me-dist], tagBcast+dist, buf); err != nil {
-				return fmt.Errorf("bcast tree: from rank %d: %w", group[me-dist], err)
+			if err := w.recvInto(c, group[me-dist], w.tagBcast+dist, buf); err != nil {
+				return fmt.Errorf("%s: from rank %d: %w", w.errBcast, group[me-dist], err)
 			}
 		}
-	}
-	return nil
-}
-
-// AllgatherRing circulates per-rank shards around the ring. shards[i]
-// must be the shard contributed by group index i; only shards[me] need
-// be filled on entry, and all are filled on return.
-func AllgatherRing(c *transport.Comm, group []int, shards [][]float32) error {
-	p := len(group)
-	if p <= 1 {
-		return nil
-	}
-	me, err := indexIn(group, c.Rank())
-	if err != nil {
-		return fmt.Errorf("allgather ring: %w", err)
-	}
-	if len(shards) != p {
-		return fmt.Errorf("allgather ring: %d shards for %d ranks", len(shards), p)
-	}
-	sp := instrument(c, timeline.PhaseAllgather, "ring", 4*len(shards[me]))
-	defer sp.End()
-	next := group[(me+1)%p]
-	prev := group[(me-1+p)%p]
-	for s := 0; s < p-1; s++ {
-		sendIdx := ((me-s)%p + p) % p
-		recvIdx := ((me-s-1)%p + p) % p
-		if err := c.Send(next, tagGather+s, shards[sendIdx]); err != nil {
-			return fmt.Errorf("allgather ring: step %d: %w", s, err)
-		}
-		got, err := c.Recv(prev, tagGather+s)
-		if err != nil {
-			return fmt.Errorf("allgather ring: step %d: %w", s, err)
-		}
-		shards[recvIdx] = got
 	}
 	return nil
 }
@@ -348,22 +310,23 @@ func AllgatherRing(c *transport.Comm, group []int, shards [][]float32) error {
 // leader, recursive-doubling allreduce among the leaders, binomial
 // broadcast back down. The machine layout decides the groups; the
 // world must equal mach.Ranks() ranks.
-func AllreduceHierLeader(c *transport.Comm, mach topology.Machine, buf []float32) error {
+func AllreduceHierLeader[T Elem](c *transport.Comm, mach topology.Machine, buf []T) error {
 	if c.Size() != mach.Ranks() {
 		return fmt.Errorf("collective: world %d != machine ranks %d", c.Size(), mach.Ranks())
 	}
+	w := wireOf[T]()
 	node := mach.Node(c.Rank())
 	local := mach.NodeRanks(node)
 	if err := ReduceTree(c, local, buf); err != nil {
-		return fmt.Errorf("hierarchical allreduce: node %d: %w", node, err)
+		return fmt.Errorf("%s: node %d: %w", w.errHierLeader, node, err)
 	}
 	if mach.IsLeader(c.Rank()) {
 		if err := AllreduceRecursiveDoubling(c, mach.Leaders(), buf); err != nil {
-			return fmt.Errorf("hierarchical allreduce: leaders: %w", err)
+			return fmt.Errorf("%s: leaders: %w", w.errHierLeader, err)
 		}
 	}
 	if err := BcastTree(c, local, buf); err != nil {
-		return fmt.Errorf("hierarchical allreduce: node %d: %w", node, err)
+		return fmt.Errorf("%s: node %d: %w", w.errHierLeader, node, err)
 	}
 	return nil
 }

@@ -72,10 +72,10 @@ func checkAllreduce(t *testing.T, name string, fn allreduceFn, p, n int, seed in
 
 func TestAllreduceAlgorithmsMatchSerialSum(t *testing.T) {
 	algs := map[string]allreduceFn{
-		"naive": AllreduceNaive,
-		"ring":  AllreduceRing,
-		"rd":    AllreduceRecursiveDoubling,
-		"rab":   AllreduceRabenseifner,
+		"naive": AllreduceNaive[float32],
+		"ring":  AllreduceRing[float32],
+		"rd":    AllreduceRecursiveDoubling[float32],
+		"rab":   AllreduceRabenseifner[float32],
 	}
 	sizes := []int{1, 2, 3, 7, 64, 1023}
 	groups := []int{2, 3, 4, 5, 6, 8, 13}
@@ -181,28 +181,6 @@ func TestReduceTreeAndBcastTree(t *testing.T) {
 		for r := 0; r < p; r++ {
 			if d := maxAbsDiff(outs[r], want); d > 1e-4*float64(p) {
 				t.Errorf("reduce+bcast p=%d rank %d: diff %g", p, r, d)
-			}
-		}
-	}
-}
-
-func TestAllgatherRing(t *testing.T) {
-	for _, p := range []int{2, 3, 6} {
-		results := make([][][]float32, p)
-		runGroup(p, func(c *transport.Comm, group []int) {
-			shards := make([][]float32, p)
-			shards[c.Rank()] = []float32{float32(c.Rank()) * 10, float32(c.Rank())}
-			if err := AllgatherRing(c, group, shards); err != nil {
-				t.Errorf("allgather p=%d rank %d: %v", p, c.Rank(), err)
-			}
-			results[c.Rank()] = shards
-		})
-		for r := 0; r < p; r++ {
-			for i := 0; i < p; i++ {
-				got := results[r][i]
-				if len(got) != 2 || got[0] != float32(i)*10 || got[1] != float32(i) {
-					t.Errorf("p=%d rank %d shard %d = %v", p, r, i, got)
-				}
 			}
 		}
 	}

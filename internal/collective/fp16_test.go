@@ -13,10 +13,10 @@ import (
 type allreduce16Fn func(c *transport.Comm, group []int, buf []uint16) error
 
 var algs16 = map[string]allreduce16Fn{
-	"naive": AllreduceNaive16,
-	"ring":  AllreduceRing16,
-	"rd":    AllreduceRecursiveDoubling16,
-	"rab":   AllreduceRabenseifner16,
+	"naive": AllreduceNaive[uint16],
+	"ring":  AllreduceRing[uint16],
+	"rd":    AllreduceRecursiveDoubling[uint16],
+	"rab":   AllreduceRabenseifner[uint16],
 }
 
 // runAllreduce16 executes fn on a world of p ranks where rank r
@@ -155,7 +155,7 @@ func TestAllreduce16Hierarchical(t *testing.T) {
 			if err := fp16.Encode(ins[c.Rank()], buf); err != nil {
 				return err
 			}
-			errs[c.Rank()] = AllreduceHierGroups16(c, tc.groups, intra, inter, buf)
+			errs[c.Rank()] = AllreduceHierGroups(c, tc.groups, intra, inter, buf)
 			outs[c.Rank()] = buf
 			return nil
 		})
@@ -181,8 +181,8 @@ func TestAllreduce16HierMachineWrappers(t *testing.T) {
 	p := mach.Ranks()
 	const n = 23
 	for name, fn := range map[string]func(*transport.Comm, topology.Machine, []uint16) error{
-		"hier-leader":   AllreduceHierLeader16,
-		"hier-twolevel": AllreduceHierTwoLevel16,
+		"hier-leader":   AllreduceHierLeader[uint16],
+		"hier-twolevel": AllreduceHierTwoLevel[uint16],
 	} {
 		ins := make([][]float32, p)
 		want := make([]float32, n)
@@ -223,13 +223,13 @@ func TestAllreduce16HierMachineWrappers(t *testing.T) {
 func TestAllreduce16Validation(t *testing.T) {
 	intra, inter := topology.SummitLinkSpecs()
 	transport.Run(1, func(c *transport.Comm) error {
-		if err := AllreduceNaive16(c, []int{1, 2}, []uint16{0}); err == nil {
+		if err := AllreduceNaive(c, []int{1, 2}, []uint16{0}); err == nil {
 			t.Error("naive16 accepted a group that excludes the caller")
 		}
-		if err := AllreduceHierGroups16(c, nil, intra, inter, []uint16{0}); err == nil {
+		if err := AllreduceHierGroups(c, nil, intra, inter, []uint16{0}); err == nil {
 			t.Error("hier16 accepted an empty partition")
 		}
-		if err := AllreduceHierGroups16(c, [][]int{{0}, {}}, intra, inter, []uint16{0}); err == nil {
+		if err := AllreduceHierGroups(c, [][]int{{0}, {}}, intra, inter, []uint16{0}); err == nil {
 			t.Error("hier16 accepted an empty node group")
 		}
 		return nil

@@ -8,25 +8,19 @@ import (
 	"segscale/internal/transport"
 )
 
-// Tag bases for the intra-node phases of the two-level hierarchical
-// allreduce. The inter-node phase reuses the flat algorithms (and
-// their tag bases) over disjoint cross-node groups, so only the
-// intra-node ring phases need bases of their own.
-const (
-	tagHierRS = 8 << 16
-	tagHierAG = 9 << 16
-)
-
-// levelFn maps a per-level algorithm choice to its flat
-// implementation over an explicit rank group.
-func levelFn(alg topology.LevelAlg) func(*transport.Comm, []int, []float32) error {
+// levelAllreduce runs a per-level algorithm choice's flat
+// implementation over an explicit rank group. It calls rather than
+// returns the implementation: inside generic code a function value of
+// AllreduceRing[T] is a closure over T's dictionary, one heap object
+// per call.
+func levelAllreduce[T Elem](alg topology.LevelAlg, c *transport.Comm, group []int, buf []T) error {
 	switch alg {
 	case topology.LevelRecursiveDoubling:
-		return AllreduceRecursiveDoubling
+		return AllreduceRecursiveDoubling(c, group, buf)
 	case topology.LevelRabenseifner:
-		return AllreduceRabenseifner
+		return AllreduceRabenseifner(c, group, buf)
 	default:
-		return AllreduceRing
+		return AllreduceRing(c, group, buf)
 	}
 }
 
@@ -37,7 +31,7 @@ func levelFn(alg topology.LevelAlg) func(*transport.Comm, []int, []float32) erro
 // composes the levels. The world must equal mach.Ranks() ranks laid
 // out in machine order; elastic worlds with holes go through
 // AllreduceHierGroups with explicit node groups instead.
-func AllreduceHierTwoLevel(c *transport.Comm, mach topology.Machine, buf []float32) error {
+func AllreduceHierTwoLevel[T Elem](c *transport.Comm, mach topology.Machine, buf []T) error {
 	if c.Size() != mach.Ranks() {
 		return fmt.Errorf("collective: world %d != machine ranks %d", c.Size(), mach.Ranks())
 	}
@@ -54,8 +48,9 @@ func AllreduceHierTwoLevel(c *transport.Comm, mach topology.Machine, buf []float
 // participating rank appears in exactly one group, and all ranks must
 // pass identical groups. Link specs for the two levels drive the
 // per-level algorithm choice; the choice is a pure function of
-// (specs, shape, len(buf)), so all ranks agree on it without
-// negotiation.
+// (specs, shape, len(buf)) — the element count, not the byte count, so
+// a compressed run composes the same schedule as its uncompressed A/B
+// partner — and all ranks agree on it without negotiation.
 //
 // Two compositions exist. When every node holds the same number of
 // ranks and the intra level picks the ring, the torus composition
@@ -65,7 +60,7 @@ func AllreduceHierTwoLevel(c *transport.Comm, mach topology.Machine, buf []float
 // an intra pick that favours latency over bandwidth — fall back to
 // the leader composition: binomial reduce to each node leader, the
 // picked inter algorithm among leaders, binomial broadcast back down.
-func AllreduceHierGroups(c *transport.Comm, groups [][]int, intra, inter topology.LinkSpec, buf []float32) error {
+func AllreduceHierGroups[T Elem](c *transport.Comm, groups [][]int, intra, inter topology.LinkSpec, buf []T) error {
 	nodes := len(groups)
 	if nodes == 0 {
 		return fmt.Errorf("collective: hierarchical allreduce with no node groups")
@@ -89,36 +84,37 @@ func AllreduceHierGroups(c *transport.Comm, groups [][]int, intra, inter topolog
 	if myNode < 0 {
 		return fmt.Errorf("collective: rank %d not in any node group", c.Rank())
 	}
-	sp := instrument(c, timeline.PhaseAllreduce, "hier-2level", 4*len(buf))
+	w := wireOf[T]()
+	sp := instrument(c, timeline.PhaseAllreduce, w.spanHier, w.elemBytes*len(buf))
 	defer sp.End()
 
 	local := groups[myNode]
 	intraAlg := topology.PickLevelAlg(intra, g0, len(buf))
 	if even && intraAlg == topology.LevelRing {
-		return hierTorus(c, groups, inter, buf, myNode, myLocal)
+		return hierTorus(c, w, groups, inter, buf, myNode, myLocal)
 	}
-	return hierLeader(c, groups, inter, buf, local)
+	return hierLeader(c, w, groups, inter, buf, local)
 }
 
 // hierLeader: reduce to node leaders, allreduce among leaders with the
 // picked inter algorithm, broadcast back down. Works for any node
 // group shapes.
-func hierLeader(c *transport.Comm, groups [][]int, inter topology.LinkSpec, buf []float32, local []int) error {
+func hierLeader[T Elem](c *transport.Comm, w *wire[T], groups [][]int, inter topology.LinkSpec, buf []T, local []int) error {
 	leaders := make([]int, len(groups))
 	for n, grp := range groups {
 		leaders[n] = grp[0]
 	}
 	if err := ReduceTree(c, local, buf); err != nil {
-		return fmt.Errorf("hier-2level leader: reduce: %w", err)
+		return fmt.Errorf("%s: reduce: %w", w.errLeader, err)
 	}
 	if c.Rank() == local[0] {
 		interAlg := topology.PickLevelAlg(inter, len(leaders), len(buf))
-		if err := levelFn(interAlg)(c, leaders, buf); err != nil {
-			return fmt.Errorf("hier-2level leader: inter-node %v: %w", interAlg, err)
+		if err := levelAllreduce(interAlg, c, leaders, buf); err != nil {
+			return fmt.Errorf("%s: inter-node %v: %w", w.errLeader, interAlg, err)
 		}
 	}
 	if err := BcastTree(c, local, buf); err != nil {
-		return fmt.Errorf("hier-2level leader: bcast: %w", err)
+		return fmt.Errorf("%s: bcast: %w", w.errLeader, err)
 	}
 	return nil
 }
@@ -129,64 +125,31 @@ func hierLeader(c *transport.Comm, groups [][]int, inter topology.LinkSpec, buf 
 // nodes. With one rank per node it degenerates to the flat inter
 // algorithm over the whole buffer; with one node the two ring phases
 // alone complete the allreduce.
-func hierTorus(c *transport.Comm, groups [][]int, inter topology.LinkSpec, buf []float32, myNode, me int) error {
+func hierTorus[T Elem](c *transport.Comm, w *wire[T], groups [][]int, inter topology.LinkSpec, buf []T, myNode, me int) error {
 	local := groups[myNode]
 	g := len(local)
-	n := len(buf)
-	next := local[(me+1)%g]
-	prev := local[(me-1+g)%g]
-
-	// Intra reduce-scatter: after g−1 steps local index me holds the
-	// node-wide sum of segment (me+1) mod g (same schedule as
-	// AllreduceRing's first phase).
-	for s := 0; s < g-1; s++ {
-		sendSeg := ((me-s)%g + g) % g
-		recvSeg := ((me-s-1)%g + g) % g
-		slo, shi := segment(n, g, sendSeg)
-		if err := c.Send(next, tagHierRS+s, buf[slo:shi]); err != nil {
-			return fmt.Errorf("hier-2level torus: reduce-scatter step %d: %w", s, err)
-		}
-		rlo, rhi := segment(n, g, recvSeg)
-		got, err := c.Recv(prev, tagHierRS+s)
-		if err != nil {
-			return fmt.Errorf("hier-2level torus: reduce-scatter step %d: %w", s, err)
-		}
-		if err := addInto(buf[rlo:rhi], got); err != nil {
-			return fmt.Errorf("hier-2level torus: reduce-scatter step %d: %w", s, err)
-		}
+	if err := ringReduceScatter(c, w, local, me, w.tagHierRS, buf); err != nil {
+		return fmt.Errorf("%s: %w", w.errTorus, err)
 	}
 
 	// Inter allreduce: ranks sharing a local index form a cross-node
 	// group and reduce the segment they own. The groups are disjoint,
 	// so all run concurrently — every node drives all its NICs.
 	ownSeg := (me + 1) % g
-	lo, hi := segment(n, g, ownSeg)
+	lo, hi := segment(len(buf), g, ownSeg)
 	if len(groups) > 1 {
 		cross := make([]int, len(groups))
 		for nd, grp := range groups {
 			cross[nd] = grp[me]
 		}
 		interAlg := topology.PickLevelAlg(inter, len(cross), hi-lo)
-		if err := levelFn(interAlg)(c, cross, buf[lo:hi]); err != nil {
-			return fmt.Errorf("hier-2level torus: inter-node %v segment %d: %w", interAlg, ownSeg, err)
+		if err := levelAllreduce(interAlg, c, cross, buf[lo:hi]); err != nil {
+			return fmt.Errorf("%s: inter-node %v segment %d: %w", w.errTorus, interAlg, ownSeg, err)
 		}
 	}
 
-	// Intra allgather: circulate the completed segments (same schedule
-	// as AllreduceRing's second phase).
-	for s := 0; s < g-1; s++ {
-		sendSeg := ((me-s+1)%g + g) % g
-		recvSeg := ((me-s)%g + g) % g
-		slo, shi := segment(n, g, sendSeg)
-		if err := c.Send(next, tagHierAG+s, buf[slo:shi]); err != nil {
-			return fmt.Errorf("hier-2level torus: allgather step %d: %w", s, err)
-		}
-		rlo, rhi := segment(n, g, recvSeg)
-		got, err := c.Recv(prev, tagHierAG+s)
-		if err != nil {
-			return fmt.Errorf("hier-2level torus: allgather step %d: %w", s, err)
-		}
-		copy(buf[rlo:rhi], got)
+	if err := ringAllgather(c, w, local, me, w.tagHierAG, buf); err != nil {
+		return fmt.Errorf("%s: %w", w.errTorus, err)
 	}
 	return nil
 }

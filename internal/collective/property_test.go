@@ -21,10 +21,10 @@ import (
 // the real Summit specs would otherwise choose by buffer size alone.
 func allAlgorithms() map[string]allreduceFn {
 	return map[string]allreduceFn{
-		"naive": AllreduceNaive,
-		"ring":  AllreduceRing,
-		"rd":    AllreduceRecursiveDoubling,
-		"rab":   AllreduceRabenseifner,
+		"naive": AllreduceNaive[float32],
+		"ring":  AllreduceRing[float32],
+		"rd":    AllreduceRecursiveDoubling[float32],
+		"rab":   AllreduceRabenseifner[float32],
 		"hier-2level": func(c *transport.Comm, group []int, buf []float32) error {
 			return AllreduceHierTwoLevel(c, topology.ExactFor(len(group)), buf)
 		},

@@ -2,12 +2,11 @@ package collective
 
 import (
 	"fmt"
+	"math/bits"
 
 	"segscale/internal/timeline"
 	"segscale/internal/transport"
 )
-
-const tagRab = 7 << 16
 
 // AllreduceRabenseifner implements Rabenseifner's algorithm:
 // recursive-halving reduce-scatter followed by recursive-doubling
@@ -15,126 +14,71 @@ const tagRab = 7 << 16
 // 2·log₂(p) latency steps — the shape MPI libraries pick for large
 // messages on small-to-medium communicators. Non-power-of-two groups
 // use the MPICH fold (evens donate to odds, then unfold).
-func AllreduceRabenseifner(c *transport.Comm, group []int, buf []float32) error {
-	p := len(group)
-	if p <= 1 {
+func AllreduceRabenseifner[T Elem](c *transport.Comm, group []int, buf []T) error {
+	if len(group) <= 1 {
 		return nil
 	}
-	sp := instrument(c, timeline.PhaseAllreduce, "rabenseifner", 4*len(buf))
+	w := wireOf[T]()
+	sp := instrument(c, timeline.PhaseAllreduce, w.spanRab, w.elemBytes*len(buf))
 	defer sp.End()
 	me, err := indexIn(group, c.Rank())
 	if err != nil {
-		return fmt.Errorf("allreduce rabenseifner: %w", err)
+		return fmt.Errorf("%s: %w", w.errRab, err)
 	}
-	n := len(buf)
-
-	pow := 1
-	for pow*2 <= p {
-		pow *= 2
-	}
-	rem := p - pow
-
-	// Fold to a power-of-two active set.
-	newrank := -1
-	switch {
-	case me < 2*rem && me%2 == 0:
-		if err := c.Send(group[me+1], tagRab, buf); err != nil {
-			return fmt.Errorf("allreduce rabenseifner: fold: %w", err)
-		}
-	case me < 2*rem:
-		got, err := c.Recv(group[me-1], tagRab)
-		if err != nil {
-			return fmt.Errorf("allreduce rabenseifner: fold: %w", err)
-		}
-		if err := addInto(buf, got); err != nil {
-			return fmt.Errorf("allreduce rabenseifner: fold: %w", err)
-		}
-		newrank = me / 2
-	default:
-		newrank = me - rem
+	f, err := fold(c, w, group, me, w.tagRab, buf)
+	if err != nil {
+		return fmt.Errorf("%s: %w", w.errRab, err)
 	}
 
-	if newrank >= 0 {
-		old := func(nr int) int {
-			if nr < rem {
-				return nr*2 + 1
-			}
-			return nr + rem
-		}
+	if f.rank >= 0 {
 		// Reduce-scatter by recursive halving: each step trades half
 		// of the currently-owned window with the partner and reduces
-		// the half it keeps.
-		lo, hi := 0, n
-		step := 0
-		for dist := 1; dist < pow; dist *= 2 {
-			partner := group[old(newrank^dist)]
-			mid := lo + (hi-lo)/2
-			var sendLo, sendHi, keepLo, keepHi int
-			if newrank&dist == 0 {
-				// Keep the lower half, send the upper.
-				sendLo, sendHi, keepLo, keepHi = mid, hi, lo, mid
-			} else {
-				sendLo, sendHi, keepLo, keepHi = lo, mid, mid, hi
+		// the half it keeps. windows records the bounds visited on the
+		// way down so the way up mirrors them exactly.
+		type window struct{ lo, hi int }
+		windows := make([]window, 1, bits.Len(uint(f.pow)))
+		windows[0] = window{0, len(buf)}
+		for dist := 1; dist < f.pow; dist *= 2 {
+			partner := group[f.peer(dist)]
+			step := len(windows) - 1
+			cur := windows[step]
+			mid := cur.lo + (cur.hi-cur.lo)/2
+			send, keep := window{mid, cur.hi}, window{cur.lo, mid} // keep the lower half, send the upper
+			if f.rank&dist != 0 {
+				send, keep = keep, send
 			}
-			got, err := c.SendRecv(partner, tagRab+1+step, buf[sendLo:sendHi], partner, tagRab+1+step)
+			got, err := w.sendRecv(c, partner, w.tagRab+1+step, buf[send.lo:send.hi], partner, w.tagRab+1+step)
 			if err != nil {
-				return fmt.Errorf("allreduce rabenseifner: halving step %d: %w", step, err)
+				return fmt.Errorf("%s: halving step %d: %w", w.errRab, step, err)
 			}
-			if err := addInto(buf[keepLo:keepHi], got); err != nil {
-				return fmt.Errorf("allreduce rabenseifner: halving step %d: %w", step, err)
+			if err := w.add(buf[keep.lo:keep.hi], got); err != nil {
+				return fmt.Errorf("%s: halving step %d: %w", w.errRab, step, err)
 			}
-			lo, hi = keepLo, keepHi
-			step++
+			windows = append(windows, keep)
 		}
 
 		// Allgather by recursive doubling: windows merge back in the
 		// reverse order of the halving.
-		type window struct{ lo, hi int }
-		// Reconstruct the window bounds visited on the way down so
-		// the way up mirrors them exactly.
-		windows := make([]window, 0, step+1)
-		wlo, whi := 0, n
-		windows = append(windows, window{wlo, whi})
-		for dist := 1; dist < pow; dist *= 2 {
-			mid := wlo + (whi-wlo)/2
-			if newrank&dist == 0 {
-				whi = mid
-			} else {
-				wlo = mid
-			}
-			windows = append(windows, window{wlo, whi})
-		}
-		step--
-		for dist := pow / 2; dist >= 1; dist /= 2 {
-			partner := group[old(newrank^dist)]
+		for dist := f.pow / 2; dist >= 1; dist /= 2 {
+			partner := group[f.peer(dist)]
+			step := len(windows) - 2
 			cur := windows[step+1]  // what I own (fully reduced)
 			parent := windows[step] // the window the exchange completes
-			var partnerLo, partnerHi int
-			if cur.lo == parent.lo {
-				partnerLo, partnerHi = cur.hi, parent.hi
-			} else {
-				partnerLo, partnerHi = parent.lo, cur.lo
+			theirs := window{cur.hi, parent.hi}
+			if cur.lo != parent.lo {
+				theirs = window{parent.lo, cur.lo}
 			}
-			got, err := c.SendRecv(partner, tagRab+64+step, buf[cur.lo:cur.hi], partner, tagRab+64+step)
+			got, err := w.sendRecv(c, partner, w.tagRab+64+step, buf[cur.lo:cur.hi], partner, w.tagRab+64+step)
 			if err != nil {
-				return fmt.Errorf("allreduce rabenseifner: doubling step %d: %w", step, err)
+				return fmt.Errorf("%s: doubling step %d: %w", w.errRab, step, err)
 			}
-			copy(buf[partnerLo:partnerHi], got)
-			step--
+			copy(buf[theirs.lo:theirs.hi], got)
+			windows = windows[:step+1]
 		}
 	}
 
-	// Unfold: odds return the result to their even partners.
-	if me < 2*rem {
-		if me%2 == 0 {
-			if err := c.RecvInto(group[me+1], tagRab+2048, buf); err != nil {
-				return fmt.Errorf("allreduce rabenseifner: unfold: %w", err)
-			}
-		} else {
-			if err := c.Send(group[me-1], tagRab+2048, buf); err != nil {
-				return fmt.Errorf("allreduce rabenseifner: unfold: %w", err)
-			}
-		}
+	if err := unfold(c, w, group, me, w.tagRab+2048, f, buf); err != nil {
+		return fmt.Errorf("%s: %w", w.errRab, err)
 	}
 	return nil
 }

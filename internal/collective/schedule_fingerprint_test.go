@@ -2,6 +2,7 @@ package collective
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"flag"
@@ -9,7 +10,6 @@ import (
 	"math"
 	"os"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -23,9 +23,6 @@ import (
 
 var updateFingerprint = flag.Bool("update", false, "rewrite testdata/schedule_fingerprint.golden")
 
-// pinElem is the set of wire element types the fingerprint covers.
-type pinElem interface{ float32 | uint16 }
-
 // pinCase is one golden line: an entry point by name, the node
 // partition it runs over (the flat algorithms take node 0's ranks as
 // their group, the machine-shaped entry points the machine an even
@@ -38,16 +35,7 @@ type pinCase struct {
 	n            int
 }
 
-// pinExec runs the case's entry point on its wire's executor: each
-// schedule exists once per element type, so the dispatch does too.
-func pinExec[T pinElem](cs pinCase, c *transport.Comm, buf []T) error {
-	if words, ok := any(buf).([]uint16); ok {
-		return pinExec16(cs, c, words)
-	}
-	return pinExec32(cs, c, any(buf).([]float32))
-}
-
-func pinExec32(cs pinCase, c *transport.Comm, buf []float32) error {
+func pinExec[T Elem](cs pinCase, c *transport.Comm, buf []T) error {
 	mach := topology.Machine{Nodes: len(cs.groups), GPUsPer: len(cs.groups[0])}
 	switch cs.name {
 	case "ring":
@@ -70,32 +58,9 @@ func pinExec32(cs pinCase, c *transport.Comm, buf []float32) error {
 	}
 }
 
-func pinExec16(cs pinCase, c *transport.Comm, buf []uint16) error {
-	mach := topology.Machine{Nodes: len(cs.groups), GPUsPer: len(cs.groups[0])}
-	switch cs.name {
-	case "ring":
-		return AllreduceRing16(c, cs.groups[0], buf)
-	case "rd":
-		return AllreduceRecursiveDoubling16(c, cs.groups[0], buf)
-	case "rab":
-		return AllreduceRabenseifner16(c, cs.groups[0], buf)
-	case "reduce+bcast":
-		if err := ReduceTree16(c, cs.groups[0], buf); err != nil {
-			return err
-		}
-		return BcastTree16(c, cs.groups[0], buf)
-	case "hier-leader":
-		return AllreduceHierLeader16(c, mach, buf)
-	case "hier-2level":
-		return AllreduceHierTwoLevel16(c, mach, buf)
-	default:
-		return AllreduceHierGroups16(c, cs.groups, cs.intra, cs.inter, buf)
-	}
-}
-
 // pinEncode puts a contribution on T's wire; pinDecode reads a result
 // back as float32, which loses nothing: binary16 widens exactly.
-func pinEncode[T pinElem](in []float32) []T {
+func pinEncode[T Elem](in []float32) []T {
 	out := make([]T, len(in))
 	switch out := any(out).(type) {
 	case []float32:
@@ -108,7 +73,7 @@ func pinEncode[T pinElem](in []float32) []T {
 	return out
 }
 
-func pinDecode[T pinElem](buf []T) []float32 {
+func pinDecode[T Elem](buf []T) []float32 {
 	words, ok := any(buf).([]uint16)
 	if !ok {
 		return any(buf).([]float32)
@@ -150,11 +115,8 @@ func (l *sendLog) Message(src, dst, tag, attempt int, seq uint64) transport.Faul
 // transport and collective counters, then the send log with each
 // (src, dst) pair's messages in sequence order — the order that pair's
 // sender issued them in, whatever the interleaving between pairs was.
-func pinFingerprint[T pinElem](t *testing.T, cs pinCase) (sum string, bases map[int]bool) {
-	world := 0
-	for _, g := range cs.groups {
-		world += len(g)
-	}
+func pinFingerprint[T Elem](t *testing.T, cs pinCase) (sum string, bases map[int]bool) {
+	world := len(slices.Concat(cs.groups...))
 	ins, _ := makeInputs(world, cs.n, int64(world)*1_000_003+int64(cs.n))
 	for r := range ins {
 		for k, v := range []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
@@ -202,15 +164,8 @@ func pinFingerprint[T pinElem](t *testing.T, cs pinCase) (sum string, bases map[
 	for r := range ranks {
 		h.Write(ranks[r].Bytes())
 	}
-	sort.Slice(log.msgs, func(i, j int) bool {
-		a, b := log.msgs[i], log.msgs[j]
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		if a.dst != b.dst {
-			return a.dst < b.dst
-		}
-		return a.seq < b.seq
+	slices.SortFunc(log.msgs, func(a, b sentMsg) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst), cmp.Compare(a.seq, b.seq))
 	})
 	bases = map[int]bool{}
 	for _, m := range log.msgs {
@@ -245,19 +200,15 @@ func pinSwitches(l topology.LinkSpec, p, lo, hi int) []int {
 func pinHierLengths(groups [][]int, intra, inter topology.LinkSpec) []int {
 	const limit = 120_000
 	g := len(groups[0])
-	set := map[int]bool{1: true, 257: true}
+	lengths := []int{1, 257}
 	for _, s := range pinSwitches(intra, g, 1, limit) {
-		set[s-1], set[s] = true, true
+		lengths = append(lengths, s-1, s)
 	}
 	for _, s := range pinSwitches(inter, len(groups), 1, limit) {
-		set[s-1], set[s], set[g*s-1], set[g*s] = true, true, true, true
+		lengths = append(lengths, s-1, s, g*s-1, g*s)
 	}
-	var out []int
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(lengths)
+	return slices.Compact(lengths)
 }
 
 // pinCases lists every case, in golden order.
@@ -306,7 +257,7 @@ func pinCases() (cases []pinCase) {
 // pinLines fingerprints every case on T's wire, one golden line each,
 // and checks that the hierarchical cases exercised both compositions
 // and all three inter-node picks, read off the tags they sent under.
-func pinLines[T pinElem](t *testing.T, wire string, tags ...int) (lines []string) {
+func pinLines[T Elem](t *testing.T, wire string) (lines []string) {
 	hier := map[int]bool{}
 	for _, cs := range pinCases() {
 		sum, bases := pinFingerprint[T](t, cs)
@@ -315,7 +266,8 @@ func pinLines[T pinElem](t *testing.T, wire string, tags ...int) (lines []string
 			hier[b] = hier[b] || strings.HasPrefix(cs.name, "hier")
 		}
 	}
-	for _, tag := range tags {
+	w := wireOf[T]()
+	for _, tag := range []int{w.tagHierRS, w.tagHierAG, w.tagReduce, w.tagBcast, w.tagRing, w.tagRD, w.tagRab} {
 		if !hier[tag>>16] {
 			t.Errorf("%s: no hierarchical case sent under tag base %d<<16", wire, tag>>16)
 		}
@@ -332,8 +284,7 @@ func pinLines[T pinElem](t *testing.T, wire string, tags ...int) (lines []string
 // `go test ./internal/collective/ -run TestScheduleFingerprint -update`.
 func TestScheduleFingerprint(t *testing.T) {
 	const path = "testdata/schedule_fingerprint.golden"
-	got := append(pinLines[float32](t, "fp32", tagHierRS, tagHierAG, tagReduce, tagBcast, tagRing, tagRD, tagRab),
-		pinLines[uint16](t, "fp16", tagHierRS16, tagHierAG16, tagReduce16, tagBcast16, tagRing16, tagRD16, tagRab16)...)
+	got := append(pinLines[float32](t, "fp32"), pinLines[uint16](t, "fp16")...)
 	if *updateFingerprint {
 		if err := os.WriteFile(path, []byte(strings.Join(got, "")), 0o644); err != nil {
 			t.Fatal(err)

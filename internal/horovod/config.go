@@ -24,6 +24,8 @@ type Config struct {
 	// buffer size in bytes. 0 disables fusion (per-tensor allreduce).
 	FusionThreshold int
 	// CycleTime (HOROVOD_CYCLE_TIME) is the background-loop period.
+	// Only perfsim reads it: the real Runtime has no background loop,
+	// and train.Config rejects a non-default value.
 	CycleTime time.Duration
 	// Hierarchical (HOROVOD_HIERARCHICAL_ALLREDUCE) switches to the
 	// node-leader hierarchy.
@@ -33,7 +35,9 @@ type Config struct {
 	// choice; Hierarchical overrides it with the leader hierarchy.
 	Algorithm netmodel.Algorithm
 	// ResponseCache (HOROVOD_CACHE_CAPACITY > 0) skips re-negotiating
-	// tensors seen in earlier steps, shrinking coordinator work.
+	// tensors seen in earlier steps, shrinking coordinator work. Only
+	// perfsim reads it: the real Runtime never negotiates, and
+	// train.Config rejects it.
 	ResponseCache bool
 	// FP16Compression mirrors hvd.Compression.fp16 passed to the
 	// DistributedOptimizer: gradients are cast to binary16 before the

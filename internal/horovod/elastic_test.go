@@ -85,7 +85,7 @@ func TestElasticHierAllreduceShrunkenWorld(t *testing.T) {
 					return err
 				}
 				buf := append([]float32(nil), ins[c.Rank()]...)
-				if err := rt.allreduce(buf); err != nil {
+				if err := allreduce(rt, buf); err != nil {
 					return err
 				}
 				outs[c.Rank()] = buf

@@ -383,20 +383,12 @@ func TestAllreduceScalarAndCounts(t *testing.T) {
 	}
 }
 
-func TestAllgatherAndBroadcast(t *testing.T) {
+func TestBroadcast(t *testing.T) {
 	world := 4
 	mach := topology.ForGPUs(world)
-	gathered := make([][][]float32, world)
 	bcast := make([][]float32, world)
 	err := transport.Run(world, func(c *transport.Comm) error {
 		rt := newRuntime(c, mach, Default())
-		local := []float32{float32(c.Rank()), float32(c.Rank() * 10)}
-		shards, err := rt.Allgather(local)
-		if err != nil {
-			return err
-		}
-		gathered[c.Rank()] = shards
-
 		buf := []float32{float32(c.Rank() + 100)}
 		if err := rt.Broadcast(buf); err != nil {
 			return err
@@ -408,15 +400,6 @@ func TestAllgatherAndBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < world; r++ {
-		if len(gathered[r]) != world {
-			t.Fatalf("rank %d gathered %d shards", r, len(gathered[r]))
-		}
-		for src := 0; src < world; src++ {
-			got := gathered[r][src]
-			if got[0] != float32(src) || got[1] != float32(src*10) {
-				t.Fatalf("rank %d shard %d = %v", r, src, got)
-			}
-		}
 		if bcast[r][0] != 100 {
 			t.Fatalf("rank %d broadcast got %v, want rank 0's 100", r, bcast[r])
 		}

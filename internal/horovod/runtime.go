@@ -212,7 +212,7 @@ func (r *Runtime) allreduceGrads(params []*nn.Param, pre, post float32, judge bo
 				return false, fmt.Errorf("horovod: allreduce grads: %w", err)
 			}
 
-			if err = r.allreduce16(buf16); err != nil {
+			if err = allreduce(r, buf16); err != nil {
 				return false, fmt.Errorf("horovod: allreduce grads: %w", err)
 			}
 
@@ -232,7 +232,7 @@ func (r *Runtime) allreduceGrads(params []*nn.Param, pre, post float32, judge bo
 			packFused(buf, params, group, pre)
 			pack.End()
 
-			if err = r.allreduce(buf); err != nil {
+			if err = allreduce(r, buf); err != nil {
 				return false, fmt.Errorf("horovod: allreduce grads: %w", err)
 			}
 
@@ -368,8 +368,10 @@ func decodeFused(params []*nn.Param, group []int, buf []uint16, inv, post float3
 	return nonFinite, nil
 }
 
-// allreduce dispatches one fused buffer to the configured collective.
-func (r *Runtime) allreduce(buf []float32) error {
+// allreduce dispatches one fused buffer to the configured collective,
+// on whichever wire buf's element type selects. (A function, not a
+// method: methods cannot take type parameters.)
+func allreduce[T collective.Elem](r *Runtime, buf []T) error {
 	switch r.Cfg.ResolveAlgorithm() {
 	case netmodel.AlgHierLeader:
 		if r.elastic {
@@ -389,29 +391,6 @@ func (r *Runtime) allreduce(buf []float32) error {
 		return collective.AllreduceRabenseifner(r.Comm, r.world, buf)
 	default:
 		return collective.AllreduceRing(r.Comm, r.world, buf)
-	}
-}
-
-// allreduce16 dispatches one binary16 wire buffer to the configured
-// collective — the same algorithm resolution as allreduce, over the
-// compressed payload kind.
-func (r *Runtime) allreduce16(buf []uint16) error {
-	switch r.Cfg.ResolveAlgorithm() {
-	case netmodel.AlgHierLeader:
-		if r.elastic {
-			intra, inter := topology.SummitLinkSpecs()
-			return collective.AllreduceHierGroups16(r.Comm, r.nodeGroups, intra, inter, buf)
-		}
-		return collective.AllreduceHierLeader16(r.Comm, r.Mach, buf)
-	case netmodel.AlgHierTwoLevel:
-		intra, inter := topology.SummitLinkSpecs()
-		return collective.AllreduceHierGroups16(r.Comm, r.nodeGroups, intra, inter, buf)
-	case netmodel.AlgRecursiveDoubling:
-		return collective.AllreduceRecursiveDoubling16(r.Comm, r.world, buf)
-	case netmodel.AlgRabenseifner:
-		return collective.AllreduceRabenseifner16(r.Comm, r.world, buf)
-	default:
-		return collective.AllreduceRing16(r.Comm, r.world, buf)
 	}
 }
 
@@ -436,17 +415,6 @@ func (r *Runtime) AllreduceSumFloat64(buf []float64) error {
 		buf[i] = float64(f[i])
 	}
 	return nil
-}
-
-// Allgather collects each rank's (possibly differently-sized) vector
-// and returns all contributions indexed by rank — hvd.allgather.
-func (r *Runtime) Allgather(local []float32) ([][]float32, error) {
-	shards := make([][]float32, r.Size())
-	shards[r.Rank()] = local
-	if err := collective.AllgatherRing(r.Comm, r.world, shards); err != nil {
-		return nil, fmt.Errorf("horovod: allgather: %w", err)
-	}
-	return shards, nil
 }
 
 // Broadcast overwrites buf on every rank with rank 0's contents —

@@ -25,10 +25,10 @@ func SoftmaxCrossEntropyWS(logits *Tensor, labels []int32, ignore int32, ws *Wor
 	dlogits := ws.Get(n, k, h, w) // zeroed: ignored pixels contribute 0
 	spatial := h * w
 
-	losses := make([]float64, n)                             //seglint:ignore hotalloc per-batch float64 reduction buffer, a few dozen bytes; counted in the pinned step alloc budget
-	valids := make([]int, n)                                 //seglint:ignore hotalloc per-batch reduction buffer, a few dozen bytes; counted in the pinned step alloc budget
-	Parallel(n, func(lo, hi int) {                           //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
-		probs := make([]float64, k)                          //seglint:ignore hotalloc per-worker class-probability scratch, K float64s per launch; counted in the pinned step alloc budget
+	losses := make([]float64, n)   //seglint:ignore hotalloc per-batch float64 reduction buffer, a few dozen bytes; counted in the pinned step alloc budget
+	valids := make([]int, n)       //seglint:ignore hotalloc per-batch reduction buffer, a few dozen bytes; counted in the pinned step alloc budget
+	Parallel(n, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
+		probs := make([]float64, k) //seglint:ignore hotalloc per-worker class-probability scratch, K float64s per launch; counted in the pinned step alloc budget
 		for i := lo; i < hi; i++ {
 			base := i * k * spatial
 			for p := 0; p < spatial; p++ {

@@ -132,7 +132,7 @@ func bilinearAxisFor(in, out int) *bilinearAxis {
 		return v.(*bilinearAxis)
 	}
 	lo, hi, w := bilinearWeights(in, out)
-	ax := &bilinearAxis{lo: lo, hi: hi, w: w} //seglint:ignore hotalloc cache miss: one plan per (in,out) pair, then memoised
+	ax := &bilinearAxis{lo: lo, hi: hi, w: w}                    //seglint:ignore hotalloc cache miss: one plan per (in,out) pair, then memoised
 	if v, loaded := bilinearCache.LoadOrStore(key, ax); loaded { //seglint:ignore hotalloc cache miss: one plan per (in,out) pair, then memoised
 		return v.(*bilinearAxis)
 	}
@@ -143,8 +143,8 @@ func bilinearAxisFor(in, out int) *bilinearAxis {
 // axis length `in` to `out` with align_corners=true semantics (what
 // DeepLab's TensorFlow implementation uses).
 func bilinearWeights(in, out int) (lo, hi []int, w []float32) {
-	lo = make([]int, out) //seglint:ignore hotalloc reached only on a bilinearCache miss: once per (in,out) pair
-	hi = make([]int, out) //seglint:ignore hotalloc reached only on a bilinearCache miss: once per (in,out) pair
+	lo = make([]int, out)    //seglint:ignore hotalloc reached only on a bilinearCache miss: once per (in,out) pair
+	hi = make([]int, out)    //seglint:ignore hotalloc reached only on a bilinearCache miss: once per (in,out) pair
 	w = make([]float32, out) //seglint:ignore hotalloc reached only on a bilinearCache miss: once per (in,out) pair
 	if out == 1 {
 		return
@@ -220,7 +220,7 @@ func BilinearResizeBackwardWS(dout *Tensor, h, w int, ws *Workspace) *Tensor {
 	yax, xax := bilinearAxisFor(h, oh), bilinearAxisFor(w, ow)
 	ylo, yhi, wy := yax.lo, yax.hi, yax.w
 	xlo, xhi, wx := xax.lo, xax.hi, xax.w
-	dx := ws.Get(n, c, h, w) // zeroed: the scatter accumulates
+	dx := ws.Get(n, c, h, w)         // zeroed: the scatter accumulates
 	Parallel(n*c, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
 		for i := lo; i < hi; i++ {
 			src := dout.Data[i*oh*ow : (i+1)*oh*ow]

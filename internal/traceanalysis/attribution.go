@@ -23,15 +23,15 @@ const LedgerSchema = 1
 // these buckets; by construction they sum exactly to the step's wall
 // time, so "where did the step go" always adds to 100%.
 const (
-	BucketDataStall = iota // waiting on the input pipeline
-	BucketForward          // forward-pass compute
-	BucketBackward         // backward-pass compute
-	BucketInterrupts       // OS/jitter interruptions and recovery work
-	BucketPack             // fusion-buffer pack/unpack memcpy
-	BucketWire             // allreduce wire time (bandwidth + latency terms)
-	BucketIdleWait         // idle, blocked on a slower rank (see BlameRank)
-	BucketExposed          // communication not overlapped with compute
-	BucketOverhead         // residual: everything the trace did not cover
+	BucketDataStall  = iota // waiting on the input pipeline
+	BucketForward           // forward-pass compute
+	BucketBackward          // backward-pass compute
+	BucketInterrupts        // OS/jitter interruptions and recovery work
+	BucketPack              // fusion-buffer pack/unpack memcpy
+	BucketWire              // allreduce wire time (bandwidth + latency terms)
+	BucketIdleWait          // idle, blocked on a slower rank (see BlameRank)
+	BucketExposed           // communication not overlapped with compute
+	BucketOverhead          // residual: everything the trace did not cover
 	NumBuckets
 )
 

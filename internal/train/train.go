@@ -68,7 +68,8 @@ type Config struct {
 	ScaleLRByWorld bool
 	// WarmupFrac is the fraction of total steps spent warming up.
 	WarmupFrac float64
-	// Augment enables random horizontal flips.
+	// Augment enables DeepLab's training augmentation: random scale
+	// jitter and crop, then a random horizontal flip.
 	Augment bool
 	// SyncBN synchronises batch-norm statistics across ranks — the
 	// standard remedy when the per-rank batch is too small for stable
@@ -100,7 +101,9 @@ type Config struct {
 	// selects the default (1024); any other value must be a positive
 	// power of two so scaling stays mantissa-exact.
 	LossScale float64
-	// Horovod configures gradient fusion/allreduce.
+	// Horovod configures gradient fusion/allreduce. CycleTime and
+	// ResponseCache must keep their defaults: only the simulator
+	// models the background loop and negotiation they tune.
 	Horovod horovod.Config
 	// Seed controls data and augmentation randomness.
 	Seed int64
@@ -240,6 +243,10 @@ func (c Config) validate() error {
 	}
 	if err := c.Horovod.Validate(); err != nil {
 		return fmt.Errorf("train: %w", err)
+	}
+	if c.Horovod.CycleTime != horovod.Default().CycleTime || c.Horovod.ResponseCache {
+		return fmt.Errorf("train: Horovod.CycleTime=%v ResponseCache=%v: only perfsim reads these knobs; the real runtime has no background loop or negotiation to apply them to",
+			c.Horovod.CycleTime, c.Horovod.ResponseCache)
 	}
 	return nil
 }

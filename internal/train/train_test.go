@@ -2,7 +2,9 @@ package train
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"segscale/internal/deeplab"
 	"segscale/internal/segdata"
@@ -38,6 +40,22 @@ func TestValidation(t *testing.T) {
 		mutate(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+// The paper's cycle-time and response-cache knobs tune a background
+// loop and a negotiation only the simulator models: the trainer says
+// so instead of silently ignoring them.
+func TestValidationRejectsSimulatorOnlyKnobs(t *testing.T) {
+	for name, mutate := range map[string]func(*Config){
+		"CycleTime":     func(c *Config) { c.Horovod.CycleTime = 2 * time.Millisecond },
+		"ResponseCache": func(c *Config) { c.Horovod.ResponseCache = true },
+	} {
+		cfg := fastCfg()
+		mutate(&cfg)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "only perfsim reads") {
+			t.Errorf("%s: got %v, want the simulator-only rejection", name, err)
 		}
 	}
 }
