@@ -9,7 +9,7 @@ FUZZTIME  ?= 10s
 COVER_FLOOR ?= 74.0
 COVER_OUT   ?= /tmp/segscale-cover.out
 
-.PHONY: build test race lint vet fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke cover bench-json bench-check bench-e2e ci
+.PHONY: build test race gomaxprocs lint vet fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke cover bench-json bench-check bench-e2e ci
 
 build:
 	go build ./...
@@ -20,6 +20,12 @@ test:
 race:
 	go test -race $(RACE_PKGS)
 	go test -race -run 'TestElastic|TestMixedPrecision|TestHealthLedgerGolden|TestHealthDivergence' ./internal/train/
+
+# gomaxprocs checks that training, the simulator and the collectives
+# give the same bits at GOMAXPROCS 1 and 4: every golden in these
+# packages must hold at both settings.
+gomaxprocs:
+	go test -count=1 -cpu 1,4 ./internal/train ./internal/perfsim ./internal/collective ./internal/horovod
 
 vet:
 	go vet ./...
@@ -108,4 +114,4 @@ cover:
 		if (t+0 < f+0) { printf "FAIL: coverage %.1f%% below floor %.1f%%\n", t, f; exit 1 } \
 		printf "coverage %.1f%% >= floor %.1f%%\n", t, f }'
 
-ci: build lint test race fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke bench-check cover
+ci: build lint test race gomaxprocs fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke bench-check cover

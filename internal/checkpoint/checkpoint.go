@@ -11,7 +11,10 @@
 // parameters-plus-float32-BN layout: float64 batch-norm statistics
 // (v1's float32 truncation loses the low bits, which would break the
 // bit-identical-restart invariant), optimiser velocity, and an
-// epoch/step metadata record. Readers accept both versions.
+// epoch/step metadata record. Readers accept both versions. A v2 file
+// may also carry a mixed-precision run's dynamic loss-scaler state;
+// the section is written only when State.LossScale is set, so fp32
+// snapshots are byte-identical to files written before it existed.
 package checkpoint
 
 import (
@@ -36,6 +39,7 @@ const (
 	secOpt     = 3 // optimiser velocity, one section per parameter
 	secMeta    = 4 // epoch/step progress record
 	secBN64    = 5 // float64 BN running stats (lossless)
+	secScale   = 6 // dynamic loss-scaler state (mixed precision only)
 	secEnd     = 0xFF
 )
 
@@ -59,6 +63,16 @@ type State struct {
 	Velocity [][]float32
 	// Meta is the progress record (nil = not saved / not present).
 	Meta *Meta
+	// LossScale is the dynamic loss scaler's state (nil = not saved /
+	// not present).
+	LossScale *LossScale
+}
+
+// LossScale is a mixed-precision run's dynamic loss-scaler state: the
+// current scale and the count of consecutive overflow-free steps at it.
+type LossScale struct {
+	Scale float64
+	Good  int
 }
 
 // Save writes parameters and batch-norm running statistics — the v1
@@ -116,6 +130,17 @@ func SaveState(w io.Writer, st State) error {
 			}
 		}
 	}
+	if ls := st.LossScale; ls != nil {
+		if !(ls.Scale > 0) || math.IsInf(ls.Scale, 0) || ls.Good < 0 {
+			return fmt.Errorf("checkpoint: invalid loss scale %+v", *ls)
+		}
+		payload := make([]byte, 12)
+		binary.LittleEndian.PutUint64(payload, math.Float64bits(ls.Scale))
+		binary.LittleEndian.PutUint32(payload[8:], uint32(ls.Good))
+		if err := writeSection(bw, secScale, "loss_scale", payload); err != nil {
+			return err
+		}
+	}
 	if err := bw.WriteByte(secEnd); err != nil {
 		return err
 	}
@@ -124,7 +149,8 @@ func SaveState(w io.Writer, st State) error {
 
 // LoadState restores a snapshot into st's Params and BNs (which must
 // structurally match the writing model — same names, order, lengths)
-// and fills st.Velocity and st.Meta when the file carries them.
+// and fills st.Velocity, st.Meta and st.LossScale when the file
+// carries them.
 // Both container versions are accepted; a v1 file restores float32 BN
 // statistics and leaves Velocity and Meta nil.
 func LoadState(r io.Reader, st *State) error {
@@ -135,6 +161,7 @@ func LoadState(r io.Reader, st *State) error {
 	}
 	st.Velocity = nil
 	st.Meta = nil
+	st.LossScale = nil
 	var velocity [][]float32
 	pi, bi, oi := 0, 0, 0
 	for {
@@ -233,6 +260,18 @@ func LoadState(r io.Reader, st *State) error {
 				Epoch: int(binary.LittleEndian.Uint32(raw)),
 				Step:  int(binary.LittleEndian.Uint32(raw[4:])),
 			}
+		case secScale:
+			if len(raw) != 12 {
+				return fmt.Errorf("checkpoint: loss-scale section has %d bytes, want 12", len(raw))
+			}
+			ls := &LossScale{
+				Scale: math.Float64frombits(binary.LittleEndian.Uint64(raw)),
+				Good:  int(binary.LittleEndian.Uint32(raw[8:])),
+			}
+			if !(ls.Scale > 0) || math.IsInf(ls.Scale, 0) {
+				return fmt.Errorf("checkpoint: loss scale %g is not a positive finite value", ls.Scale)
+			}
+			st.LossScale = ls
 		default:
 			return fmt.Errorf("checkpoint: unknown section kind %d", kind)
 		}

@@ -40,7 +40,7 @@ func FuzzLoad(f *testing.F) {
 }
 
 // FuzzLoadState hardens the full-state (v2) reader: optimiser, meta,
-// and float64 batch-norm sections must survive arbitrary corruption
+// loss-scale and float64 batch-norm sections must survive arbitrary corruption
 // with an error, never a panic or runaway allocation. ReadMeta shares
 // the section walker, so it is fuzzed on the same inputs.
 func FuzzLoadState(f *testing.F) {
@@ -66,6 +66,23 @@ func FuzzLoadState(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
+	// A mixed-precision snapshot: the same state plus the loss-scale
+	// section, and that section with a non-finite scale.
+	var mixed bytes.Buffer
+	err = SaveState(&mixed, State{
+		Params:    m.Params(),
+		BNs:       m.BatchNorms(),
+		Velocity:  velocity,
+		Meta:      &Meta{Epoch: 2, Step: 9},
+		LossScale: &LossScale{Scale: 512, Good: 7},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(mixed.Bytes())
+	infScale := append([]byte{}, mixed.Bytes()...)
+	copy(infScale[len(infScale)-13:], []byte{0, 0, 0, 0, 0, 0, 0xF0, 0x7F})
+	f.Add(infScale)
 	f.Add(valid.Bytes()[:valid.Len()/2])
 	f.Add([]byte{})
 	f.Add([]byte{0x43, 0x47, 0x45, 0x53, 2, 0}) // magic, v2, nothing else

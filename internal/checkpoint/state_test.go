@@ -202,3 +202,60 @@ func TestLoadStateRejectsTruncatedOptimiser(t *testing.T) {
 		t.Fatal("short velocity accepted at save")
 	}
 }
+
+// The loss-scale section is optional: a snapshot without it is
+// byte-identical to one written before the section existed (the file
+// ends where the velocity sections do), and one with it round-trips
+// exactly. Both load into the same State shape.
+func TestLossScaleSection(t *testing.T) {
+	src, _ := trainedState(t, 10)
+	var plain, scaled bytes.Buffer
+	if err := SaveState(&plain, src); err != nil {
+		t.Fatal(err)
+	}
+	src.LossScale = &LossScale{Scale: 1 << 17, Good: 23}
+	if err := SaveState(&scaled, src); err != nil {
+		t.Fatal(err)
+	}
+	// The section sits just before the end marker: kind, name, length,
+	// 12-byte payload.
+	extra := 1 + 1 + len("loss_scale") + 4 + 12
+	if scaled.Len() != plain.Len()+extra ||
+		!bytes.Equal(scaled.Bytes()[:plain.Len()-1], plain.Bytes()[:plain.Len()-1]) {
+		t.Fatalf("loss-scale section is not a pure %d-byte suffix: %d vs %d bytes", extra, scaled.Len(), plain.Len())
+	}
+
+	m := smallModel(11)
+	dst := State{Params: m.Params(), BNs: m.BatchNorms()}
+	if err := LoadState(bytes.NewReader(scaled.Bytes()), &dst); err != nil {
+		t.Fatal(err)
+	}
+	if dst.LossScale == nil || *dst.LossScale != *src.LossScale {
+		t.Fatalf("loss scale = %+v, want %+v", dst.LossScale, *src.LossScale)
+	}
+	if err := LoadState(bytes.NewReader(plain.Bytes()), &dst); err != nil {
+		t.Fatal(err)
+	}
+	if dst.LossScale != nil {
+		t.Fatalf("snapshot without the section loaded loss scale %+v", *dst.LossScale)
+	}
+
+	for _, bad := range []LossScale{{Scale: 0}, {Scale: -2}, {Scale: math.Inf(1)}, {Scale: math.NaN()}, {Scale: 2, Good: -1}} {
+		src.LossScale = &bad
+		if err := SaveState(&bytes.Buffer{}, src); err == nil {
+			t.Errorf("loss scale %+v accepted at save", bad)
+		}
+	}
+	// A well-framed section carrying a non-positive scale is rejected
+	// at load, as is one of the wrong size.
+	body := plain.Bytes()[:plain.Len()-1]
+	for _, payload := range [][]byte{make([]byte, 12), make([]byte, 8)} {
+		var buf bytes.Buffer
+		buf.Write(body)
+		writeSection(&buf, secScale, "loss_scale", payload)
+		buf.WriteByte(secEnd)
+		if err := LoadState(bytes.NewReader(buf.Bytes()), &dst); err == nil {
+			t.Errorf("%d-byte zero loss-scale payload accepted", len(payload))
+		}
+	}
+}

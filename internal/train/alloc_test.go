@@ -1,77 +1,128 @@
 package train
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
-	"segscale/internal/deeplab"
-	"segscale/internal/nn"
 	"segscale/internal/segdata"
-	"segscale/internal/tensor"
+	"segscale/internal/transport"
 )
 
-// trainStepAllocs measures steady-state heap allocations of one full
-// single-rank training step (dropout reseed, forward, loss, backward,
-// optimiser update, gradient zeroing) at GOMAXPROCS=1. useWS selects
-// the pooled-workspace path; false is the plain-heap baseline the
-// arena is judged against.
-func trainStepAllocs(t *testing.T, useWS bool) float64 {
+// realStepAllocs measures the steady-state heap allocations of
+// rankStep.step — the trainer's own step, built by newRankStep around
+// a fresh replica and synced by syncState exactly as an incarnation does
+// — at GOMAXPROCS=1 under DefaultConfig with augmentation off, in a
+// world of the given size on the fp32 or binary16 wire. The count is
+// the process's per rank-0 step, so at world 2 it includes the other
+// rank's step. useWS=false detaches the workspace: the plain-heap
+// baseline the arena is judged against.
+func realStepAllocs(t *testing.T, world int, fp16, useWS bool) float64 {
 	t.Helper()
-	cfg := deeplab.DefaultConfig()
-	net := deeplab.New(cfg)
-	var ws *tensor.Workspace
-	if useWS {
-		ws = tensor.NewWorkspace()
-		net.SetWorkspace(ws)
+	cfg := DefaultConfig()
+	cfg.World = world
+	cfg.MixedPrecision = fp16
+	// segdata.RandomScaleCrop's variadic Tensor.At allocates per pixel;
+	// that row joins the table once it is indexed directly.
+	cfg.Augment = false
+	rs, err := newRunState(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	params := net.Params()
-	opt := nn.NewSGD(0.05)
-	ds := segdata.New(4, cfg.InputSize, cfg.InputSize, 7)
-	x, labels := ds.Batch([]int{0, 1})
-
-	step := func() {
-		if ws != nil {
-			ws.Reset()
-		}
-		net.ReseedDropout(3)
-		net.Loss(x, labels, segdata.IgnoreLabel, true)
-		opt.Step(params)
-		nn.ZeroGrads(params)
+	members := rs.members.Members()
+	_, fresh, err := rs.prepareReplicas(members, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	// Warm the arena (and the optimiser's velocity buffers) so the
-	// measurement sees the steady state, not first-touch growth.
-	step()
-	step()
-	return testing.AllocsPerRun(3, step)
+	var allocs float64
+	err = transport.Run(world, func(c *transport.Comm) error {
+		rank := c.Rank()
+		rep := fresh()
+		if !useWS {
+			rep.net.SetWorkspace(nil)
+		}
+		st := rs.newRankStep(c, rep, rank, 0, segdata.ShardIDs(cfg.TrainSize, world, rank))
+		rt, err := rs.syncState(c, rep, members, 0, 0)
+		if err != nil {
+			return err
+		}
+		st.rt = rt
+		perm := rand.New(rand.NewSource(1)).Perm(len(st.shard))
+		rng := augRNG(cfg.Seed, rank, 0)
+		s := 0
+		var stepErr error
+		step := func() {
+			if _, err := st.step(s, perm, rng); err != nil && stepErr == nil {
+				stepErr = err
+			}
+			s++
+		}
+		// Warm the arena, the fusion buffers and the optimiser's
+		// velocity so the measurement sees the steady state.
+		step()
+		step()
+		const runs = 3
+		if rank == 0 {
+			allocs = testing.AllocsPerRun(runs, step)
+		} else {
+			for i := 0; i < runs+1; i++ { // AllocsPerRun warms up once
+				step()
+			}
+		}
+		return stepErr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return allocs
 }
 
-// TestTrainStepAllocBudget pins the steady-state allocation count of a
-// full training step with the workspace threaded through. The residue
-// is bounded and intentional: Parallel-closure headers at tensor-op
-// call sites, the loss's tiny float64 reduction buffers, and
-// SplitChannels' slice-of-headers — each a handful of words, none
-// proportional to activation size (dropout now reseeds its generator
-// in place, so it no longer contributes). The budget
-// has slack over the measured count (16 on go1.24) purely so toolchain
-// codegen drift does not flake the test; a leaked activation blows
-// straight past it.
+// TestTrainStepAllocBudget pins the steady-state allocation count of
+// the real training step at world 1 and world 2 on both wires. The
+// world-1 residue is bounded and intentional — among it Parallel-closure
+// headers at tensor-op call sites, the loss's tiny float64 reduction
+// buffers, and SplitChannels' slice-of-headers: each a handful of
+// words, none proportional to activation size. World 2 adds the other rank's step
+// and the collectives' per-message allocations (fused gradient
+// buffers and SyncBN's per-layer reductions), and its count jitters
+// by a few with goroutine interleaving. Measured on go1.24: 32 at
+// world 1 on either wire, 598–608 at world 2. Budgets sit a little
+// over those so toolchain codegen drift does not flake the test; a
+// leaked activation blows straight past them.
 func TestTrainStepAllocBudget(t *testing.T) {
-	got := trainStepAllocs(t, true)
-	t.Logf("allocs/step with workspace: %.0f", got)
-	const budget = 60
-	if got > budget {
-		t.Fatalf("steady-state train step allocates %.0f times, budget %d", got, budget)
+	for _, c := range []struct {
+		world  int
+		fp16   bool
+		budget float64
+	}{
+		{1, false, 40},
+		{1, true, 40},
+		{2, false, 640},
+		{2, true, 640},
+	} {
+		wire := "fp32"
+		if c.fp16 {
+			wire = "fp16"
+		}
+		t.Run(fmt.Sprintf("w%d_%s", c.world, wire), func(t *testing.T) {
+			got := realStepAllocs(t, c.world, c.fp16, true)
+			t.Logf("allocs/step: %.1f (budget %.0f)", got, c.budget)
+			if got > c.budget {
+				t.Fatalf("steady-state train step allocates %.1f times, budget %.0f", got, c.budget)
+			}
+		})
 	}
 }
 
 // TestTrainStepAllocReduction locks in the headline claim: the pooled
-// workspace eliminates at least 90%% of the heap-baseline's per-step
+// workspace eliminates at least 90% of the heap baseline's per-step
 // allocations.
 func TestTrainStepAllocReduction(t *testing.T) {
-	heap := trainStepAllocs(t, false)
-	pooled := trainStepAllocs(t, true)
+	heap := realStepAllocs(t, 1, false, false)
+	pooled := realStepAllocs(t, 1, false, true)
 	t.Logf("allocs/step: heap=%.0f pooled=%.0f (%.1f%% reduction)",
 		heap, pooled, 100*(1-pooled/heap))
 	if pooled > 0.1*heap {

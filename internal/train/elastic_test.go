@@ -255,3 +255,19 @@ func TestElasticValidation(t *testing.T) {
 		t.Error("Elastic with ResumeFrom accepted")
 	}
 }
+
+// TestRollbackReportsMismatch: a snapshot that no longer fits its
+// optimiser surfaces as an error from the incarnation's preparation —
+// the run fails with it instead of panicking a rank goroutine.
+func TestRollbackReportsMismatch(t *testing.T) {
+	rs, err := newRunState(fastCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.replicas[0] = rs.newReplica(0, nil)
+	rs.replicas[0].commit()
+	rs.replicas[0].saved.vel = rs.replicas[0].saved.vel[:1]
+	if _, _, err := rs.prepareReplicas([]int{0}, 0); err == nil {
+		t.Fatal("rollback onto a mismatched velocity snapshot succeeded")
+	}
+}

@@ -132,10 +132,11 @@ func (t *rankStep) mpStep() error {
 	return nil
 }
 
-// scalerFor returns a fresh loss scaler for one incarnation when the
-// run is mixed-precision, nil otherwise. Scaler state is derived (it
-// re-converges from the same schedule), so it is deliberately not
-// checkpointed; a restarted incarnation restarts the growth counter.
+// scalerFor returns a fresh loss scaler for a new replica when the run
+// is mixed-precision, nil otherwise. The scale and good-step count are
+// trajectory state like the optimiser's velocity: the replica's
+// in-memory commit and the checkpoint both carry them, so a recovered
+// run resumes at the scale the unfailed run had, not the initial one.
 func scalerFor(cfg Config) *lossScaler {
 	if !cfg.MixedPrecision {
 		return nil

@@ -1,14 +1,18 @@
 package train
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"segscale/internal/faultinject"
 	"segscale/internal/horovod"
 	"segscale/internal/nn"
+	"segscale/internal/telemetry"
 	"segscale/internal/tensor"
 	"segscale/internal/topology"
 	"segscale/internal/transport"
@@ -238,5 +242,109 @@ func TestGradOverflowAndScaling(t *testing.T) {
 		if v != back[i] {
 			t.Fatalf("scale and unscale: grad[%d] = %g, want %g (power-of-two scaling must be exact)", i, v, back[i])
 		}
+	}
+}
+
+// TestMixedPrecisionRecoveryKeepsLossScale crosses fp16 with every
+// recovery path after a forced early overflow: an initial scale of
+// 2¹⁸–2²⁰ overflows the binary16 wire on the first four or five steps.
+// The scale and good-step count are trajectory state, so a recovered
+// run that restarted from the initial scale would overflow again and
+// skip updates the unfailed run applied.
+//
+//   - crash → checkpoint restart equals the unfailed run bit for bit,
+//     final checkpoint included (the scale rides the SEGC file);
+//   - crash one step into an epoch whose first step overflowed →
+//     shrink → regrow at that same epoch equals the unfailed elastic
+//     run bit for bit: the survivors roll the torn step's backoff back
+//     to their commit, and the rejoining slot takes a survivor's scale;
+//   - crash after the scale settled → shrink: the shrunken world
+//     resumes at the committed scale and never overflows again.
+func TestMixedPrecisionRecoveryKeepsLossScale(t *testing.T) {
+	run := func(cfg Config) (*Result, []byte) {
+		t.Helper()
+		cfg.CheckpointPath = filepath.Join(t.TempDir(), "ckpt.segc")
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := os.ReadFile(cfg.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, ck
+	}
+	same := func(name string, a, b *Result, ckA, ckB []byte) {
+		t.Helper()
+		for e := range a.History {
+			if a.History[e] != b.History[e] {
+				t.Errorf("%s: epoch %d diverged:\nunfailed:  %+v\nrecovered: %+v", name, e, a.History[e], b.History[e])
+			}
+		}
+		if a.FinalFwIOU != b.FinalFwIOU {
+			t.Errorf("%s: final fwIOU %v vs %v", name, a.FinalFwIOU, b.FinalFwIOU)
+		}
+		if !bytes.Equal(ckA, ckB) {
+			t.Errorf("%s: final checkpoints differ (%d vs %d bytes)", name, len(ckA), len(ckB))
+		}
+	}
+	crash := func(rank, step int) *faultinject.Plan {
+		return &faultinject.Plan{Crashes: []faultinject.Crash{{Rank: rank, Step: step}}}
+	}
+
+	// Fixed world: two ranks, three steps an epoch, overflow on steps
+	// 0–4; rank 1 dies one step into epoch 2.
+	fixed := mpCfg()
+	fixed.Epochs = 4
+	fixed.LossScale = 1 << 20
+	plain, plainCk := run(fixed)
+	restart := fixed
+	restart.Chaos = crash(1, 7)
+	restart.MaxRestarts = 1
+	rr, rrCk := run(restart)
+	if rr.Restarts != 1 {
+		t.Fatalf("restart run: %d restarts, want 1", rr.Restarts)
+	}
+	same("restart", plain, rr, plainCk, rrCk)
+
+	// Elastic: three ranks, two steps an epoch, overflow on steps 0–3;
+	// the regrow run's rank 2 dies at step 3, after step 2 halved the
+	// live scale.
+	elastic := mpCfg()
+	elastic.World = 3
+	elastic.Epochs = 4
+	elastic.LossScale = 1 << 18
+	elastic.Elastic = true
+	elastic.MaxRestarts = 1
+	eplain, eplainCk := run(elastic)
+	regrow := elastic
+	regrow.Chaos = crash(2, 3)
+	regrow.RejoinEpoch = 1
+	rg, rgCk := run(regrow)
+	if rg.Shrinks != 1 || rg.Regrows != 1 {
+		t.Fatalf("regrow run: shrinks=%d regrows=%d, want 1/1", rg.Shrinks, rg.Regrows)
+	}
+	same("shrink→regrow", eplain, rg, eplainCk, rgCk)
+
+	shrink := elastic
+	shrink.Chaos = crash(2, 5)
+	shrink.Telemetry = telemetry.NewCollector()
+	sr, _ := run(shrink)
+	if sr.Shrinks != 1 {
+		t.Fatalf("shrink run: %d shrinks, want 1", sr.Shrinks)
+	}
+	overflows := map[bool]float64{} // by "recovered incarnation"
+	for _, m := range shrink.Telemetry.Gather() {
+		if m.Name == "amp_overflow_steps_total" {
+			for lane, v := range m.PerLane {
+				overflows[strings.Contains(lane, ".r")] += v
+			}
+		}
+	}
+	if overflows[false] == 0 {
+		t.Fatal("forced loss scale never overflowed: the test no longer exercises the scaler")
+	}
+	if overflows[true] != 0 {
+		t.Errorf("shrunken world overflowed %g times: it resumed from the initial loss scale", overflows[true])
 	}
 }

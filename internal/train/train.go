@@ -125,9 +125,9 @@ type Config struct {
 	// the global step carry over, data shards rebalance
 	// deterministically over the remaining ranks — and training
 	// continues from the top of the interrupted epoch without reading
-	// a checkpoint. The elastic driver is a separate code path; the
-	// default path's operation order (pinned by the
-	// restart-equivalence goldens) is untouched.
+	// a checkpoint. Both modes run the same incarnation loop; Elastic
+	// changes only where rank state comes from, what an epoch boundary
+	// records, and how a failure is absorbed (see elastic.go).
 	Elastic bool
 	// RejoinEpoch, when positive, schedules a regrow: if the world is
 	// short-handed when that epoch begins, the dead slots rejoin, get
@@ -314,88 +314,27 @@ func augRNG(seed int64, rank, epoch int) *rand.Rand {
 }
 
 // Run trains and returns per-epoch metrics, transparently recovering
-// from up to MaxRestarts recoverable world failures.
+// from up to MaxRestarts recoverable world failures: one incarnation
+// loop for checkpoint restart and elastic membership alike, the modes
+// differing only where elastic.go says.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	run, err := newRunState(cfg)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.MixedPrecision {
-		// Mixed precision is the trainer-level switch; the wire-level
-		// half is Horovod's binary16 compressed allreduce.
-		cfg.Horovod.FP16Compression = true
-	}
-	mach := topology.ExactFor(cfg.World)
-	trainSet := segdata.New(cfg.TrainSize, cfg.Model.InputSize, cfg.Model.InputSize, cfg.Seed)
-	trainSet.Style = cfg.DataStyle
-	evalSet := segdata.New(cfg.EvalSize, cfg.Model.InputSize, cfg.Model.InputSize, cfg.Seed+1_000_000)
-	evalSet.Style = cfg.DataStyle
-
-	stepsPerEpoch := (len(segdata.ShardIDs(cfg.TrainSize, cfg.World, 0)) + cfg.BatchPerRank - 1) / cfg.BatchPerRank
-	totalSteps := stepsPerEpoch * cfg.Epochs
-	warmup := int(cfg.WarmupFrac * float64(totalSteps))
-	lrWorld := cfg.World
-	if !cfg.ScaleLRByWorld {
-		lrWorld = 1
-	}
-	sched := nn.NewPolySchedule(cfg.BaseLR, totalSteps, warmup, lrWorld)
-
-	run := &runState{
-		cfg:           cfg,
-		mach:          mach,
-		trainSet:      trainSet,
-		evalSet:       evalSet,
-		sched:         sched,
-		stepsPerEpoch: stepsPerEpoch,
-		history:       make([]EpochStats, cfg.Epochs),
-		savedEpoch:    -1,
-		doneEpoch:     -1,
-		probe:         cfg.Telemetry.NewProbe("train", telemetry.NewStepClock()),
-	}
-	if cfg.Elastic {
-		m, err := transport.NewMembership(cfg.World)
-		if err != nil {
+	for inc := 0; ; inc++ {
+		failedSlots, err := run.incarnation(run.members.Members(), run.doneEpoch+1, inc)
+		if err == nil {
+			break
+		}
+		if err := run.absorb(err, failedSlots); err != nil {
 			return nil, fmt.Errorf("train: %w", err)
 		}
-		run.members = m
-		run.replicas = make(map[int]*replica)
 	}
 
-	restarts := 0
-	if cfg.Elastic {
-		if err := run.runElastic(); err != nil {
-			return nil, fmt.Errorf("train: %w", err)
-		}
-		restarts = run.shrinks + run.regrows
-	} else {
-		startEpoch := 0
-		for {
-			err := run.incarnation(startEpoch, restarts)
-			if err == nil {
-				break
-			}
-			if !recoverable(err) || restarts >= cfg.MaxRestarts {
-				return nil, fmt.Errorf("train: %w", err)
-			}
-			restarts++
-			run.probe.Counter("recoveries_total").Inc()
-			// Leave an instantaneous RECOVERY event in the trace and the
-			// flight-recorder ring, so a post-crash dump shows where the
-			// pre-crash window ends and the restart begins.
-			run.probe.Mark(timeline.PhaseRecovery, fmt.Sprintf("restart%d: %v", restarts, err))
-			if run.savedEpoch >= 0 {
-				// Roll back to the last epoch rank 0 checkpointed.
-				startEpoch = run.savedEpoch + 1
-			} else {
-				// Failed before the first checkpoint (or none configured):
-				// cold restart from scratch, which is just as deterministic.
-				startEpoch = 0
-			}
-		}
-	}
-
-	res := &Result{Config: cfg, History: run.history,
+	res := &Result{Config: run.cfg, History: run.history,
 		FinalPerClassIOU: run.finalPerClass, FinalFwIOU: run.finalFw,
-		Restarts: restarts, Shrinks: run.shrinks, Regrows: run.regrows}
+		Restarts: run.restarts + run.shrinks + run.regrows, Shrinks: run.shrinks, Regrows: run.regrows}
 	last := run.history[len(run.history)-1]
 	res.FinalMIOU = last.MIOU
 	res.FinalAcc = last.PixelAcc
@@ -409,53 +348,107 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// newRunState validates cfg and sets up everything that outlives an
+// incarnation.
+func newRunState(cfg Config) (*runState, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.MixedPrecision {
+		// Mixed precision is the trainer-level switch; the wire-level
+		// half is Horovod's binary16 compressed allreduce.
+		cfg.Horovod.FP16Compression = true
+	}
+	members, err := transport.NewMembership(cfg.World)
+	if err != nil {
+		return nil, fmt.Errorf("train: %w", err)
+	}
+	trainSet := segdata.New(cfg.TrainSize, cfg.Model.InputSize, cfg.Model.InputSize, cfg.Seed)
+	trainSet.Style = cfg.DataStyle
+	evalSet := segdata.New(cfg.EvalSize, cfg.Model.InputSize, cfg.Model.InputSize, cfg.Seed+1_000_000)
+	evalSet.Style = cfg.DataStyle
+
+	stepsPerEpoch := (len(segdata.ShardIDs(cfg.TrainSize, cfg.World, 0)) + cfg.BatchPerRank - 1) / cfg.BatchPerRank
+	totalSteps := stepsPerEpoch * cfg.Epochs
+	warmup := int(cfg.WarmupFrac * float64(totalSteps))
+	lrWorld := cfg.World
+	if !cfg.ScaleLRByWorld {
+		lrWorld = 1
+	}
+	return &runState{
+		cfg:       cfg,
+		mach:      topology.ExactFor(cfg.World),
+		trainSet:  trainSet,
+		evalSet:   evalSet,
+		sched:     nn.NewPolySchedule(cfg.BaseLR, totalSteps, warmup, lrWorld),
+		history:   make([]EpochStats, cfg.Epochs),
+		doneEpoch: -1,
+		probe:     cfg.Telemetry.NewProbe("train", telemetry.NewStepClock()),
+		members:   members,
+		replicas:  make([]*replica, cfg.World),
+	}, nil
+}
+
 // runState carries everything that survives across incarnations of
-// the world: datasets, the schedule, accumulated history, and the
-// restore cursor. Rank goroutines of one incarnation are joined
-// before the next starts, so the non-atomic fields are safe.
+// the world: datasets, the schedule, accumulated history, the restore
+// cursor, the membership and the per-slot replicas. Rank goroutines of
+// one incarnation are joined before the next starts, so the
+// non-atomic fields are safe.
 type runState struct {
-	cfg           Config
-	mach          topology.Machine
-	trainSet      *segdata.Dataset
-	evalSet       *segdata.Dataset
-	sched         nn.PolySchedule
-	stepsPerEpoch int
+	cfg      Config
+	mach     topology.Machine
+	trainSet *segdata.Dataset
+	evalSet  *segdata.Dataset
+	sched    nn.PolySchedule
 
 	history       []EpochStats
 	finalPerClass []float64
 	finalFw       float64
 
-	// savedEpoch is the latest epoch whose full state rank 0 wrote to
-	// cfg.CheckpointPath this run (-1 before the first save). It — not
-	// the file's own meta — decides the restore point, so a stale file
-	// from an earlier run can never be mistaken for progress.
-	savedEpoch int
+	// doneEpoch is the latest epoch the restore point covers (-1 before
+	// any): the epoch rank 0 last checkpointed this run — never the
+	// file's own meta, which may be a stale run's — or the last elastic
+	// commit.
+	doneEpoch int
 
 	probe *telemetry.Probe
 
-	// Elastic-mode state (see elastic.go): the membership over the
-	// original slots, the long-lived per-slot replicas that carry
-	// model/optimiser state across world transitions, the last epoch
-	// comm rank 0 fully recorded, and the transition counters.
-	members   *transport.Membership
-	replicas  map[int]*replica
-	doneEpoch int
-	shrinks   int
-	regrows   int
+	// members is the set of live machine slots (only an elastic shrink
+	// removes any); replicas holds each slot's training state (nil for
+	// none), kept across incarnations in elastic mode only. A rank
+	// goroutine writes only its own slot.
+	members  *transport.Membership
+	replicas []*replica
+	// restarts, shrinks and regrows count absorbed failures and
+	// scheduled rejoins.
+	restarts, shrinks, regrows int
 }
 
-// incarnation builds one world and trains epochs [startEpoch, Epochs).
+// incarnation builds one world over members — comm rank i stands for
+// machine slot members[i] — and trains epochs [startEpoch, Epochs).
 // inc numbers the incarnation (0 = first attempt) and gates scheduled
 // crashes: a crash planned for incarnation k fires only there, so the
-// restarted world does not immediately re-die.
-func (rs *runState) incarnation(startEpoch, inc int) error {
+// rebuilt world does not immediately re-die. On failure it also
+// reports which member slots died, mapped from the transport's failed
+// comm ranks, so an elastic run can shrink around them.
+func (rs *runState) incarnation(members []int, startEpoch, inc int) ([]int, error) {
 	cfg := rs.cfg
-	w, err := transport.NewWorld(cfg.World)
+	p := len(members)
+	// Deterministic shard rebalance: comm rank i owns the strided shard
+	// ShardIDs(TrainSize, p, i), so the epoch's coverage and step count
+	// are pure functions of the member count.
+	stepsPerEpoch := (len(segdata.ShardIDs(cfg.TrainSize, p, 0)) + cfg.BatchPerRank - 1) / cfg.BatchPerRank
+	root, fresh, err := rs.prepareReplicas(members, startEpoch*stepsPerEpoch)
 	if err != nil {
-		return err
+		return nil, err
+	}
+
+	w, err := transport.NewWorld(p)
+	if err != nil {
+		return nil, err
 	}
 	// Label the world so message-edge IDs from this incarnation's
-	// traffic never pair with edges recorded before a crash-restart.
+	// traffic never pair with edges recorded before a failure.
 	w.SetIncarnation(inc)
 	if cfg.Chaos != nil {
 		cfg.Chaos.Arm(w)
@@ -463,210 +456,195 @@ func (rs *runState) incarnation(startEpoch, inc int) error {
 	if cfg.OnWorld != nil {
 		cfg.OnWorld(w, inc)
 	}
-	return w.Run(func(c *transport.Comm) error {
+	runErr := w.Run(func(c *transport.Comm) error {
 		rank := c.Rank()
-		// Per-rank telemetry on a step-counter clock: deterministic,
-		// wall-clock-free, merged by the collector after the run.
-		obsLane := fmt.Sprintf("rank%d", rank)
-		lane := obsLane
-		if inc > 0 {
-			lane = fmt.Sprintf("rank%d.r%d", rank, inc)
+		slot := members[rank]
+		rep := rs.replicas[slot]
+		if rep == nil {
+			rep = fresh()
+			rs.replicas[slot] = rep
 		}
-		probe := cfg.Telemetry.NewProbe(lane, telemetry.NewStepClock())
-		if probe != nil {
-			c.SetProbe(probe)
-		}
-		var net deeplab.Segmenter
-		if cfg.Arch == "fcn" {
-			net = deeplab.NewFCN(cfg.Model)
-		} else {
-			net = deeplab.New(cfg.Model)
-		}
-		// Every activation and kernel scratch buffer this replica
-		// touches comes from one per-rank arena, Reset at each step
-		// boundary: after warmup a training step allocates (almost)
-		// nothing. Reuse is numerically invisible — pooled buffers are
-		// either zeroed or fully overwritten before use — so restart
-		// equivalence and the chaos byte-identity goldens are unaffected.
-		ws := tensor.NewWorkspace()
-		net.SetWorkspace(ws)
-		var health *modelhealth.Collector
-		if cfg.Health != nil {
-			health = cfg.Health.Rank(rank, inc, probe)
-			net.SetActivationTap(health)
-		}
-		params := net.Params()
-		rt, err := horovod.NewRuntime(c, rs.mach, cfg.Horovod)
+		st := rs.newRankStep(c, rep, slot, inc, segdata.ShardIDs(cfg.TrainSize, p, rank))
+		rt, err := rs.syncState(c, rep, members, root, startEpoch)
 		if err != nil {
 			return err
 		}
-
-		var opt nn.Optimizer
-		if cfg.Optimizer == "lars" {
-			opt = nn.NewLARS(rs.sched.LR(0))
-		} else {
-			opt = nn.NewSGD(rs.sched.LR(0))
-		}
-
-		switch {
-		case startEpoch > 0:
-			// Crash recovery: every rank restores the full state —
-			// weights, float64 batch-norm statistics, optimiser
-			// velocity — from the last checkpoint. The file is the
-			// agreement point; the broadcast below is then a no-op but
-			// keeps the restored path on the same collective schedule
-			// as a fresh start.
-			st := checkpoint.State{Params: params, BNs: net.BatchNorms()}
-			if err := checkpoint.LoadStateFile(cfg.CheckpointPath, &st); err != nil {
-				return fmt.Errorf("restore: %w", err)
-			}
-			if st.Meta == nil || st.Meta.Epoch != startEpoch-1 {
-				return fmt.Errorf("restore: checkpoint %q is not the epoch-%d snapshot this run wrote", cfg.CheckpointPath, startEpoch-1)
-			}
-			if st.Velocity != nil {
-				if err := opt.ImportState(params, st.Velocity); err != nil {
-					return fmt.Errorf("restore: %w", err)
-				}
-			}
-		case cfg.ResumeFrom != "":
-			if err := checkpoint.LoadFile(cfg.ResumeFrom, params, net.BatchNorms()); err != nil {
-				return fmt.Errorf("resume: %w", err)
-			}
-		}
-		if err := rt.BroadcastParams(params); err != nil {
-			return err
-		}
-		if cfg.SyncBN && cfg.World > 1 {
-			for _, bn := range net.BatchNorms() {
-				// The sync closure fires mid-forward where no error can
-				// be returned; failures park in the runtime's sticky
-				// slot and surface at the next step boundary.
-				bn.Sync = func(buf []float64) {
-					rt.RecordCommErr(rt.AllreduceSumFloat64(buf))
-				}
-			}
-		}
-
-		shard := segdata.ShardIDs(cfg.TrainSize, cfg.World, rank)
-		st := &rankStep{
-			cfg: cfg, c: c, probe: probe, obsLane: obsLane,
-			inc: inc, rank: rank,
-			net: net, ws: ws, params: params, rt: rt, opt: opt,
-			sched: rs.sched, trainSet: rs.trainSet,
-			shard:  shard,
-			accum:  cfg.Horovod.AccumPasses(),
-			scaler: scalerFor(cfg),
-			health: health,
-			ids:    make([]int, 0, cfg.BatchPerRank), // reused across steps
-			gstep:  startEpoch * rs.stepsPerEpoch,
-			x:      tensor.New(cfg.BatchPerRank, 3, rs.trainSet.H, rs.trainSet.W),
-			labels: make([]int32,
-				cfg.BatchPerRank*rs.trainSet.H*rs.trainSet.W),
-		}
+		st.rt = rt
 
 		for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
+			if cfg.RejoinEpoch > 0 && epoch == cfg.RejoinEpoch && !rs.members.Full() {
+				// Same deterministic condition on every rank, evaluated at
+				// an epoch boundary where no collective is in flight: all
+				// ranks leave together and the driver regrows the world.
+				return errRejoin
+			}
 			// Epoch-deterministic shuffle and augmentation stream,
-			// distinct per rank, re-derived each epoch (see augRNG).
+			// distinct per comm rank, re-derived each epoch (see augRNG).
 			// Every rank runs exactly stepsPerEpoch batches (wrapping
 			// when its shard is a sample short) so the collectives stay
 			// in lockstep.
-			perm := rand.New(rand.NewSource(cfg.Seed + int64(epoch)*101 + int64(rank))).Perm(len(shard))
+			perm := rand.New(rand.NewSource(cfg.Seed + int64(epoch)*101 + int64(rank))).Perm(len(st.shard))
 			rng := augRNG(cfg.Seed, rank, epoch)
-			epochLoss, batches := 0.0, 0
-			for s := 0; s < rs.stepsPerEpoch; s++ {
+			epochLoss := 0.0
+			for s := 0; s < stepsPerEpoch; s++ {
 				loss, err := st.step(s, perm, rng)
 				if err != nil {
 					return err
 				}
 				epochLoss += loss
-				batches++
 			}
 
 			// Global metrics: average loss, merged confusion matrix.
-			avgLoss, err := rt.AllreduceScalar(epochLoss / float64(batches))
+			avgLoss, err := rt.AllreduceScalar(epochLoss / float64(stepsPerEpoch))
 			if err != nil {
 				return err
 			}
-			conf := evaluate(net, rs.evalSet, cfg.World, rank, ws)
-			ws.Reset() // reclaim the last eval batch's activations
+			conf := evaluate(rep.net, rs.evalSet, p, rank, rep.ws)
+			rep.ws.Reset() // reclaim the last eval batch's activations
 			if err := rt.AllreduceCounts(conf.M); err != nil {
 				return err
 			}
 			if rank == 0 {
-				rs.history[epoch] = EpochStats{
-					Epoch:    epoch,
-					Loss:     avgLoss,
-					MIOU:     conf.MeanIOU(),
-					PixelAcc: conf.PixelAccuracy(),
-					LR:       rs.sched.LR(st.gstep - 1),
-					World:    cfg.World,
-				}
-				if cfg.CheckpointPath != "" {
-					st := checkpoint.State{
-						Params:   params,
-						BNs:      net.BatchNorms(),
-						Velocity: opt.ExportState(params),
-						Meta:     &checkpoint.Meta{Epoch: epoch, Step: st.gstep},
-					}
-					if err := checkpoint.SaveStateFile(cfg.CheckpointPath, st); err != nil {
-						return fmt.Errorf("checkpoint: %w", err)
-					}
-					rs.savedEpoch = epoch
-				}
-				if epoch == cfg.Epochs-1 {
-					rs.finalPerClass = make([]float64, segdata.NumClasses)
-					for k := range rs.finalPerClass {
-						if iou, ok := conf.IOU(k); ok {
-							rs.finalPerClass[k] = iou
-						} else {
-							rs.finalPerClass[k] = math.NaN()
-						}
-					}
-					rs.finalFw = conf.FreqWeightedIOU()
+				if err := rs.record(st, epoch, avgLoss, conf); err != nil {
+					return err
 				}
 			}
 			if err := c.Barrier(); err != nil {
 				return err
 			}
+			if cfg.Elastic {
+				// Every rank is past the barrier: the epoch's state is
+				// final on all of them. Commit it as the rollback target,
+				// and let rank 0 mark the epoch done — a failure after
+				// this point restarts the NEXT epoch.
+				rep.commit()
+				if rank == 0 {
+					rs.doneEpoch = epoch
+				}
+			}
 		}
 		return nil
 	})
+	var slots []int
+	for _, r := range w.FailedRanks() {
+		if r >= 0 && r < p {
+			slots = append(slots, members[r])
+		}
+	}
+	return slots, runErr
 }
 
-// rankStep bundles one replica's per-incarnation training state so the
-// per-step body is a named function rather than the middle of a
-// closure: the hotalloc pass walks the call graph from annotated roots,
-// and a named root makes the whole step — forward/backward, fused
-// allreduce, optimiser update — verifiable as allocation-free in steady
-// state. The fields are exactly the locals the old inline loop closed
-// over; moving them here changes no operation order, so the
-// restart-equivalence and chaos goldens are untouched.
+// record is rank 0's epoch-boundary bookkeeping: the history row, the
+// checkpoint, and after the last epoch the per-class IOU. A checkpoint
+// this run wrote is fixed mode's restore point; elastic mode records
+// its own after the barrier.
+func (rs *runState) record(st *rankStep, epoch int, loss float64, conf *metrics.Confusion) error {
+	cfg := rs.cfg
+	rs.history[epoch] = EpochStats{
+		Epoch:    epoch,
+		Loss:     loss,
+		MIOU:     conf.MeanIOU(),
+		PixelAcc: conf.PixelAccuracy(),
+		LR:       rs.sched.LR(st.gstep - 1),
+		World:    st.c.Size(),
+	}
+	if cfg.CheckpointPath != "" {
+		ck := checkpoint.State{
+			Params:   st.params,
+			BNs:      st.net.BatchNorms(),
+			Velocity: st.opt.ExportState(st.params),
+			Meta:     &checkpoint.Meta{Epoch: epoch, Step: st.gstep},
+		}
+		if st.scaler != nil {
+			ck.LossScale = &checkpoint.LossScale{Scale: st.scaler.scale, Good: st.scaler.good}
+		}
+		if err := checkpoint.SaveStateFile(cfg.CheckpointPath, ck); err != nil {
+			return fmt.Errorf("checkpoint: %w", err)
+		}
+		if !cfg.Elastic {
+			rs.doneEpoch = epoch
+		}
+	}
+	if epoch == cfg.Epochs-1 {
+		rs.finalPerClass = make([]float64, segdata.NumClasses)
+		for k := range rs.finalPerClass {
+			if iou, ok := conf.IOU(k); ok {
+				rs.finalPerClass[k] = iou
+			} else {
+				rs.finalPerClass[k] = math.NaN()
+			}
+		}
+		rs.finalFw = conf.FreqWeightedIOU()
+	}
+	return nil
+}
+
+// rankStep is one rank's per-incarnation view of its replica, which it
+// embeds, plus runtime, observers, shard and batch staging. The step is a
+// named method rather than the middle of a closure: the hotalloc pass
+// walks the call graph from annotated roots, and a named root makes
+// the whole step — forward/backward, fused allreduce, optimiser
+// update — verifiable as allocation-free in steady state. Both
+// recovery modes build it through newRankStep.
 type rankStep struct {
+	*replica
 	cfg      Config
 	c        *transport.Comm
 	probe    *telemetry.Probe
 	obsLane  string
 	inc      int
-	rank     int
-	net      deeplab.Segmenter
-	ws       *tensor.Workspace
-	params   []*nn.Param
+	slot     int // machine slot; the comm rank in a fixed world
 	rt       *horovod.Runtime
-	opt      nn.Optimizer
 	sched    nn.PolySchedule
 	trainSet *segdata.Dataset
 	shard    []int
 	accum    int
-	scaler   *lossScaler            // non-nil only under MixedPrecision
 	health   *modelhealth.Collector // nil unless Config.Health is set
 	ids      []int                  // batch id scratch, reused across steps
-	gstep    int                    // global step counter, continuous across incarnations
 
 	// Batch staging, reused across steps like the eval path's buffers:
 	// SampleInto fully overwrites the image and clears the labels, so
 	// reuse is invisible to the deterministic goldens.
 	x      *tensor.Tensor
 	labels []int32
+}
+
+// newRankStep builds one rank's step state for incarnation inc and
+// wires its observation plane: a telemetry probe on a deterministic,
+// wall-clock-free step-counter clock, with lanes keyed by machine slot
+// (lane "rank<slot>", ".r<inc>" after the first incarnation) so a
+// slot's series stays its own as an elastic world changes shape around
+// it, and the health collector, re-pointed every incarnation because
+// the replica's network may outlive one. The caller attaches the
+// runtime once syncState has built it.
+func (rs *runState) newRankStep(c *transport.Comm, rep *replica, slot, inc int, shard []int) *rankStep {
+	cfg := rs.cfg
+	obsLane := fmt.Sprintf("rank%d", slot)
+	lane := obsLane
+	if inc > 0 {
+		lane = fmt.Sprintf("rank%d.r%d", slot, inc)
+	}
+	probe := cfg.Telemetry.NewProbe(lane, telemetry.NewStepClock())
+	if probe != nil {
+		c.SetProbe(probe)
+	}
+	var health *modelhealth.Collector
+	if cfg.Health != nil {
+		health = cfg.Health.Rank(slot, inc, probe)
+		rep.net.SetActivationTap(health)
+	}
+	return &rankStep{
+		replica: rep,
+		cfg:     cfg, c: c, probe: probe, obsLane: obsLane,
+		inc: inc, slot: slot,
+		sched: rs.sched, trainSet: rs.trainSet,
+		shard:  shard,
+		accum:  cfg.Horovod.AccumPasses(),
+		health: health,
+		ids:    make([]int, 0, cfg.BatchPerRank),
+		x:      tensor.New(cfg.BatchPerRank, 3, rs.trainSet.H, rs.trainSet.W),
+		labels: make([]int32, cfg.BatchPerRank*rs.trainSet.H*rs.trainSet.W),
+	}
 }
 
 // step runs one training step for this rank: chaos check, arena reset,
@@ -677,10 +655,10 @@ type rankStep struct {
 //
 //seglint:hotpath per-rank training step: forward/backward, fused allreduce, optimiser update
 func (t *rankStep) step(s int, perm []int, rng *rand.Rand) (float64, error) {
-	if t.cfg.Chaos.CrashAt(t.rank, t.gstep, t.inc) {
+	if t.cfg.Chaos.CrashAt(t.slot, t.gstep, t.inc) {
 		t.c.Kill()
 		return 0, fmt.Errorf("chaos: rank %d crashed at step %d (incarnation %d): %w",
-			t.rank, t.gstep, t.inc, faultinject.ErrCrashed)
+			t.slot, t.gstep, t.inc, faultinject.ErrCrashed)
 	}
 	stepSpan := t.probe.Span(timeline.PhaseStep, "step")
 	// Reclaim last step's activations; their contents are
