@@ -21,11 +21,12 @@ race:
 	go test -race $(RACE_PKGS)
 	go test -race -run 'TestElastic|TestMixedPrecision|TestHealthLedgerGolden|TestHealthDivergence' ./internal/train/
 
-# gomaxprocs checks that training, the simulator and the collectives
-# give the same bits at GOMAXPROCS 1 and 4: every golden in these
-# packages must hold at both settings.
+# gomaxprocs checks that training, the simulator, the collectives and
+# the conv lowerings (which fan samples out over workers sharing one
+# workspace) give the same bits at GOMAXPROCS 1 and 4: every golden and
+# bit-identity test in these packages must hold at both settings.
 gomaxprocs:
-	go test -count=1 -cpu 1,4 ./internal/train ./internal/perfsim ./internal/collective ./internal/horovod
+	go test -count=1 -cpu 1,4 ./internal/train ./internal/perfsim ./internal/collective ./internal/horovod ./internal/tensor ./internal/deeplab
 
 vet:
 	go vet ./...

@@ -1,6 +1,7 @@
 // Command segbench is the repository's performance-baseline harness.
 // It measures the hot kernels (tiled vs reference matmul at the
-// DeepLab head's GEMM shape), the workspace-pooled convolution, a full
+// DeepLab head's GEMM shape), the workspace-pooled convolution on each
+// of its lowerings (dense, depthwise, pointwise), a full
 // single-rank training step (img/s and allocs/step), and the
 // performance simulator, then writes the results as a machine-readable
 // JSON report (BENCH_kernels.json at the repo root is the committed
@@ -58,7 +59,8 @@ import (
 // v3: fp16 encode/decode wire-cast kernels.
 // v4: serial entries pinned to GOMAXPROCS=1, _mp4 entries pinned to 4.
 // v5: fp16 kernels on gradient-like input, fp16_addinto_4m added.
-const schemaVersion = 5
+// v6: depthwise and pointwise conv entries.
+const schemaVersion = 6
 
 // mpProcs is the parallelism the _mp4 entries pin. Four workers is
 // enough to exercise the tensor.Parallel fan-out path (closure +
@@ -159,13 +161,30 @@ func benchMatmul(iters int, tiled bool) Entry {
 	return bench(iters, func() { tensor.MatMulRefInto(c, a, b, false) })
 }
 
-func benchConv(iters int, backward bool) Entry {
+// convShape is one benchmarked convolution: an [n,c,h,h] input and f
+// filters of k×k.
+type convShape struct {
+	n, c, h, f, k int
+	spec          tensor.ConvSpec
+}
+
+var (
+	// convDense is a dense 3×3 conv, lowered through im2col.
+	convDense = convShape{2, 32, 33, 64, 3, tensor.ConvSpec{Pad: 1}}
+	// convDW and convPW are the two halves of the default model's
+	// deep-block separable conv at the trainer's batch of 4: 24
+	// channels at 6×6, the depthwise 3×3 at dilation 2.
+	convDW = convShape{4, 24, 6, 24, 3, tensor.ConvSpec{Pad: 2, Dilation: 2, Groups: 24}}
+	convPW = convShape{4, 24, 6, 24, 1, tensor.ConvSpec{}}
+)
+
+func benchConv(iters int, cs convShape, backward bool) Entry {
 	ws := tensor.NewWorkspace()
-	x := tensor.New(2, 32, 33, 33)
-	w := tensor.New(64, 32, 3, 3)
+	spec := cs.spec.Canon()
+	x := tensor.New(cs.n, cs.c, cs.h, cs.h)
+	w := tensor.New(cs.f, cs.c/spec.Groups, cs.k, cs.k)
 	fill(x.Data, 3)
 	fill(w.Data, 4)
-	spec := tensor.ConvSpec{Pad: 1}
 	out := tensor.Conv2DWS(x, w, spec, ws)
 	dout := tensor.New(out.Shape...)
 	fill(dout.Data, 5)
@@ -362,8 +381,12 @@ func run(fast bool) *Report {
 	}
 	r.Benchmarks["matmul_tiled_256x2304x1089"] = withProcs(1, func() Entry { return benchMatmul(iters, true) })
 	r.Benchmarks["matmul_ref_256x2304x1089"] = withProcs(1, func() Entry { return benchMatmul(iters, false) })
-	r.Benchmarks["conv2d_fwd_ws"] = withProcs(1, func() Entry { return benchConv(iters, false) })
-	r.Benchmarks["conv2d_bwd_ws"] = withProcs(1, func() Entry { return benchConv(iters, true) })
+	r.Benchmarks["conv2d_fwd_ws"] = withProcs(1, func() Entry { return benchConv(iters, convDense, false) })
+	r.Benchmarks["conv2d_bwd_ws"] = withProcs(1, func() Entry { return benchConv(iters, convDense, true) })
+	r.Benchmarks["conv2d_dw_fwd_ws"] = withProcs(1, func() Entry { return benchConv(iters, convDW, false) })
+	r.Benchmarks["conv2d_dw_bwd_ws"] = withProcs(1, func() Entry { return benchConv(iters, convDW, true) })
+	r.Benchmarks["conv2d_pw_fwd_ws"] = withProcs(1, func() Entry { return benchConv(iters, convPW, false) })
+	r.Benchmarks["conv2d_pw_bwd_ws"] = withProcs(1, func() Entry { return benchConv(iters, convPW, true) })
 	r.Benchmarks["train_step_rank0"] = withProcs(1, func() Entry { return benchTrainStep(iters) })
 	r.Benchmarks["perfsim_132gpu"] = withProcs(1, func() Entry { return benchPerfsim(iters) })
 	r.Benchmarks["perfsim_1056gpu_hier"] = withProcs(1, func() Entry { return benchPerfsimHier(iters) })
@@ -377,8 +400,8 @@ func run(fast bool) *Report {
 	// zero/low counts.
 	r.Benchmarks["matmul_tiled_256x2304x1089_mp4"] = withProcs(mpProcs, func() Entry { return benchMatmul(iters, true) })
 	r.Benchmarks["matmul_ref_256x2304x1089_mp4"] = withProcs(mpProcs, func() Entry { return benchMatmul(iters, false) })
-	r.Benchmarks["conv2d_fwd_ws_mp4"] = withProcs(mpProcs, func() Entry { return benchConv(iters, false) })
-	r.Benchmarks["conv2d_bwd_ws_mp4"] = withProcs(mpProcs, func() Entry { return benchConv(iters, true) })
+	r.Benchmarks["conv2d_fwd_ws_mp4"] = withProcs(mpProcs, func() Entry { return benchConv(iters, convDense, false) })
+	r.Benchmarks["conv2d_bwd_ws_mp4"] = withProcs(mpProcs, func() Entry { return benchConv(iters, convDense, true) })
 	r.Benchmarks["train_step_rank0_mp4"] = withProcs(mpProcs, func() Entry { return benchTrainStep(iters) })
 
 	r.Derived["matmul_speedup_vs_ref"] =

@@ -58,6 +58,7 @@ func TestRunFastReportShape(t *testing.T) {
 	for _, name := range []string{
 		"matmul_tiled_256x2304x1089", "matmul_ref_256x2304x1089",
 		"conv2d_fwd_ws", "conv2d_bwd_ws", "train_step_rank0", "perfsim_132gpu",
+		"conv2d_dw_fwd_ws", "conv2d_dw_bwd_ws", "conv2d_pw_fwd_ws", "conv2d_pw_bwd_ws",
 		"perfsim_1056gpu_hier", "train_step_rank0_mp4",
 		"fp16_encode_4m", "fp16_decode_4m", "fp16_addinto_4m",
 	} {

@@ -355,7 +355,7 @@ func RandomScaleCrop(rng *rand.Rand, x *tensor.Tensor, labels []int32, minScale,
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	// Label scratch shared by every sample in the batch (hoisted out of
 	// the per-image loop; the size is the same for all of them).
-	src := make([]int32, h*w) //seglint:ignore hotalloc one label scratch per augmentation call, not per image
+	src := make([]int32, h*w) //seglint:ignore hotalloc this make only: the h·w int32 label scratch, one per call, shared by the batch's samples
 	for i := 0; i < n; i++ {
 		scale := minScale + rng.Float64()*(maxScale-minScale)
 		sh := max(8, int(float64(h)*scale))
@@ -376,9 +376,10 @@ func RandomScaleCrop(rng *rand.Rand, x *tensor.Tensor, labels []int32, minScale,
 		for ch := 0; ch < c; ch++ {
 			for y := 0; y < h; y++ {
 				sy := min(sh-1, y+offY)
-				for xx := 0; xx < w; xx++ {
-					sx := min(sw-1, xx+offX)
-					x.Data[((i*c+ch)*h+y)*w+xx] = scaled.At(0, ch, sy, sx)
+				srow := scaled.Data[(ch*sh+sy)*sw : (ch*sh+sy+1)*sw]
+				drow := x.Data[((i*c+ch)*h+y)*w : ((i*c+ch)*h+y+1)*w]
+				for xx := range drow {
+					drow[xx] = srow[min(sw-1, xx+offX)]
 				}
 			}
 		}

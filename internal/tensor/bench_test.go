@@ -83,3 +83,34 @@ func itoa(n int) string {
 	}
 	return "128x128"
 }
+
+// BenchmarkConvLowering times each lowering's forward and backward at
+// the default model's shapes and the trainer's batch of 4: the
+// deep-block depthwise and pointwise convs (24 channels at 6×6) and a
+// decoder 3×3 (24 channels at 12×12).
+func BenchmarkConvLowering(b *testing.B) {
+	for _, tc := range []struct {
+		name       string
+		c, h, f, k int
+		spec       ConvSpec
+	}{
+		{"depthwise", 24, 6, 24, 3, ConvSpec{Pad: 2, Dilation: 2, Groups: 24}},
+		{"pointwise", 24, 6, 24, 1, ConvSpec{}},
+		{"dense", 24, 12, 24, 3, ConvSpec{Pad: 1}},
+	} {
+		x, w, dout, s := convCase(1, 4, tc.c, tc.h, tc.h, tc.f, tc.k, tc.spec)
+		ws := NewWorkspace()
+		b.Run(tc.name+"/fwd", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ws.Reset()
+				Conv2DWS(x, w, s, ws)
+			}
+		})
+		b.Run(tc.name+"/bwd", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ws.Reset()
+				Conv2DBackwardWS(x, w, dout, s, ws)
+			}
+		})
+	}
+}

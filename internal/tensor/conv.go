@@ -63,34 +63,53 @@ func convCheck(x, w *Tensor, s ConvSpec) (n, c, h, wd, f, cg, kh, kw, oh, ow int
 	return
 }
 
+// validRange returns the output indices [lo, hi) along one axis whose
+// input coordinate o·stride + off lands inside [0, in): the taps of a
+// padded convolution that read real input rather than padding.
+func validRange(out, in, off, stride int) (lo, hi int) {
+	if off < 0 {
+		lo = min(out, (stride-1-off)/stride)
+	}
+	if last := in - 1 - off; last >= 0 {
+		hi = min(out, last/stride+1)
+	}
+	return lo, max(lo, hi)
+}
+
 // im2col expands one sample's channel group into a [cg·kh·kw, oh·ow]
-// matrix held in col (which must be pre-sized).
+// matrix held in col (which must be pre-sized). Each tap's valid
+// output rectangle is computed once: the rows and columns outside it
+// are cleared, the inside is copied (a gather at stride > 1).
 func im2col(x *Tensor, sample, chanLo, cg int, kh, kw, oh, ow int, s ConvSpec, col *Tensor) {
-	_, _, h, wd := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	h, wd := x.Dim(2), x.Dim(3)
 	spatial := oh * ow
 	xBase := (sample*x.Dim(1) + chanLo) * h * wd
 	for cc := 0; cc < cg; cc++ {
 		chOff := xBase + cc*h*wd
 		for ky := 0; ky < kh; ky++ {
+			offY := ky*s.Dilation - s.Pad
+			oyLo, oyHi := validRange(oh, h, offY, s.Stride)
 			for kx := 0; kx < kw; kx++ {
-				row := ((cc*kh+ky)*kw + kx) * spatial
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*s.Stride - s.Pad + ky*s.Dilation
-					if iy < 0 || iy >= h {
-						for ox := 0; ox < ow; ox++ {
-							col.Data[row+oy*ow+ox] = 0
-						}
+				offX := kx*s.Dilation - s.Pad
+				oxLo, oxHi := validRange(ow, wd, offX, s.Stride)
+				yHi := oyHi
+				if oxLo == oxHi {
+					yHi = oyLo // every column reads padding
+				}
+				row := col.Data[((cc*kh+ky)*kw+kx)*spatial:][:spatial]
+				clear(row[:oyLo*ow])
+				clear(row[yHi*ow:])
+				for oy := oyLo; oy < yHi; oy++ {
+					dst := row[oy*ow : oy*ow+ow]
+					src := x.Data[chOff+(oy*s.Stride+offY)*wd:][:wd]
+					clear(dst[:oxLo])
+					clear(dst[oxHi:])
+					if s.Stride == 1 {
+						copy(dst[oxLo:oxHi], src[oxLo+offX:])
 						continue
 					}
-					inRow := chOff + iy*wd
-					outRow := row + oy*ow
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*s.Stride - s.Pad + kx*s.Dilation
-						if ix < 0 || ix >= wd {
-							col.Data[outRow+ox] = 0
-						} else {
-							col.Data[outRow+ox] = x.Data[inRow+ix]
-						}
+					for ox := oxLo; ox < oxHi; ox++ {
+						dst[ox] = src[ox*s.Stride+offX]
 					}
 				}
 			}
@@ -99,7 +118,7 @@ func im2col(x *Tensor, sample, chanLo, cg int, kh, kw, oh, ow int, s ConvSpec, c
 }
 
 // col2im scatters a [cg·kh·kw, oh·ow] gradient matrix back into dx,
-// accumulating overlaps.
+// accumulating overlaps over each tap's valid output rectangle only.
 func col2im(dx *Tensor, sample, chanLo, cg int, kh, kw, oh, ow int, s ConvSpec, col *Tensor) {
 	h, wd := dx.Dim(2), dx.Dim(3)
 	spatial := oh * ow
@@ -107,20 +126,27 @@ func col2im(dx *Tensor, sample, chanLo, cg int, kh, kw, oh, ow int, s ConvSpec, 
 	for cc := 0; cc < cg; cc++ {
 		chOff := dxBase + cc*h*wd
 		for ky := 0; ky < kh; ky++ {
+			offY := ky*s.Dilation - s.Pad
+			oyLo, oyHi := validRange(oh, h, offY, s.Stride)
 			for kx := 0; kx < kw; kx++ {
-				row := ((cc*kh+ky)*kw + kx) * spatial
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*s.Stride - s.Pad + ky*s.Dilation
-					if iy < 0 || iy >= h {
+				offX := kx*s.Dilation - s.Pad
+				oxLo, oxHi := validRange(ow, wd, offX, s.Stride)
+				if oxLo == oxHi {
+					continue // every column reads padding
+				}
+				row := col.Data[((cc*kh+ky)*kw+kx)*spatial:][:spatial]
+				for oy := oyLo; oy < oyHi; oy++ {
+					src := row[oy*ow+oxLo : oy*ow+oxHi]
+					dst := dx.Data[chOff+(oy*s.Stride+offY)*wd:][:wd]
+					if s.Stride == 1 {
+						d := dst[oxLo+offX:][:len(src)]
+						for j, v := range src {
+							d[j] += v
+						}
 						continue
 					}
-					inRow := chOff + iy*wd
-					outRow := row + oy*ow
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*s.Stride - s.Pad + kx*s.Dilation
-						if ix >= 0 && ix < wd {
-							dx.Data[inRow+ix] += col.Data[outRow+ox]
-						}
+					for j, v := range src {
+						dst[(oxLo+j)*s.Stride+offX] += v
 					}
 				}
 			}
@@ -155,23 +181,99 @@ func Conv2DWS(x, w *Tensor, spec ConvSpec, ws *Workspace) *Tensor {
 	return out
 }
 
-// conv2DSamples runs the im2col+matmul forward for samples [lo,hi).
+// conv2DSamples runs the forward for samples [lo,hi), lowered by the
+// convolution's geometry (see pointwise and depthwise). The general
+// path is im2col + GEMM; a pointwise conv hands the GEMM x's
+// [cg, H·W] slab directly, since its im2col would be an exact copy.
 // The matmul is invoked through its raw row-worker so no header
 // tensors are built per call.
 func conv2DSamples(x, w, out *Tensor, s ConvSpec, lo, hi, fg, cg, kh, kw, oh, ow int, ws *Workspace) {
-	f := out.Dim(1)
+	slab := pointwise(s, kh, kw)
+	if !slab && depthwise(cg, fg) {
+		depthwiseForward(x, w, out, s, lo, hi, kh, kw, oh, ow, ws)
+		return
+	}
+	c, f := x.Dim(1), out.Dim(1)
 	spatial := oh * ow
 	ckk := cg * kh * kw
-	col := ws.GetRaw(ckk, spatial) // im2col writes every element
+	var col *Tensor
+	if !slab {
+		col = ws.GetRaw(ckk, spatial) // im2col writes every element
+	}
 	for i := lo; i < hi; i++ {
 		for g := 0; g < s.Groups; g++ {
-			im2col(x, i, g*cg, cg, kh, kw, oh, ow, s, col)
+			var b []float32
+			if slab {
+				b = x.Data[(i*c+g*cg)*spatial : (i*c+(g+1)*cg)*spatial]
+			} else {
+				im2col(x, i, g*cg, cg, kh, kw, oh, ow, s, col)
+				b = col.Data
+			}
 			wSlab := w.Data[g*fg*ckk : (g+1)*fg*ckk]
 			outSlab := out.Data[(i*f+g*fg)*spatial : (i*f+(g+1)*fg)*spatial]
-			matmulRows(outSlab, wSlab, col.Data, ckk, spatial, 0, fg, false)
+			matmulRows(outSlab, wSlab, b, ckk, spatial, 0, fg, false, false)
 		}
 	}
 	ws.Put(col)
+}
+
+// pointwise reports a 1×1, stride-1, unpadded convolution: its im2col
+// matrix is the input slab itself, so the GEMMs run on x and dx in
+// place. (A strided 1×1 conv samples the input and stays general.)
+func pointwise(s ConvSpec, kh, kw int) bool {
+	return kh == 1 && kw == 1 && s.Stride == 1 && s.Pad == 0
+}
+
+// depthwise reports one input and one output channel per group: every
+// GEMM would be a single row, so the taps are applied directly.
+func depthwise(cg, fg int) bool {
+	return cg == 1 && fg == 1
+}
+
+// padPlane copies an h×wd plane into the interior of a (h+2p)×pw
+// padded plane, leaving its border as it is.
+func padPlane(dst, src []float32, h, wd, pw, p int) {
+	for y := 0; y < h; y++ {
+		copy(dst[(y+p)*pw+p:][:wd], src[y*wd:(y+1)*wd])
+	}
+}
+
+// depthwiseForward runs a depthwise conv for samples [lo,hi) as direct
+// taps over a zero-padded copy of each (sample, channel) plane. Every
+// output folds its taps from +0 in (ky, kx) order — the order and the
+// operands of the one-row GEMM over im2col, padding zeros included —
+// so NaN, ±Inf and −0 propagate as they did through the GEMM.
+func depthwiseForward(x, w, out *Tensor, s ConvSpec, lo, hi, kh, kw, oh, ow int, ws *Workspace) {
+	c, h, wd := x.Dim(1), x.Dim(2), x.Dim(3)
+	pw := wd + 2*s.Pad
+	xpad := ws.Get(h+2*s.Pad, pw) // zeroed: only the interior is ever rewritten
+	taps := kh * kw
+	for i := lo; i < hi; i++ {
+		for ch := 0; ch < c; ch++ {
+			plane := i*c + ch
+			padPlane(xpad.Data, x.Data[plane*h*wd:(plane+1)*h*wd], h, wd, pw, s.Pad)
+			o := out.Data[plane*oh*ow : (plane+1)*oh*ow]
+			clear(o)
+			for t, wv := range w.Data[ch*taps : (ch+1)*taps] {
+				base := (t/kw)*s.Dilation*pw + (t%kw)*s.Dilation
+				for oy := 0; oy < oh; oy++ {
+					orow := o[oy*ow : (oy+1)*ow]
+					src := xpad.Data[base+oy*s.Stride*pw:]
+					if s.Stride == 1 {
+						src = src[:ow]
+						for ox, xv := range src {
+							orow[ox] += wv * xv
+						}
+						continue
+					}
+					for ox := range orow {
+						orow[ox] += wv * src[ox*s.Stride]
+					}
+				}
+			}
+		}
+	}
+	ws.Put(xpad)
 }
 
 // Conv2DBackward returns gradients (dx, dw) of the convolution given
@@ -230,21 +332,41 @@ func Conv2DBackwardWS(x, w, dout *Tensor, spec ConvSpec, ws *Workspace) (dx, dw 
 // convBackwardSamples computes dx rows and per-sample dW partials for
 // samples [lo,hi). Samples touch disjoint dx and partial regions, so
 // workers never race.
+//
+// It is lowered like the forward: a pointwise conv runs both GEMMs on
+// the x and dx slabs directly, accumulating dx onto its zeroed slab —
+// the +0 + dcol that col2im computed — and a depthwise conv applies
+// its taps directly.
 func convBackwardSamples(x, w, dout, dx, partials *Tensor, s ConvSpec, lo, hi, fg, cg, kh, kw, oh, ow int, ws *Workspace) {
-	f := dout.Dim(1)
+	slab := pointwise(s, kh, kw)
+	if !slab && depthwise(cg, fg) {
+		depthwiseBackward(x, w, dout, dx, partials, s, lo, hi, kh, kw, oh, ow, ws)
+		return
+	}
+	c, f := x.Dim(1), dout.Dim(1)
 	spatial := oh * ow
 	ckk := cg * kh * kw
-	col := ws.GetRaw(ckk, spatial)
-	dcol := ws.GetRaw(ckk, spatial) // fully written by the AT matmul
+	var col, dcol *Tensor
+	if !slab {
+		col = ws.GetRaw(ckk, spatial)  // im2col writes every element
+		dcol = ws.GetRaw(ckk, spatial) // fully written by the AT matmul
+	}
 	for i := lo; i < hi; i++ {
 		pbase := i * f * ckk
 		for g := 0; g < s.Groups; g++ {
-			im2col(x, i, g*cg, cg, kh, kw, oh, ow, s, col)
 			doutSlab := dout.Data[(i*f+g*fg)*spatial : (i*f+(g+1)*fg)*spatial]
 			wSlab := w.Data[g*fg*ckk : (g+1)*fg*ckk]
 			dwSlab := partials.Data[pbase+g*fg*ckk : pbase+(g+1)*fg*ckk]
+			if slab {
+				xSlab := x.Data[(i*c+g*cg)*spatial : (i*c+(g+1)*cg)*spatial]
+				dxSlab := dx.Data[(i*c+g*cg)*spatial : (i*c+(g+1)*cg)*spatial]
+				matmulRows(dwSlab, doutSlab, xSlab, spatial, ckk, 0, fg, true, false)
+				matmulATRows(dxSlab, wSlab, doutSlab, fg, ckk, spatial, 0, ckk, true)
+				continue
+			}
+			im2col(x, i, g*cg, cg, kh, kw, oh, ow, s, col)
 			// dW_i = dout_i · colᵀ
-			matmulBTRows(dwSlab, doutSlab, col.Data, spatial, ckk, 0, fg, false)
+			matmulRows(dwSlab, doutSlab, col.Data, spatial, ckk, 0, fg, true, false)
 			// dcol = wᵀ · dout_i
 			matmulATRows(dcol.Data, wSlab, doutSlab, fg, ckk, spatial, 0, ckk, false)
 			col2im(dx, i, g*cg, cg, kh, kw, oh, ow, s, dcol)
@@ -252,6 +374,56 @@ func convBackwardSamples(x, w, dout, dx, partials *Tensor, s ConvSpec, lo, hi, f
 	}
 	ws.Put(dcol)
 	ws.Put(col)
+}
+
+// depthwiseBackward is the depthwise conv's backward for samples
+// [lo,hi), in the orders of the GEMMs it replaces: each dW tap folds
+// dout·x from +0 over (oy, ox) ascending into the sample's partial, and
+// dx accumulates w·dout onto a zeroed padded plane in col2im's
+// (tap, oy, ox) order before its interior is copied out.
+func depthwiseBackward(x, w, dout, dx, partials *Tensor, s ConvSpec, lo, hi, kh, kw, oh, ow int, ws *Workspace) {
+	c, h, wd := x.Dim(1), x.Dim(2), x.Dim(3)
+	ph, pw := h+2*s.Pad, wd+2*s.Pad
+	xpad := ws.Get(ph, pw)    // zeroed: only the interior is ever rewritten
+	dpad := ws.GetRaw(ph, pw) // cleared per plane below
+	taps := kh * kw
+	for i := lo; i < hi; i++ {
+		for ch := 0; ch < c; ch++ {
+			plane := i*c + ch
+			padPlane(xpad.Data, x.Data[plane*h*wd:(plane+1)*h*wd], h, wd, pw, s.Pad)
+			clear(dpad.Data)
+			d := dout.Data[plane*oh*ow : (plane+1)*oh*ow]
+			dw := partials.Data[plane*taps : (plane+1)*taps]
+			for t, wv := range w.Data[ch*taps : (ch+1)*taps] {
+				base := (t/kw)*s.Dilation*pw + (t%kw)*s.Dilation
+				var acc float32
+				for oy := 0; oy < oh; oy++ {
+					drow := d[oy*ow : (oy+1)*ow]
+					off := base + oy*s.Stride*pw
+					xrow, grow := xpad.Data[off:], dpad.Data[off:]
+					if s.Stride == 1 {
+						xrow, grow = xrow[:ow], grow[:ow]
+						for ox, dv := range drow {
+							acc += dv * xrow[ox]
+							grow[ox] += wv * dv
+						}
+						continue
+					}
+					for ox, dv := range drow {
+						acc += dv * xrow[ox*s.Stride]
+						grow[ox*s.Stride] += wv * dv
+					}
+				}
+				dw[t] = acc
+			}
+			dst := dx.Data[plane*h*wd : (plane+1)*h*wd]
+			for y := 0; y < h; y++ {
+				copy(dst[y*wd:(y+1)*wd], dpad.Data[(y+s.Pad)*pw+s.Pad:])
+			}
+		}
+	}
+	ws.Put(dpad)
+	ws.Put(xpad)
 }
 
 // mergeSamplePartials folds n per-sample partials into dst for the

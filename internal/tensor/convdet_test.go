@@ -33,6 +33,8 @@ func TestConv2DBackwardMergeBitIdentical(t *testing.T) {
 		{"strided", 6, 4, 12, 12, 6, 3, ConvSpec{Stride: 2, Pad: 1}},
 		{"atrous", 4, 2, 11, 11, 3, 3, ConvSpec{Stride: 1, Pad: 2, Dilation: 2}},
 		{"grouped", 4, 6, 8, 8, 6, 3, ConvSpec{Stride: 1, Pad: 1, Groups: 3}},
+		{"depthwise", 5, 6, 7, 7, 6, 3, ConvSpec{Stride: 1, Pad: 2, Dilation: 2, Groups: 6}},
+		{"pointwise", 5, 6, 7, 7, 8, 1, ConvSpec{Groups: 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,28 +52,44 @@ func TestConv2DBackwardMergeBitIdentical(t *testing.T) {
 	}
 }
 
+// loweredCases are one convolution per lowering: the general im2col
+// path, a depthwise and a pointwise conv.
+var loweredCases = []struct {
+	name             string
+	n, c, h, w, f, k int
+	spec             ConvSpec
+}{
+	{"general", 3, 4, 10, 10, 5, 3, ConvSpec{Stride: 1, Pad: 1}},
+	{"depthwise", 3, 6, 9, 9, 6, 3, ConvSpec{Stride: 2, Pad: 1, Groups: 6}},
+	{"pointwise", 3, 6, 9, 9, 5, 1, ConvSpec{}},
+}
+
 // TestConv2DWorkspaceMatchesHeap checks the workspace-backed paths
 // return bit-identical results to the plain heap paths.
 func TestConv2DWorkspaceMatchesHeap(t *testing.T) {
-	x, wt, dout, s := convCase(7, 3, 4, 10, 10, 5, 3, ConvSpec{Stride: 1, Pad: 1})
-	ws := NewWorkspace()
+	for i, tc := range loweredCases {
+		t.Run(tc.name, func(t *testing.T) {
+			x, wt, dout, s := convCase(int64(7+i), tc.n, tc.c, tc.h, tc.w, tc.f, tc.k, tc.spec)
+			ws := NewWorkspace()
 
-	out := Conv2D(x, wt, s)
-	outWS := Conv2DWS(x, wt, s, ws)
-	requireBitIdentical(t, outWS, out, "forward")
+			out := Conv2D(x, wt, s)
+			outWS := Conv2DWS(x, wt, s, ws)
+			requireBitIdentical(t, outWS, out, "forward")
 
-	dx, dw := Conv2DBackward(x, wt, dout, s)
-	dxWS, dwWS := Conv2DBackwardWS(x, wt, dout, s, ws)
-	requireBitIdentical(t, dxWS, dx, "dx")
-	requireBitIdentical(t, dwWS, dw, "dw")
+			dx, dw := Conv2DBackward(x, wt, dout, s)
+			dxWS, dwWS := Conv2DBackwardWS(x, wt, dout, s, ws)
+			requireBitIdentical(t, dxWS, dx, "dx")
+			requireBitIdentical(t, dwWS, dw, "dw")
 
-	// Second pass after Reset reuses the same arena buffers.
-	ws.Reset()
-	outWS2 := Conv2DWS(x, wt, s, ws)
-	requireBitIdentical(t, outWS2, out, "forward after reset")
-	st := ws.Stats()
-	if st.Hits == 0 {
-		t.Fatalf("no free-list hits after reset: %v", st)
+			// Second pass after Reset reuses the same arena buffers.
+			ws.Reset()
+			outWS2 := Conv2DWS(x, wt, s, ws)
+			requireBitIdentical(t, outWS2, out, "forward after reset")
+			st := ws.Stats()
+			if st.Hits == 0 {
+				t.Fatalf("no free-list hits after reset: %v", st)
+			}
+		})
 	}
 }
 
@@ -79,22 +97,26 @@ func TestConv2DWorkspaceMatchesHeap(t *testing.T) {
 // warm arena, forward and backward conv touch the heap zero times on
 // the serial path.
 func TestConv2DWorkspaceZeroAllocs(t *testing.T) {
-	x, wt, dout, s := convCase(21, 2, 3, 8, 8, 4, 3, ConvSpec{Stride: 1, Pad: 1})
-	ws := NewWorkspace()
-
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 
-	// Warm the arena.
-	Conv2DWS(x, wt, s, ws)
-	Conv2DBackwardWS(x, wt, dout, s, ws)
-	ws.Reset()
+	for i, tc := range loweredCases {
+		t.Run(tc.name, func(t *testing.T) {
+			x, wt, dout, s := convCase(int64(21+i), tc.n, tc.c, tc.h, tc.w, tc.f, tc.k, tc.spec)
+			ws := NewWorkspace()
 
-	if n := testing.AllocsPerRun(10, func() {
-		Conv2DWS(x, wt, s, ws)
-		Conv2DBackwardWS(x, wt, dout, s, ws)
-		ws.Reset()
-	}); n != 0 {
-		t.Fatalf("conv forward+backward allocates %.1f times per step with warm workspace, want 0", n)
+			// Warm the arena.
+			Conv2DWS(x, wt, s, ws)
+			Conv2DBackwardWS(x, wt, dout, s, ws)
+			ws.Reset()
+
+			if n := testing.AllocsPerRun(10, func() {
+				Conv2DWS(x, wt, s, ws)
+				Conv2DBackwardWS(x, wt, dout, s, ws)
+				ws.Reset()
+			}); n != 0 {
+				t.Fatalf("conv forward+backward allocates %.1f times per step with warm workspace, want 0", n)
+			}
+		})
 	}
 }

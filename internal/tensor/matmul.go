@@ -53,22 +53,28 @@ func MatMulInto(c, a, b *Tensor, accumulate bool) {
 	checkMatMulOut(c, m, n, "matmul")
 	cd, ad, bd := c.Data, a.Data, b.Data
 	if parallelDegree(m) <= 1 {
-		matmulRows(cd, ad, bd, k, n, 0, m, accumulate)
+		matmulRows(cd, ad, bd, k, n, 0, m, false, accumulate)
 		return
 	}
 	Parallel(m, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
-		matmulRows(cd, ad, bd, k, n, lo, hi, accumulate)
+		matmulRows(cd, ad, bd, k, n, lo, hi, false, accumulate)
 	})
 }
 
-// matmulRows is the per-worker body of MatMulInto: rows [lo,hi) of
-// C = A·B, packing one B panel at a time.
-func matmulRows(cd, ad, bd []float32, k, n, lo, hi int, accumulate bool) {
+// matmulRows is the per-worker body of every GEMM: rows [lo,hi) of
+// C = A·B for B [k,n], or of C = A·Bᵀ for B [n,k] when bt is set,
+// packing one k×nrTile panel of B at a time. The two products differ
+// only in how a panel is packed.
+func matmulRows(cd, ad, bd []float32, k, n, lo, hi int, bt, accumulate bool) {
 	panel := kernelScratch.GetRaw(k * nrTile)
 	bp := panel.Data
 	for j0 := 0; j0 < n; j0 += nrTile {
 		jw := min(nrTile, n-j0)
-		packPanelB(bp, bd, k, n, j0, jw)
+		if bt {
+			packPanelBT(bp, bd, k, j0, jw)
+		} else {
+			packPanelB(bp, bd, k, n, j0, jw)
+		}
 		i0 := lo
 		for ; i0+mrTile <= hi; i0 += mrTile {
 			mul2x4(cd[i0*n+j0:], n, ad[i0*k:], k, bp, jw, accumulate)
@@ -108,34 +114,20 @@ func MatMulATInto(c, a, b *Tensor, accumulate bool) {
 }
 
 // matmulATRows is the per-worker body of MatMulATInto: rows [lo,hi)
-// of C = Aᵀ·B, gathering the worker's strip of Aᵀ once up front.
+// of C = Aᵀ·B, gathering the worker's strip of Aᵀ once up front and
+// then running matmulRows on it.
 func matmulATRows(cd, ad, bd []float32, k, m, n, lo, hi int, accumulate bool) {
 	rows := hi - lo
 	apanel := kernelScratch.GetRaw(rows * k)
-	ap := apanel.Data
-	packPanelAT(ap, ad, k, m, lo, rows)
-	bpanel := kernelScratch.GetRaw(k * nrTile)
-	bp := bpanel.Data
-	for j0 := 0; j0 < n; j0 += nrTile {
-		jw := min(nrTile, n-j0)
-		packPanelB(bp, bd, k, n, j0, jw)
-		r0 := 0
-		for ; r0+mrTile <= rows; r0 += mrTile {
-			mul2x4(cd[(lo+r0)*n+j0:], n, ap[r0*k:], k, bp, jw, accumulate)
-		}
-		if r0 < rows {
-			mulEdge(cd[(lo+r0)*n+j0:], n, ap[r0*k:], k, rows-r0, bp, nrTile, jw, accumulate)
-		}
-	}
-	kernelScratch.Put(bpanel)
+	packPanelAT(apanel.Data, ad, k, m, lo, rows)
+	matmulRows(cd[lo*n:], apanel.Data, bd, k, n, 0, rows, false, accumulate)
 	kernelScratch.Put(apanel)
 }
 
-// MatMulBTInto computes C = A·Bᵀ for A [m,k], B [n,k] into C [m,n].
-// Both operands stream contiguously over k, so no packing is needed;
-// the micro-tile holds 4×4 running dot products in registers (the dot
-// form reuses each loaded value four times, so the larger tile pays
-// for itself here).
+// MatMulBTInto computes C = A·Bᵀ for A [m,k], B [n,k] into C [m,n]
+// (accumulating when requested) — the shape conv backward needs for
+// weight gradients. Each panel packs four rows of B transposed, and
+// the same micro-kernel as MatMulInto runs over it.
 //
 //seglint:hotpath conv backward weight-gradient kernel; 0-alloc on the serial path
 func MatMulBTInto(c, a, b *Tensor, accumulate bool) {
@@ -150,30 +142,12 @@ func MatMulBTInto(c, a, b *Tensor, accumulate bool) {
 	checkMatMulOut(c, m, n, "matmulBT")
 	cd, ad, bd := c.Data, a.Data, b.Data
 	if parallelDegree(m) <= 1 {
-		matmulBTRows(cd, ad, bd, k, n, 0, m, accumulate)
+		matmulRows(cd, ad, bd, k, n, 0, m, true, accumulate)
 		return
 	}
 	Parallel(m, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
-		matmulBTRows(cd, ad, bd, k, n, lo, hi, accumulate)
+		matmulRows(cd, ad, bd, k, n, lo, hi, true, accumulate)
 	})
-}
-
-// matmulBTRows is the per-worker body of MatMulBTInto: rows [lo,hi)
-// of C = A·Bᵀ as streaming dot-product tiles.
-func matmulBTRows(cd, ad, bd []float32, k, n, lo, hi int, accumulate bool) {
-	i0 := lo
-	for ; i0+4 <= hi; i0 += 4 {
-		for j0 := 0; j0 < n; j0 += 4 {
-			dot4x4(cd[i0*n+j0:], n, ad[i0*k:], k, bd[j0*k:], k,
-				4, min(4, n-j0), accumulate)
-		}
-	}
-	if i0 < hi {
-		for j0 := 0; j0 < n; j0 += 4 {
-			dot4x4(cd[i0*n+j0:], n, ad[i0*k:], k, bd[j0*k:], k,
-				hi-i0, min(4, n-j0), accumulate)
-		}
-	}
 }
 
 // MatMulRefInto is the unblocked reference kernel the tiled paths are
@@ -234,6 +208,30 @@ func packPanelB(bp, b []float32, k, n, j0, jw int) {
 		for q := jw; q < nrTile; q++ {
 			dst[q] = 0
 		}
+	}
+}
+
+// packPanelBT is packPanelB for a transposed B [n,k]: rows j0…j0+jw−1
+// of B become the columns of the dense k×nrTile panel bp (zero-padded
+// past jw), so bp[p·nrTile+q] = B[j0+q, p].
+func packPanelBT(bp, b []float32, k, j0, jw int) {
+	if jw == nrTile {
+		b0 := b[(j0+0)*k : (j0+1)*k]
+		b1 := b[(j0+1)*k : (j0+2)*k][:len(b0)]
+		b2 := b[(j0+2)*k : (j0+3)*k][:len(b0)]
+		b3 := b[(j0+3)*k : (j0+4)*k][:len(b0)]
+		for p, v := range b0 {
+			dst := (*[nrTile]float32)(bp[p*nrTile:])
+			dst[0], dst[1], dst[2], dst[3] = v, b1[p], b2[p], b3[p]
+		}
+		return
+	}
+	for p := 0; p < k; p++ {
+		dst := bp[p*nrTile : p*nrTile+nrTile]
+		for q := 0; q < jw; q++ {
+			dst[q] = b[(j0+q)*k+p]
+		}
+		clear(dst[jw:])
 	}
 }
 
@@ -327,83 +325,6 @@ func mulEdge(c []float32, cs int, a []float32, as, iw int, b []float32, bs, jw i
 			var s float32
 			for p := 0; p < as; p++ {
 				s += arow[p] * b[p*bs+q]
-			}
-			if acc {
-				crow[q] += s
-			} else {
-				crow[q] = s
-			}
-		}
-	}
-}
-
-// dot4x4 accumulates an iw×jw tile of running dot products where both
-// operands stream contiguously over k: C[r,q] (+)= Σ_p a[r,p]·b[q,p].
-func dot4x4(c []float32, cs int, a []float32, as int, b []float32, bs int, iw, jw int, acc bool) {
-	if iw == 4 && jw == 4 {
-		a0 := a[0*as : 0*as+as : 0*as+as]
-		a1 := a[1*as : 1*as+as : 1*as+as]
-		a2 := a[2*as : 2*as+as : 2*as+as]
-		a3 := a[3*as : 3*as+as : 3*as+as]
-		b0 := b[0*bs : 0*bs+bs : 0*bs+bs]
-		b1 := b[1*bs : 1*bs+bs : 1*bs+bs]
-		b2 := b[2*bs : 2*bs+bs : 2*bs+bs]
-		b3 := b[3*bs : 3*bs+bs : 3*bs+bs]
-		var s00, s01, s02, s03 float32
-		var s10, s11, s12, s13 float32
-		var s20, s21, s22, s23 float32
-		var s30, s31, s32, s33 float32
-		for p := 0; p < as; p++ {
-			v0, v1, v2, v3 := b0[p], b1[p], b2[p], b3[p]
-			av := a0[p]
-			s00 += av * v0
-			s01 += av * v1
-			s02 += av * v2
-			s03 += av * v3
-			av = a1[p]
-			s10 += av * v0
-			s11 += av * v1
-			s12 += av * v2
-			s13 += av * v3
-			av = a2[p]
-			s20 += av * v0
-			s21 += av * v1
-			s22 += av * v2
-			s23 += av * v3
-			av = a3[p]
-			s30 += av * v0
-			s31 += av * v1
-			s32 += av * v2
-			s33 += av * v3
-		}
-		rows := [4][4]float32{
-			{s00, s01, s02, s03},
-			{s10, s11, s12, s13},
-			{s20, s21, s22, s23},
-			{s30, s31, s32, s33},
-		}
-		for r := 0; r < 4; r++ {
-			crow := c[r*cs : r*cs+4]
-			if acc {
-				for q := 0; q < 4; q++ {
-					crow[q] += rows[r][q]
-				}
-			} else {
-				for q := 0; q < 4; q++ {
-					crow[q] = rows[r][q]
-				}
-			}
-		}
-		return
-	}
-	for r := 0; r < iw; r++ {
-		arow := a[r*as : r*as+as]
-		crow := c[r*cs : r*cs+jw]
-		for q := 0; q < jw; q++ {
-			brow := b[q*bs : q*bs+as]
-			var s float32
-			for p, av := range arow {
-				s += av * brow[p]
 			}
 			if acc {
 				crow[q] += s
