@@ -9,7 +9,7 @@ FUZZTIME  ?= 10s
 COVER_FLOOR ?= 74.0
 COVER_OUT   ?= /tmp/segscale-cover.out
 
-.PHONY: build test race gomaxprocs lint vet fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke cover bench-json bench-check bench-e2e ci
+.PHONY: build test race gomaxprocs lint vet fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke cover bench-e2e ci
 
 build:
 	go build ./...
@@ -88,19 +88,6 @@ fp16-smoke:
 health-smoke:
 	./scripts/health_smoke.sh
 
-# bench-json regenerates the committed performance baseline (full
-# timing iterations). Run it on kernel or allocation-path changes and
-# commit the result; docs/PERFORMANCE.md explains how to read it.
-bench-json:
-	go run ./cmd/segbench -o BENCH_kernels.json
-
-# bench-check is the CI gate: a -fast run must match the committed
-# baseline's schema and benchmark set, and may not allocate more per
-# op. Timing deltas are advisory (CI hardware varies; allocation
-# counts, measured at GOMAXPROCS=1, do not).
-bench-check:
-	go run ./cmd/segbench -fast -o /tmp/segscale-bench.json -check BENCH_kernels.json
-
 # bench-e2e runs the end-to-end benchmark (bench/README.md): all five
 # workloads, one seed, every metric by name, output checks included.
 # Throughput claims need alternating parent/change pairs — one run on
@@ -115,4 +102,4 @@ cover:
 		if (t+0 < f+0) { printf "FAIL: coverage %.1f%% below floor %.1f%%\n", t, f; exit 1 } \
 		printf "coverage %.1f%% >= floor %.1f%%\n", t, f }'
 
-ci: build lint test race gomaxprocs fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke bench-check cover
+ci: build lint test race gomaxprocs fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke cover

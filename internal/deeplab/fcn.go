@@ -18,7 +18,8 @@ type Segmenter interface {
 	Predict(x *tensor.Tensor) []int32
 	// PredictInto is Predict writing into a caller-owned label buffer
 	// of exactly N·H·W entries — with a workspace installed, the
-	// pooled evaluation path allocates nothing per batch.
+	// pooled evaluation path allocates only its kernels' Parallel
+	// closures per batch.
 	PredictInto(x *tensor.Tensor, out []int32) []int32
 	// ReseedDropout pins any dropout layers' mask streams to the
 	// given global step, making them a pure function of (model seed,
@@ -118,7 +119,7 @@ func (f *FCN) Predict(x *tensor.Tensor) []int32 {
 
 // PredictInto is Predict writing into a caller-owned label buffer.
 //
-//seglint:hotpath pooled eval inference; 0-alloc with a warm workspace per TestEvalAllocBudget
+//seglint:hotpath pooled eval inference; 2 allocs a call with a warm workspace, pinned by TestEvalAllocBudget/fcn_PredictInto
 func (f *FCN) PredictInto(x *tensor.Tensor, out []int32) []int32 {
 	return tensor.ArgmaxClassInto(f.Forward(x, false), out)
 }

@@ -246,3 +246,33 @@ func TestEncodeDecodeShortDestination(t *testing.T) {
 		t.Error("Encode wrote past the source length")
 	}
 }
+
+// TestCastAllocBudget pins every binary16 cast at zero steady-state
+// allocations, on a gradient-like buffer of 2²⁰ elements. Each runs
+// once per fused buffer per step on the allreduce path, so one
+// allocation a call would be one per buffer per step.
+func TestCastAllocBudget(t *testing.T) {
+	src := gradientLike(benchElems)
+	halves := scaledHalves(t)
+	f := make([]float32, benchElems)
+	h := make([]uint16, benchElems)
+	for _, row := range []struct {
+		name string
+		call func() error
+	}{
+		{"Encode", func() error { return Encode(src, h) }},
+		{"EncodeScaled", func() error { return EncodeScaled(src, h, 1024) }},
+		{"Decode", func() error { return Decode(halves, f) }},
+		{"DecodeScaled", func() error { _, err := DecodeScaled(halves, f, 0.5, 1.0/1024); return err }},
+		{"AddInto", func() error { return AddInto(h, halves) }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if err := row.call(); err != nil {
+				t.Fatal(err)
+			}
+			if got := testing.AllocsPerRun(2, func() { _ = row.call() }); got != 0 {
+				t.Errorf("allocates %.1f times per call, pinned at 0", got)
+			}
+		})
+	}
+}

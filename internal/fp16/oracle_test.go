@@ -374,10 +374,10 @@ func BenchmarkEncode(b *testing.B) {
 
 // scaledHalves is a gradient-like buffer as it sits on the wire: loss-
 // scaled by 2¹⁰ and encoded, so subnormals and zeros are in the mix.
-func scaledHalves(b *testing.B) []uint16 {
+func scaledHalves(tb testing.TB) []uint16 {
 	h := make([]uint16, benchElems)
 	if err := EncodeScaled(gradientLike(benchElems), h, 1024); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return h
 }

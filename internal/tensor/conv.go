@@ -165,7 +165,7 @@ func Conv2D(x, w *Tensor, spec ConvSpec) *Tensor {
 // allocation-free on the serial path; the returned tensor is owned by
 // ws and valid until its Reset.
 //
-//seglint:hotpath conv forward; 0-alloc with a warm workspace on the serial path
+//seglint:hotpath conv forward; 0-alloc with a warm workspace on the serial path, pinned by TestConv2DWorkspaceZeroAllocs
 func Conv2DWS(x, w *Tensor, spec ConvSpec, ws *Workspace) *Tensor {
 	s := spec.Canon()
 	n, _, _, _, f, cg, kh, kw, oh, ow := convCheck(x, w, s)
@@ -296,7 +296,7 @@ func Conv2DBackward(x, w, dout *Tensor, spec ConvSpec) (dx, dw *Tensor) {
 // rejected: rebalancing the fold tree changes float associativity, so
 // it cannot be bit-identical to the serial merge it replaces.)
 //
-//seglint:hotpath conv backward; 0-alloc with a warm workspace on the serial path
+//seglint:hotpath conv backward; 0-alloc with a warm workspace on the serial path, pinned by TestConv2DWorkspaceZeroAllocs
 func Conv2DBackwardWS(x, w, dout *Tensor, spec ConvSpec, ws *Workspace) (dx, dw *Tensor) {
 	s := spec.Canon()
 	n, c, h, wd, f, cg, kh, kw, oh, ow := convCheck(x, w, s)

@@ -95,13 +95,13 @@ func TestConv2DWorkspaceMatchesHeap(t *testing.T) {
 
 // TestConv2DWorkspaceZeroAllocs pins the workspace promise: with a
 // warm arena, forward and backward conv touch the heap zero times on
-// the serial path.
+// the serial path of each lowering. At GOMAXPROCS=4 a dense 3×3 conv
+// (batch 2, 32 → 64 channels, 33×33) fans its samples out over
+// Parallel, and those rows count the fan-out.
 func TestConv2DWorkspaceZeroAllocs(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-
 	for i, tc := range loweredCases {
 		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			x, wt, dout, s := convCase(int64(21+i), tc.n, tc.c, tc.h, tc.w, tc.f, tc.k, tc.spec)
 			ws := NewWorkspace()
 
@@ -110,13 +110,27 @@ func TestConv2DWorkspaceZeroAllocs(t *testing.T) {
 			Conv2DBackwardWS(x, wt, dout, s, ws)
 			ws.Reset()
 
-			if n := testing.AllocsPerRun(10, func() {
+			got := testing.AllocsPerRun(10, func() {
 				Conv2DWS(x, wt, s, ws)
 				Conv2DBackwardWS(x, wt, dout, s, ws)
 				ws.Reset()
-			}); n != 0 {
-				t.Fatalf("conv forward+backward allocates %.1f times per step with warm workspace, want 0", n)
-			}
+			})
+			checkAllocRow(t, got, 0, 1)
+		})
+	}
+
+	x, wt, dout, s := convCase(31, 2, 32, 33, 33, 64, 3, ConvSpec{Pad: 1})
+	ws := NewWorkspace()
+	for _, row := range []struct {
+		name string
+		pin  float64
+		call func()
+	}{
+		{"dense_fwd_mp4", 7, func() { ws.Reset(); Conv2DWS(x, wt, s, ws) }},
+		{"dense_bwd_mp4", 17, func() { ws.Reset(); Conv2DBackwardWS(x, wt, dout, s, ws) }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			checkAllocRow(t, mallocsPerRun(4, 10, row.call), row.pin, 4)
 		})
 	}
 }

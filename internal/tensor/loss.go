@@ -27,7 +27,7 @@ func SoftmaxCrossEntropyWS(logits *Tensor, labels []int32, ignore int32, ws *Wor
 
 	losses := make([]float64, n)   //seglint:ignore hotalloc per-batch float64 reduction buffer, a few dozen bytes; counted in the pinned step alloc budget
 	valids := make([]int, n)       //seglint:ignore hotalloc per-batch reduction buffer, a few dozen bytes; counted in the pinned step alloc budget
-	Parallel(n, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
+	Parallel(n, func(lo, hi int) { //seglint:ignore hotalloc one closure per call at any GOMAXPROCS (no serial branch); counted in the pinned budget rows
 		probs := make([]float64, k) //seglint:ignore hotalloc per-worker class-probability scratch, K float64s per launch; counted in the pinned step alloc budget
 		for i := lo; i < hi; i++ {
 			base := i * k * spatial
@@ -84,17 +84,17 @@ func ArgmaxClass(logits *Tensor) []int32 {
 }
 
 // ArgmaxClassInto is ArgmaxClass writing into a caller-owned buffer
-// of exactly N·H·W labels — the pooled inference path's variant,
-// which keeps steady-state evaluation allocation-free. Returns out.
+// of exactly N·H·W labels — the pooled inference path's variant; its
+// one allocation is the Parallel closure. Returns out.
 //
-//seglint:hotpath eval argmax; 0-alloc per TestEvalAllocBudget
+//seglint:hotpath eval argmax; 1 alloc a call (its Parallel closure), pinned by TestEvalAllocBudget/ArgmaxClassInto
 func ArgmaxClassInto(logits *Tensor, out []int32) []int32 {
 	n, k, h, w := logits.Dim(0), logits.Dim(1), logits.Dim(2), logits.Dim(3)
 	spatial := h * w
 	if len(out) != n*spatial {
 		panic(fmt.Sprintf("tensor: argmax output %d labels for [%d,%d,%d,%d] logits", len(out), n, k, h, w))
 	}
-	Parallel(n, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
+	Parallel(n, func(lo, hi int) { //seglint:ignore hotalloc one closure per call at any GOMAXPROCS (no serial branch); counted in the pinned budget rows
 		for i := lo; i < hi; i++ {
 			base := i * k * spatial
 			for p := 0; p < spatial; p++ {

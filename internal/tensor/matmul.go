@@ -21,8 +21,8 @@ import "fmt"
 //   - Each output element is an independent dot product accumulated
 //     in index order p = 0..k-1 in a single float32 register, so
 //     results are bit-identical across GOMAXPROCS settings and tile
-//     boundaries, and bit-identical to MatMulRefInto for the
-//     non-accumulating case.
+//     boundaries, and bit-identical to the unblocked oracle in
+//     matmul_test.go for the non-accumulating case.
 //   - IEEE semantics are preserved: there is no zero-skip, so a 0 in
 //     A against a NaN/Inf in B propagates NaN into C exactly as the
 //     arithmetic demands. (An earlier kernel skipped a == 0 rows as
@@ -47,7 +47,7 @@ func MatMul(a, b *Tensor) *Tensor {
 // and the serial path calls the worker directly so no closure is
 // allocated.
 //
-//seglint:hotpath dense forward/backward kernel; 0-alloc on the serial path per the step budget
+//seglint:hotpath dense forward/backward kernel; 0-alloc on the serial path, pinned by TestMatMulIntoZeroAllocs
 func MatMulInto(c, a, b *Tensor, accumulate bool) {
 	m, k, n := checkMatMul(a, b)
 	checkMatMulOut(c, m, n, "matmul")
@@ -92,7 +92,7 @@ func matmulRows(cd, ad, bd []float32, k, n, lo, hi int, bt, accumulate bool) {
 // contiguous strip once, then runs the same packed-panel core as
 // MatMulInto.
 //
-//seglint:hotpath conv backward input-gradient kernel; 0-alloc on the serial path
+//seglint:hotpath conv backward input-gradient kernel; 0-alloc on the serial path, pinned by TestMatMulIntoZeroAllocs
 func MatMulATInto(c, a, b *Tensor, accumulate bool) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic("tensor: matmulAT needs rank-2 inputs")
@@ -129,7 +129,7 @@ func matmulATRows(cd, ad, bd []float32, k, m, n, lo, hi int, accumulate bool) {
 // weight gradients. Each panel packs four rows of B transposed, and
 // the same micro-kernel as MatMulInto runs over it.
 //
-//seglint:hotpath conv backward weight-gradient kernel; 0-alloc on the serial path
+//seglint:hotpath conv backward weight-gradient kernel; 0-alloc on the serial path, pinned by TestMatMulIntoZeroAllocs
 func MatMulBTInto(c, a, b *Tensor, accumulate bool) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic("tensor: matmulBT needs rank-2 inputs")
@@ -147,30 +147,6 @@ func MatMulBTInto(c, a, b *Tensor, accumulate bool) {
 	}
 	Parallel(m, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
 		matmulRows(cd, ad, bd, k, n, lo, hi, true, accumulate)
-	})
-}
-
-// MatMulRefInto is the unblocked reference kernel the tiled paths are
-// validated against (and the baseline cmd/segbench reports speedup
-// over): plain row-parallel loops, k-outer so B streams row-wise, no
-// tiling, no packing, full IEEE propagation.
-func MatMulRefInto(c, a, b *Tensor, accumulate bool) {
-	m, k, n := checkMatMul(a, b)
-	checkMatMulOut(c, m, n, "matmul")
-	if !accumulate {
-		c.Zero()
-	}
-	Parallel(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			crow := c.Data[i*n : (i+1)*n]
-			for p, av := range arow {
-				brow := b.Data[p*n : (p+1)*n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
-		}
 	})
 }
 

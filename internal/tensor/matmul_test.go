@@ -44,6 +44,28 @@ func requireBitIdentical(t *testing.T, got, want *Tensor, label string) {
 	}
 }
 
+// oracleMatMulInto is the unblocked reference kernel the tiled paths
+// are validated against: k-outer loops so B streams row-wise, no
+// tiling, no packing, full IEEE propagation. Each element folds its
+// products in ascending p onto +0 (or onto C when accumulating).
+func oracleMatMulInto(c, a, b *Tensor, accumulate bool) {
+	m, k, n := checkMatMul(a, b)
+	checkMatMulOut(c, m, n, "matmul")
+	if !accumulate {
+		c.Zero()
+	}
+	for i := 0; i < m; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		crow := c.Data[i*n : (i+1)*n]
+		for p, av := range arow {
+			brow := b.Data[p*n : (p+1)*n]
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
+		}
+	}
+}
+
 // edgeDims exercises every tiling regime: below one micro-tile, exact
 // tiles, one-off remainders, and panel-boundary straddles.
 var edgeDims = []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 33}
@@ -61,7 +83,7 @@ func TestMatMulBitIdenticalToRef(t *testing.T) {
 				b := randTensor(rng, k, n)
 				got, want := New(m, n), New(m, n)
 				MatMulInto(got, a, b, false)
-				MatMulRefInto(want, a, b, false)
+				oracleMatMulInto(want, a, b, false)
 				requireBitIdentical(t, got, want, "matmul")
 
 				at := transpose(a)
@@ -93,7 +115,7 @@ func TestMatMulAccumulateEdgeShapes(t *testing.T) {
 		got := base.Clone()
 		MatMulInto(got, a, b, true)
 		want := base.Clone()
-		MatMulRefInto(want, a, b, true)
+		oracleMatMulInto(want, a, b, true)
 		tensorsClose(t, got, want, 1e-4, "matmul accumulate")
 
 		gotAT := base.Clone()
@@ -176,23 +198,78 @@ func TestMatMulGOMAXPROCSIndependent(t *testing.T) {
 	requireBitIdentical(t, wide, serial, "gomaxprocs")
 }
 
-// TestMatMulIntoZeroAllocs pins the steady-state allocation budget:
-// once the internal pack-panel pool is warm, MatMulInto must not touch
-// the heap. Measured at GOMAXPROCS=1 so goroutine spawning (which
-// Parallel skips when serial) doesn't count against the kernel.
+// mallocsPerRun counts what testing.AllocsPerRun cannot: the
+// steady-state allocations of fn at GOMAXPROCS=procs, a Mallocs delta
+// averaged over runs after one warm-up. AllocsPerRun pins GOMAXPROCS
+// to 1, where every kernel takes its serial branch, so it never sees
+// the Parallel fan-out's per-launch closures and goroutines.
+func mallocsPerRun(procs, runs int, fn func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// checkAllocRow holds one row of an allocation budget to its pin. A
+// serial row (procs 1) is exact: more is a regression, fewer is a gain
+// the table must record. A GOMAXPROCS=4 row counts goroutine spawns,
+// which depend on the scheduler's free lists, so it only has a ceiling,
+// pin + 25 % + 2.
+func checkAllocRow(t *testing.T, got, pin float64, procs int) {
+	t.Helper()
+	t.Logf("allocs/call: %.1f (pin %.0f, GOMAXPROCS=%d)", got, pin, procs)
+	switch {
+	case procs > 1 && got > 1.25*pin+2:
+		t.Errorf("allocates %.1f times per call at GOMAXPROCS=%d, ceiling %.1f", got, procs, 1.25*pin+2)
+	case procs == 1 && got != pin:
+		t.Errorf("allocates %.1f times per call, pinned at %.0f: a regression if more, re-pin to %.0f if fewer", got, pin, got)
+	}
+}
+
+// TestMatMulIntoZeroAllocs pins the GEMMs' steady-state allocations.
+// Once the pack-panel pool is warm the serial kernels touch the heap
+// zero times: all three products at an edge shape, and MatMulInto at
+// the DeepLab head's GEMM (256 filters × 256·3·3 taps × 33·33 pixels).
+// At GOMAXPROCS=4 the head GEMM fans out over Parallel, whose closure
+// and per-worker goroutines are the whole count.
 func TestMatMulIntoZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	a := randTensor(rng, 24, 31)
-	b := randTensor(rng, 31, 18)
-	c := New(24, 18)
-
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	MatMulInto(c, a, b, false) // warm the pack-panel pool
-
-	if n := testing.AllocsPerRun(20, func() {
-		MatMulInto(c, a, b, false)
-	}); n != 0 {
-		t.Fatalf("MatMulInto allocates %.1f times per call in steady state, want 0", n)
+	for _, row := range []struct {
+		name    string
+		mul     func(c, a, b *Tensor, accumulate bool)
+		a, b, c [2]int
+		procs   int
+		pin     float64
+	}{
+		{"edge_24x31x18", MatMulInto, [2]int{24, 31}, [2]int{31, 18}, [2]int{24, 18}, 1, 0},
+		{"AT_edge_24x31x18", MatMulATInto, [2]int{31, 24}, [2]int{31, 18}, [2]int{24, 18}, 1, 0},
+		{"BT_edge_24x31x18", MatMulBTInto, [2]int{24, 31}, [2]int{18, 31}, [2]int{24, 18}, 1, 0},
+		{"head_256x2304x1089", MatMulInto, [2]int{256, 2304}, [2]int{2304, 1089}, [2]int{256, 1089}, 1, 0},
+		{"head_256x2304x1089_mp4", MatMulInto, [2]int{256, 2304}, [2]int{2304, 1089}, [2]int{256, 1089}, 4, 11},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if raceEnabled && row.c[0] > 32 {
+				t.Skip("head-shape GEMM: ~10 s a call under the race detector, which counts the same")
+			}
+			a := randTensor(rng, row.a[:]...)
+			b := randTensor(rng, row.b[:]...)
+			c := New(row.c[:]...)
+			call := func() { row.mul(c, a, b, false) }
+			var got float64
+			if row.procs == 1 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				call() // warm the pack-panel pool
+				got = testing.AllocsPerRun(2, call)
+			} else {
+				got = mallocsPerRun(row.procs, 10, call)
+			}
+			checkAllocRow(t, got, row.pin, row.procs)
+		})
 	}
 }

@@ -14,7 +14,7 @@ func GlobalAvgPoolWS(x *Tensor, ws *Workspace) *Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	out := ws.GetRaw(n, c, 1, 1)
 	inv := 1 / float32(h*w)
-	Parallel(n*c, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
+	Parallel(n*c, func(lo, hi int) { //seglint:ignore hotalloc one closure per call at any GOMAXPROCS (no serial branch); counted in the pinned budget rows
 		for i := lo; i < hi; i++ {
 			var s float32
 			for _, v := range x.Data[i*h*w : (i+1)*h*w] {
@@ -38,7 +38,7 @@ func GlobalAvgPoolBackwardWS(dout *Tensor, h, w int, ws *Workspace) *Tensor {
 	n, c := dout.Dim(0), dout.Dim(1)
 	dx := ws.GetRaw(n, c, h, w)
 	inv := 1 / float32(h*w)
-	Parallel(n*c, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
+	Parallel(n*c, func(lo, hi int) { //seglint:ignore hotalloc one closure per call at any GOMAXPROCS (no serial branch); counted in the pinned budget rows
 		for i := lo; i < hi; i++ {
 			g := dout.Data[i] * inv
 			row := dx.Data[i*h*w : (i+1)*h*w]
@@ -185,7 +185,7 @@ func BilinearResizeWS(x *Tensor, oh, ow int, ws *Workspace) *Tensor {
 	ylo, yhi, wy := yax.lo, yax.hi, yax.w
 	xlo, xhi, wx := xax.lo, xax.hi, xax.w
 	out := ws.GetRaw(n, c, oh, ow)
-	Parallel(n*c, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
+	Parallel(n*c, func(lo, hi int) { //seglint:ignore hotalloc one closure per call at any GOMAXPROCS (no serial branch); counted in the pinned budget rows
 		for i := lo; i < hi; i++ {
 			in := x.Data[i*h*w : (i+1)*h*w]
 			dst := out.Data[i*oh*ow : (i+1)*oh*ow]
@@ -221,7 +221,7 @@ func BilinearResizeBackwardWS(dout *Tensor, h, w int, ws *Workspace) *Tensor {
 	ylo, yhi, wy := yax.lo, yax.hi, yax.w
 	xlo, xhi, wx := xax.lo, xax.hi, xax.w
 	dx := ws.Get(n, c, h, w)         // zeroed: the scatter accumulates
-	Parallel(n*c, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
+	Parallel(n*c, func(lo, hi int) { //seglint:ignore hotalloc one closure per call at any GOMAXPROCS (no serial branch); counted in the pinned budget rows
 		for i := lo; i < hi; i++ {
 			src := dout.Data[i*oh*ow : (i+1)*oh*ow]
 			dst := dx.Data[i*h*w : (i+1)*h*w]

@@ -76,28 +76,43 @@ func TestObsPlaneDoesNotChangeResults(t *testing.T) {
 	}
 }
 
-// TestEvalAllocBudget pins the pooled evaluation path: rendering into
-// the workspace arena, predicting into reused label buffers. The
-// budget is per evaluate() call over a 16-image shard (4 batches) and
-// covers the intentional residue — the confusion matrix, the two
-// reused label slices, and Parallel-closure headers — none of it
-// proportional to batch or image size.
+// TestEvalAllocBudget pins the pooled evaluation path at GOMAXPROCS=1:
+// one evaluate() call over a 16-image shard (4 batches), and what each
+// batch costs — either model's PredictInto with its workspace Reset, as
+// evaluate runs it, and the ArgmaxClassInto under it. PredictInto's
+// residue is one Parallel closure per call to a kernel with no serial
+// branch (the global pooling, every bilinear resize, the argmax);
+// evaluate() adds the confusion matrix and its two reused label slices.
+// Every row reads the same count on every run and is exact.
 func TestEvalAllocBudget(t *testing.T) {
 	cfg := deeplab.DefaultConfig()
-	net := deeplab.New(cfg)
-	ws := tensor.NewWorkspace()
-	net.SetWorkspace(ws)
 	ds := segdata.New(16, cfg.InputSize, cfg.InputSize, 7)
+	x, _ := ds.Batch([]int{0, 1, 2, 3})
+	pred := make([]int32, 4*cfg.InputSize*cfg.InputSize)
+	logits := tensor.New(4, segdata.NumClasses, cfg.InputSize, cfg.InputSize)
+	pooled := func(net deeplab.Segmenter) (deeplab.Segmenter, *tensor.Workspace) {
+		ws := tensor.NewWorkspace()
+		net.SetWorkspace(ws)
+		return net, ws
+	}
+	dl, dlWS := pooled(deeplab.New(cfg))
+	fcn, fcnWS := pooled(deeplab.NewFCN(cfg))
 
-	run := func() { evaluate(net, ds, 1, 0, ws) }
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	run()
-	run()
-	got := testing.AllocsPerRun(3, run)
-	t.Logf("allocs per pooled evaluate() over 16 images: %.0f", got)
-	const budget = 120
-	if got > budget {
-		t.Fatalf("pooled evaluation allocates %.0f times, budget %d", got, budget)
+	for _, row := range []struct {
+		name string
+		call func()
+		pin  float64
+	}{
+		{"evaluate_16img", func() { evaluate(dl, ds, 1, 0, dlWS) }, 93},
+		{"deeplab_PredictInto", func() { dlWS.Reset(); dl.PredictInto(x, pred) }, 5},
+		{"fcn_PredictInto", func() { fcnWS.Reset(); fcn.PredictInto(x, pred) }, 2},
+		{"ArgmaxClassInto", func() { tensor.ArgmaxClassInto(logits, pred) }, 1},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			row.call()
+			row.call()
+			checkAllocRow(t, testing.AllocsPerRun(3, row.call), row.pin, 0)
+		})
 	}
 }
