@@ -21,12 +21,14 @@ race:
 	go test -race $(RACE_PKGS)
 	go test -race -run 'TestElastic|TestMixedPrecision|TestHealthLedgerGolden|TestHealthDivergence' ./internal/train/
 
-# gomaxprocs checks that training, the simulator, the collectives and
-# the conv lowerings (which fan samples out over workers sharing one
-# workspace) give the same bits at GOMAXPROCS 1 and 4: every golden and
-# bit-identity test in these packages must hold at both settings.
+# gomaxprocs checks that training, the simulator, the transport, the
+# collectives and the conv lowerings (which fan samples out over workers
+# sharing one workspace) give the same bits at GOMAXPROCS 1 and 4: every
+# golden and bit-identity test in these packages must hold at both
+# settings. The transport's semaphore wake-ups depend on interleaving,
+# which the two settings exercise differently.
 gomaxprocs:
-	go test -count=1 -cpu 1,4 ./internal/train ./internal/perfsim ./internal/collective ./internal/horovod ./internal/tensor ./internal/deeplab
+	go test -count=1 -cpu 1,4 ./internal/train ./internal/perfsim ./internal/transport ./internal/collective ./internal/horovod ./internal/tensor ./internal/deeplab
 
 vet:
 	go vet ./...

@@ -11,9 +11,11 @@
 // summation — Horovod divides by world size afterwards to average.
 //
 // Each schedule exists once, generic over the wire element (Elem:
-// float32, or a binary16 word in a uint16). What differs between the
-// two wires — transport entry points, reduce hop, tag bases, span
-// names, error prefixes — is one table per wire, in wire.go.
+// float32, or a binary16 word in a uint16). The transport's generic
+// Send/RecvReduce carry either wire; what else differs — reduce hop,
+// tag bases, span names, error prefixes — is one table per wire, in
+// wire.go. Every receive consumes its payload through RecvReduce, so
+// on a long-lived world the flat schedules allocate nothing.
 //
 // Misuse — a rank outside its group, mismatched buffer lengths, a
 // machine/world mismatch — is reported as a returned error with
@@ -87,15 +89,11 @@ func ringReduceScatter[T Elem](c *transport.Comm, w *wire[T], ring []int, me, ta
 	next, prev := ring[(me+1)%p], ring[(me-1+p)%p]
 	for s := 0; s < p-1; s++ {
 		slo, shi := segment(n, p, ((me-s)%p+p)%p)
-		if err := w.send(c, next, tag+s, buf[slo:shi]); err != nil {
+		if err := transport.Send(c, next, tag+s, buf[slo:shi]); err != nil {
 			return fmt.Errorf("reduce-scatter step %d: %w", s, err)
 		}
 		rlo, rhi := segment(n, p, ((me-s-1)%p+p)%p)
-		got, err := w.recv(c, prev, tag+s)
-		if err != nil {
-			return fmt.Errorf("reduce-scatter step %d: %w", s, err)
-		}
-		if err := w.add(buf[rlo:rhi], got); err != nil {
+		if err := transport.RecvReduce(c, prev, tag+s, buf[rlo:rhi], w.add); err != nil {
 			return fmt.Errorf("reduce-scatter step %d: %w", s, err)
 		}
 	}
@@ -104,20 +102,18 @@ func ringReduceScatter[T Elem](c *transport.Comm, w *wire[T], ring []int, me, ta
 
 // ringAllgather circulates the segments ringReduceScatter completed,
 // under tags [tag, tag+p−1). Callers prefix the error.
-func ringAllgather[T Elem](c *transport.Comm, w *wire[T], ring []int, me, tag int, buf []T) error {
+func ringAllgather[T Elem](c *transport.Comm, ring []int, me, tag int, buf []T) error {
 	p, n := len(ring), len(buf)
 	next, prev := ring[(me+1)%p], ring[(me-1+p)%p]
 	for s := 0; s < p-1; s++ {
 		slo, shi := segment(n, p, ((me-s+1)%p+p)%p)
-		if err := w.send(c, next, tag+s, buf[slo:shi]); err != nil {
+		if err := transport.Send(c, next, tag+s, buf[slo:shi]); err != nil {
 			return fmt.Errorf("allgather step %d: %w", s, err)
 		}
 		rlo, rhi := segment(n, p, ((me-s)%p+p)%p)
-		got, err := w.recv(c, prev, tag+s)
-		if err != nil {
+		if err := transport.RecvReduce(c, prev, tag+s, buf[rlo:rhi], nil); err != nil {
 			return fmt.Errorf("allgather step %d: %w", s, err)
 		}
-		copy(buf[rlo:rhi], got)
 	}
 	return nil
 }
@@ -137,7 +133,7 @@ func AllreduceRing[T Elem](c *transport.Comm, group []int, buf []T) error {
 		err = ringReduceScatter(c, w, group, me, w.tagRing, buf)
 	}
 	if err == nil {
-		err = ringAllgather(c, w, group, me, w.tagRing+p, buf)
+		err = ringAllgather(c, group, me, w.tagRing+p, buf)
 	}
 	if err != nil {
 		return fmt.Errorf("%s: %w", w.errRing, err)
@@ -171,16 +167,12 @@ func fold[T Elem](c *transport.Comm, w *wire[T], group []int, me, tag int, buf [
 	switch {
 	case me < 2*f.rem && me%2 == 0:
 		f.rank = -1
-		if err := w.send(c, group[me+1], tag, buf); err != nil {
+		if err := transport.Send(c, group[me+1], tag, buf); err != nil {
 			return f, fmt.Errorf("fold: %w", err)
 		}
 	case me < 2*f.rem:
 		f.rank = me / 2
-		got, err := w.recv(c, group[me-1], tag)
-		if err != nil {
-			return f, fmt.Errorf("fold: %w", err)
-		}
-		if err := w.add(buf, got); err != nil {
+		if err := transport.RecvReduce(c, group[me-1], tag, buf, w.add); err != nil {
 			return f, fmt.Errorf("fold: %w", err)
 		}
 	default:
@@ -191,15 +183,15 @@ func fold[T Elem](c *transport.Comm, w *wire[T], group []int, me, tag int, buf [
 
 // unfold returns the result from each odd rank of a folded pair to the
 // even one that sat out. Callers prefix the error.
-func unfold[T Elem](c *transport.Comm, w *wire[T], group []int, me, tag int, f folded, buf []T) error {
+func unfold[T Elem](c *transport.Comm, group []int, me, tag int, f folded, buf []T) error {
 	if me >= 2*f.rem {
 		return nil
 	}
 	var err error
 	if me%2 == 0 {
-		err = w.recvInto(c, group[me+1], tag, buf)
+		err = transport.RecvReduce(c, group[me+1], tag, buf, nil)
 	} else {
-		err = w.send(c, group[me-1], tag, buf)
+		err = transport.Send(c, group[me-1], tag, buf)
 	}
 	if err != nil {
 		return fmt.Errorf("unfold: %w", err)
@@ -227,16 +219,12 @@ func AllreduceRecursiveDoubling[T Elem](c *transport.Comm, group []int, buf []T)
 	if f.rank >= 0 {
 		for dist := 1; dist < f.pow; dist *= 2 {
 			partner := group[f.peer(dist)]
-			got, err := w.sendRecv(c, partner, w.tagRD+1+dist, buf, partner, w.tagRD+1+dist)
-			if err != nil {
-				return fmt.Errorf("%s: distance %d: %w", w.errRD, dist, err)
-			}
-			if err := w.add(buf, got); err != nil {
+			if err := exchange(c, partner, w.tagRD+1+dist, buf, buf, w.add); err != nil {
 				return fmt.Errorf("%s: distance %d: %w", w.errRD, dist, err)
 			}
 		}
 	}
-	if err := unfold(c, w, group, me, w.tagRD+2*f.pow, f, buf); err != nil {
+	if err := unfold(c, group, me, w.tagRD+2*f.pow, f, buf); err != nil {
 		return fmt.Errorf("%s: %w", w.errRD, err)
 	}
 	return nil
@@ -255,16 +243,12 @@ func ReduceTree[T Elem](c *transport.Comm, group []int, buf []T) error {
 		if me%(2*dist) == 0 {
 			src := me + dist
 			if src < p {
-				got, err := w.recv(c, group[src], w.tagReduce+dist)
-				if err != nil {
-					return fmt.Errorf("%s: from rank %d: %w", w.errReduce, group[src], err)
-				}
-				if err := w.add(buf, got); err != nil {
+				if err := transport.RecvReduce(c, group[src], w.tagReduce+dist, buf, w.add); err != nil {
 					return fmt.Errorf("%s: from rank %d: %w", w.errReduce, group[src], err)
 				}
 			}
 		} else if me%dist == 0 {
-			if err := w.send(c, group[me-dist], w.tagReduce+dist, buf); err != nil {
+			if err := transport.Send(c, group[me-dist], w.tagReduce+dist, buf); err != nil {
 				return fmt.Errorf("%s: to rank %d: %w", w.errReduce, group[me-dist], err)
 			}
 			return nil
@@ -292,12 +276,12 @@ func BcastTree[T Elem](c *transport.Comm, group []int, buf []T) error {
 		if me%(2*dist) == 0 {
 			dst := me + dist
 			if dst < p {
-				if err := w.send(c, group[dst], w.tagBcast+dist, buf); err != nil {
+				if err := transport.Send(c, group[dst], w.tagBcast+dist, buf); err != nil {
 					return fmt.Errorf("%s: to rank %d: %w", w.errBcast, group[dst], err)
 				}
 			}
 		} else if me%dist == 0 {
-			if err := w.recvInto(c, group[me-dist], w.tagBcast+dist, buf); err != nil {
+			if err := transport.RecvReduce(c, group[me-dist], w.tagBcast+dist, buf, nil); err != nil {
 				return fmt.Errorf("%s: from rank %d: %w", w.errBcast, group[me-dist], err)
 			}
 		}

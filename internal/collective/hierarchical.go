@@ -148,7 +148,7 @@ func hierTorus[T Elem](c *transport.Comm, w *wire[T], groups [][]int, inter topo
 		}
 	}
 
-	if err := ringAllgather(c, w, local, me, w.tagHierAG, buf); err != nil {
+	if err := ringAllgather(c, local, me, w.tagHierAG, buf); err != nil {
 		return fmt.Errorf("%s: %w", w.errTorus, err)
 	}
 	return nil

@@ -30,25 +30,21 @@ func AllreduceNaive[T Elem](c *transport.Comm, group []int, buf []T) error {
 	root := group[0]
 	if me == 0 {
 		for _, r := range group[1:] {
-			got, err := w.recv(c, r, tag)
-			if err != nil {
-				return fmt.Errorf("allreduce naive: rank %d contribution: %w", r, err)
-			}
-			if err := w.add(buf, got); err != nil {
+			if err := transport.RecvReduce(c, r, tag, buf, w.add); err != nil {
 				return fmt.Errorf("allreduce naive: rank %d contribution: %w", r, err)
 			}
 		}
 		for _, r := range group[1:] {
-			if err := w.send(c, r, tag+1, buf); err != nil {
+			if err := transport.Send(c, r, tag+1, buf); err != nil {
 				return fmt.Errorf("allreduce naive: result to rank %d: %w", r, err)
 			}
 		}
 		return nil
 	}
-	if err := w.send(c, root, tag, buf); err != nil {
+	if err := transport.Send(c, root, tag, buf); err != nil {
 		return fmt.Errorf("allreduce naive: contribution to root: %w", err)
 	}
-	if err := w.recvInto(c, root, tag+1, buf); err != nil {
+	if err := transport.RecvReduce(c, root, tag+1, buf, nil); err != nil {
 		return fmt.Errorf("allreduce naive: result from root: %w", err)
 	}
 	return nil

@@ -33,51 +33,48 @@ func AllreduceRabenseifner[T Elem](c *transport.Comm, group []int, buf []T) erro
 	if f.rank >= 0 {
 		// Reduce-scatter by recursive halving: each step trades half
 		// of the currently-owned window with the partner and reduces
-		// the half it keeps. windows records the bounds visited on the
-		// way down so the way up mirrors them exactly.
+		// the half it keeps. windows[:depth] records the bounds visited
+		// on the way down so the way up mirrors them exactly; a fixed
+		// array, one entry per bit of f.pow, keeps it off the heap.
 		type window struct{ lo, hi int }
-		windows := make([]window, 1, bits.Len(uint(f.pow)))
+		var windows [bits.UintSize]window
 		windows[0] = window{0, len(buf)}
+		depth := 1
 		for dist := 1; dist < f.pow; dist *= 2 {
 			partner := group[f.peer(dist)]
-			step := len(windows) - 1
+			step := depth - 1
 			cur := windows[step]
 			mid := cur.lo + (cur.hi-cur.lo)/2
 			send, keep := window{mid, cur.hi}, window{cur.lo, mid} // keep the lower half, send the upper
 			if f.rank&dist != 0 {
 				send, keep = keep, send
 			}
-			got, err := w.sendRecv(c, partner, w.tagRab+1+step, buf[send.lo:send.hi], partner, w.tagRab+1+step)
-			if err != nil {
+			if err := exchange(c, partner, w.tagRab+1+step, buf[send.lo:send.hi], buf[keep.lo:keep.hi], w.add); err != nil {
 				return fmt.Errorf("%s: halving step %d: %w", w.errRab, step, err)
 			}
-			if err := w.add(buf[keep.lo:keep.hi], got); err != nil {
-				return fmt.Errorf("%s: halving step %d: %w", w.errRab, step, err)
-			}
-			windows = append(windows, keep)
+			windows[depth] = keep
+			depth++
 		}
 
 		// Allgather by recursive doubling: windows merge back in the
 		// reverse order of the halving.
 		for dist := f.pow / 2; dist >= 1; dist /= 2 {
 			partner := group[f.peer(dist)]
-			step := len(windows) - 2
+			step := depth - 2
 			cur := windows[step+1]  // what I own (fully reduced)
 			parent := windows[step] // the window the exchange completes
 			theirs := window{cur.hi, parent.hi}
 			if cur.lo != parent.lo {
 				theirs = window{parent.lo, cur.lo}
 			}
-			got, err := w.sendRecv(c, partner, w.tagRab+64+step, buf[cur.lo:cur.hi], partner, w.tagRab+64+step)
-			if err != nil {
+			if err := exchange(c, partner, w.tagRab+64+step, buf[cur.lo:cur.hi], buf[theirs.lo:theirs.hi], nil); err != nil {
 				return fmt.Errorf("%s: doubling step %d: %w", w.errRab, step, err)
 			}
-			copy(buf[theirs.lo:theirs.hi], got)
-			windows = windows[:step+1]
+			depth = step + 1
 		}
 	}
 
-	if err := unfold(c, w, group, me, w.tagRab+2048, f, buf); err != nil {
+	if err := unfold(c, group, me, w.tagRab+2048, f, buf); err != nil {
 		return fmt.Errorf("%s: %w", w.errRab, err)
 	}
 	return nil

@@ -6,19 +6,16 @@ import (
 )
 
 // Elem is a wire element: a float32, or a binary16 word carried in a
-// uint16 — the compressed format behind hvd.Compression.fp16, two
-// bytes per element on the wire and in every byte counter. The
-// encode/decode at the fused-buffer boundary happens once, in the
-// Horovod runtime's pack/unpack; the collectives never widen the wire.
-type Elem interface{ float32 | uint16 }
+// uint16. The encode/decode at the fused-buffer boundary happens once,
+// in the Horovod runtime's pack/unpack; the collectives never widen the
+// wire.
+type Elem = transport.Elem
 
-// wire is everything that differs between the two wire formats, so
-// that each schedule exists once: the transport entry points, the
-// reduce hop, the element width, and the constants in wireText.
+// wire is everything the schedules need that differs between the two
+// wire formats, so that each schedule exists once: the reduce hop, the
+// element width, and the constants in wireText. The transport picks its
+// side of the wire from the element type by itself.
 type wire[T Elem] struct {
-	send     func(c *transport.Comm, dst, tag int, data []T) error
-	recv     func(c *transport.Comm, src, tag int) ([]T, error)
-	recvInto func(c *transport.Comm, src, tag int, dst []T) error
 	// add reduces src into dst. The binary16 hop decodes both halves,
 	// adds in float32 and re-encodes: only the stored value is 16-bit,
 	// never the arithmetic.
@@ -50,9 +47,6 @@ type wireText struct {
 }
 
 var wire32 = wire[float32]{
-	send:      (*transport.Comm).Send,
-	recv:      (*transport.Comm).Recv,
-	recvInto:  (*transport.Comm).RecvInto,
 	add:       addInto,
 	elemBytes: 4,
 	wireText: wireText{
@@ -69,9 +63,6 @@ var wire32 = wire[float32]{
 }
 
 var wire16 = wire[uint16]{
-	send:      (*transport.Comm).Send16,
-	recv:      (*transport.Comm).Recv16,
-	recvInto:  (*transport.Comm).RecvInto16,
 	add:       fp16.AddInto,
 	elemBytes: 2,
 	wireText: wireText{
@@ -98,14 +89,15 @@ func wireOf[T Elem]() *wire[T] {
 	}
 }
 
-// sendRecv posts a send to dst and then receives from src — one
-// exchange step of the doubling and halving schedules. The eager
-// mailbox keeps it deadlock-free.
-func (w *wire[T]) sendRecv(c *transport.Comm, dst, sendTag int, data []T, src, recvTag int) ([]T, error) {
-	if err := w.send(c, dst, sendTag, data); err != nil {
-		return nil, err
+// exchange sends data to peer, then receives peer's message under the
+// same tag into dst: reduced with add, or copied when add is nil — one
+// step of the doubling and halving schedules. The eager mailbox keeps
+// it deadlock-free.
+func exchange[T Elem](c *transport.Comm, peer, tag int, data, dst []T, add func(dst, src []T) error) error {
+	if err := transport.Send(c, peer, tag, data); err != nil {
+		return err
 	}
-	return w.recv(c, src, recvTag)
+	return transport.RecvReduce(c, peer, tag, dst, add)
 }
 
 // The binary16 instantiations bench/probes.go calls by name.

@@ -283,8 +283,8 @@ func TestArmOnTransport(t *testing.T) {
 			if err := c.Send(next, it, []float32{float32(c.Rank()*100 + it)}); err != nil {
 				return err
 			}
-			got, err := c.Recv(prev, it)
-			if err != nil {
+			got := make([]float32, 1)
+			if err := c.RecvInto(prev, it, got); err != nil {
 				return err
 			}
 			if want := float32(prev*100 + it); got[0] != want {

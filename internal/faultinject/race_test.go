@@ -58,8 +58,8 @@ func TestArmedWorldChaosUnderRace(t *testing.T) {
 				if peer == c.Rank() {
 					continue
 				}
-				got, err := c.Recv(peer, it)
-				if err != nil {
+				got := make([]float32, 1)
+				if err := c.RecvInto(peer, it, got); err != nil {
 					return err
 				}
 				if got[0] != float32(peer) {

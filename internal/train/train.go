@@ -313,6 +313,13 @@ func augRNG(seed int64, rank, epoch int) *rand.Rand {
 	return rand.New(rand.NewSource(seed*31 + int64(rank) + int64(epoch)*1_000_003))
 }
 
+// stepsPerEpoch is how many steps every rank of a p-rank world runs in
+// an epoch: rank 0's shard, the largest, in batches (a rank a sample
+// short wraps).
+func (cfg Config) stepsPerEpoch(p int) int {
+	return (len(segdata.ShardIDs(cfg.TrainSize, p, 0)) + cfg.BatchPerRank - 1) / cfg.BatchPerRank
+}
+
 // Run trains and returns per-epoch metrics, transparently recovering
 // from up to MaxRestarts recoverable world failures: one incarnation
 // loop for checkpoint restart and elastic membership alike, the modes
@@ -368,8 +375,7 @@ func newRunState(cfg Config) (*runState, error) {
 	evalSet := segdata.New(cfg.EvalSize, cfg.Model.InputSize, cfg.Model.InputSize, cfg.Seed+1_000_000)
 	evalSet.Style = cfg.DataStyle
 
-	stepsPerEpoch := (len(segdata.ShardIDs(cfg.TrainSize, cfg.World, 0)) + cfg.BatchPerRank - 1) / cfg.BatchPerRank
-	totalSteps := stepsPerEpoch * cfg.Epochs
+	totalSteps := cfg.stepsPerEpoch(cfg.World) * cfg.Epochs
 	warmup := int(cfg.WarmupFrac * float64(totalSteps))
 	lrWorld := cfg.World
 	if !cfg.ScaleLRByWorld {
@@ -437,7 +443,7 @@ func (rs *runState) incarnation(members []int, startEpoch, inc int) ([]int, erro
 	// Deterministic shard rebalance: comm rank i owns the strided shard
 	// ShardIDs(TrainSize, p, i), so the epoch's coverage and step count
 	// are pure functions of the member count.
-	stepsPerEpoch := (len(segdata.ShardIDs(cfg.TrainSize, p, 0)) + cfg.BatchPerRank - 1) / cfg.BatchPerRank
+	stepsPerEpoch := cfg.stepsPerEpoch(p)
 	root, fresh, err := rs.prepareReplicas(members, startEpoch*stepsPerEpoch)
 	if err != nil {
 		return nil, err
@@ -588,19 +594,20 @@ func (rs *runState) record(st *rankStep, epoch int, loss float64, conf *metrics.
 // recovery modes build it through newRankStep.
 type rankStep struct {
 	*replica
-	cfg      Config
-	c        *transport.Comm
-	probe    *telemetry.Probe
-	obsLane  string
-	inc      int
-	slot     int // machine slot; the comm rank in a fixed world
-	rt       *horovod.Runtime
-	sched    nn.PolySchedule
-	trainSet *segdata.Dataset
-	shard    []int
-	accum    int
-	health   *modelhealth.Collector // nil unless Config.Health is set
-	ids      []int                  // batch id scratch, reused across steps
+	cfg        Config
+	c          *transport.Comm
+	probe      *telemetry.Probe
+	obsLane    string
+	inc        int
+	slot       int // machine slot; the comm rank in a fixed world
+	rt         *horovod.Runtime
+	sched      nn.PolySchedule
+	trainSet   *segdata.Dataset
+	shard      []int
+	accum      int
+	epochSteps int                    // this incarnation's steps per epoch; the last always updates
+	health     *modelhealth.Collector // nil unless Config.Health is set
+	ids        []int                  // batch id scratch, reused across steps
 
 	// Batch staging, reused across steps like the eval path's buffers:
 	// SampleInto fully overwrites the image and clears the labels, so
@@ -638,12 +645,13 @@ func (rs *runState) newRankStep(c *transport.Comm, rep *replica, slot, inc int, 
 		cfg:     cfg, c: c, probe: probe, obsLane: obsLane,
 		inc: inc, slot: slot,
 		sched: rs.sched, trainSet: rs.trainSet,
-		shard:  shard,
-		accum:  cfg.Horovod.AccumPasses(),
-		health: health,
-		ids:    make([]int, 0, cfg.BatchPerRank),
-		x:      tensor.New(cfg.BatchPerRank, 3, rs.trainSet.H, rs.trainSet.W),
-		labels: make([]int32, cfg.BatchPerRank*rs.trainSet.H*rs.trainSet.W),
+		shard:      shard,
+		accum:      cfg.Horovod.AccumPasses(),
+		epochSteps: cfg.stepsPerEpoch(c.Size()),
+		health:     health,
+		ids:        make([]int, 0, cfg.BatchPerRank),
+		x:          tensor.New(cfg.BatchPerRank, 3, rs.trainSet.H, rs.trainSet.W),
+		labels:     make([]int32, cfg.BatchPerRank*rs.trainSet.H*rs.trainSet.W),
 	}
 }
 
@@ -690,12 +698,14 @@ func (t *rankStep) step(s int, perm []int, rng *rand.Rand) (float64, error) {
 	if err := t.rt.CommErr(); err != nil {
 		return 0, err // a SyncBN reduction failed mid-forward
 	}
-	// Gradient accumulation (backward_passes_per_step):
-	// communicate and update only every accum-th pass.
-	if (s+1)%t.accum == 0 {
-		if t.accum > 1 {
+	// Gradient accumulation (backward_passes_per_step): communicate
+	// and update every accum-th pass, and on the epoch's last pass, so
+	// that an epoch boundary — where a restart resumes — is always an
+	// update boundary. The update averages the passes since the last.
+	if passes := s%t.accum + 1; passes == t.accum || s+1 == t.epochSteps {
+		if passes > 1 {
 			for _, p := range t.params {
-				p.G.Scale(1 / float32(t.accum))
+				p.G.Scale(1 / float32(passes))
 			}
 		}
 		if t.scaler != nil {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -32,7 +33,9 @@ import (
 // names in order plus every counter; a crash tears the world at a
 // scheduling-dependent point, so crash cells hash results only.
 // Every cell is then re-run with the health plane attached next to
-// the collector and must reproduce its line.
+// the collector and must reproduce its line. Four more cells cross
+// gradient accumulation with recovery: {fp32, fp16} sgd × {restart,
+// shrink}, two passes a step on epochs of three steps.
 //
 // Regenerate (only when a change is meant to move trajectories) with
 // `go test ./internal/train/ -run TestTrajectoryFingerprint -update`.
@@ -109,6 +112,7 @@ func TestTrajectoryFingerprint(t *testing.T) {
 			}
 		}
 	}
+	lines = append(lines, accumLines(t)...)
 	got := strings.Join(lines, "\n") + "\n"
 
 	goldenPath := filepath.Join("testdata", "trajectory_fingerprint.golden")
@@ -124,6 +128,68 @@ func TestTrajectoryFingerprint(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("training trajectories drifted from golden:\ngot:\n%s\nwant:\n%s", got, want)
 	}
+}
+
+// accumCfg turns a fingerprint cell into an accumulation cell: two
+// backward passes a step over 20 images, so 3 steps an epoch at world 2
+// and 5 after a shrink to world 1 — neither divisible by two — and a
+// crash one step into epoch 1, with a pass accumulated but not applied.
+func accumCfg(cfg Config) Config {
+	cfg.TrainSize = 20
+	cfg.Horovod.BackwardPassesPerStep = 2
+	if cfg.Chaos != nil {
+		cfg.Chaos.Crashes[0].Step = 4
+	}
+	return cfg
+}
+
+// accumLines fingerprints the accumulation cells. An epoch boundary is
+// an update boundary, so the restart cell, resumed from its epoch-0
+// checkpoint, must end with exactly its unfailed twin's parameters.
+func accumLines(t *testing.T) (lines []string) {
+	byName := map[string]fingerprintScenario{}
+	for _, sc := range fingerprintScenarios {
+		byName[sc.name] = sc
+	}
+	for _, fp16 := range []bool{false, true} {
+		wire := "fp32"
+		if fp16 {
+			wire = "fp16"
+		}
+		dir := t.TempDir()
+		twin := accumCfg(fingerprintCfg(fp16, "sgd", byName["none"], dir))
+		if _, err := Run(twin); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"restart", "shrink"} {
+			sc := byName[name]
+			cfg := accumCfg(fingerprintCfg(fp16, "sgd", sc, dir))
+			line := fmt.Sprintf("%s sgd accum2 %-7s %s", wire, name, fingerprintCell(t, cfg, sc.faulted, false))
+			if again := fmt.Sprintf("%s sgd accum2 %-7s %s", wire, name, fingerprintCell(t, cfg, sc.faulted, true)); again != line {
+				t.Errorf("health plane moved the trajectory:\nbare:   %s\nhealth: %s", line, again)
+			}
+			lines = append(lines, line)
+			if name == "restart" && !slices.EqualFunc(finalParams(t, cfg), finalParams(t, twin), slices.Equal[[]float32]) {
+				t.Errorf("%s accumulation: restarted run's final parameters differ from the unfailed run's", wire)
+			}
+		}
+	}
+	return lines
+}
+
+// finalParams decodes the parameters of a run's final checkpoint.
+func finalParams(t *testing.T, cfg Config) [][]float32 {
+	t.Helper()
+	net := deeplab.New(cfg.Model)
+	st := checkpoint.State{Params: net.Params(), BNs: net.BatchNorms()}
+	if err := checkpoint.LoadStateFile(cfg.CheckpointPath, &st); err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]float32, len(st.Params))
+	for i, p := range st.Params {
+		out[i] = p.W.Data
+	}
+	return out
 }
 
 // fingerprintCell runs one cell with a telemetry collector (and the

@@ -14,7 +14,7 @@ var (
 	// operation on any rank fails fast with this error instead of
 	// deadlocking against the dead rank.
 	ErrRankFailed = errors.New("transport: rank failed")
-	// ErrTimeout reports that a blocking Send/Recv exceeded the
+	// ErrTimeout reports that a blocking Send/RecvReduce exceeded the
 	// world's operation timeout (SetOpTimeout). Zero timeout — the
 	// default — never produces it.
 	ErrTimeout = errors.New("transport: operation timed out")
@@ -97,7 +97,7 @@ func (w *World) SetRetryPolicy(p RetryPolicy) {
 	}
 }
 
-// SetOpTimeout bounds every blocking Send/Recv/Barrier wait; zero
+// SetOpTimeout bounds every blocking Send/RecvReduce/Barrier wait; zero
 // (the default) blocks forever. Chaos runs set it so a crashed or
 // wedged peer surfaces as ErrTimeout instead of a deadlock; healthy
 // runs never hit it, which keeps results timeout-independent.

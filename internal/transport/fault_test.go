@@ -70,7 +70,7 @@ func TestDropExhaustsRetries(t *testing.T) {
 	if !errors.Is(err, ErrDeliveryFailed) {
 		t.Fatalf("send error = %v, want ErrDeliveryFailed", err)
 	}
-	if _, err := w.Comm(1).Recv(0, 0); !errors.Is(err, ErrRankFailed) {
+	if err := w.Comm(1).RecvInto(0, 0, make([]float32, 1)); !errors.Is(err, ErrRankFailed) {
 		t.Fatalf("recv after sender death = %v, want ErrRankFailed", err)
 	}
 	if got := w.FailedRanks(); len(got) != 1 || got[0] != 0 {
@@ -145,14 +145,13 @@ func TestDelayedMessageFlushedOnStarvation(t *testing.T) {
 }
 
 // TestKillDrainsBlockedRanks kills a rank while others are blocked in
-// Recv and Barrier; all must wake with ErrRankFailed instead of
+// a receive and Barrier; all must wake with ErrRankFailed instead of
 // deadlocking.
 func TestKillDrainsBlockedRanks(t *testing.T) {
 	w := mustWorld(t, 3)
 	errs := make(chan error, 2)
 	go func() {
-		_, err := w.Comm(1).Recv(0, 0)
-		errs <- err
+		errs <- w.Comm(1).RecvInto(0, 0, make([]float32, 1))
 	}()
 	go func() {
 		errs <- w.Comm(2).Barrier()
@@ -170,12 +169,12 @@ func TestKillDrainsBlockedRanks(t *testing.T) {
 	}
 }
 
-// TestOpTimeoutOnRecv bounds a Recv that would otherwise block
+// TestOpTimeoutOnRecv bounds a receive that would otherwise block
 // forever.
 func TestOpTimeoutOnRecv(t *testing.T) {
 	w := mustWorld(t, 2)
 	w.SetOpTimeout(20 * time.Millisecond)
-	if _, err := w.Comm(1).Recv(0, 0); !errors.Is(err, ErrTimeout) {
+	if err := w.Comm(1).RecvInto(0, 0, make([]float32, 1)); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("recv error = %v, want ErrTimeout", err)
 	}
 	// The timed-out rank is dead; the world drains.
@@ -220,7 +219,7 @@ func TestDrainedRecvStillDeliversQueued(t *testing.T) {
 		t.Fatalf("queued message after poison got %v", got)
 	}
 	// A second recv with nothing queued fails fast.
-	if _, err := w.Comm(1).Recv(0, 0); !errors.Is(err, ErrRankFailed) {
+	if err := w.Comm(1).RecvInto(0, 0, make([]float32, 1)); !errors.Is(err, ErrRankFailed) {
 		t.Fatalf("dry recv after poison = %v, want ErrRankFailed", err)
 	}
 }
@@ -251,8 +250,8 @@ func TestChaosTrafficUnderRace(t *testing.T) {
 			if err := c.Send(next, it, []float32{float32(c.Rank()*1000 + it)}); err != nil {
 				return err
 			}
-			got, err := c.Recv(prev, it)
-			if err != nil {
+			got := make([]float32, 1)
+			if err := c.RecvInto(prev, it, got); err != nil {
 				return err
 			}
 			if want := float32(prev*1000 + it); got[0] != want {

@@ -58,7 +58,7 @@ func TestBarrierManyRanksLooping(t *testing.T) {
 }
 
 // TestBarrierInterleavedWithTraffic mixes barrier crossings with ring
-// Send/Recv traffic so barrier state and mailbox channels are exercised
+// send/receive traffic so barrier state and mailbox channels are exercised
 // together, the way collective compositions use them.
 func TestBarrierInterleavedWithTraffic(t *testing.T) {
 	const n = 6
@@ -70,8 +70,8 @@ func TestBarrierInterleavedWithTraffic(t *testing.T) {
 			if err := c.Send(next, it, []float32{float32(c.Rank()), float32(it)}); err != nil {
 				return err
 			}
-			got, err := c.Recv(prev, it)
-			if err != nil {
+			got := make([]float32, 2)
+			if err := c.RecvInto(prev, it, got); err != nil {
 				return err
 			}
 			if int(got[0]) != prev || int(got[1]) != it {
@@ -91,6 +91,10 @@ func TestBarrierInterleavedWithTraffic(t *testing.T) {
 // TestSendSnapshotUnderRace mutates the send buffer immediately after
 // every Send in a tight loop; if Send aliased instead of copying, the
 // writer would race with the receiver's read and -race would flag it.
+// Every receive recycles its payload, so later sends on the pair copy
+// into buffers the receiver has consumed: a payload put back on the
+// free list before it is copied out would race with those sends, and
+// read a wrong value.
 func TestSendSnapshotUnderRace(t *testing.T) {
 	const iters = 300
 	err := Run(2, func(c *Comm) error {
@@ -102,14 +106,13 @@ func TestSendSnapshotUnderRace(t *testing.T) {
 					return err
 				}
 				buf[0] = -1 // would race with rank 1's read if Send aliased
-			} else {
-				got, err := c.Recv(0, it)
-				if err != nil {
-					return err
-				}
-				if got[0] != float32(it) {
-					t.Errorf("iter %d got %g", it, got[0])
-				}
+				continue
+			}
+			if err := c.RecvInto(0, it, buf); err != nil {
+				return err
+			}
+			if buf[0] != float32(it) {
+				t.Errorf("iter %d got %g", it, buf[0])
 			}
 		}
 		return nil

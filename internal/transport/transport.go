@@ -1,10 +1,32 @@
 // Package transport is an in-memory point-to-point message layer with
-// MPI-like semantics: ranks, tags, blocking Send/Recv with per-pair
-// FIFO ordering. It carries real float32 payloads between in-process
-// ranks (goroutines), and is the substrate for internal/collective —
-// the *functional* half of the reproduction, where gradient averaging
-// actually happens. Timing is not modelled here; that is
-// internal/netmodel's job.
+// MPI-like semantics: ranks, tags, blocking send/receive with per-pair
+// FIFO ordering. It carries real payloads — float32, or binary16 words
+// in a uint16 (Elem) — between in-process ranks (goroutines), and is
+// the substrate for internal/collective: the *functional* half of the
+// reproduction, where gradient averaging actually happens. Timing is
+// not modelled here; that is internal/netmodel's job.
+//
+// One generic path serves both wires: Send and RecvReduce are package
+// functions over Elem, because methods cannot take type parameters.
+// The element type picks the payload field and the free list, and
+// nothing else differs.
+//
+// Payload ownership. Send copies the caller's slice, so the caller may
+// reuse it at once. The copy goes into a buffer recycled from the
+// (src, dst) mailbox's free list, and is allocated only when the list
+// has none large enough. RecvReduce consumes the payload — reduces or
+// copies it into the caller's buffer — and hands it back to the list,
+// so a steady stream of messages on a pair allocates nothing. No
+// payload ever leaves the transport. A duplicated message shares one
+// payload, recycled once.
+//
+// Each mailbox has exactly one sending goroutine (the source rank's)
+// and one receiving goroutine (the destination rank's), because a Comm
+// is owned by one goroutine. That invariant is what lets a mailbox
+// wake its peer through a one-slot semaphore made once: the only
+// waiter is the only consumer of its tokens, so a token posted between
+// its check and its wait is still there when it waits, and a stale one
+// costs one extra pass of the loop.
 //
 // The layer is chaos-testable: a World accepts a fault Injector
 // (drop, duplicate, delay per delivery attempt), a RetryPolicy that
@@ -24,6 +46,11 @@ import (
 	"segscale/internal/telemetry"
 	"segscale/internal/timeline"
 )
+
+// Elem is a wire element: a float32, or a binary16 word carried in a
+// uint16 — the compressed format behind hvd.Compression.fp16, two
+// bytes per element on the wire and in every byte counter.
+type Elem interface{ float32 | uint16 }
 
 // message is one in-flight payload. seq is the per-(src,dst)-pair
 // sequence number: receivers consume the lowest matching seq (FIFO
@@ -49,6 +76,14 @@ func (m message) bytes() int {
 	return 4 * len(m.data)
 }
 
+// kind names a payload's wire for error messages.
+func kind(u16 bool) string {
+	if u16 {
+		return "binary16"
+	}
+	return "float32"
+}
+
 // mailbox is the (src,dst) pair's delivery queue. Unlike a bare
 // channel it supports tag-scanned, seq-ordered consumption, injected
 // reordering (held messages), and waking blocked peers on rank death.
@@ -61,30 +96,27 @@ type mailbox struct {
 	// flush), which bounds how long a delay can defer delivery.
 	held    []message
 	nextSeq uint64
-	// notify is closed and replaced whenever delivery state changes;
-	// receivers snapshot it under mu and wait outside the lock.
+	// free32 and free16 hold the payload buffers RecvReduce has
+	// consumed, at most mailboxDepth each; Send refills from them.
+	free32 [][]float32
+	free16 [][]uint16
+	// notify and space are one-slot semaphores (see the package doc):
+	// a token on notify says delivery state changed, one on space that
+	// queue slots freed up.
 	notify chan struct{}
-	// space is closed and replaced whenever queue slots free up;
-	// flow-controlled senders wait on it.
-	space chan struct{}
+	space  chan struct{}
 }
 
 func newMailbox() *mailbox {
-	return &mailbox{notify: make(chan struct{}), space: make(chan struct{})}
+	return &mailbox{notify: make(chan struct{}, 1), space: make(chan struct{}, 1)}
 }
 
-// wakeRecv signals receivers that delivery state changed. Caller
-// holds mu.
-func (mb *mailbox) wakeRecv() {
-	close(mb.notify)
-	mb.notify = make(chan struct{})
-}
-
-// wakeSend signals flow-controlled senders that space freed up.
-// Caller holds mu.
-func (mb *mailbox) wakeSend() {
-	close(mb.space)
-	mb.space = make(chan struct{})
+// signal posts a wake-up token; a token already pending absorbs it.
+func signal(sem chan struct{}) {
+	select {
+	case sem <- struct{}{}:
+	default:
+	}
 }
 
 // flushHeld makes delay-faulted messages visible. Caller holds mu.
@@ -129,6 +161,58 @@ func (mb *mailbox) scan(tag int) int {
 		}
 	}
 	return best
+}
+
+// fields returns wire T's payload field in m and free list in mb, and
+// whether T is the binary16 word. The switch is on a nil pointer and
+// every case converts a pointer, so none of it allocates.
+func fields[T Elem](m *message, mb *mailbox) (payload *[]T, free *[][]T, u16 bool) {
+	switch any((*T)(nil)).(type) {
+	case *float32:
+		return any(&m.data).(*[]T), any(&mb.free32).(*[][]T), false
+	default:
+		return any(&m.data16).(*[]T), any(&mb.free16).(*[][]T), true
+	}
+}
+
+// reuse removes and returns the smallest free buffer that holds n
+// elements, resliced to n. When none does it drops the smallest buffer
+// and returns nil, so the list never outgrows the pair's traffic in
+// flight. Caller holds mu.
+func reuse[T Elem](free *[][]T, n int) []T {
+	l := *free
+	if len(l) == 0 {
+		return nil
+	}
+	best, smallest := -1, 0
+	for i, b := range l {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(l[best])) {
+			best = i
+		}
+		if cap(b) < cap(l[smallest]) {
+			smallest = i
+		}
+	}
+	pick := best
+	if best < 0 {
+		pick = smallest
+	}
+	b := l[pick]
+	l[pick] = l[len(l)-1]
+	l[len(l)-1] = nil
+	*free = l[:len(l)-1]
+	if best < 0 {
+		return nil
+	}
+	return b[:n]
+}
+
+// recycle returns a consumed payload to its free list, unless the list
+// is full. Caller holds mu.
+func recycle[T Elem](free *[][]T, b []T) {
+	if len(*free) < mailboxDepth {
+		*free = append(*free, b)
+	}
 }
 
 // World owns the mailboxes for a fixed set of ranks.
@@ -266,7 +350,7 @@ type Comm struct {
 
 	// probe and the cached instruments below are nil until SetProbe;
 	// the nil-safe telemetry methods make every uninstrumented
-	// Send/Recv/Barrier pay exactly one branch per instrument.
+	// send/receive/Barrier pay exactly one branch per instrument.
 	probe     *telemetry.Probe
 	sends     *telemetry.Counter
 	recvs     *telemetry.Counter
@@ -322,28 +406,9 @@ func (c *Comm) opTimer() (<-chan time.Time, func()) {
 // Send delivers a copy of data to dst with the given tag. It blocks
 // only when the pair's mailbox is full (flow control). Injected drops
 // are retried under the world's RetryPolicy; exhausting it fails the
-// send (and the rank) with ErrDeliveryFailed.
-func (c *Comm) Send(dst, tag int, data []float32) error {
-	cp := make([]float32, len(data))
-	copy(cp, data)
-	return c.send(dst, tag, message{tag: tag, data: cp})
-}
-
-// Send16 is Send for binary16 payloads — the compressed-collective
-// wire format. The payload rides the same mailbox, fault-injection
-// and flow-control machinery as float32 traffic; only the accounting
-// differs: 2 bytes per element instead of 4.
-func (c *Comm) Send16(dst, tag int, data []uint16) error {
-	cp := make([]uint16, len(data))
-	copy(cp, data)
-	return c.send(dst, tag, message{tag: tag, data16: cp, u16: true})
-}
-
-// send is the payload-agnostic send path: validation, sequence
-// assignment, the edge-ID span, the injected-drop retry loop, and the
-// flow-controlled enqueue. m.tag must equal tag and the payload slice
-// must already be a private copy.
-func (c *Comm) send(dst, tag int, m message) error {
+// send (and the rank) with ErrDeliveryFailed. The copy lands in a
+// buffer recycled from the pair's free list when one is large enough.
+func Send[T Elem](c *Comm, dst, tag int, data []T) error {
 	if dst == c.rank {
 		return fmt.Errorf("transport: rank %d send to self", c.rank)
 	}
@@ -354,11 +419,29 @@ func (c *Comm) send(dst, tag int, m message) error {
 		return fmt.Errorf("transport: send %d→%d tag %d: %w", c.rank, dst, tag, err)
 	}
 	mb := c.w.boxes[dst][c.rank]
+	m := message{tag: tag}
+	payload, free, u16 := fields[T](&m, mb)
 	mb.mu.Lock()
 	m.seq = mb.nextSeq
 	mb.nextSeq++
+	buf := reuse(free, len(data))
 	mb.mu.Unlock()
+	if buf == nil {
+		buf = make([]T, len(data))
+	}
+	copy(buf, data)
+	*payload, m.u16 = buf, u16
+	return c.send(mb, dst, m)
+}
 
+// Send is Send[float32].
+func (c *Comm) Send(dst, tag int, data []float32) error { return Send(c, dst, tag, data) }
+
+// send is the payload-agnostic rest of Send: the edge-ID span, the
+// injected-drop retry loop, and the flow-controlled enqueue of m, which
+// already holds its sequence number and a private payload.
+func (c *Comm) send(mb *mailbox, dst int, m message) error {
+	tag := m.tag
 	// The send span carries the message's edge ID; the matching recv
 	// span on the destination rank stamps the identical ID, which is
 	// what lets trace analysis pair them into a happens-before edge.
@@ -423,17 +506,16 @@ func (c *Comm) enqueue(mb *mailbox, m message, fault Fault) error {
 			}
 			// Wake receivers even for held messages: a starved
 			// receiver flushes them, so a delay can never deadlock.
-			mb.wakeRecv()
+			signal(mb.notify)
 			mb.mu.Unlock()
 			return nil
 		}
-		space := mb.space
 		mb.mu.Unlock()
 		if err := c.w.failure(); err != nil {
 			return err
 		}
 		select {
-		case <-space:
+		case <-mb.space:
 		case <-c.w.deathCh:
 		case <-timeout:
 			c.w.kill(c.rank)
@@ -442,46 +524,61 @@ func (c *Comm) enqueue(mb *mailbox, m message, fault Fault) error {
 	}
 }
 
-// Recv blocks until a message from src with the given tag arrives and
-// returns its payload. Messages from src with other tags stay queued
-// for later matching Recvs; within a tag, messages are delivered in
-// send order (lowest sequence number first) even when the injector
-// reorders arrival.
-func (c *Comm) Recv(src, tag int) ([]float32, error) {
-	m, err := c.recv(src, tag)
+// RecvReduce blocks until a message from src with the given tag arrives
+// and consumes its payload: add reduces it into dst, or a nil add
+// copies it there, and the payload goes back to the pair's free list
+// for a later Send to reuse. A copy must match dst's length; add checks
+// lengths itself and its error is returned as is. add should be a
+// static function, not a closure, so that calling through it allocates
+// nothing.
+//
+// Messages from src with other tags stay queued for later matching
+// receives; within a tag, messages are delivered in send order (lowest
+// sequence number first) even when the injector reorders arrival. A
+// message of the other wire is a protocol bug between the layered
+// collectives — distinct tag bases keep the kinds apart — and is
+// reported as an error.
+func RecvReduce[T Elem](c *Comm, src, tag int, dst []T, add func(dst, src []T) error) error {
+	m, mb, err := c.recv(src, tag)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if m.u16 {
-		return nil, fmt.Errorf("transport: recv %d←%d tag %d: binary16 payload on a float32 receive", c.rank, src, tag)
+	payload, free, u16 := fields[T](&m, mb)
+	if m.u16 != u16 {
+		return fmt.Errorf("transport: recv %d←%d tag %d: %s payload on a %s receive",
+			c.rank, src, tag, kind(m.u16), kind(u16))
 	}
-	return m.data, nil
+	got := *payload
+	switch {
+	case add != nil:
+		err = add(dst, got)
+	case len(got) != len(dst):
+		err = fmt.Errorf("transport: recv %d←%d tag %d: length %d into buffer %d",
+			c.rank, src, tag, len(got), len(dst))
+	default:
+		copy(dst, got)
+	}
+	mb.mu.Lock()
+	recycle(free, got)
+	mb.mu.Unlock()
+	return err
 }
 
-// Recv16 is Recv for binary16 payloads. A float32 message matched by
-// a binary16 receive (or vice versa) is a protocol bug between the
-// layered collectives — distinct tag bases keep the kinds apart — and
-// is reported as an error.
-func (c *Comm) Recv16(src, tag int) ([]uint16, error) {
-	m, err := c.recv(src, tag)
-	if err != nil {
-		return nil, err
-	}
-	if !m.u16 {
-		return nil, fmt.Errorf("transport: recv %d←%d tag %d: float32 payload on a binary16 receive", c.rank, src, tag)
-	}
-	return m.data16, nil
+// RecvInto is RecvReduce[float32] with a nil add: it copies the payload
+// into dst, which must match the message length.
+func (c *Comm) RecvInto(src, tag int, dst []float32) error {
+	return RecvReduce(c, src, tag, dst, nil)
 }
 
-// recv is the payload-agnostic receive path shared by Recv and
-// Recv16: tag-scanned, seq-ordered consumption with the edge-ID span
-// and drain semantics.
-func (c *Comm) recv(src, tag int) (message, error) {
+// recv is the payload-agnostic receive path: tag-scanned, seq-ordered
+// consumption with the edge-ID span and drain semantics. It returns
+// the message and the mailbox it came from.
+func (c *Comm) recv(src, tag int) (message, *mailbox, error) {
 	if src == c.rank {
-		return message{}, fmt.Errorf("transport: rank %d recv from self", c.rank)
+		return message{}, nil, fmt.Errorf("transport: rank %d recv from self", c.rank)
 	}
 	if src < 0 || src >= c.w.n {
-		return message{}, fmt.Errorf("transport: recv from rank %d outside world of %d", src, c.w.n)
+		return message{}, nil, fmt.Errorf("transport: recv from rank %d outside world of %d", src, c.w.n)
 	}
 	mb := c.w.boxes[c.rank][src]
 	// The recv span's edge ID is known only once a message is taken
@@ -493,7 +590,7 @@ func (c *Comm) recv(src, tag int) (message, error) {
 	for {
 		mb.mu.Lock()
 		if m, ok := mb.take(tag); ok {
-			mb.wakeSend()
+			signal(mb.space)
 			mb.mu.Unlock()
 			c.recvs.Inc()
 			c.recvBytes.Add(float64(m.bytes()))
@@ -501,71 +598,22 @@ func (c *Comm) recv(src, tag int) (message, error) {
 				sp.SetEdge(timeline.Edge{Src: src, Dst: c.rank, Seq: m.seq, Inc: c.w.inc}.String())
 				sp.End()
 			}
-			return m, nil
+			return m, mb, nil
 		}
-		notify := mb.notify
 		mb.mu.Unlock()
 		// Queued messages stay drainable above; only a dry queue in a
 		// poisoned world fails.
 		if err := c.w.failure(); err != nil {
-			return message{}, fmt.Errorf("transport: recv %d←%d tag %d: %w", c.rank, src, tag, err)
+			return message{}, nil, fmt.Errorf("transport: recv %d←%d tag %d: %w", c.rank, src, tag, err)
 		}
 		select {
-		case <-notify:
+		case <-mb.notify:
 		case <-c.w.deathCh:
 		case <-timeout:
 			c.w.kill(c.rank)
-			return message{}, fmt.Errorf("transport: recv %d←%d tag %d: %w", c.rank, src, tag, ErrTimeout)
+			return message{}, nil, fmt.Errorf("transport: recv %d←%d tag %d: %w", c.rank, src, tag, ErrTimeout)
 		}
 	}
-}
-
-// RecvInto is Recv but copies the payload into dst, which must match
-// the message length.
-func (c *Comm) RecvInto(src, tag int, dst []float32) error {
-	m, err := c.Recv(src, tag)
-	if err != nil {
-		return err
-	}
-	if len(m) != len(dst) {
-		return fmt.Errorf("transport: recv %d←%d tag %d: length %d into buffer %d",
-			c.rank, src, tag, len(m), len(dst))
-	}
-	copy(dst, m)
-	return nil
-}
-
-// RecvInto16 is Recv16 but copies the payload into dst, which must
-// match the message length.
-func (c *Comm) RecvInto16(src, tag int, dst []uint16) error {
-	m, err := c.Recv16(src, tag)
-	if err != nil {
-		return err
-	}
-	if len(m) != len(dst) {
-		return fmt.Errorf("transport: recv %d←%d tag %d: length %d into buffer %d",
-			c.rank, src, tag, len(m), len(dst))
-	}
-	copy(dst, m)
-	return nil
-}
-
-// SendRecv posts a send to dst and then receives from src — the
-// classic ring-step primitive. The eager mailbox keeps this
-// deadlock-free for cycles shorter than mailboxDepth.
-func (c *Comm) SendRecv(dst, sendTag int, data []float32, src, recvTag int) ([]float32, error) {
-	if err := c.Send(dst, sendTag, data); err != nil {
-		return nil, err
-	}
-	return c.Recv(src, recvTag)
-}
-
-// SendRecv16 is SendRecv for binary16 payloads.
-func (c *Comm) SendRecv16(dst, sendTag int, data []uint16, src, recvTag int) ([]uint16, error) {
-	if err := c.Send16(dst, sendTag, data); err != nil {
-		return nil, err
-	}
-	return c.Recv16(src, recvTag)
 }
 
 // Barrier blocks until all ranks in the world have called it, or
@@ -582,9 +630,12 @@ func (c *Comm) Barrier() error {
 	w.barrierMu.Lock()
 	w.barrierCnt++
 	if w.barrierCnt == w.n {
+		// The next generation's channel is made before this one is
+		// closed, so it is never allocated after a waiter has left.
 		w.barrierCnt = 0
-		close(w.barrierCh)
+		done := w.barrierCh
 		w.barrierCh = make(chan struct{})
+		close(done)
 		w.barrierMu.Unlock()
 		return nil
 	}

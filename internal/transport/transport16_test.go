@@ -1,8 +1,8 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"segscale/internal/telemetry"
@@ -27,23 +27,23 @@ func TestSendRecv16Basic(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		const tag16, tag32 = 7, 8
 		if c.Rank() == 0 {
-			if err := c.Send16(1, tag16, []uint16{0x3C00, 0x4000, 0xFC00}); err != nil {
+			if err := Send(c, 1, tag16, []uint16{0x3C00, 0x4000, 0xFC00}); err != nil {
 				return err
 			}
 			return c.Send(1, tag32, []float32{1, 2})
 		}
-		got16, err := c.Recv16(0, tag16)
-		if err != nil {
+		got16 := make([]uint16, 3)
+		if err := RecvReduce(c, 0, tag16, got16, nil); err != nil {
 			return err
 		}
-		if len(got16) != 3 || got16[0] != 0x3C00 || got16[1] != 0x4000 || got16[2] != 0xFC00 {
+		if got16[0] != 0x3C00 || got16[1] != 0x4000 || got16[2] != 0xFC00 {
 			t.Errorf("binary16 payload corrupted: %#v", got16)
 		}
-		got32, err := c.Recv(0, tag32)
-		if err != nil {
+		got32 := make([]float32, 2)
+		if err := RecvReduce(c, 0, tag32, got32, nil); err != nil {
 			return err
 		}
-		if len(got32) != 2 || got32[0] != 1 || got32[1] != 2 {
+		if got32[0] != 1 || got32[1] != 2 {
 			t.Errorf("float32 payload corrupted: %#v", got32)
 		}
 		return nil
@@ -59,11 +59,14 @@ func TestSendRecv16RingStep(t *testing.T) {
 		me := c.Rank()
 		next := (me + 1) % world
 		prev := (me - 1 + world) % world
-		got, err := c.SendRecv16(next, 3, []uint16{uint16(me)}, prev, 3)
-		if err != nil {
+		if err := Send(c, next, 3, []uint16{uint16(me)}); err != nil {
 			return err
 		}
-		if len(got) != 1 || got[0] != uint16(prev) {
+		got := []uint16{0xFFFF}
+		if err := RecvReduce(c, prev, 3, got, nil); err != nil {
+			return err
+		}
+		if got[0] != uint16(prev) {
 			t.Errorf("rank %d: got %#v, want [%d]", me, got, prev)
 		}
 		return nil
@@ -73,45 +76,37 @@ func TestSendRecv16RingStep(t *testing.T) {
 	}
 }
 
+// A consuming receive into a buffer of the wrong length fails with the
+// pair, the tag and both lengths. With a reducer, the reducer checks
+// lengths itself and its error comes back unchanged.
 func TestRecvInto16LengthMismatch(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.Send16(1, 1, []uint16{1, 2, 3})
-		}
-		err := c.RecvInto16(0, 1, make([]uint16, 2))
-		if err == nil {
-			t.Error("length mismatch accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := mustWorld(t, 2)
+	c0, c1 := w.Comm(0), w.Comm(1)
+	must(t, Send(c0, 1, 1, []uint16{1, 2, 3}))
+	must(t, Send(c0, 1, 2, []uint16{1}))
+	refused := errors.New("reducer refused")
+	refuse := func(dst, src []uint16) error { return refused }
+	wantError(t, RecvReduce(c1, 0, 1, make([]uint16, 2), nil), "transport: recv 1←0 tag 1: length 3 into buffer 2")
+	wantError(t, RecvReduce(c1, 0, 2, make([]uint16, 1), refuse), refused.Error())
 }
 
 // A float32 message consumed by a binary16 receive (and vice versa)
 // is a protocol bug, reported as an error rather than silently
 // reinterpreted.
 func TestPayloadKindMismatch(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		switch c.Rank() {
-		case 0:
-			if err := c.Send(1, 1, []float32{1}); err != nil {
-				return err
-			}
-			return c.Send16(1, 2, []uint16{1})
-		default:
-			if _, err := c.Recv16(0, 1); err == nil || !strings.Contains(err.Error(), "float32 payload") {
-				t.Errorf("Recv16 on a float32 message: %v", err)
-			}
-			if _, err := c.Recv(0, 2); err == nil || !strings.Contains(err.Error(), "binary16 payload") {
-				t.Errorf("Recv on a binary16 message: %v", err)
-			}
-			return nil
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+	w := mustWorld(t, 2)
+	c0, c1 := w.Comm(0), w.Comm(1)
+	must(t, c0.Send(1, 1, []float32{1}))
+	must(t, Send(c0, 1, 2, []uint16{1}))
+	wantError(t, RecvReduce(c1, 0, 1, make([]uint16, 1), nil), "transport: recv 1←0 tag 1: float32 payload on a binary16 receive")
+	wantError(t, RecvReduce(c1, 0, 2, make([]float32, 1), nil), "transport: recv 1←0 tag 2: binary16 payload on a float32 receive")
+}
+
+// wantError checks that err is an error with exactly the text want.
+func wantError(t *testing.T, err error, want string) {
+	t.Helper()
+	if err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
 	}
 }
 
@@ -126,13 +121,12 @@ func TestSend16ByteAccounting(t *testing.T) {
 			if err := c.Send(1, 1, make([]float32, n)); err != nil {
 				return err
 			}
-			return c.Send16(1, 2, make([]uint16, n))
+			return Send(c, 1, 2, make([]uint16, n))
 		}
-		if _, err := c.Recv(0, 1); err != nil {
+		if err := c.RecvInto(0, 1, make([]float32, n)); err != nil {
 			return err
 		}
-		_, err := c.Recv16(0, 2)
-		return err
+		return RecvReduce(c, 0, 2, make([]uint16, n), nil)
 	})
 	if err != nil {
 		t.Fatal(err)
