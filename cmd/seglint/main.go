@@ -17,9 +17,9 @@
 // sites — closing the loop from source to scrape.
 //
 // -facts prints one line per function carrying cross-function facts
-// (hot-path membership, allocation counts, map-order sensitivity,
-// workspace vend/retain summaries) in a stable order, for debugging
-// why a hotalloc/maporder/wsretain finding did or did not propagate.
+// (map-order sensitivity, workspace vend/retain summaries) in a stable
+// order, for debugging why a maporder/wsretain finding did or did not
+// propagate.
 //
 // -suppressions additionally reports every //seglint:ignore /
 // file-ignore / package-ignore directive that carries no reason, as
@@ -41,7 +41,6 @@ import (
 	"strings"
 
 	"segscale/internal/analysis"
-	"segscale/internal/analysis/passes/hotalloc"
 	"segscale/internal/analysis/passes/maporder"
 	"segscale/internal/analysis/passes/metricname"
 	"segscale/internal/analysis/passes/nopanic"
@@ -60,7 +59,6 @@ var analyzers = []*analysis.Analyzer{
 	unitsuffix.Analyzer,
 	nopanic.Analyzer,
 	metricname.Analyzer,
-	hotalloc.Analyzer,
 	maporder.Analyzer,
 	wsretain.Analyzer,
 }

@@ -12,48 +12,23 @@ import (
 
 // This file is the cross-function half of the framework: a whole-repo
 // call graph over the loaded packages, per-function facts exported by
-// the fact generators below ("allocates", "ranges-over-map",
+// the fact generators below ("ranges-over-map",
 // "vends-workspace-buffer", "retains-workspace-arg"), and transitive
-// queries the hotalloc / maporder / wsretain passes are built on.
-// Facts propagate across package boundaries because the FactDB is
-// built over every package the loader has type-checked — not just the
-// one a Pass is currently looking at — so a helper three calls deep in
-// another package that allocates or iterates a map is visible from the
-// annotated entry point.
+// queries the maporder / wsretain passes are built on. Facts propagate
+// across package boundaries because the FactDB is built over every
+// package the loader has type-checked — not just the one a Pass is
+// currently looking at — so a helper three calls deep in another
+// package that iterates a map is visible from its caller.
 //
 // The graph is static: direct calls resolve through the type-checker's
 // object resolution, interface method calls are expanded to every
 // in-repo concrete implementation (class-hierarchy analysis), and
-// calls through plain function values stay unresolved (the hotalloc
-// pass surfaces those as unverifiable rather than guessing).
-
-// HotPathDirective marks a function as an allocation-free hot-path
-// root in its doc comment:
-//
-//	//seglint:hotpath <why this path must stay allocation-free>
-//
-// The function and everything it transitively calls (outside cold
-// panic/error-construction regions) must be allocation-free; the
-// hotalloc pass enforces it.
-const HotPathDirective = "//seglint:hotpath"
-
-// Site is one classified source position a fact refers to.
-type Site struct {
-	Pos  token.Pos
-	Kind string // "make", "append", "closure", "go", "boxing", ...
-	Desc string // human-readable detail for the finding message
-}
+// calls through plain function values stay unresolved.
 
 // CalleeEdge is one static call-graph edge out of a function.
 type CalleeEdge struct {
 	Pos    token.Pos
 	Callee *types.Func
-	// Cold marks edges inside panic arguments or error-construction
-	// branches; the hot-path traversal does not follow them.
-	Cold bool
-	// Via names how the edge was resolved ("" for a direct call,
-	// "interface <name>" for a CHA-expanded dynamic call).
-	Via string
 }
 
 // FuncInfo carries one function's locally-generated facts.
@@ -62,23 +37,10 @@ type FuncInfo struct {
 	Decl *ast.FuncDecl
 	Pkg  *Package
 
-	// HotPath is set by a //seglint:hotpath doc-comment directive.
-	HotPath       bool
-	HotPathReason string
-
-	// Allocs are direct allocation sites outside cold regions.
-	Allocs []Site
-	// ExtCalls are calls (outside cold regions) into functions whose
-	// body the loader cannot see and that are not on the
-	// allocation-free whitelist — assumed to allocate.
-	ExtCalls []Site
-	// DynCalls are unresolvable dynamic calls (function values) in hot
-	// regions.
-	DynCalls []Site
 	// MapRanges are order-sensitive map iterations: range statements
 	// over a map whose body does more than collect keys/values or
 	// fold an order-insensitive integer/bool aggregate.
-	MapRanges []Site
+	MapRanges []token.Pos
 	// Callees are the function's static call-graph edges.
 	Callees []CalleeEdge
 
@@ -97,40 +59,18 @@ type FuncInfo struct {
 
 // FactDB is the whole-repo fact database passes query.
 type FactDB struct {
-	fset *token.FileSet
-	fns  map[*types.Func]*FuncInfo
+	fns map[*types.Func]*FuncInfo
 	// named holds every named (non-interface) type in the loaded
 	// packages, for class-hierarchy resolution of interface calls.
 	named []*types.Named
 
 	implMemo map[*types.Func][]*types.Func
-
-	hotOnce bool
-	hot     map[*types.Func]*HotChain
-
-	mapMemo map[*types.Func]*mapReach
-}
-
-// HotChain records how a function became hot-path: the annotated root
-// and the call path from it.
-type HotChain struct {
-	Root *types.Func
-	Path []string // function names from the root, excluding the root
-}
-
-// Describe renders the chain for a finding message.
-func (h *HotChain) Describe() string {
-	root := h.Root.Name()
-	if len(h.Path) == 0 {
-		return fmt.Sprintf("//seglint:hotpath %s", root)
-	}
-	return fmt.Sprintf("//seglint:hotpath %s via %s", root, strings.Join(h.Path, " → "))
+	mapMemo  map[*types.Func]*mapReach
 }
 
 type mapReach struct {
 	done bool
-	site Site
-	fn   *types.Func // function owning the site
+	fn   *types.Func // function owning the iteration
 	path []string
 	ok   bool
 }
@@ -143,9 +83,6 @@ func BuildFactDB(pkgs []*Package) *FactDB {
 		fns:      map[*types.Func]*FuncInfo{},
 		implMemo: map[*types.Func][]*types.Func{},
 		mapMemo:  map[*types.Func]*mapReach{},
-	}
-	if len(pkgs) > 0 {
-		db.fset = pkgs[0].Fset
 	}
 	// Index declarations and named types first so call resolution can
 	// tell in-repo functions from externals.
@@ -168,9 +105,7 @@ func BuildFactDB(pkgs []*Package) *FactDB {
 				if !ok {
 					continue
 				}
-				fi := &FuncInfo{Fn: fn, Decl: fd, Pkg: pkg}
-				fi.HotPath, fi.HotPathReason = hotPathDirective(fd)
-				db.fns[fn] = fi
+				db.fns[fn] = &FuncInfo{Fn: fn, Decl: fd, Pkg: pkg}
 			}
 		}
 	}
@@ -190,476 +125,58 @@ func (db *FactDB) Info(fn *types.Func) *FuncInfo {
 	return db.fns[fn]
 }
 
-// hotPathDirective scans a function's doc comment for
-// //seglint:hotpath.
-func hotPathDirective(fd *ast.FuncDecl) (bool, string) {
-	if fd.Doc == nil {
-		return false, ""
-	}
-	for _, c := range fd.Doc.List {
-		if rest, ok := strings.CutPrefix(c.Text, HotPathDirective); ok {
-			return true, strings.TrimSpace(rest)
-		}
-	}
-	return false, ""
-}
-
 // ---------------------------------------------------------------------
 // Local fact generation
 
-// allocFreePkgs are external packages whose functions are trusted not
-// to allocate (pure math and atomics).
-var allocFreePkgs = map[string]bool{
-	"math":        true,
-	"math/bits":   true,
-	"sync/atomic": true,
-}
-
-// allocFreeFuncs whitelists individual external functions/methods by
-// full name, for externals that are allocation-free but live in
-// packages that are not.
-var allocFreeFuncs = map[string]bool{
-	"(*sync.Mutex).Lock":      true,
-	"(*sync.Mutex).Unlock":    true,
-	"(*sync.Mutex).TryLock":   true,
-	"(*sync.RWMutex).Lock":    true,
-	"(*sync.RWMutex).Unlock":  true,
-	"(*sync.RWMutex).RLock":   true,
-	"(*sync.RWMutex).RUnlock": true,
-	"(*sync.WaitGroup).Add":   true,
-	"(*sync.WaitGroup).Done":  true,
-	"(*sync.WaitGroup).Wait":  true,
-	"(*sync.Map).Load":        true,
-	// Once.Do is one atomic load after the first call; what the first
-	// call runs is start-up work by construction, not steady state.
-	"(*sync.Once).Do":         true,
-	"(time.Duration).Seconds": true,
-	"sort.SearchInts":         true,
-	"sort.Search":             true,
-	"sort.SearchFloat64s":     true,
-	"runtime.GOMAXPROCS":      true,
-	// math/rand draws (and in-place reseeding) mutate internal state
-	// without allocating.
-	"(*math/rand.Rand).Float64":     true,
-	"(*math/rand.Rand).Float32":     true,
-	"(*math/rand.Rand).Int63":       true,
-	"(*math/rand.Rand).Int63n":      true,
-	"(*math/rand.Rand).Intn":        true,
-	"(*math/rand.Rand).Uint64":      true,
-	"(*math/rand.Rand).NormFloat64": true,
-	"(*math/rand.Rand).Seed":        true,
-}
-
-var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-
-// isErrorValue reports whether e's static type is (or implements)
-// error and e is not the nil literal — the shape of an error being
-// constructed or propagated.
-func isErrorValue(info *types.Info, e ast.Expr) bool {
-	if id, ok := e.(*ast.Ident); ok && id.Name == "nil" {
-		return false
-	}
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if tup, ok := t.(*types.Tuple); ok { // return f() forwarding multiple results
-		for i := 0; i < tup.Len(); i++ {
-			if types.Implements(tup.At(i).Type(), errorIface) {
-				return true
-			}
-		}
-		return false
-	}
-	return types.Implements(t, errorIface)
-}
-
-// coldTerminated reports whether a statement list ends by panicking or
-// by returning an error — the shape of an invariant guard or an
-// error-construction branch, which the steady-state hot path never
-// executes.
-func coldTerminated(info *types.Info, stmts []ast.Stmt) bool {
-	if len(stmts) == 0 {
-		return false
-	}
-	switch last := stmts[len(stmts)-1].(type) {
-	case *ast.ExprStmt:
-		return isPanicCall(info, last.X)
-	case *ast.ReturnStmt:
-		for _, r := range last.Results {
-			if isErrorValue(info, r) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func isPanicCall(info *types.Info, e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != "panic" {
-		return false
-	}
-	_, isBuiltin := info.Uses[id].(*types.Builtin)
-	return isBuiltin
-}
-
-// generateLocalFacts walks one function body, classifying allocation
-// sites, call edges, and map iterations, with cold-region exclusion.
+// generateLocalFacts walks one function body, recording its call edges
+// and its order-sensitive map iterations.
 func (db *FactDB) generateLocalFacts(fi *FuncInfo) {
 	info := fi.Pkg.Info
-
-	// Pre-pass: mark the roots of cold subtrees — panic calls (their
-	// arguments are error formatting), and if/case branches that end
-	// in panic or an error return.
-	coldRoots := map[ast.Node]bool{}
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.IfStmt:
-			if coldTerminated(info, n.Body.List) {
-				coldRoots[n.Body] = true
-			}
-			if eb, ok := n.Else.(*ast.BlockStmt); ok && coldTerminated(info, eb.List) {
-				coldRoots[eb] = true
-			}
-		case *ast.CaseClause:
-			if coldTerminated(info, n.Body) {
-				coldRoots[n] = true
-			}
-		case *ast.CommClause:
-			if coldTerminated(info, n.Body) {
-				coldRoots[n] = true
-			}
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				if isErrorValue(info, r) {
-					coldRoots[n] = true
-					break
-				}
-			}
 		case *ast.CallExpr:
-			if isPanicCall(info, n) {
-				coldRoots[n] = true
-			}
-		}
-		return true
-	})
-
-	// Main walk with an explicit cold stack (ast.Inspect signals
-	// subtree exit with a nil node).
-	var stack []bool
-	cold := false
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			cold = len(stack) > 0 && stack[len(stack)-1]
-			return true
-		}
-		cold = cold || coldRoots[n]
-		stack = append(stack, cold)
-
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			db.classifyCall(fi, n, cold)
-		case *ast.GoStmt:
-			if !cold {
-				fi.Allocs = append(fi.Allocs, Site{Pos: n.Pos(), Kind: "go",
-					Desc: "goroutine launch allocates a stack"})
-			}
-		case *ast.FuncLit:
-			if !cold && capturesOuter(info, n) {
-				fi.Allocs = append(fi.Allocs, Site{Pos: n.Pos(), Kind: "closure",
-					Desc: "closure capturing outer variables is heap-allocated"})
-			}
-		case *ast.CompositeLit:
-			if !cold {
-				if t := info.Types[n].Type; t != nil {
-					switch t.Underlying().(type) {
-					case *types.Slice:
-						fi.Allocs = append(fi.Allocs, Site{Pos: n.Pos(), Kind: "literal",
-							Desc: "slice literal allocates its backing array"})
-					case *types.Map:
-						fi.Allocs = append(fi.Allocs, Site{Pos: n.Pos(), Kind: "literal",
-							Desc: "map literal allocates"})
-					}
-				}
-			}
-		case *ast.UnaryExpr:
-			if !cold && n.Op == token.AND {
-				if _, ok := n.X.(*ast.CompositeLit); ok {
-					fi.Allocs = append(fi.Allocs, Site{Pos: n.Pos(), Kind: "literal",
-						Desc: "&composite literal escapes to the heap"})
-				}
-			}
-		case *ast.BinaryExpr:
-			if !cold && n.Op == token.ADD {
-				if t := info.Types[n].Type; t != nil {
-					if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-						fi.Allocs = append(fi.Allocs, Site{Pos: n.Pos(), Kind: "concat",
-							Desc: "string concatenation allocates"})
-					}
-				}
-			}
+			db.addCallEdges(fi, n)
 		case *ast.RangeStmt:
 			if t := info.Types[n.X].Type; t != nil {
-				if _, ok := t.Underlying().(*types.Map); ok {
-					if !orderInsensitiveBody(info, n.Body.List) {
-						fi.MapRanges = append(fi.MapRanges, Site{Pos: n.Pos(), Kind: "maprange",
-							Desc: "map iteration order is randomised"})
-					}
+				if _, ok := t.Underlying().(*types.Map); ok && !orderInsensitiveBody(info, n.Body.List) {
+					fi.MapRanges = append(fi.MapRanges, n.Pos())
 				}
-			}
-		case *ast.AssignStmt:
-			if !cold {
-				db.checkBoxing(fi, assignPairs(info, n))
-			}
-		case *ast.ReturnStmt:
-			if !cold {
-				db.checkBoxing(fi, returnPairs(info, fi, n))
 			}
 		}
 		return true
 	})
 }
 
-// classifyCall resolves one call expression into a graph edge, an
-// allocation site, or an external/dynamic record.
-func (db *FactDB) classifyCall(fi *FuncInfo, call *ast.CallExpr, cold bool) {
+// addCallEdges resolves one call expression into call-graph edges: one
+// for a direct call of an in-repo function, one per in-repo
+// implementation for an interface method call, none otherwise
+// (builtins, conversions, function values, external functions).
+func (db *FactDB) addCallEdges(fi *FuncInfo, call *ast.CallExpr) {
 	info := fi.Pkg.Info
-
-	// Type conversions: T(x) parses as a call.
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		if !cold && conversionAllocates(info, call, tv.Type) {
-			fi.Allocs = append(fi.Allocs, Site{Pos: call.Pos(), Kind: "convert",
-				Desc: "conversion copies into a fresh allocation"})
-		}
-		return
-	}
-
 	var obj types.Object
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
 		obj = info.Uses[fun]
 	case *ast.SelectorExpr:
 		obj = info.Uses[fun.Sel]
-	case *ast.FuncLit:
-		return // immediately-invoked literal: body walked in place
 	case *ast.IndexExpr: // generic instantiation f[T](...)
 		if id, ok := fun.X.(*ast.Ident); ok {
 			obj = info.Uses[id]
 		}
 	}
-
-	if b, ok := obj.(*types.Builtin); ok {
-		if cold {
-			return
-		}
-		switch b.Name() {
-		case "make":
-			fi.Allocs = append(fi.Allocs, Site{Pos: call.Pos(), Kind: "make",
-				Desc: "make allocates"})
-		case "new":
-			fi.Allocs = append(fi.Allocs, Site{Pos: call.Pos(), Kind: "new",
-				Desc: "new allocates"})
-		case "append":
-			fi.Allocs = append(fi.Allocs, Site{Pos: call.Pos(), Kind: "append",
-				Desc: "append may grow its backing array"})
-		}
-		return
-	}
-
 	fn, ok := obj.(*types.Func)
 	if !ok {
-		// Call through a function value / struct field / parameter:
-		// statically unresolvable.
-		if !cold {
-			fi.DynCalls = append(fi.DynCalls, Site{Pos: call.Pos(), Kind: "dynamic",
-				Desc: "call through a function value"})
-		}
 		return
 	}
-
 	if _, inRepo := db.fns[fn]; inRepo {
-		fi.Callees = append(fi.Callees, CalleeEdge{Pos: call.Pos(), Callee: fn, Cold: cold})
-		if !cold {
-			db.checkBoxing(fi, callArgPairs(info, fn, call))
-		}
+		fi.Callees = append(fi.Callees, CalleeEdge{Pos: call.Pos(), Callee: fn})
 		return
 	}
-
-	// Interface method: expand to every in-repo implementation (CHA).
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-		impls := db.implementers(fn)
-		if len(impls) > 0 {
-			for _, impl := range impls {
-				fi.Callees = append(fi.Callees, CalleeEdge{
-					Pos: call.Pos(), Callee: impl, Cold: cold,
-					Via: "interface " + fn.Name(),
-				})
-			}
-			return
-		}
-		if !cold {
-			fi.DynCalls = append(fi.DynCalls, Site{Pos: call.Pos(), Kind: "dynamic",
-				Desc: fmt.Sprintf("interface call %s has no in-repo implementation", fn.Name())})
-		}
-		return
-	}
-
-	// External function with no loadable body: trust the whitelist,
-	// assume allocation otherwise.
-	if cold {
-		return
-	}
-	if pkg := fn.Pkg(); pkg != nil {
-		if allocFreePkgs[pkg.Path()] || allocFreeFuncs[fn.FullName()] {
-			return
-		}
-		fi.ExtCalls = append(fi.ExtCalls, Site{Pos: call.Pos(), Kind: "external",
-			Desc: fmt.Sprintf("call into %s (external, assumed to allocate)", fn.FullName())})
-	}
-}
-
-// conversionAllocates reports whether a conversion to target copies
-// data into a fresh heap allocation: string↔[]byte/[]rune and
-// conversions producing a slice.
-func conversionAllocates(info *types.Info, call *ast.CallExpr, target types.Type) bool {
-	if len(call.Args) != 1 {
-		return false
-	}
-	src := info.Types[call.Args[0]].Type
-	if src == nil {
-		return false
-	}
-	switch t := target.Underlying().(type) {
-	case *types.Slice:
-		// []byte(string), []rune(string), and slice-type changes.
-		if b, ok := src.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-			return true
-		}
-		_ = t
-		return false
-	case *types.Basic:
-		if t.Info()&types.IsString != 0 {
-			if _, ok := src.Underlying().(*types.Slice); ok {
-				return true // string([]byte) copies
-			}
+		for _, impl := range db.implementers(fn) {
+			fi.Callees = append(fi.Callees, CalleeEdge{Pos: call.Pos(), Callee: impl})
 		}
 	}
-	return false
-}
-
-// capturesOuter reports whether a function literal references
-// variables declared outside it (a capturing closure, which the
-// compiler heap-allocates).
-func capturesOuter(info *types.Info, lit *ast.FuncLit) bool {
-	captured := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || captured {
-			return !captured
-		}
-		v, ok := info.Uses[id].(*types.Var)
-		if !ok || v.Pkg() == nil {
-			return true
-		}
-		// Package-level variables are not captures; a variable whose
-		// declaration lies outside the literal's extent is.
-		if v.Parent() != nil && v.Parent().Parent() == types.Universe {
-			return true
-		}
-		if v.Pos() < lit.Pos() || v.Pos() > lit.End() {
-			captured = true
-		}
-		return true
-	})
-	return captured
-}
-
-// boxPair is a (value, destination type) pair checked for interface
-// boxing.
-type boxPair struct {
-	expr ast.Expr
-	dst  types.Type
-}
-
-// checkBoxing records interface-boxing allocations: a non-pointer
-// concrete value converted to an interface type is heap-boxed.
-func (db *FactDB) checkBoxing(fi *FuncInfo, pairs []boxPair) {
-	info := fi.Pkg.Info
-	for _, p := range pairs {
-		if p.dst == nil || !types.IsInterface(p.dst) {
-			continue
-		}
-		tv, ok := info.Types[p.expr]
-		if !ok || tv.Type == nil || tv.IsNil() {
-			continue
-		}
-		src := tv.Type
-		if types.IsInterface(src) {
-			continue
-		}
-		switch src.Underlying().(type) {
-		case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-			continue // pointer-shaped: fits the interface word, no box
-		}
-		fi.Allocs = append(fi.Allocs, Site{Pos: p.expr.Pos(), Kind: "boxing",
-			Desc: fmt.Sprintf("%s value boxed into %s allocates", src, p.dst)})
-	}
-}
-
-func assignPairs(info *types.Info, n *ast.AssignStmt) []boxPair {
-	if len(n.Lhs) != len(n.Rhs) {
-		return nil
-	}
-	var out []boxPair
-	for i := range n.Lhs {
-		if lt, ok := info.Types[n.Lhs[i]]; ok && lt.Type != nil {
-			out = append(out, boxPair{expr: n.Rhs[i], dst: lt.Type})
-		}
-	}
-	return out
-}
-
-func returnPairs(info *types.Info, fi *FuncInfo, n *ast.ReturnStmt) []boxPair {
-	sig, ok := fi.Fn.Type().(*types.Signature)
-	if !ok || sig.Results().Len() != len(n.Results) {
-		return nil
-	}
-	var out []boxPair
-	for i, r := range n.Results {
-		out = append(out, boxPair{expr: r, dst: sig.Results().At(i).Type()})
-	}
-	return out
-}
-
-func callArgPairs(info *types.Info, fn *types.Func, call *ast.CallExpr) []boxPair {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	params := sig.Params()
-	var out []boxPair
-	for i, arg := range call.Args {
-		var dst types.Type
-		switch {
-		case i < params.Len()-1 || (!sig.Variadic() && i < params.Len()):
-			dst = params.At(i).Type()
-		case sig.Variadic() && call.Ellipsis == token.NoPos:
-			if s, ok := params.At(params.Len() - 1).Type().(*types.Slice); ok {
-				dst = s.Elem()
-			}
-		}
-		if dst != nil {
-			out = append(out, boxPair{expr: arg, dst: dst})
-		}
-	}
-	return out
 }
 
 // orderInsensitiveBody reports whether a map-range body is one of the
@@ -770,70 +287,15 @@ func (db *FactDB) implementers(ifaceMethod *types.Func) []*types.Func {
 // ---------------------------------------------------------------------
 // Transitive queries
 
-// HotSet returns every function reachable from a //seglint:hotpath
-// root over non-cold call edges, with a sample chain for messages.
-// The traversal is breadth-first from roots in deterministic order,
-// so the recorded chain (and therefore finding text) is stable.
-func (db *FactDB) HotSet() map[*types.Func]*HotChain {
-	if db.hotOnce {
-		return db.hot
-	}
-	db.hotOnce = true
-	db.hot = map[*types.Func]*HotChain{}
-
-	var roots []*FuncInfo
-	for _, fi := range db.fns {
-		if fi.HotPath {
-			roots = append(roots, fi)
-		}
-	}
-	sort.Slice(roots, func(i, j int) bool {
-		return roots[i].Fn.FullName() < roots[j].Fn.FullName()
-	})
-
-	var queue []*types.Func
-	for _, r := range roots {
-		if _, seen := db.hot[r.Fn]; seen {
-			continue
-		}
-		db.hot[r.Fn] = &HotChain{Root: r.Fn}
-		queue = append(queue, r.Fn)
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		chain := db.hot[fn]
-		fi := db.fns[fn]
-		if fi == nil {
-			continue
-		}
-		// Deterministic edge order: Callees are appended in source
-		// order within a file, and files are parsed in sorted order.
-		for _, e := range fi.Callees {
-			if e.Cold {
-				continue
-			}
-			if _, seen := db.hot[e.Callee]; seen {
-				continue
-			}
-			next := &HotChain{Root: chain.Root}
-			next.Path = append(append([]string{}, chain.Path...), e.Callee.Name())
-			db.hot[e.Callee] = next
-			queue = append(queue, e.Callee)
-		}
-	}
-	return db.hot
-}
-
 // MapRangeReach reports whether fn transitively reaches an
-// order-sensitive map iteration (through any call edge, cold ones
-// included — error paths feed committed output too), returning the
-// site, the owning function, and the call path.
-func (db *FactDB) MapRangeReach(fn *types.Func) (Site, *types.Func, []string, bool) {
+// order-sensitive map iteration (through any call edge — error paths
+// feed committed output too), returning the function owning the
+// iteration and the call path to it.
+func (db *FactDB) MapRangeReach(fn *types.Func) (*types.Func, []string, bool) {
 	if m := db.mapReachOf(fn, map[*types.Func]bool{}); m != nil && m.ok {
-		return m.site, m.fn, m.path, true
+		return m.fn, m.path, true
 	}
-	return Site{}, nil, nil, false
+	return nil, nil, false
 }
 
 func (db *FactDB) mapReachOf(fn *types.Func, visiting map[*types.Func]bool) *mapReach {
@@ -854,7 +316,6 @@ func (db *FactDB) mapReachOf(fn *types.Func, visiting map[*types.Func]bool) *map
 	}
 	if len(fi.MapRanges) > 0 {
 		m.ok = true
-		m.site = fi.MapRanges[0]
 		m.fn = fn
 		db.mapMemo[fn] = m
 		return m
@@ -863,7 +324,6 @@ func (db *FactDB) mapReachOf(fn *types.Func, visiting map[*types.Func]bool) *map
 		sub := db.mapReachOf(e.Callee, visiting)
 		if sub != nil && sub.ok {
 			m.ok = true
-			m.site = sub.site
 			m.fn = sub.fn
 			m.path = append([]string{e.Callee.Name()}, sub.path...)
 			break
@@ -1194,21 +654,8 @@ func (db *FactDB) Dump(w io.Writer) {
 		fns = append(fns, fi)
 	}
 	sort.Slice(fns, func(i, j int) bool { return fns[i].Fn.FullName() < fns[j].Fn.FullName() })
-	hot := db.HotSet()
 	for _, fi := range fns {
 		var facts []string
-		if fi.HotPath {
-			facts = append(facts, "hotpath")
-		}
-		if c, ok := hot[fi.Fn]; ok && !fi.HotPath {
-			facts = append(facts, fmt.Sprintf("hot(from %s)", c.Root.Name()))
-		}
-		if len(fi.Allocs) > 0 {
-			facts = append(facts, fmt.Sprintf("allocates(%d)", len(fi.Allocs)))
-		}
-		if len(fi.ExtCalls) > 0 {
-			facts = append(facts, fmt.Sprintf("ext-allocs(%d)", len(fi.ExtCalls)))
-		}
 		if len(fi.MapRanges) > 0 {
 			facts = append(facts, fmt.Sprintf("ranges-over-map(%d)", len(fi.MapRanges)))
 		}

@@ -68,8 +68,8 @@ func run(pass *analysis.Pass) error {
 			if fi == nil {
 				continue
 			}
-			for _, s := range fi.MapRanges {
-				pass.Reportf(s.Pos, "order-sensitive map iteration in deterministic package %s; "+
+			for _, pos := range fi.MapRanges {
+				pass.Reportf(pos, "order-sensitive map iteration in deterministic package %s; "+
 					"collect and sort the keys instead", pass.PkgBase())
 			}
 			for _, e := range fi.Callees {
@@ -80,7 +80,7 @@ func run(pass *analysis.Pass) error {
 				if deterministic[pkgBaseOf(callee.Pkg.Path)] {
 					continue // the callee's own package reports it
 				}
-				if _, owner, path, ok := db.MapRangeReach(e.Callee); ok {
+				if owner, path, ok := db.MapRangeReach(e.Callee); ok {
 					if ofi := db.Info(owner); ofi != nil && deterministic[pkgBaseOf(ofi.Pkg.Path)] {
 						continue // the range is reported at its source
 					}

@@ -57,7 +57,7 @@ func newSuppressions(p *Package) *suppressions {
 				}
 				kind := fields[0]
 				if kind != "ignore" && kind != "file-ignore" && kind != "package-ignore" {
-					continue // hotpath and future directives are not suppressions
+					continue // other //seglint: comments are not suppressions
 				}
 				names := strings.Split(fields[1], ",")
 				pos := p.Fset.Position(c.Pos())

@@ -159,21 +159,22 @@ func FlagStill() {}
 	}
 }
 
-// TestHotpathDirectiveIsNotASuppression: //seglint:hotpath marks a
-// root for the hotalloc pass; it must neither silence findings on the
-// function it annotates nor trip the reason-hygiene check.
-func TestHotpathDirectiveIsNotASuppression(t *testing.T) {
+// TestOtherDirectiveIsNotASuppression: a //seglint: comment of any
+// kind but ignore, file-ignore or package-ignore must neither silence
+// findings on the function it annotates nor trip the reason-hygiene
+// check.
+func TestOtherDirectiveIsNotASuppression(t *testing.T) {
 	src := `package p
 
-//seglint:hotpath toy root annotation
-func FlagHot() {}
+//seglint:note toy annotation
+func FlagNoted() {}
 `
-	pkg := parsePkg(t, "hot", src)
+	pkg := parsePkg(t, "noted", src)
 	fs, err := analysis.RunWith([]*analysis.Package{pkg}, []*analysis.Analyzer{mkFlagger("alpha")}, analysis.Options{CheckSuppressions: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fs) != 1 || fs[0].Analyzer != "alpha" || !strings.Contains(fs[0].Message, "FlagHot") {
-		t.Errorf("findings = %v, want exactly alpha on FlagHot", fs)
+	if len(fs) != 1 || fs[0].Analyzer != "alpha" || !strings.Contains(fs[0].Message, "FlagNoted") {
+		t.Errorf("findings = %v, want exactly alpha on FlagNoted", fs)
 	}
 }

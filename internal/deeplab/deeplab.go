@@ -514,7 +514,8 @@ func (m *Model) Predict(x *tensor.Tensor) []int32 {
 // the Parallel closures of the image pooling, the three bilinear
 // resizes and the argmax.
 //
-//seglint:hotpath pooled eval inference; 5 allocs a call with a warm workspace, pinned by TestEvalAllocBudget/deeplab_PredictInto
+// Pooled eval inference: 5 allocations a call, pinned by
+// train.TestEvalAllocBudget/deeplab_PredictInto.
 func (m *Model) PredictInto(x *tensor.Tensor, out []int32) []int32 {
 	return tensor.ArgmaxClassInto(m.Forward(x, false), out)
 }

@@ -119,7 +119,8 @@ func (f *FCN) Predict(x *tensor.Tensor) []int32 {
 
 // PredictInto is Predict writing into a caller-owned label buffer.
 //
-//seglint:hotpath pooled eval inference; 2 allocs a call with a warm workspace, pinned by TestEvalAllocBudget/fcn_PredictInto
+// Pooled eval inference: 2 allocations a call with a warm workspace,
+// pinned by train.TestEvalAllocBudget/fcn_PredictInto.
 func (f *FCN) PredictInto(x *tensor.Tensor, out []int32) []int32 {
 	return tensor.ArgmaxClassInto(f.Forward(x, false), out)
 }

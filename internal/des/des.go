@@ -110,9 +110,9 @@ func (s *Sim) At(t float64, fn func()) *Event {
 		//seglint:ignore nopanic a non-finite timestamp corrupts the event heap; fail loudly at the source
 		panic(fmt.Sprintf("des: schedule at non-finite time %v", t))
 	}
-	e := &Event{Time: t, Fn: fn, seq: s.nextSeq} //seglint:ignore hotalloc one Event header per scheduled callback is the engine's unit of work; callers hold the pointer for Cancel
+	e := &Event{Time: t, Fn: fn, seq: s.nextSeq}
 	s.nextSeq++
-	heap.Push(&s.queue, e) //seglint:ignore hotalloc heap insert: the queue's backing array amortises to its high-water mark
+	heap.Push(&s.queue, e)
 	return e
 }
 
@@ -149,7 +149,7 @@ func (s *Sim) RunUntil(deadline float64) float64 {
 		if s.queue[0].Time > deadline {
 			break
 		}
-		e := heap.Pop(&s.queue).(*Event) //seglint:ignore hotalloc heap extract boxes through the container/heap interface; the Event itself was paid for at schedule time
+		e := heap.Pop(&s.queue).(*Event)
 		s.now = e.Time
 		s.steps++
 		s.eventsCtr.Inc()
@@ -158,7 +158,7 @@ func (s *Sim) RunUntil(deadline float64) float64 {
 			//seglint:ignore nopanic the runaway guard fires inside event callbacks, which have no error channel
 			panic(fmt.Sprintf("des: exceeded MaxEvents=%d (runaway simulation?)", s.MaxEvents))
 		}
-		e.Fn() //seglint:ignore hotalloc event dispatch is the engine's purpose; callbacks are audited at their schedule sites
+		e.Fn()
 	}
 	return s.now
 }

@@ -140,7 +140,7 @@ func Quantize(buf []float32) {
 // error rather than a panic so a multi-rank world can unwind cleanly;
 // the success path allocates nothing.
 //
-//seglint:hotpath binary16 pack cast, once per gradient element per step
+// Pinned at zero allocations by TestCastAllocBudget.
 func Encode(src []float32, dst []uint16) error {
 	if len(dst) < len(src) {
 		return fmt.Errorf("fp16: encode %d values into %d-word destination", len(src), len(dst))
@@ -161,7 +161,7 @@ func Encode(src []float32, dst []uint16) error {
 // float32 before the cast — exactly what scaling the slice in place
 // and then encoding it produces, in one pass and without touching src.
 //
-//seglint:hotpath loss-scale multiply fused into the binary16 pack cast
+// Pinned at zero allocations by TestCastAllocBudget.
 func EncodeScaled(src []float32, dst []uint16, scale float32) error {
 	if len(dst) < len(src) {
 		return fmt.Errorf("fp16: encode %d values into %d-word destination", len(src), len(dst))
@@ -181,7 +181,7 @@ func EncodeScaled(src []float32, dst []uint16, scale float32) error {
 // Decode unpacks binary16 words into float32 — Encode's inverse on
 // the unpack path, with the same error contract.
 //
-//seglint:hotpath binary16 unpack cast, once per gradient element per step
+// Pinned at zero allocations by TestCastAllocBudget.
 func Decode(src []uint16, dst []float32) error {
 	if len(dst) < len(src) {
 		return fmt.Errorf("fp16: decode %d words into %d-value destination", len(src), len(dst))
@@ -202,7 +202,7 @@ func Decode(src []uint16, dst []float32) error {
 // any finite multiplier, so the verdict equals a scan of the decoded,
 // averaged values.
 //
-//seglint:hotpath binary16 unpack cast with the average, unscale and overflow verdict fused in
+// Pinned at zero allocations by TestCastAllocBudget.
 func DecodeScaled(src []uint16, dst []float32, a, b float32) (nonFinite bool, err error) {
 	if len(dst) < len(src) {
 		return false, fmt.Errorf("fp16: decode %d words into %d-value destination", len(src), len(dst))
@@ -223,7 +223,7 @@ func DecodeScaled(src []uint16, dst []float32, a, b float32) (nonFinite bool, er
 // round-to-nearest-even — one reduce hop of a binary16 allreduce. Only
 // the stored value is 16-bit, never the arithmetic.
 //
-//seglint:hotpath binary16 reduce hop, once per received element
+// Pinned at zero allocations by TestCastAllocBudget.
 func AddInto(dst, src []uint16) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("fp16: reduce length mismatch %d vs %d", len(dst), len(src))

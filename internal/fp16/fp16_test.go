@@ -248,11 +248,19 @@ func TestEncodeDecodeShortDestination(t *testing.T) {
 }
 
 // TestCastAllocBudget pins every binary16 cast at zero steady-state
-// allocations, on a gradient-like buffer of 2²⁰ elements. Each runs
-// once per fused buffer per step on the allreduce path, so one
+// allocations, on a gradient-like buffer of 2²⁰ elements, and Encode
+// once more on a copy salted with values that have no finite half
+// (overflow, ±Inf, NaN: an overflowing loss scale's gradients). Each
+// runs once per fused buffer per step on the allreduce path, so one
 // allocation a call would be one per buffer per step.
 func TestCastAllocBudget(t *testing.T) {
 	src := gradientLike(benchElems)
+	salted := append([]float32(nil), src...)
+	for i, v := range []float32{1e6, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())} {
+		for j := i; j < len(salted); j += 97 {
+			salted[j] = v
+		}
+	}
 	halves := scaledHalves(t)
 	f := make([]float32, benchElems)
 	h := make([]uint16, benchElems)
@@ -261,6 +269,7 @@ func TestCastAllocBudget(t *testing.T) {
 		call func() error
 	}{
 		{"Encode", func() error { return Encode(src, h) }},
+		{"Encode_nonfinite", func() error { return Encode(salted, h) }},
 		{"EncodeScaled", func() error { return EncodeScaled(src, h, 1024) }},
 		{"Decode", func() error { return Decode(halves, f) }},
 		{"DecodeScaled", func() error { _, err := DecodeScaled(halves, f, 0.5, 1.0/1024); return err }},

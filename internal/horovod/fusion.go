@@ -1,7 +1,5 @@
 package horovod
 
-//seglint:file-ignore hotalloc fusion planning is cached by Runtime.fusionPlan and re-runs only when the parameter-size vector changes — once per run, not per step
-
 import "fmt"
 
 // PlanFusion partitions tensors (given by size, in submission order)

@@ -201,7 +201,7 @@ func (r *Runtime) allreduceGrads(params []*nn.Param, pre, post float32, judge bo
 		var bad bool
 		if r.Cfg.FP16Compression {
 			if cap(r.fused16) < n {
-				r.fused16 = make([]uint16, n) //seglint:ignore hotalloc wire buffer grows to the largest group once, then is reused every step
+				r.fused16 = make([]uint16, n)
 			}
 			buf16 := r.fused16[:n]
 
@@ -224,7 +224,7 @@ func (r *Runtime) allreduceGrads(params []*nn.Param, pre, post float32, judge bo
 			}
 		} else {
 			if cap(r.fused) < n {
-				r.fused = make([]float32, n) //seglint:ignore hotalloc fusion buffer grows to the largest group once, then is reused every step
+				r.fused = make([]float32, n)
 			}
 			buf := r.fused[:n]
 
@@ -264,7 +264,7 @@ func (r *Runtime) fusionPlan(params []*nn.Param) [][]int {
 	}
 	r.planSizes = r.planSizes[:0]
 	for _, p := range params {
-		r.planSizes = append(r.planSizes, 4*p.G.Len()) //seglint:ignore hotalloc plan miss: runs once per parameter-size vector, then cached
+		r.planSizes = append(r.planSizes, 4*p.G.Len())
 	}
 	r.plan = PlanFusion(r.planSizes, r.Cfg.FusionThreshold)
 	return r.plan
@@ -275,7 +275,8 @@ func (r *Runtime) fusionPlan(params []*nn.Param) [][]int {
 // tensor fusion that runs once per group per step. The unscaled
 // allreduce keeps the plain copy.
 //
-//seglint:hotpath per-step gradient pack into the reused fusion buffer
+// Allocation-free; the world-2 fp32 rows of
+// train.TestTrainStepAllocBudget pin it.
 func packFused(buf []float32, params []*nn.Param, group []int, scale float32) {
 	off := 0
 	for _, i := range group {
@@ -300,7 +301,8 @@ func packFused(buf []float32, params []*nn.Param, group []int, scale float32) {
 // time straight into the gradients — cold by now, and too many to stay
 // cached — stalls on the store buffer and measured twice as slow.
 //
-//seglint:hotpath per-step gradient unpack from the reused fusion buffer
+// Allocation-free; the world-2 fp32 rows of
+// train.TestTrainStepAllocBudget pin it.
 func unpackFused(params []*nn.Param, group []int, buf []float32, inv, post float32, judge bool) (nonFinite bool) {
 	if judge {
 		nonFinite = scaleJudged(buf, inv, post)
@@ -321,7 +323,8 @@ func unpackFused(params []*nn.Param, group []int, buf []float32, inv, post float
 // The test is on the bit pattern and branch-free: adding one to an
 // all-ones exponent field carries into the sign position.
 //
-//seglint:hotpath per-step scale-and-judge pass over every gradient
+// Allocation-free; the world-1 fp16 rows of
+// train.TestTrainStepAllocBudget pin it.
 func scaleJudged(buf []float32, a, b float32) bool {
 	var acc uint32
 	for i, v := range buf {
@@ -336,7 +339,8 @@ func scaleJudged(buf []float32, a, b float32) bool {
 // tensor's gradient, times scale, is cast straight into the wire
 // buffer — no float32 staging copy.
 //
-//seglint:hotpath per-step scale-and-encode of every gradient into the reused wire buffer
+// Allocation-free; the world-2 fp16 rows of
+// train.TestTrainStepAllocBudget pin it.
 func encodeFused(buf []uint16, params []*nn.Param, group []int, scale float32) error {
 	off := 0
 	for _, i := range group {
@@ -353,7 +357,8 @@ func encodeFused(buf []uint16, params []*nn.Param, group []int, scale float32) e
 // half-words are decoded, averaged and unscaled straight into the
 // grouped tensors, and the verdict comes from the half-words.
 //
-//seglint:hotpath per-step decode-average-unscale of every gradient from the reused wire buffer
+// Allocation-free; the world-2 fp16 rows of
+// train.TestTrainStepAllocBudget pin it.
 func decodeFused(params []*nn.Param, group []int, buf []uint16, inv, post float32) (nonFinite bool, err error) {
 	off := 0
 	for _, i := range group {

@@ -11,10 +11,10 @@
 // instead of surfacing as a silently cratered mIOU.
 //
 // One Plane serves a run; each rank incarnation draws a Collector
-// from it. Collectors sit on the //seglint:hotpath train step, so
-// their steady state is allocation-free: per-layer slots and the
-// staging row buffer are grown once on the first observed step and
-// reused for the rest of the incarnation.
+// from it. Collectors sit on the training step, so their steady state
+// is allocation-free: per-layer slots and the staging row buffer are
+// grown once on the first observed step and reused for the rest of the
+// incarnation (train.TestTrainStepAllocBudget/w1_fp32_health).
 package modelhealth
 
 import (
@@ -178,7 +178,7 @@ func (p *Plane) DroppedAlerts() int {
 
 func (p *Plane) appendRows(rows []Row) {
 	p.mu.Lock()
-	p.rows = append(p.rows, rows...) //seglint:ignore hotalloc ledger growth doubles capacity; amortised over the run and absent from warm steady-state windows
+	p.rows = append(p.rows, rows...)
 	p.mu.Unlock()
 }
 
@@ -189,13 +189,13 @@ func (p *Plane) addAlert(a Alert) Alert {
 	p.mu.Lock()
 	a.Seq = len(p.alerts) + p.dropped
 	if len(p.alerts) < maxAlerts {
-		p.alerts = append(p.alerts, a) //seglint:ignore hotalloc sentinel trips are the diverging-run path, not steady state
+		p.alerts = append(p.alerts, a)
 	} else {
 		p.dropped++
 	}
 	p.mu.Unlock()
 	if p.cfg.OnAlert != nil {
-		p.cfg.OnAlert(a) //seglint:ignore hotalloc alert hook runs only on sentinel trips, never in a healthy steady state
+		p.cfg.OnAlert(a)
 	}
 	return a
 }
@@ -255,9 +255,9 @@ func (c *Collector) ObserveActivation(layer string, act *tensor.Tensor) {
 	}
 	s := c.index[layer]
 	if s == nil {
-		s = &actStat{layer: layer}   //seglint:ignore hotalloc one slot per tapped layer, first step only
-		c.index[layer] = s           //seglint:ignore hotalloc map insert happens once per layer; later steps hit the read above
-		c.slots = append(c.slots, s) //seglint:ignore hotalloc grows once per tapped layer on the first collected step
+		s = &actStat{layer: layer}
+		c.index[layer] = s
+		c.slots = append(c.slots, s)
 	}
 	for _, v := range act.Data {
 		f := float64(v)
@@ -310,7 +310,7 @@ func (c *Collector) CollectUpdate(params []*nn.Param, lr float64) {
 		if wl2 > 0 {
 			upd = lr * gl2 / wl2
 		}
-		c.buf = append(c.buf, Row{ //seglint:ignore hotalloc staging buffer reaches rows-per-step capacity on the first collected step and is reused
+		c.buf = append(c.buf, Row{
 			Step: c.step, Rank: c.rank, Inc: c.inc, Kind: "grad", Layer: p.Name,
 			GradL2: gl2, WeightL2: wl2, UpdRatio: upd, NonFinite: bad,
 		})
@@ -348,7 +348,7 @@ func (c *Collector) EndStep() {
 			}
 			dead = float64(s.zeros) / float64(s.count)
 		}
-		c.buf = append(c.buf, Row{ //seglint:ignore hotalloc staging buffer reaches rows-per-step capacity on the first collected step and is reused
+		c.buf = append(c.buf, Row{
 			Step: c.step, Rank: c.rank, Inc: c.inc, Kind: "act", Layer: s.layer,
 			Mean: mean, Std: std, DeadFrac: dead, NonFinite: s.nonfinite,
 		})
@@ -370,10 +370,10 @@ func (c *Collector) EndStep() {
 func (c *Collector) trip(kind, layer string, value, threshold float64) {
 	c.trips.Inc()
 	c.probe.Mark("HEALTH", kind)
-	c.plane.addAlert(Alert{ //seglint:ignore hotalloc sentinel trips are the diverging-run path, not steady state
+	c.plane.addAlert(Alert{
 		Kind: kind, Layer: layer, Rank: c.rank, Inc: c.inc, Step: c.step,
 		Value: value, Threshold: threshold,
-		Msg: fmt.Sprintf("%s: layer %s rank %d step %d inc %d (value %.6g, threshold %.6g)", //seglint:ignore hotalloc alert formatting only runs on sentinel trips
+		Msg: fmt.Sprintf("%s: layer %s rank %d step %d inc %d (value %.6g, threshold %.6g)",
 			kind, layer, c.rank, c.step, c.inc, value, threshold),
 	})
 }

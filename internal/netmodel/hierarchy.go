@@ -217,21 +217,21 @@ func (m *Model) splitByNode(ranks []int) (groups [][]int, leaders []int) {
 			return c.groups, c.leaders
 		}
 	}
-	byNode := map[int][]int{} //seglint:ignore hotalloc partition miss: recomputed only when the rank group changes, then memoized
+	byNode := map[int][]int{}
 	var order []int
 	for _, r := range ranks {
 		n := m.Mach.Node(r)
 		if _, ok := byNode[n]; !ok {
-			order = append(order, n) //seglint:ignore hotalloc partition miss path, memoized
+			order = append(order, n)
 		}
-		byNode[n] = append(byNode[n], r) //seglint:ignore hotalloc partition miss path, memoized
+		byNode[n] = append(byNode[n], r)
 	}
 	for _, n := range order {
 		g := byNode[n]
-		groups = append(groups, g)      //seglint:ignore hotalloc partition miss path, memoized
-		leaders = append(leaders, g[0]) //seglint:ignore hotalloc partition miss path, memoized
+		groups = append(groups, g)
+		leaders = append(leaders, g[0])
 	}
-	m.split.ranks = append(m.split.ranks[:0], ranks...) //seglint:ignore hotalloc memo key copy on partition miss; capacity is retained
+	m.split.ranks = append(m.split.ranks[:0], ranks...)
 	m.split.groups = groups
 	m.split.leaders = leaders
 	return groups, leaders

@@ -200,7 +200,7 @@ func (m *Model) ringFlowsPerNIC(ranks []int) int {
 		return 0
 	}
 	if m.flowScratch == nil {
-		m.flowScratch = map[int]int{} //seglint:ignore hotalloc per-node flow counter allocated once per Model, then cleared and reused each call
+		m.flowScratch = map[int]int{}
 	}
 	out := m.flowScratch
 	clear(out)

@@ -62,7 +62,7 @@ func (o *LARS) Step(params []*Param) {
 	for _, p := range params {
 		vel, ok := o.velocity[p]
 		if !ok {
-			vel = make([]float32, p.W.Len()) //seglint:ignore hotalloc velocity allocated on first touch of each parameter, then reused every step
+			vel = make([]float32, p.W.Len())
 			o.velocity[p] = vel
 		}
 		g := p.G.Data

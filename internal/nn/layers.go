@@ -158,7 +158,7 @@ func (bn *BatchNorm2D) SetWorkspace(ws *tensor.Workspace) { bn.ws = ws }
 // f64buf returns buf resized to n, reallocating only on growth.
 func f64buf(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		return make([]float64, n) //seglint:ignore hotalloc grows once per channel count; steady-state calls reuse capacity
+		return make([]float64, n)
 	}
 	buf = buf[:n]
 	for i := range buf {
@@ -214,7 +214,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		sums[2*c] = cnt
 		if bn.Sync != nil {
-			bn.Sync(sums) //seglint:ignore hotalloc SyncBN allreduce hook; nil in eval, and the train path is audited by the step alloc budget
+			bn.Sync(sums)
 		}
 		cnt = sums[2*c]
 		bn.count = cnt
@@ -308,7 +308,7 @@ func (bn *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	}
 
 	if bn.Sync != nil {
-		bn.Sync(corr) //seglint:ignore hotalloc SyncBN hook: the configured allreduce callback is the communication path; nil in single-rank and budget-measured runs
+		bn.Sync(corr)
 	}
 	for ch := 0; ch < c; ch++ {
 		gamma := float64(bn.gamma.W.Data[ch])
@@ -441,7 +441,7 @@ func (d *Dropout2D) Reseed(step int64) {
 		d.Rng.Seed(seed)
 		return
 	}
-	d.Rng = rand.New(rand.NewSource(seed)) //seglint:ignore hotalloc first reseed of an incarnation builds the generator; every later one reuses it in place
+	d.Rng = rand.New(rand.NewSource(seed))
 }
 
 func (d *Dropout2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -451,13 +451,13 @@ func (d *Dropout2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	d.active = true
 	if d.Rng == nil {
-		d.Rng = rand.New(rand.NewSource(d.Seed)) //seglint:ignore hotalloc once per incarnation; the annotated eval path returns before this
+		d.Rng = rand.New(rand.NewSource(d.Seed))
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	spatial := h * w
 	out := d.ws.GetRaw(n, c, h, w) // both branches below write fully
 	if cap(d.kept) < n*c {
-		d.kept = make([]bool, n*c) //seglint:ignore hotalloc grows once per shape; eval returns before this
+		d.kept = make([]bool, n*c)
 	} else {
 		d.kept = d.kept[:n*c]
 	}
@@ -604,7 +604,7 @@ func SplitChannelsWS(dout *tensor.Tensor, channels []int, ws *tensor.Workspace) 
 		panic(fmt.Sprintf("nn: split %v channels from %d", channels, total))
 	}
 	spatial := h * w
-	outs := make([]*tensor.Tensor, len(channels)) //seglint:ignore hotalloc slice-of-headers per backward split, a few words; counted in the pinned step alloc budget
+	outs := make([]*tensor.Tensor, len(channels))
 	off := 0
 	for k, c := range channels {
 		g := ws.GetRaw(n, c, h, w) // fully covered by the copies

@@ -14,8 +14,6 @@
 // real training is measured here, not in the trainer.
 package obs
 
-//seglint:file-ignore hotalloc the efficiency monitor is an edge observer: step alloc budgets are measured with StepObs=nil, lane state is allocated on first observation, and alert formatting runs only on SLO transitions
-
 import (
 	"fmt"
 	"math"

@@ -414,7 +414,7 @@ type stepStats struct {
 // state (DES engine, ready/size vectors, fusion-plan storage) comes
 // from the stepSim pools above.
 //
-//seglint:hotpath performance-simulator step loop: negotiation cycles, fusion planning, allreduce cost model
+// TestSimulatorAllocBudget pins a whole Run, one row per branch.
 func (s *stepSim) runStep(t0 float64, record bool, doComm bool) stepStats {
 	cfg := s.cfg
 	batch := s.batch
@@ -479,7 +479,7 @@ func (s *stepSim) runStep(t0 float64, record bool, doComm bool) stepStats {
 	// thread interrupts plus (for host-staged libraries) the comm
 	// activity that serialises against the compute stream.
 	var computeDelay float64
-	computeEnd := func() float64 { return t0 + fwd + bwdDur + computeDelay } //seglint:ignore hotalloc one closure pair per simulated step drives the event loop; the per-cycle work inside allocates nothing
+	computeEnd := func() float64 { return t0 + fwd + bwdDur + computeDelay }
 
 	reduced := 0
 	next := 0 // tensors are ready in order; next unreduced index
@@ -489,7 +489,7 @@ func (s *stepSim) runStep(t0 float64, record bool, doComm bool) stepStats {
 	var tick func()
 	commFree := t0
 
-	tick = func() { //seglint:ignore hotalloc the step's negotiation-cycle callback, built once per step and rescheduled in place
+	tick = func() {
 		now := dsim.Now()
 		st.cycles++
 		cfg.Probe.Counter("perfsim_cycles_total").Inc()
@@ -509,12 +509,12 @@ func (s *stepSim) runStep(t0 float64, record bool, doComm bool) stepStats {
 		}
 		dNeg := netmodel.NegotiationTime(p) + float64(pending)*float64(p)*perTensor
 		st.negotiateSec += dNeg
-		if now < computeEnd() { //seglint:ignore hotalloc call through the step-local closure; no allocation in the callee
+		if now < computeEnd() {
 			computeDelay += rankInterruptSec
 		}
 		if record {
 			s.cfg.Timeline.Add("coordinator", timeline.PhaseNegotiate,
-				fmt.Sprintf("cycle%d", st.cycles), now, now+dNeg) //seglint:ignore hotalloc negotiate label formatting runs only while recording the single designated timeline step
+				fmt.Sprintf("cycle%d", st.cycles), now, now+dNeg)
 		}
 		busyUntil := now + dNeg
 
@@ -570,14 +570,14 @@ func (s *stepSim) runStep(t0 float64, record bool, doComm bool) stepStats {
 				cfg.Probe.Histogram("perfsim_allreduce_seconds", commBucketsSec).Observe(arT)
 				if record {
 					s.cfg.Timeline.Add("coordinator", timeline.PhaseMemcpy,
-						fmt.Sprintf("buf%d(%dB)", st.buffers, bytes), busyUntil, busyUntil+packT) //seglint:ignore hotalloc buffer label formatting runs only while recording the single designated timeline step
+						fmt.Sprintf("buf%d(%dB)", st.buffers, bytes), busyUntil, busyUntil+packT)
 					s.cfg.Timeline.Add("coordinator", timeline.PhaseAllreduce,
-						fmt.Sprintf("buf%d(%dB)", st.buffers, bytes), busyUntil+packT, busyUntil+packT+arT) //seglint:ignore hotalloc buffer label formatting runs only while recording the single designated timeline step
+						fmt.Sprintf("buf%d(%dB)", st.buffers, bytes), busyUntil+packT, busyUntil+packT+arT)
 				}
 				busyUntil += packT + arT
 				// Host-staged libraries steal the compute stream for
 				// the staging copies and progress engine.
-				if now < computeEnd() { //seglint:ignore hotalloc call through the step-local closure; no allocation in the callee
+				if now < computeEnd() {
 					computeDelay += (packT + arT) * cfg.blockFraction()
 				}
 			}
@@ -598,7 +598,7 @@ func (s *stepSim) runStep(t0 float64, record bool, doComm bool) stepStats {
 	dsim.Run()
 
 	st.computeSec = fwd + bwdDur + computeDelay
-	ce := computeEnd() //seglint:ignore hotalloc call through the step-local closure; no allocation in the callee
+	ce := computeEnd()
 	st.exposedSec = computeDelay + math.Max(0, lastCommDone-ce)
 	end := math.Max(ce, lastCommDone) + stepOverheadSec
 	st.endSec = end

@@ -120,7 +120,7 @@ func (d *Dataset) SampleInto(i int, img *tensor.Tensor, label []int32) {
 	if len(img.Data) != 3*d.H*d.W || len(label) != d.H*d.W {
 		panic(fmt.Sprintf("segdata: sample buffers %d/%d for %dx%d", len(img.Data), len(label), d.H, d.W))
 	}
-	rng := rand.New(rand.NewSource(d.Seed*1_000_003 + int64(i))) //seglint:ignore hotalloc per-sample deterministic RNG: rendering must stay a pure function of (seed,id) so restored runs replay identical scenes
+	rng := rand.New(rand.NewSource(d.Seed*1_000_003 + int64(i)))
 	// The background pass overwrites every image value; labels start
 	// from "all background" by contract, so clear any reused buffer.
 	for p := range label {
@@ -355,7 +355,7 @@ func RandomScaleCrop(rng *rand.Rand, x *tensor.Tensor, labels []int32, minScale,
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	// Label scratch shared by every sample in the batch (hoisted out of
 	// the per-image loop; the size is the same for all of them).
-	src := make([]int32, h*w) //seglint:ignore hotalloc this make only: the h·w int32 label scratch, one per call, shared by the batch's samples
+	src := make([]int32, h*w)
 	for i := 0; i < n; i++ {
 		scale := minScale + rng.Float64()*(maxScale-minScale)
 		sh := max(8, int(float64(h)*scale))

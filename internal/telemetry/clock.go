@@ -39,7 +39,7 @@ type Clock interface {
 type ClockFunc func() float64
 
 // Now implements Clock.
-func (f ClockFunc) Now() float64 { return f() } //seglint:ignore hotalloc clock indirection: the training path's StepClock is an atomic counter; ClockFunc adapters are simulator-side
+func (f ClockFunc) Now() float64 { return f() }
 
 // StepClock is a monotonic operation counter: every Now call
 // atomically increments the counter and returns the new value. It

@@ -250,9 +250,9 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{} //seglint:ignore hotalloc first use of a metric name registers it; steady-state calls return the cached instance
+		c = &Counter{}
 		r.counters[name] = c
-		r.order = append(r.order, registered{name, kindCounter}) //seglint:ignore hotalloc registration-order log grows once per metric name
+		r.order = append(r.order, registered{name, kindCounter})
 	}
 	return c
 }
@@ -267,9 +267,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{} //seglint:ignore hotalloc first use of a metric name registers it; steady-state calls return the cached instance
+		g = &Gauge{}
 		r.gauges[name] = g
-		r.order = append(r.order, registered{name, kindGauge}) //seglint:ignore hotalloc registration-order log grows once per metric name
+		r.order = append(r.order, registered{name, kindGauge})
 	}
 	return g
 }
@@ -286,11 +286,11 @@ func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		bounds := append([]float64(nil), buckets...)                          //seglint:ignore hotalloc first use of a metric name registers it; steady-state calls return the cached instance
-		sort.Float64s(bounds)                                                 //seglint:ignore hotalloc first-use registration only
-		h = &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)} //seglint:ignore hotalloc first-use registration only
+		bounds := append([]float64(nil), buckets...)
+		sort.Float64s(bounds)
+		h = &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 		r.hists[name] = h
-		r.order = append(r.order, registered{name, kindHistogram}) //seglint:ignore hotalloc registration-order log grows once per metric name
+		r.order = append(r.order, registered{name, kindHistogram})
 	}
 	return h
 }

@@ -98,7 +98,7 @@ func (s Span) End() float64 {
 		end = s.start // a non-monotonic injected clock must not corrupt the trace
 	}
 	s.t.mu.Lock()
-	s.t.spans = append(s.t.spans, SpanRecord{ //seglint:ignore hotalloc span log grows by design when tracing is on; the nil probe (deterministic default) never reaches it
+	s.t.spans = append(s.t.spans, SpanRecord{
 		Lane: s.lane, Phase: s.phase, Name: s.name, Start: s.start, End: end, Edge: s.edge,
 	})
 	flight := s.t.flight
@@ -124,7 +124,7 @@ func (t *Tracer) AddEdge(lane, phase, name, edge string, start, end float64) {
 		end = start
 	}
 	t.mu.Lock()
-	t.spans = append(t.spans, SpanRecord{Lane: lane, Phase: phase, Name: name, Start: start, End: end, Edge: edge}) //seglint:ignore hotalloc span log grows by design when tracing is on; the nil tracer (deterministic default) never reaches it
+	t.spans = append(t.spans, SpanRecord{Lane: lane, Phase: phase, Name: name, Start: start, End: end, Edge: edge})
 	flight := t.flight
 	t.mu.Unlock()
 	flight.Record(FlightEvent{Lane: lane, Phase: phase, Name: name, Start: start, End: end, Edge: edge})

@@ -165,7 +165,8 @@ func Conv2D(x, w *Tensor, spec ConvSpec) *Tensor {
 // allocation-free on the serial path; the returned tensor is owned by
 // ws and valid until its Reset.
 //
-//seglint:hotpath conv forward; 0-alloc with a warm workspace on the serial path, pinned by TestConv2DWorkspaceZeroAllocs
+// Pinned at zero allocations on the serial path by
+// TestConv2DWorkspaceZeroAllocs.
 func Conv2DWS(x, w *Tensor, spec ConvSpec, ws *Workspace) *Tensor {
 	s := spec.Canon()
 	n, _, _, _, f, cg, kh, kw, oh, ow := convCheck(x, w, s)
@@ -175,7 +176,7 @@ func Conv2DWS(x, w *Tensor, spec ConvSpec, ws *Workspace) *Tensor {
 		conv2DSamples(x, w, out, s, 0, n, fg, cg, kh, kw, oh, ow, ws)
 		return out
 	}
-	Parallel(n, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
+	Parallel(n, func(lo, hi int) {
 		conv2DSamples(x, w, out, s, lo, hi, fg, cg, kh, kw, oh, ow, ws)
 	})
 	return out
@@ -296,7 +297,8 @@ func Conv2DBackward(x, w, dout *Tensor, spec ConvSpec) (dx, dw *Tensor) {
 // rejected: rebalancing the fold tree changes float associativity, so
 // it cannot be bit-identical to the serial merge it replaces.)
 //
-//seglint:hotpath conv backward; 0-alloc with a warm workspace on the serial path, pinned by TestConv2DWorkspaceZeroAllocs
+// Pinned at zero allocations on the serial path by
+// TestConv2DWorkspaceZeroAllocs.
 func Conv2DBackwardWS(x, w, dout *Tensor, spec ConvSpec, ws *Workspace) (dx, dw *Tensor) {
 	s := spec.Canon()
 	n, c, h, wd, f, cg, kh, kw, oh, ow := convCheck(x, w, s)
@@ -313,7 +315,7 @@ func Conv2DBackwardWS(x, w, dout *Tensor, spec ConvSpec, ws *Workspace) (dx, dw 
 	if parallelDegree(n) <= 1 {
 		convBackwardSamples(x, w, dout, dxT, partials, s, 0, n, fg, cg, kh, kw, oh, ow, ws)
 	} else {
-		Parallel(n, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
+		Parallel(n, func(lo, hi int) {
 			convBackwardSamples(x, w, dout, dxT, partials, s, lo, hi, fg, cg, kh, kw, oh, ow, ws)
 		})
 	}
@@ -321,7 +323,7 @@ func Conv2DBackwardWS(x, w, dout *Tensor, spec ConvSpec, ws *Workspace) (dx, dw 
 	if parallelDegree(psz) <= 1 {
 		mergeSamplePartials(dwd, pd, n, 0, psz)
 	} else {
-		Parallel(psz, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
+		Parallel(psz, func(lo, hi int) {
 			mergeSamplePartials(dwd, pd, n, lo, hi)
 		})
 	}

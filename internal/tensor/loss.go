@@ -25,10 +25,10 @@ func SoftmaxCrossEntropyWS(logits *Tensor, labels []int32, ignore int32, ws *Wor
 	dlogits := ws.Get(n, k, h, w) // zeroed: ignored pixels contribute 0
 	spatial := h * w
 
-	losses := make([]float64, n)   //seglint:ignore hotalloc per-batch float64 reduction buffer, a few dozen bytes; counted in the pinned step alloc budget
-	valids := make([]int, n)       //seglint:ignore hotalloc per-batch reduction buffer, a few dozen bytes; counted in the pinned step alloc budget
-	Parallel(n, func(lo, hi int) { //seglint:ignore hotalloc one closure per call at any GOMAXPROCS (no serial branch); counted in the pinned budget rows
-		probs := make([]float64, k) //seglint:ignore hotalloc per-worker class-probability scratch, K float64s per launch; counted in the pinned step alloc budget
+	losses := make([]float64, n)
+	valids := make([]int, n)
+	Parallel(n, func(lo, hi int) {
+		probs := make([]float64, k)
 		for i := lo; i < hi; i++ {
 			base := i * k * spatial
 			for p := 0; p < spatial; p++ {
@@ -87,14 +87,14 @@ func ArgmaxClass(logits *Tensor) []int32 {
 // of exactly N·H·W labels — the pooled inference path's variant; its
 // one allocation is the Parallel closure. Returns out.
 //
-//seglint:hotpath eval argmax; 1 alloc a call (its Parallel closure), pinned by TestEvalAllocBudget/ArgmaxClassInto
+// Pinned by train.TestEvalAllocBudget/ArgmaxClassInto.
 func ArgmaxClassInto(logits *Tensor, out []int32) []int32 {
 	n, k, h, w := logits.Dim(0), logits.Dim(1), logits.Dim(2), logits.Dim(3)
 	spatial := h * w
 	if len(out) != n*spatial {
 		panic(fmt.Sprintf("tensor: argmax output %d labels for [%d,%d,%d,%d] logits", len(out), n, k, h, w))
 	}
-	Parallel(n, func(lo, hi int) { //seglint:ignore hotalloc one closure per call at any GOMAXPROCS (no serial branch); counted in the pinned budget rows
+	Parallel(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			base := i * k * spatial
 			for p := 0; p < spatial; p++ {

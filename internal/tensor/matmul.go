@@ -47,7 +47,8 @@ func MatMul(a, b *Tensor) *Tensor {
 // and the serial path calls the worker directly so no closure is
 // allocated.
 //
-//seglint:hotpath dense forward/backward kernel; 0-alloc on the serial path, pinned by TestMatMulIntoZeroAllocs
+// Pinned at zero allocations on the serial path by
+// TestMatMulIntoZeroAllocs.
 func MatMulInto(c, a, b *Tensor, accumulate bool) {
 	m, k, n := checkMatMul(a, b)
 	checkMatMulOut(c, m, n, "matmul")
@@ -56,7 +57,7 @@ func MatMulInto(c, a, b *Tensor, accumulate bool) {
 		matmulRows(cd, ad, bd, k, n, 0, m, false, accumulate)
 		return
 	}
-	Parallel(m, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
+	Parallel(m, func(lo, hi int) {
 		matmulRows(cd, ad, bd, k, n, lo, hi, false, accumulate)
 	})
 }
@@ -92,7 +93,8 @@ func matmulRows(cd, ad, bd []float32, k, n, lo, hi int, bt, accumulate bool) {
 // contiguous strip once, then runs the same packed-panel core as
 // MatMulInto.
 //
-//seglint:hotpath conv backward input-gradient kernel; 0-alloc on the serial path, pinned by TestMatMulIntoZeroAllocs
+// Pinned at zero allocations on the serial path by
+// TestMatMulIntoZeroAllocs.
 func MatMulATInto(c, a, b *Tensor, accumulate bool) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic("tensor: matmulAT needs rank-2 inputs")
@@ -108,7 +110,7 @@ func MatMulATInto(c, a, b *Tensor, accumulate bool) {
 		matmulATRows(cd, ad, bd, k, m, n, 0, m, accumulate)
 		return
 	}
-	Parallel(m, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
+	Parallel(m, func(lo, hi int) {
 		matmulATRows(cd, ad, bd, k, m, n, lo, hi, accumulate)
 	})
 }
@@ -129,7 +131,8 @@ func matmulATRows(cd, ad, bd []float32, k, m, n, lo, hi int, accumulate bool) {
 // weight gradients. Each panel packs four rows of B transposed, and
 // the same micro-kernel as MatMulInto runs over it.
 //
-//seglint:hotpath conv backward weight-gradient kernel; 0-alloc on the serial path, pinned by TestMatMulIntoZeroAllocs
+// Pinned at zero allocations on the serial path by
+// TestMatMulIntoZeroAllocs.
 func MatMulBTInto(c, a, b *Tensor, accumulate bool) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic("tensor: matmulBT needs rank-2 inputs")
@@ -145,7 +148,7 @@ func MatMulBTInto(c, a, b *Tensor, accumulate bool) {
 		matmulRows(cd, ad, bd, k, n, 0, m, true, accumulate)
 		return
 	}
-	Parallel(m, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
+	Parallel(m, func(lo, hi int) {
 		matmulRows(cd, ad, bd, k, n, lo, hi, true, accumulate)
 	})
 }

@@ -27,7 +27,7 @@ func Parallel(n int, fn func(lo, hi int)) {
 		return
 	}
 	if parallelDegree(n) <= 1 {
-		fn(0, n) //seglint:ignore hotalloc worker body is the caller's closure, analysed in the enclosing kernel
+		fn(0, n)
 		return
 	}
 	workers := parallelDegree(n)
@@ -39,9 +39,9 @@ func Parallel(n int, fn func(lo, hi int)) {
 			hi = n
 		}
 		wg.Add(1)
-		go func(lo, hi int) { //seglint:ignore hotalloc one goroutine+closure per worker per launch; the 0-alloc budget path (GOMAXPROCS=1) takes the serial branch above
+		go func(lo, hi int) {
 			defer wg.Done()
-			fn(lo, hi) //seglint:ignore hotalloc worker body is the caller's closure, analysed in the enclosing kernel
+			fn(lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()

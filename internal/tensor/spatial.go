@@ -14,7 +14,7 @@ func GlobalAvgPoolWS(x *Tensor, ws *Workspace) *Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	out := ws.GetRaw(n, c, 1, 1)
 	inv := 1 / float32(h*w)
-	Parallel(n*c, func(lo, hi int) { //seglint:ignore hotalloc one closure per call at any GOMAXPROCS (no serial branch); counted in the pinned budget rows
+	Parallel(n*c, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var s float32
 			for _, v := range x.Data[i*h*w : (i+1)*h*w] {
@@ -38,7 +38,7 @@ func GlobalAvgPoolBackwardWS(dout *Tensor, h, w int, ws *Workspace) *Tensor {
 	n, c := dout.Dim(0), dout.Dim(1)
 	dx := ws.GetRaw(n, c, h, w)
 	inv := 1 / float32(h*w)
-	Parallel(n*c, func(lo, hi int) { //seglint:ignore hotalloc one closure per call at any GOMAXPROCS (no serial branch); counted in the pinned budget rows
+	Parallel(n*c, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			g := dout.Data[i] * inv
 			row := dx.Data[i*h*w : (i+1)*h*w]
@@ -132,8 +132,8 @@ func bilinearAxisFor(in, out int) *bilinearAxis {
 		return v.(*bilinearAxis)
 	}
 	lo, hi, w := bilinearWeights(in, out)
-	ax := &bilinearAxis{lo: lo, hi: hi, w: w}                    //seglint:ignore hotalloc cache miss: one plan per (in,out) pair, then memoised
-	if v, loaded := bilinearCache.LoadOrStore(key, ax); loaded { //seglint:ignore hotalloc cache miss: one plan per (in,out) pair, then memoised
+	ax := &bilinearAxis{lo: lo, hi: hi, w: w}
+	if v, loaded := bilinearCache.LoadOrStore(key, ax); loaded {
 		return v.(*bilinearAxis)
 	}
 	return ax
@@ -143,9 +143,9 @@ func bilinearAxisFor(in, out int) *bilinearAxis {
 // axis length `in` to `out` with align_corners=true semantics (what
 // DeepLab's TensorFlow implementation uses).
 func bilinearWeights(in, out int) (lo, hi []int, w []float32) {
-	lo = make([]int, out)    //seglint:ignore hotalloc reached only on a bilinearCache miss: once per (in,out) pair
-	hi = make([]int, out)    //seglint:ignore hotalloc reached only on a bilinearCache miss: once per (in,out) pair
-	w = make([]float32, out) //seglint:ignore hotalloc reached only on a bilinearCache miss: once per (in,out) pair
+	lo = make([]int, out)
+	hi = make([]int, out)
+	w = make([]float32, out)
 	if out == 1 {
 		return
 	}
@@ -185,7 +185,7 @@ func BilinearResizeWS(x *Tensor, oh, ow int, ws *Workspace) *Tensor {
 	ylo, yhi, wy := yax.lo, yax.hi, yax.w
 	xlo, xhi, wx := xax.lo, xax.hi, xax.w
 	out := ws.GetRaw(n, c, oh, ow)
-	Parallel(n*c, func(lo, hi int) { //seglint:ignore hotalloc one closure per call at any GOMAXPROCS (no serial branch); counted in the pinned budget rows
+	Parallel(n*c, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			in := x.Data[i*h*w : (i+1)*h*w]
 			dst := out.Data[i*oh*ow : (i+1)*oh*ow]
@@ -220,8 +220,8 @@ func BilinearResizeBackwardWS(dout *Tensor, h, w int, ws *Workspace) *Tensor {
 	yax, xax := bilinearAxisFor(h, oh), bilinearAxisFor(w, ow)
 	ylo, yhi, wy := yax.lo, yax.hi, yax.w
 	xlo, xhi, wx := xax.lo, xax.hi, xax.w
-	dx := ws.Get(n, c, h, w)         // zeroed: the scatter accumulates
-	Parallel(n*c, func(lo, hi int) { //seglint:ignore hotalloc one closure per call at any GOMAXPROCS (no serial branch); counted in the pinned budget rows
+	dx := ws.Get(n, c, h, w) // zeroed: the scatter accumulates
+	Parallel(n*c, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			src := dout.Data[i*oh*ow : (i+1)*oh*ow]
 			dst := dx.Data[i*h*w : (i+1)*h*w]

@@ -44,7 +44,7 @@ func numel(shape []int) int {
 
 // New allocates a zero tensor of the given shape.
 func New(shape ...int) *Tensor {
-	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float32, numel(shape))} //seglint:ignore hotalloc heap constructor; hot paths reach it only through the nil-workspace fallback
+	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float32, numel(shape))}
 }
 
 // FromSlice wraps data (not copied) with a shape.
@@ -52,7 +52,7 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	if numel(shape) != len(data) {
 		panic(fmt.Sprintf("tensor: %v needs %d elements, got %d", shape, numel(shape), len(data)))
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data} //seglint:ignore hotalloc view header over caller-owned memory: a few words of shape, no data copy
+	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
 }
 
 // Randn fills a new tensor with N(0, std²) values from rng.

@@ -102,15 +102,15 @@ func (w *Workspace) GetRaw(shape ...int) *Tensor {
 		w.free[class] = fl[:len(fl)-1]
 		w.hits++
 	} else {
-		t = &Tensor{Data: make([]float32, 1<<class)} //seglint:ignore hotalloc size-class miss: arena growth, amortised to zero once warm
+		t = &Tensor{Data: make([]float32, 1<<class)}
 		w.pooled += 1 << class
 	}
 	t.ws = w
 	t.wsIdx = len(w.lent)
-	w.lent = append(w.lent, t) //seglint:ignore hotalloc lent capacity is retained across Reset; amortised to zero once warm
+	w.lent = append(w.lent, t)
 	w.mu.Unlock()
 
-	t.Shape = append(t.Shape[:0], shape...) //seglint:ignore hotalloc shape capacity retained from the buffer's previous loan
+	t.Shape = append(t.Shape[:0], shape...)
 	t.Data = t.Data[:cap(t.Data)][:n]
 	return t
 }
@@ -137,7 +137,7 @@ func (w *Workspace) release(t *Tensor) {
 	}
 	t.ws = nil
 	class := wsClass(cap(t.Data))
-	w.free[class] = append(w.free[class], t) //seglint:ignore hotalloc free-list capacity is retained; amortised to zero once warm
+	w.free[class] = append(w.free[class], t)
 }
 
 // Reset reclaims every outstanding tensor. The step boundary calls it
@@ -151,7 +151,7 @@ func (w *Workspace) Reset() {
 	for _, t := range w.lent {
 		t.ws = nil
 		class := wsClass(cap(t.Data))
-		w.free[class] = append(w.free[class], t) //seglint:ignore hotalloc free-list capacity is retained; amortised to zero once warm
+		w.free[class] = append(w.free[class], t)
 	}
 	w.lent = w.lent[:0]
 	w.resets++

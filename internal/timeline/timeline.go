@@ -110,7 +110,7 @@ func (r *Recorder) AddEdge(lane, phase, name, edge string, start, end float64) {
 	if end < start {
 		panic(fmt.Sprintf("timeline: event %q ends (%g) before start (%g)", name, end, start))
 	}
-	r.Events = append(r.Events, Event{Lane: lane, Phase: phase, Name: name, Start: start, End: end, Edge: edge}) //seglint:ignore hotalloc the event log grows by design while recording; the simulator records one designated step per run
+	r.Events = append(r.Events, Event{Lane: lane, Phase: phase, Name: name, Start: start, End: end, Edge: edge})
 }
 
 // Breakdown sums durations per phase.

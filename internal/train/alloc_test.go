@@ -1,20 +1,22 @@
 package train
 
 import (
-	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"testing"
 
+	"segscale/internal/modelhealth"
+	"segscale/internal/obs"
 	"segscale/internal/segdata"
+	"segscale/internal/telemetry"
 	"segscale/internal/transport"
 )
 
 // realStepAllocs measures the steady-state heap allocations of
 // rankStep.step — the trainer's own step, built by newRankStep around
 // a fresh replica and synced by syncState exactly as an incarnation does
-// — at GOMAXPROCS=procs under DefaultConfig with augmentation on or
-// off, in a world of the given size on the fp32 or binary16 wire. The
+// — at GOMAXPROCS=procs under cfg, in a world of cfg.World ranks. The
 // count is the process's per rank-0 step, so at world 2 it includes the
 // other rank's step. At world 1 and one proc it is testing.AllocsPerRun's;
 // above one proc, where AllocsPerRun would pin GOMAXPROCS back to 1 and
@@ -23,12 +25,9 @@ import (
 // window (see below).
 // useWS=false detaches the workspace: the plain-heap baseline the arena
 // is judged against.
-func realStepAllocs(t *testing.T, world, procs int, fp16, augment, useWS bool) float64 {
+func realStepAllocs(t *testing.T, cfg Config, procs int, useWS bool) float64 {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.World = world
-	cfg.MixedPrecision = fp16
-	cfg.Augment = augment
+	world := cfg.World
 	rs, err := newRunState(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -162,49 +161,88 @@ func checkAllocRow(t *testing.T, got, pin, ceiling float64) {
 	}
 }
 
+// stepRow is one row of TestTrainStepAllocBudget: DefaultConfig without
+// augmentation, changed by set.
+type stepRow struct {
+	name         string
+	world, procs int
+	set          func(*Config)
+	pin, ceiling float64
+}
+
+func (r stepRow) config() Config {
+	cfg := DefaultConfig()
+	cfg.World = r.world
+	cfg.Augment = false
+	if r.set != nil {
+		r.set(&cfg)
+	}
+	return cfg
+}
+
 // TestTrainStepAllocBudget pins the steady-state allocation count of
-// the real training step at world 1 and world 2 on both wires, with
-// augmentation off and on. The world-1 residue is bounded and
-// intentional — among it Parallel-closure headers at tensor-op call
-// sites, the loss's tiny float64 reduction buffers, and SplitChannels'
-// slice-of-headers: each a handful of words, none proportional to
-// activation size. Augmentation adds, per step, RandomScaleCrop's label
-// scratch and each sample's resized copy and view header. A world-2 row
-// is both ranks' steps plus one barrier channel: the transport recycles
-// every payload and wakes its peers through semaphores made once, so
-// the fused gradient buffers and SyncBN's per-layer reductions add
-// nothing. Every row at one proc is exact, so one extra allocation a
-// step fails it. At GOMAXPROCS=4 every Parallel launch adds its closure
-// and goroutines, whose count moves with scheduling; that row has a
-// ceiling.
+// the real training step, one row per branch the step can take: world
+// 1 and world 2 on both wires with augmentation off and on, and at world
+// 1 each knob that routes the step through other code — the LARS
+// optimiser, gradient clipping on either wire, gradient accumulation,
+// the FCN architecture, DeepLab without its decoder, the urban scene
+// generator, an fp16 step whose gradients overflow (with telemetry on,
+// so the backoff is marked), and each observer (health plane,
+// telemetry with a flight recorder, step observer). The world-1
+// residue is bounded and intentional — among it Parallel-closure
+// headers at tensor-op call sites, the loss's tiny float64 reduction
+// buffers, and SplitChannels' slice-of-headers: each a handful of
+// words, none proportional to activation size. Augmentation adds, per
+// step, RandomScaleCrop's label scratch and each sample's resized copy
+// and view header. The urban generator seeds a generator per sample.
+// The observers' logs (health rows, telemetry spans) grow by doubling;
+// AllocsPerRun rounds its per-step mean down, so a doubling that lands
+// among the three measured steps does not move a row, and one
+// allocation every step does. A
+// world-2 row is both ranks' steps plus one barrier channel: the
+// transport recycles every payload and wakes its peers through
+// semaphores made once, so the fused gradient buffers and SyncBN's
+// per-layer reductions add nothing. Every row at one proc is exact, so
+// one extra allocation a step fails it. At GOMAXPROCS=4 every Parallel
+// launch adds its closure and goroutines, whose count moves with
+// scheduling; that row has a ceiling.
 func TestTrainStepAllocBudget(t *testing.T) {
-	for _, c := range []struct {
-		world, procs  int
-		fp16, augment bool
-		pin, ceiling  float64
-	}{
-		{1, 1, false, false, 32, 0},
-		{1, 1, true, false, 32, 0},
-		{2, 1, false, false, 65, 0},
-		{2, 1, true, false, 65, 0},
-		{1, 1, false, true, 61, 0},
-		{1, 1, true, true, 61, 0},
-		{2, 1, false, true, 123, 0},
-		{2, 1, true, true, 123, 0},
-		{1, 4, false, true, 896, 1.25*896 + 2},
+	fp16 := func(c *Config) { c.MixedPrecision = true }
+	aug := func(c *Config) { c.Augment = true }
+	for _, r := range []stepRow{
+		{"w1_fp32", 1, 1, nil, 32, 0},
+		{"w1_fp16", 1, 1, fp16, 32, 0},
+		{"w2_fp32", 2, 1, nil, 65, 0},
+		{"w2_fp16", 2, 1, fp16, 65, 0},
+		{"w1_fp32_aug", 1, 1, aug, 61, 0},
+		{"w1_fp16_aug", 1, 1, func(c *Config) { fp16(c); aug(c) }, 61, 0},
+		{"w2_fp32_aug", 2, 1, aug, 123, 0},
+		{"w2_fp16_aug", 2, 1, func(c *Config) { fp16(c); aug(c) }, 123, 0},
+		{"w1_fp32_aug_mp4", 1, 4, aug, 896, 1.25*896 + 2},
+		{"w1_fp32_lars", 1, 1, func(c *Config) { c.Optimizer = "lars" }, 32, 0},
+		{"w1_fp32_clip", 1, 1, func(c *Config) { c.GradClip = 1 }, 32, 0},
+		{"w1_fp16_clip", 1, 1, func(c *Config) { fp16(c); c.GradClip = 1 }, 32, 0},
+		{"w1_fp32_accum2", 1, 1, func(c *Config) { c.Horovod.BackwardPassesPerStep = 2 }, 32, 0},
+		{"w1_fp32_fcn", 1, 1, func(c *Config) { c.Arch = "fcn" }, 22, 0},
+		{"w1_fp32_nodecoder", 1, 1, func(c *Config) { c.Model.NoDecoder = true }, 28, 0},
+		{"w1_fp32_urban", 1, 1, func(c *Config) { c.DataStyle = segdata.StyleUrban }, 32, 0},
+		{"w1_fp16_overflow", 1, 1, func(c *Config) {
+			fp16(c)
+			c.LossScale = 1 << 200 // +Inf as a float32 scale: every step overflows
+			c.Telemetry = telemetry.NewCollector()
+		}, 32, 0},
+		{"w1_fp32_health", 1, 1, func(c *Config) { c.Health = modelhealth.New(modelhealth.Config{}) }, 32, 0},
+		{"w1_fp32_telemetry", 1, 1, func(c *Config) {
+			c.Telemetry = telemetry.NewCollector()
+			c.Telemetry.EnableFlight(0)
+		}, 32, 0},
+		{"w1_fp32_stepobs", 1, 1, func(c *Config) {
+			// A flusher that counts every step and never reaches its flush.
+			c.StepObs = telemetry.MultiObserver(obs.NewPromFlusher(telemetry.NewCollector(), filepath.Join(t.TempDir(), "m.prom"), 1<<30))
+		}, 32, 0},
 	} {
-		name := fmt.Sprintf("w%d_fp32", c.world)
-		if c.fp16 {
-			name = fmt.Sprintf("w%d_fp16", c.world)
-		}
-		if c.augment {
-			name += "_aug"
-		}
-		if c.procs > 1 {
-			name += fmt.Sprintf("_mp%d", c.procs)
-		}
-		t.Run(name, func(t *testing.T) {
-			checkAllocRow(t, realStepAllocs(t, c.world, c.procs, c.fp16, c.augment, true), c.pin, c.ceiling)
+		t.Run(r.name, func(t *testing.T) {
+			checkAllocRow(t, realStepAllocs(t, r.config(), r.procs, true), r.pin, r.ceiling)
 		})
 	}
 }
@@ -213,8 +251,9 @@ func TestTrainStepAllocBudget(t *testing.T) {
 // workspace eliminates at least 90% of the heap baseline's per-step
 // allocations.
 func TestTrainStepAllocReduction(t *testing.T) {
-	heap := realStepAllocs(t, 1, 1, false, false, false)
-	pooled := realStepAllocs(t, 1, 1, false, false, true)
+	cfg := stepRow{world: 1}.config()
+	heap := realStepAllocs(t, cfg, 1, false)
+	pooled := realStepAllocs(t, cfg, 1, true)
 	t.Logf("allocs/step: heap=%.0f pooled=%.0f (%.1f%% reduction)",
 		heap, pooled, 100*(1-pooled/heap))
 	if pooled > 0.1*heap {

@@ -4,16 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
-	"segscale/internal/deeplab"
 	"segscale/internal/modelhealth"
-	"segscale/internal/nn"
-	"segscale/internal/segdata"
 	"segscale/internal/telemetry"
-	"segscale/internal/tensor"
 )
 
 // healthCfg sizes the health-golden run: two ranks, two epochs of two
@@ -219,54 +214,6 @@ func ampMarks(t *testing.T, lossScale float64, epochs int) string {
 		t.Fatal(err)
 	}
 	return buf.String()
-}
-
-// TestHealthStepAllocBudget proves the health plane's steady state is
-// allocation-free: a full training step with the collector tapped into
-// every ReLU and collecting every gradient allocates no more than the
-// plain step (the tiny residue allowed covers the plane's amortised
-// ledger growth — a capacity-doubling append that lands on a measured
-// iteration once in a while, never per step).
-func TestHealthStepAllocBudget(t *testing.T) {
-	measure := func(withHealth bool) float64 {
-		cfg := deeplab.DefaultConfig()
-		net := deeplab.New(cfg)
-		ws := tensor.NewWorkspace()
-		net.SetWorkspace(ws)
-		params := net.Params()
-		opt := nn.NewSGD(0.05)
-		ds := segdata.New(4, cfg.InputSize, cfg.InputSize, 7)
-		x, labels := ds.Batch([]int{0, 1})
-
-		var health *modelhealth.Collector
-		step := int64(0)
-		if withHealth {
-			probe := telemetry.NewProbe("rank0", telemetry.NewStepClock())
-			health = modelhealth.New(modelhealth.Config{}).Rank(0, 0, probe)
-			net.SetActivationTap(health)
-		}
-		stepFn := func() {
-			ws.Reset()
-			health.BeginStep(step)
-			net.ReseedDropout(3)
-			net.Loss(x, labels, segdata.IgnoreLabel, true)
-			health.CollectUpdate(params, 0.05)
-			opt.Step(params)
-			nn.ZeroGrads(params)
-			health.EndStep()
-			step++
-		}
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		stepFn()
-		stepFn()
-		return testing.AllocsPerRun(10, stepFn)
-	}
-	plain := measure(false)
-	health := measure(true)
-	t.Logf("allocs/step: plain=%.1f health=%.1f", plain, health)
-	if health > plain+1 {
-		t.Fatalf("health collection adds %.1f allocs/step to the %.1f baseline", health-plain, plain)
-	}
 }
 
 // TestLossScaleTransitionMarks forces the loss scaler through backoff

@@ -587,11 +587,9 @@ func (rs *runState) record(st *rankStep, epoch int, loss float64, conf *metrics.
 
 // rankStep is one rank's per-incarnation view of its replica, which it
 // embeds, plus runtime, observers, shard and batch staging. The step is a
-// named method rather than the middle of a closure: the hotalloc pass
-// walks the call graph from annotated roots, and a named root makes
-// the whole step — forward/backward, fused allreduce, optimiser
-// update — verifiable as allocation-free in steady state. Both
-// recovery modes build it through newRankStep.
+// named method rather than the middle of a closure, so a test can drive
+// it alone: TestTrainStepAllocBudget measures it as an incarnation runs
+// it. Both recovery modes build it through newRankStep.
 type rankStep struct {
 	*replica
 	cfg        Config
@@ -661,7 +659,8 @@ func (rs *runState) newRankStep(c *transport.Comm, rep *replica, slot, inc int, 
 // then step accounting. The operation order is pinned by the
 // restart-equivalence goldens — do not reorder.
 //
-//seglint:hotpath per-rank training step: forward/backward, fused allreduce, optimiser update
+// Its steady-state allocations are pinned, one row per branch, by
+// TestTrainStepAllocBudget.
 func (t *rankStep) step(s int, perm []int, rng *rand.Rand) (float64, error) {
 	if t.cfg.Chaos.CrashAt(t.slot, t.gstep, t.inc) {
 		t.c.Kill()
@@ -680,7 +679,7 @@ func (t *rankStep) step(s int, perm []int, rng *rand.Rand) (float64, error) {
 	t.net.ReseedDropout(int64(t.gstep))
 	t.ids = t.ids[:0]
 	for k := 0; k < t.cfg.BatchPerRank; k++ {
-		t.ids = append(t.ids, t.shard[perm[(s*t.cfg.BatchPerRank+k)%len(t.shard)]]) //seglint:ignore hotalloc id buffer capacity is fixed at BatchPerRank up front and reused every step
+		t.ids = append(t.ids, t.shard[perm[(s*t.cfg.BatchPerRank+k)%len(t.shard)]])
 	}
 	x, labels := t.x, t.labels
 	t.trainSet.BatchInto(t.ids, x, labels)
