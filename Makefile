@@ -9,7 +9,7 @@ FUZZTIME  ?= 10s
 COVER_FLOOR ?= 74.0
 COVER_OUT   ?= /tmp/segscale-cover.out
 
-.PHONY: build test race gomaxprocs lint vet fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke cover bench-e2e ci
+.PHONY: build test race gomaxprocs lint vet fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke figures cover bench-e2e ci
 
 build:
 	go build ./...
@@ -90,6 +90,12 @@ fp16-smoke:
 health-smoke:
 	./scripts/health_smoke.sh
 
+# figures renders every experiment of internal/core's registry at its
+# -fast size. Tier-1 grades the simulator entries; this is the one
+# place the real-training entries (f8, x1, x6, acc) run.
+figures:
+	go run ./cmd/figures -fast -out /tmp/segscale-figures
+
 # bench-e2e runs the end-to-end benchmark (bench/README.md): all five
 # workloads, one seed, every metric by name, output checks included.
 # Throughput claims need alternating parent/change pairs — one run on
@@ -104,4 +110,4 @@ cover:
 		if (t+0 < f+0) { printf "FAIL: coverage %.1f%% below floor %.1f%%\n", t, f; exit 1 } \
 		printf "coverage %.1f%% >= floor %.1f%%\n", t, f }'
 
-ci: build lint test race gomaxprocs fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke cover
+ci: build lint test race gomaxprocs fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke figures cover

@@ -1,7 +1,8 @@
 // Command repro-check is the reproduction's self-test: it reruns the
-// headline experiments and grades each against the band the paper's
-// abstract implies, printing PASS/FAIL rows and exiting non-zero on
-// any failure. CI for the science, not just the code.
+// headline experiments of internal/core's registry and grades each
+// against the band the paper's abstract implies, printing PASS/FAIL
+// rows and exiting non-zero on any failure. CI for the science, not
+// just the code.
 //
 // Usage:
 //
@@ -14,15 +15,8 @@ import (
 	"log"
 	"os"
 
-	"segscale/internal/train"
-	"segscale/pkg/summitseg"
+	"segscale/internal/core"
 )
-
-type check struct {
-	name   string
-	detail string
-	pass   bool
-}
 
 func main() {
 	log.SetFlags(0)
@@ -31,110 +25,37 @@ func main() {
 	accuracy := flag.Bool("accuracy", false, "include the real-training accuracy check (~20 s)")
 	flag.Parse()
 
-	var checks []check
-	add := func(name string, pass bool, format string, args ...any) {
-		checks = append(checks, check{name: name, detail: fmt.Sprintf(format, args...), pass: pass})
-	}
-
-	prof, err := summitseg.ModelByName("dlv3plus")
-	if err != nil {
-		log.Fatal(err)
-	}
-	rn, err := summitseg.ModelByName("resnet50")
-	if err != nil {
-		log.Fatal(err)
-	}
-	spectrum, _ := summitseg.MPIByName("spectrum")
-	mv2, _ := summitseg.MPIByName("mv2gdr")
-
-	sim := func(gpus int, m *summitseg.ModelProfile, mpi *summitseg.MPIProfile, hvd summitseg.HorovodConfig) *summitseg.SimResult {
-		r, err := summitseg.Simulate(summitseg.SimOptions{GPUs: gpus, Model: m, MPI: mpi, Horovod: hvd, Seed: *seed})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return r
-	}
-
-	// 1. Single-GPU anchors (paper: 6.7 and 300 img/s).
-	dl1 := sim(1, prof, mv2, summitseg.TunedHorovod())
-	add("single-GPU DLv3+ ≈ 6.7 img/s", within(dl1.ImgPerSec, 6.7, 0.05), "%.2f img/s", dl1.ImgPerSec)
-	rn1 := sim(1, rn, mv2, summitseg.TunedHorovod())
-	add("single-GPU ResNet-50 ≈ 300 img/s", within(rn1.ImgPerSec, 300, 0.05), "%.1f img/s", rn1.ImgPerSec)
-
-	// 2. Headline scaling numbers at 132 GPUs.
-	tuned := sim(132, prof, mv2, summitseg.TunedHorovod())
-	def := sim(132, prof, spectrum, summitseg.DefaultHorovod())
-	defBase := sim(1, prof, spectrum, summitseg.DefaultHorovod())
-	effT := tuned.EfficiencyVs(dl1)
-	effD := def.EfficiencyVs(defBase)
-	add("tuned efficiency ≈ 92 % (paper band 88–97 %)", effT > 0.88 && effT < 0.97, "%.1f%%", 100*effT)
-	add("default efficiency poor (62–82 %)", effD > 0.62 && effD < 0.82, "%.1f%%", 100*effD)
-	improvement := effT / effD
-	add("efficiency improvement ≈ +23.9 % (band +12–45 %)", improvement > 1.12 && improvement < 1.45, "%+.1f%%", 100*(improvement-1))
-	speedup := tuned.ImgPerSec / def.ImgPerSec
-	add("training speedup ≈ 1.3× (band 1.12–1.45×)", speedup > 1.12 && speedup < 1.45, "%.2f×", speedup)
-
-	// 3. Microbenchmark ordering.
-	rowsS, _ := summitseg.AllreduceLatency(spectrum, 22, []int{4, 1 << 20, 64 << 20})
-	rowsM, _ := summitseg.AllreduceLatency(mv2, 22, []int{4, 1 << 20, 64 << 20})
-	micro := true
-	for i := range rowsS {
-		micro = micro && rowsM[i].LatencyUS < rowsS[i].LatencyUS
-	}
-	add("MVAPICH2-GDR wins every allreduce size", micro, "3/3 sizes")
-
-	// 4. Accuracy parity (optional: real training).
+	// The abstract's order: single-GPU anchors, headline scaling
+	// numbers, microbenchmark ordering, then accuracy.
+	ids := []string{"f1", "f7", "f2"}
 	if *accuracy {
-		single := train.DefaultConfig()
-		single.Epochs = 12
-		single.TrainSize = 48
-		single.Seed = *seed
-		dist := single
-		dist.World = 4
-		dist.BatchPerRank = 1
-		dist.ScaleLRByWorld = false
-		rs, err := train.Run(single)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Strong scaling at the same effective batch.
-		single4 := single
-		single4.BatchPerRank = 4
-		rs4, err := train.Run(single4)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rd, err := train.Run(dist)
-		if err != nil {
-			log.Fatal(err)
-		}
-		gap := rd.FinalMIOU - rs4.FinalMIOU
-		add("strong-scaling accuracy parity (|gap| ≤ 0.15)", gap > -0.15 && gap < 0.15,
-			"single %.1f%%, distributed %.1f%%", 100*rs4.FinalMIOU, 100*rd.FinalMIOU)
-		add("training learns at all", rs.FinalMIOU > rs.History[0].MIOU, "%.1f%% final", 100*rs.FinalMIOU)
+		ids = append(ids, "acc")
 	}
-
-	failed := 0
+	failed, total := 0, 0
 	fmt.Printf("%-52s %-6s %s\n", "CHECK (paper claim)", "STATUS", "measured")
-	for _, c := range checks {
-		status := "PASS"
-		if !c.pass {
-			status = "FAIL"
-			failed++
+	for _, id := range ids {
+		e, err := core.Lookup(id)
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("%-52s %-6s %s\n", c.name, status, c.detail)
+		res, err := e.Run(*seed, false)
+		if err != nil {
+			log.Fatalf("%s: %v", id, err)
+		}
+		for _, b := range e.Bands {
+			pass, detail := b.Grade(res.Values)
+			status := "PASS"
+			if !pass {
+				status = "FAIL"
+				failed++
+			}
+			total++
+			fmt.Printf("%-52s %-6s %s\n", b.Claim, status, detail)
+		}
 	}
 	if failed > 0 {
-		fmt.Printf("\n%d of %d checks failed\n", failed, len(checks))
+		fmt.Printf("\n%d of %d checks failed\n", failed, total)
 		os.Exit(1)
 	}
-	fmt.Printf("\nall %d checks pass — the reproduction tracks the paper\n", len(checks))
-}
-
-func within(got, want, tol float64) bool {
-	d := got/want - 1
-	if d < 0 {
-		d = -d
-	}
-	return d <= tol
+	fmt.Printf("\nall %d checks pass — the reproduction tracks the paper\n", total)
 }

@@ -1,7 +1,8 @@
-// Extensions demonstrates the features beyond the paper's core study:
-// fp16 gradient compression (hvd.Compression.fp16), LARS for stable
-// large-batch weak scaling, rank-placement effects, and checkpointing
-// a trained model.
+// Extensions demonstrates the features beyond the paper's core study
+// through internal/core's experiment registry — fp16 gradient
+// compression (a6), rank placement (a5) and LARS for stable
+// large-batch weak scaling (x1, ~10 s of real training) — and then
+// checkpoints a model.
 package main
 
 import (
@@ -12,60 +13,24 @@ import (
 	"segscale/internal/checkpoint"
 	"segscale/internal/core"
 	"segscale/internal/deeplab"
-	"segscale/internal/model"
-	"segscale/internal/netmodel"
-	"segscale/internal/perfsim"
-	"segscale/pkg/summitseg"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	// 1. fp16 gradient compression on the bandwidth-bound path.
-	fmt.Println("1) fp16 gradient compression (132 GPUs, default Horovod + Spectrum):")
-	cfg := perfsim.Config{GPUs: 132, Model: model.DLv3Plus(),
-		MPI: core.DefaultCandidate().Candidate.MPI, Horovod: core.DefaultCandidate().Candidate.Horovod, Seed: 1}
-	plain, err := perfsim.Run(cfg)
-	must(err)
-	cfg.Horovod.FP16Compression = true
-	compressed, err := perfsim.Run(cfg)
-	must(err)
-	fmt.Printf("   fp32 %.1f img/s → fp16 %.1f img/s (allreduce %.0f → %.0f ms)\n\n",
-		plain.ImgPerSec, compressed.ImgPerSec, plain.AllreduceSec*1e3, compressed.AllreduceSec*1e3)
-
-	// 2. Rank placement: packed vs cyclic (jsrun task ordering).
-	fmt.Println("2) MPI rank placement with a flat ring (132 GPUs):")
-	pc := perfsim.Config{GPUs: 132, Model: model.DLv3Plus(),
-		MPI: core.TunedCandidate().Candidate.MPI, Horovod: core.TunedCandidate().Candidate.Horovod, Seed: 1}
-	pc.Horovod.Algorithm = netmodel.AlgRing
-	packed, err := perfsim.Run(pc)
-	must(err)
-	pc.Placement = perfsim.PlacementCyclic
-	cyclic, err := perfsim.Run(pc)
-	must(err)
-	fmt.Printf("   packed allreduce %.0f ms/step, cyclic %.0f ms/step — keep ranks blocked per node\n\n",
-		packed.AllreduceSec*1e3, cyclic.AllreduceSec*1e3)
-
-	// 3. LARS vs SGD under the large-batch weak-scaling recipe.
-	fmt.Println("3) LARS vs SGD, 4-rank weak scaling, 12 epochs (real training):")
-	for _, opt := range []string{"sgd", "lars"} {
-		tc := summitseg.DefaultTraining()
-		tc.World = 4
-		tc.Epochs = 12
-		tc.TrainSize = 64
-		tc.WarmupFrac = 0.25
-		tc.Optimizer = opt
-		if opt == "lars" {
-			tc.BaseLR = 2.0
-		}
-		res, err := summitseg.Train(tc)
+	for _, id := range []string{"a6", "a5", "x1"} {
+		e, err := core.Lookup(id)
 		must(err)
-		fmt.Printf("   %-5s final mIOU %.1f%%\n", opt, 100*res.FinalMIOU)
+		res, err := e.Run(1, false)
+		must(err)
+		fmt.Printf("%s) %s:\n", e.ID, e.Title)
+		for _, n := range res.Notes {
+			fmt.Println("   " + n)
+		}
+		fmt.Println()
 	}
-	fmt.Println()
 
-	// 4. Checkpoint round trip.
-	fmt.Println("4) checkpoint: save → restore → identical predictions:")
+	fmt.Println("checkpoint: save → restore → identical predictions:")
 	m := deeplab.New(deeplab.DefaultConfig())
 	var buf bytes.Buffer
 	must(checkpoint.Save(&buf, m.Params(), m.BatchNorms()))

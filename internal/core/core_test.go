@@ -131,25 +131,6 @@ func TestEmptySpaceRejected(t *testing.T) {
 	}
 }
 
-func TestSweepFusionShape(t *testing.T) {
-	thresholds := []int{1 << 20, 32 << 20, 128 << 20}
-	evs, err := SweepFusion(24, model.DLv3Plus(), thresholds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != len(thresholds) {
-		t.Fatalf("%d evaluations", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.Candidate.Horovod.FusionThreshold != thresholds[i] {
-			t.Fatalf("evaluation %d has threshold %d", i, ev.Candidate.Horovod.FusionThreshold)
-		}
-		if ev.Result.ImgPerSec <= 0 {
-			t.Fatal("non-positive throughput")
-		}
-	}
-}
-
 func TestSweepCycleAndChunk(t *testing.T) {
 	cycles := []time.Duration{time.Millisecond, 10 * time.Millisecond}
 	evs, err := SweepCycle(12, model.DLv3Plus(), cycles, 1)
@@ -159,13 +140,11 @@ func TestSweepCycleAndChunk(t *testing.T) {
 	if evs[0].Result.CyclesPerStep <= evs[1].Result.CyclesPerStep {
 		t.Fatal("shorter cycle should produce more cycles per step")
 	}
-	chunks := []int{64 << 10, 1 << 20}
-	evc, err := SweepChunk(12, model.DLv3Plus(), chunks, 1)
-	if err != nil || len(evc) != 2 {
-		t.Fatalf("chunk sweep: %v, %d", err, len(evc))
-	}
-	if evc[0].Candidate.MPI.CUDABlockSize != 64<<10 {
-		t.Fatal("chunk knob not applied")
+	// The sweep varies the cycle only: every point keeps the tuned chunk.
+	for _, ev := range evs {
+		if got, want := ev.Candidate.MPI.CUDABlockSize, TunedCandidate().Candidate.MPI.CUDABlockSize; got != want {
+			t.Fatalf("cycle sweep changed the chunk: %d, want %d", got, want)
+		}
 	}
 }
 

@@ -32,7 +32,8 @@ func NCCLCandidate() NamedCandidate {
 
 // TunedCandidate is the configuration the staged tuner converges to
 // (also reproducible via Tuner.StagedTune); hard-coded here so the
-// scaling benches don't re-run the search.
+// experiments don't re-run the search. It is the one spelling of
+// "tuned": summitseg.TunedHorovod returns its knobs.
 func TunedCandidate() NamedCandidate {
 	hvd := horovod.Default()
 	hvd.FusionThreshold = 128 << 20
@@ -43,48 +44,21 @@ func TunedCandidate() NamedCandidate {
 	return NamedCandidate{Name: "tuned-mv2gdr", Candidate: Candidate{MPI: mpi, Horovod: hvd}}
 }
 
-// SweepKnob evaluates variations of one candidate produced by mutate
-// for each value index, at a fixed scale. Used by the fusion, cycle
-// and chunk-size sweep figures.
-func sweepKnob(gpus int, prof *model.Profile, seed int64, n int,
-	mutate func(i int, c *Candidate) string) ([]Evaluation, error) {
+// SweepCycle varies HOROVOD_CYCLE_TIME of the tuned candidate at a
+// fixed scale (F5), scoring each against one single-GPU run.
+func SweepCycle(gpus int, prof *model.Profile, cycles []time.Duration, seed int64) ([]Evaluation, error) {
 	t := NewTuner(gpus, prof, seed)
-	out := make([]Evaluation, 0, n)
-	for i := 0; i < n; i++ {
+	out := make([]Evaluation, 0, len(cycles))
+	for _, ct := range cycles {
 		c := TunedCandidate().Candidate
-		c.MPI = c.MPI.Clone()
-		label := mutate(i, &c)
-		ev, err := t.evaluate(c, label)
+		c.Horovod.CycleTime = ct
+		ev, err := t.evaluate(c, fmt.Sprintf("cycle=%s", ct))
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, ev)
 	}
 	return out, nil
-}
-
-// SweepFusion varies HOROVOD_FUSION_THRESHOLD at a fixed scale (F4).
-func SweepFusion(gpus int, prof *model.Profile, thresholds []int, seed int64) ([]Evaluation, error) {
-	return sweepKnob(gpus, prof, seed, len(thresholds), func(i int, c *Candidate) string {
-		c.Horovod.FusionThreshold = thresholds[i]
-		return fmt.Sprintf("fusion=%d", thresholds[i])
-	})
-}
-
-// SweepCycle varies HOROVOD_CYCLE_TIME at a fixed scale (F5).
-func SweepCycle(gpus int, prof *model.Profile, cycles []time.Duration, seed int64) ([]Evaluation, error) {
-	return sweepKnob(gpus, prof, seed, len(cycles), func(i int, c *Candidate) string {
-		c.Horovod.CycleTime = cycles[i]
-		return fmt.Sprintf("cycle=%s", cycles[i])
-	})
-}
-
-// SweepChunk varies MV2_CUDA_BLOCK_SIZE at a fixed scale.
-func SweepChunk(gpus int, prof *model.Profile, chunks []int, seed int64) ([]Evaluation, error) {
-	return sweepKnob(gpus, prof, seed, len(chunks), func(i int, c *Candidate) string {
-		c.MPI.CUDABlockSize = chunks[i]
-		return fmt.Sprintf("chunk=%d", chunks[i])
-	})
 }
 
 // ScalingPoint is one (configuration, scale) measurement.

