@@ -7,7 +7,6 @@
 //	go run ./cmd/seglint ./...                # lint the whole module
 //	go run ./cmd/seglint -json ./...          # machine-readable findings
 //	go run ./cmd/seglint -list                # describe the passes
-//	go run ./cmd/seglint -facts ./...         # dump the cross-function fact database
 //	go run ./cmd/seglint -suppressions ./...  # also fail reason-less suppressions
 //	go run ./cmd/seglint -prom m.prom         # validate an exported metrics file
 //
@@ -15,11 +14,6 @@
 // the binaries and the /metrics endpoint emit) against the same
 // naming convention the metricname pass enforces at registration
 // sites — closing the loop from source to scrape.
-//
-// -facts prints one line per function carrying cross-function facts
-// (map-order sensitivity, workspace vend/retain summaries) in a stable
-// order, for debugging why a maporder/wsretain finding did or did not
-// propagate.
 //
 // -suppressions additionally reports every //seglint:ignore /
 // file-ignore / package-ignore directive that carries no reason, as
@@ -47,7 +41,6 @@ import (
 	"segscale/internal/analysis/passes/nowallclock"
 	"segscale/internal/analysis/passes/seededrand"
 	"segscale/internal/analysis/passes/unitsuffix"
-	"segscale/internal/analysis/passes/wsretain"
 	"segscale/internal/telemetry"
 )
 
@@ -60,17 +53,15 @@ var analyzers = []*analysis.Analyzer{
 	nopanic.Analyzer,
 	metricname.Analyzer,
 	maporder.Analyzer,
-	wsretain.Analyzer,
 }
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	list := flag.Bool("list", false, "list the registered analyzers and exit")
-	facts := flag.Bool("facts", false, "dump the cross-function fact database instead of linting")
 	checkSup := flag.Bool("suppressions", false, "also fail //seglint:ignore directives that carry no reason")
 	promFile := flag.String("prom", "", "validate a Prometheus text-format metrics file instead of linting packages")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: seglint [-json] [-list] [-facts] [-suppressions] [-prom file] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: seglint [-json] [-list] [-suppressions] [-prom file] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -91,10 +82,7 @@ func main() {
 		if len(patterns) == 0 {
 			patterns = []string{"./..."}
 		}
-		findings, err = lint(patterns, *facts, *checkSup)
-		if err == nil && *facts {
-			return
-		}
+		findings, err = lint(patterns, *checkSup)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "seglint:", err)
@@ -190,7 +178,7 @@ func promSampleName(s string) string {
 	return ""
 }
 
-func lint(patterns []string, dumpFacts, checkSup bool) ([]analysis.Finding, error) {
+func lint(patterns []string, checkSup bool) ([]analysis.Finding, error) {
 	root, err := findModuleRoot()
 	if err != nil {
 		return nil, err
@@ -218,17 +206,8 @@ func lint(patterns []string, dumpFacts, checkSup bool) ([]analysis.Finding, erro
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	// The fact database spans everything the loader has seen — the
-	// lint targets plus every repo package they transitively import —
-	// so cross-package facts are complete even when linting a subtree.
-	db := analysis.BuildFactDB(loader.Loaded())
-	if dumpFacts {
-		db.Dump(os.Stdout)
-		return nil, nil
-	}
-	return analysis.RunWith(pkgs, analyzers, analysis.Options{
+	return analysis.Run(pkgs, analyzers, analysis.Options{
 		RelTo:             cwd,
-		Facts:             db,
 		CheckSuppressions: checkSup,
 	})
 }

@@ -49,13 +49,6 @@ type Pass struct {
 	Pkg *types.Package
 	// TypesInfo records type and object resolution for Files.
 	TypesInfo *types.Info
-	// Facts is the whole-repo fact database (call graph, per-function
-	// map-order/workspace facts) built over every loaded
-	// package — not just this one — so passes can reason across
-	// package boundaries. Nil when the runner was given no facts;
-	// cross-function passes must tolerate that by degrading to
-	// package-local behaviour or reporting nothing.
-	Facts *FactDB
 
 	report func(Diagnostic)
 }

@@ -33,16 +33,10 @@ type expectation struct {
 }
 
 // Run loads the named fixture packages from testdata/src through one
-// shared loader, builds the fact database over everything loaded
-// (including packages the fixtures import but that are not named
-// here), applies the analyzer to the named packages, and reports any
+// shared loader, applies the analyzer to each of them, and reports any
 // mismatch between findings and // want expectations as test errors.
-//
-// Because the database spans all loaded packages, fixtures can
-// exercise cross-package fact propagation: name the package holding
-// the entry points, let it import a helper package, and put // want
-// comments wherever findings should surface. Naming the helper too
-// additionally checks the findings (if any) expected inside it.
+// Fixtures may import one another; only the named packages are
+// analysed.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	loader := analysis.NewFixtureLoader(testdata + "/src")
@@ -54,8 +48,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 		}
 		targets = append(targets, pkg)
 	}
-	facts := analysis.BuildFactDB(loader.Loaded())
-	findings, err := analysis.RunWith(targets, []*analysis.Analyzer{a}, analysis.Options{Facts: facts})
+	findings, err := analysis.Run(targets, []*analysis.Analyzer{a}, analysis.Options{})
 	if err != nil {
 		t.Fatalf("running %s on fixtures %v: %v", a.Name, pkgs, err)
 	}

@@ -80,21 +80,6 @@ func newLoader(root, mod string) *Loader {
 // Fset returns the loader's shared file set.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
-// Loaded returns every package this loader has parsed and
-// type-checked, sorted by path. Because module-internal imports load
-// recursively through the loader itself (stdlib goes through the
-// source importer and is never cached here), this is exactly the
-// universe a whole-repo FactDB should be built over: the requested
-// packages plus everything in the repo they transitively import.
-func (l *Loader) Loaded() []*Package {
-	out := make([]*Package, 0, len(l.pkgs))
-	for _, p := range l.pkgs {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
-
 // internalPath reports whether an import path belongs to this loader's
 // tree (module-internal, or any fixture package when Mod is empty).
 func (l *Loader) internalPath(path string) bool {

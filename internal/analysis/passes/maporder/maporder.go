@@ -1,9 +1,9 @@
 // Package maporder defines an Analyzer that keeps order-sensitive map
-// iteration out of the deterministic packages. Go randomises map
-// iteration order per range statement, so any computation in des,
-// collective, horovod, train, perfsim, or faultinject whose result
-// depends on that order breaks the restart-equivalence and chaos
-// goldens the paper's numbers rest on.
+// iteration out of the code the deterministic packages run. Go
+// randomises map iteration order per range statement, so any
+// computation in des, collective, horovod, train, perfsim, or
+// faultinject whose result depends on that order breaks the
+// restart-equivalence and chaos goldens the paper's numbers rest on.
 //
 // Not every map range is flagged: a loop body that only collects keys
 // or values into a slice (for a later sort), deletes entries, or folds
@@ -13,93 +13,160 @@
 // accumulation: IEEE addition is non-associative, so summing map
 // values in random order is not bit-stable.
 //
-// The check is transitive through the whole-repo fact database: a call
-// from a deterministic package into a helper (in any package) that
-// ranges over a map order-sensitively is reported at the call site —
-// unless the helper itself lives in a deterministic package, where the
-// range is already reported at its source.
+// The pass checks each package on its own syntax; its reach comes from
+// its scope. The scope is the six deterministic packages plus every
+// module package they transitively import, written out as one list
+// (closure below) that a tier-1 test keeps equal to the import
+// closure. A helper the deterministic packages call is therefore
+// checked where it is defined, whichever package holds it. The one
+// kind of callee outside the closure is an implementation of an
+// interface the deterministic packages call into without importing it
+// — observers such as obs.EffMonitor.ObserveStep behind
+// train.Config.StepObs. Observers must not feed back into the run:
+// train's TestObsPlaneDoesNotChangeResults reruns with the efficiency
+// monitor attached, and the trajectory fingerprint reruns every cell
+// with the health plane attached, and both must match the bare run bit
+// for bit.
 package maporder
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
-	"strings"
 
 	"segscale/internal/analysis"
 )
 
-// deterministic names the package basenames whose output feeds
-// committed goldens and must be bit-identical across runs.
-var deterministic = map[string]bool{
-	"des":         true,
-	"collective":  true,
-	"horovod":     true,
-	"train":       true,
-	"perfsim":     true,
-	"faultinject": true,
+// closure names, by basename, the deterministic packages (des,
+// collective, horovod, train, perfsim, faultinject) and every module
+// package they transitively import: everything whose output feeds
+// committed goldens. TestClosureMatchesImports fails when an import
+// adds a package this list lacks.
+var closure = map[string]bool{
+	"checkpoint":    true,
+	"collective":    true,
+	"deeplab":       true,
+	"des":           true,
+	"devsim":        true,
+	"faultinject":   true,
+	"fp16":          true,
+	"horovod":       true,
+	"iosim":         true,
+	"metrics":       true,
+	"model":         true,
+	"modelhealth":   true,
+	"mpiprofile":    true,
+	"netmodel":      true,
+	"nn":            true,
+	"perfsim":       true,
+	"segdata":       true,
+	"telemetry":     true,
+	"tensor":        true,
+	"timeline":      true,
+	"topology":      true,
+	"traceanalysis": true,
+	"train":         true,
+	"transport":     true,
 }
 
-// Analyzer flags order-sensitive map iteration reachable from the
-// deterministic packages.
+// Analyzer flags order-sensitive map iteration in the deterministic
+// packages' import closure.
 var Analyzer = &analysis.Analyzer{
 	Name: "maporder",
-	Doc: "deterministic packages (des, collective, horovod, train, perfsim, faultinject) must not " +
-		"iterate maps order-sensitively, directly or through callees; collect-and-sort, delete, " +
-		"and integer/bool folds are allowed",
+	Doc: "the deterministic packages (des, collective, horovod, train, perfsim, faultinject) and " +
+		"every package they import must not iterate maps order-sensitively; collect-and-sort, " +
+		"delete, and integer/bool folds are allowed",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
-	if !deterministic[pass.PkgBase()] {
+	if !closure[pass.PkgBase()] {
 		return nil
 	}
-	db := pass.Facts
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+		ast.Inspect(f, func(n ast.Node) bool {
+			rs, ok := n.(*ast.RangeStmt)
 			if !ok {
-				continue
+				return true
 			}
-			fi := db.Info(fn)
-			if fi == nil {
-				continue
-			}
-			for _, pos := range fi.MapRanges {
-				pass.Reportf(pos, "order-sensitive map iteration in deterministic package %s; "+
-					"collect and sort the keys instead", pass.PkgBase())
-			}
-			for _, e := range fi.Callees {
-				callee := db.Info(e.Callee)
-				if callee == nil {
-					continue
-				}
-				if deterministic[pkgBaseOf(callee.Pkg.Path)] {
-					continue // the callee's own package reports it
-				}
-				if owner, path, ok := db.MapRangeReach(e.Callee); ok {
-					if ofi := db.Info(owner); ofi != nil && deterministic[pkgBaseOf(ofi.Pkg.Path)] {
-						continue // the range is reported at its source
-					}
-					chain := e.Callee.Name()
-					if len(path) > 0 {
-						chain += " → " + strings.Join(path, " → ")
-					}
-					pass.Reportf(e.Pos, "call from deterministic package %s reaches an order-sensitive "+
-						"map iteration in %s (via %s)", pass.PkgBase(), owner.FullName(), chain)
+			if t := pass.TypesInfo.Types[rs.X].Type; t != nil {
+				if _, isMap := t.Underlying().(*types.Map); isMap && !orderInsensitiveBody(pass.TypesInfo, rs.Body.List) {
+					pass.Reportf(rs.Pos(), "order-sensitive map iteration in %s, which the deterministic "+
+						"packages run; collect and sort the keys instead", pass.PkgBase())
 				}
 			}
-		}
+			return true
+		})
 	}
 	return nil
 }
 
-func pkgBaseOf(path string) string {
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		return path[i+1:]
+// orderInsensitiveBody reports whether a map-range body is one of the
+// shapes whose result cannot depend on iteration order: collecting
+// keys/values into a slice (to be sorted by the caller), deleting
+// entries, or folding integer/boolean aggregates (+=, |=, &=, ^=,
+// counters). Float accumulation is NOT order-insensitive — IEEE
+// addition is non-associative, so summing map values in random order
+// breaks bit-identity — and anything with control flow is flagged.
+func orderInsensitiveBody(info *types.Info, stmts []ast.Stmt) bool {
+	for _, s := range stmts {
+		switch s := s.(type) {
+		case *ast.AssignStmt:
+			if !orderInsensitiveAssign(info, s) {
+				return false
+			}
+		case *ast.IncDecStmt:
+			if !integerTyped(info, s.X) {
+				return false
+			}
+		case *ast.ExprStmt:
+			call, ok := s.X.(*ast.CallExpr)
+			if !ok {
+				return false
+			}
+			id, ok := call.Fun.(*ast.Ident)
+			if !ok || id.Name != "delete" {
+				return false
+			}
+			if _, isBuiltin := info.Uses[id].(*types.Builtin); !isBuiltin {
+				return false
+			}
+		case *ast.EmptyStmt:
+		default:
+			return false
+		}
 	}
-	return path
+	return true
+}
+
+func orderInsensitiveAssign(info *types.Info, s *ast.AssignStmt) bool {
+	if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
+		return false
+	}
+	switch s.Tok {
+	case token.ASSIGN, token.DEFINE:
+		// s = append(s, ...) — collecting for a later sort.
+		call, ok := s.Rhs[0].(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := call.Fun.(*ast.Ident)
+		if !ok || id.Name != "append" {
+			return false
+		}
+		_, isBuiltin := info.Uses[id].(*types.Builtin)
+		return isBuiltin
+	case token.ADD_ASSIGN, token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
+		return integerTyped(info, s.Lhs[0])
+	}
+	return false
+}
+
+func integerTyped(info *types.Info, e ast.Expr) bool {
+	t := info.Types[e].Type
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&(types.IsInteger|types.IsBoolean) != 0
 }

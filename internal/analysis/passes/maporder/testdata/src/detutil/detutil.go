@@ -1,25 +1,13 @@
+// Package detutil is outside the deterministic packages' import
+// closure, so the maporder pass does not check it.
 package detutil
 
-import "sort"
-
-// SumVals folds float values in map iteration order — order-sensitive
-// (IEEE addition is non-associative). This package is not a
-// deterministic target, so the finding surfaces at call sites in
-// deterministic packages instead.
+// SumVals folds float values in map iteration order — order-sensitive,
+// but not flagged here: no deterministic package imports detutil.
 func SumVals(m map[string]float64) float64 {
 	var s float64
 	for _, v := range m {
 		s += v
 	}
 	return s
-}
-
-// Keys collects and sorts — the allowed idiom.
-func Keys(m map[string]float64) []string {
-	var ks []string
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

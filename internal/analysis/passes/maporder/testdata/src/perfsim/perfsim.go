@@ -4,13 +4,14 @@ package perfsim
 
 import (
 	"detutil"
+	"netmodel"
 	"sort"
 )
 
 // Gather folds floats in map order: flagged directly.
 func Gather(m map[int]float64) float64 {
 	var s float64
-	for _, v := range m { // want "order-sensitive map iteration"
+	for _, v := range m { // want "order-sensitive map iteration in perfsim"
 		s += v
 	}
 	return s
@@ -35,15 +36,15 @@ func Count(m map[int]bool) int {
 	return n
 }
 
-// Fold reaches the order-sensitive iteration through a helper in a
-// non-deterministic package: flagged at the call site.
-func Fold(m map[string]float64) float64 {
-	return detutil.SumVals(m) // want "reaches an order-sensitive map iteration"
+// Links calls a closure-list helper whose range is reported in
+// netmodel itself, so the call site carries no finding.
+func Links(m map[string]float64) float64 {
+	return netmodel.LinkSum(m)
 }
 
-// Names calls an order-insensitive helper: allowed.
-func Names(m map[string]float64) []string {
-	return detutil.Keys(m)
+// Off calls a helper outside the closure list: not flagged anywhere.
+func Off(m map[string]float64) float64 {
+	return detutil.SumVals(m)
 }
 
 // Smoke demonstrates a justified per-site suppression.

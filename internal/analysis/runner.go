@@ -32,25 +32,14 @@ type Options struct {
 	// RelTo, when non-empty, makes finding file paths relative to that
 	// directory.
 	RelTo string
-	// Facts is the whole-repo fact database handed to every Pass. Build
-	// it over Loader.Loaded() so cross-package facts are complete even
-	// for packages outside the lint target set.
-	Facts *FactDB
 	// CheckSuppressions additionally reports every suppression
 	// directive whose reason is empty, under SuppressHygieneAnalyzer.
 	CheckSuppressions bool
 }
 
 // Run executes every analyzer over every package, applies suppression
-// comments, and returns the surviving findings sorted by position. It
-// builds the fact database from the given packages alone; use RunWith
-// when the loader has seen a wider package universe.
-func Run(pkgs []*Package, analyzers []*Analyzer, relTo string) ([]Finding, error) {
-	return RunWith(pkgs, analyzers, Options{RelTo: relTo, Facts: BuildFactDB(pkgs)})
-}
-
-// RunWith is Run with explicit options.
-func RunWith(pkgs []*Package, analyzers []*Analyzer, opts Options) ([]Finding, error) {
+// comments, and returns the surviving findings sorted by position.
+func Run(pkgs []*Package, analyzers []*Analyzer, opts Options) ([]Finding, error) {
 	var out []Finding
 	rebase := func(file string) string {
 		if opts.RelTo == "" {
@@ -85,7 +74,6 @@ func RunWith(pkgs []*Package, analyzers []*Analyzer, opts Options) ([]Finding, e
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Facts:     opts.Facts,
 			}
 			name := a.Name
 			pass.report = func(d Diagnostic) {

@@ -58,7 +58,7 @@ func FlagNeither() {}
 `
 	pkg := parsePkg(t, "multi", src)
 	alpha, beta := mkFlagger("alpha"), mkFlagger("beta")
-	fs, err := analysis.RunWith([]*analysis.Package{pkg}, []*analysis.Analyzer{alpha, beta}, analysis.Options{})
+	fs, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{alpha, beta}, analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func FlagAbove() {}
 func FlagGap() {}
 `
 	pkg := parsePkg(t, "forms", src)
-	fs, err := analysis.RunWith([]*analysis.Package{pkg}, []*analysis.Analyzer{mkFlagger("alpha")}, analysis.Options{})
+	fs, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{mkFlagger("alpha")}, analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func FlagJustified() {}
 func helper() {} //seglint:file-ignore beta
 `
 	pkg := parsePkg(t, "hygiene", src)
-	fs, err := analysis.RunWith([]*analysis.Package{pkg}, nil, analysis.Options{CheckSuppressions: true})
+	fs, err := analysis.Run([]*analysis.Package{pkg}, nil, analysis.Options{CheckSuppressions: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestSuppressReasonIsUnsuppressible(t *testing.T) {
 func FlagStill() {}
 `
 	pkg := parsePkg(t, "unsup", src)
-	fs, err := analysis.RunWith([]*analysis.Package{pkg}, []*analysis.Analyzer{mkFlagger("alpha")}, analysis.Options{CheckSuppressions: true})
+	fs, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{mkFlagger("alpha")}, analysis.Options{CheckSuppressions: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestOtherDirectiveIsNotASuppression(t *testing.T) {
 func FlagNoted() {}
 `
 	pkg := parsePkg(t, "noted", src)
-	fs, err := analysis.RunWith([]*analysis.Package{pkg}, []*analysis.Analyzer{mkFlagger("alpha")}, analysis.Options{CheckSuppressions: true})
+	fs, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{mkFlagger("alpha")}, analysis.Options{CheckSuppressions: true})
 	if err != nil {
 		t.Fatal(err)
 	}

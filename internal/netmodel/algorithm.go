@@ -24,7 +24,8 @@ const (
 	AlgHierTwoLevel
 )
 
-var algNames = map[Algorithm]string{
+// algNames is indexed by Algorithm.
+var algNames = [...]string{
 	AlgAuto:              "auto",
 	AlgRing:              "ring",
 	AlgRecursiveDoubling: "recursive-doubling",
@@ -35,8 +36,8 @@ var algNames = map[Algorithm]string{
 }
 
 func (a Algorithm) String() string {
-	if s, ok := algNames[a]; ok {
-		return s
+	if a >= 0 && int(a) < len(algNames) {
+		return algNames[a]
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
@@ -45,7 +46,7 @@ func (a Algorithm) String() string {
 func AlgorithmByName(s string) (Algorithm, error) {
 	for a, name := range algNames {
 		if name == s {
-			return a, nil
+			return Algorithm(a), nil
 		}
 	}
 	return AlgAuto, fmt.Errorf("netmodel: unknown allreduce algorithm %q", s)

@@ -80,26 +80,28 @@ func (b BucketSet) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON accepts the object form MarshalJSON writes. Unknown
 // keys error: a key mismatch means a schema drift seg-compare must not
-// paper over.
+// paper over. The error names the lexically first unknown key, so the
+// same input always gives the same message.
 func (b *BucketSet) UnmarshalJSON(data []byte) error {
 	raw := map[string]float64{}
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
 	}
-	for k, v := range raw {
-		found := false
-		for i, name := range BucketNames {
-			if k == name+"_sec" {
-				b[i] = v
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("traceanalysis: unknown ledger bucket %q", k)
+	for i, name := range BucketNames {
+		if v, ok := raw[name+"_sec"]; ok {
+			b[i] = v
+			delete(raw, name+"_sec")
 		}
 	}
-	return nil
+	if len(raw) == 0 {
+		return nil
+	}
+	unknown := make([]string, 0, len(raw))
+	for k := range raw {
+		unknown = append(unknown, k)
+	}
+	sort.Strings(unknown)
+	return fmt.Errorf("traceanalysis: unknown ledger bucket %q", unknown[0])
 }
 
 // StepAttribution is one (step, rank) row of the ledger: the rank's

@@ -251,3 +251,34 @@ func TestReadLedgerRejectsGarbage(t *testing.T) {
 		t.Error("ReadLedger accepted a ledger violating the sum invariant")
 	}
 }
+
+func TestBucketSetUnmarshalJSON(t *testing.T) {
+	cases := []struct {
+		name, in, wantErr string
+		want              BucketSet
+	}{
+		{name: "known keys", in: `{"forward_sec":1.5,"overhead_sec":2}`,
+			want: BucketSet{BucketForward: 1.5, BucketOverhead: 2}},
+		{name: "one unknown key", in: `{"forward_sec":1,"warp_sec":2}`,
+			wantErr: `traceanalysis: unknown ledger bucket "warp_sec"`},
+		// The error names the lexically first unknown key, whatever
+		// order the decoded map iterates in.
+		{name: "two unknown keys", in: `{"zeta_sec":1,"forward_sec":1,"alpha_sec":2}`,
+			wantErr: `traceanalysis: unknown ledger bucket "alpha_sec"`},
+	}
+	for _, c := range cases {
+		for i := 0; i < 20; i++ {
+			var b BucketSet
+			err := json.Unmarshal([]byte(c.in), &b)
+			if c.wantErr != "" {
+				if err == nil || err.Error() != c.wantErr {
+					t.Fatalf("%s, try %d: err = %v, want %q", c.name, i, err, c.wantErr)
+				}
+				continue
+			}
+			if err != nil || b != c.want {
+				t.Fatalf("%s: got %v, %v; want %v", c.name, b, err, c.want)
+			}
+		}
+	}
+}

@@ -118,8 +118,14 @@ func phaseStats(events []timeline.Event, buckets int) []PhaseStats {
 	for _, e := range events {
 		durs[e.Phase] = append(durs[e.Phase], e.End-e.Start)
 	}
+	phases := make([]string, 0, len(durs))
+	for ph := range durs {
+		phases = append(phases, ph)
+	}
+	sort.Strings(phases)
 	out := make([]PhaseStats, 0, len(durs))
-	for ph, ds := range durs {
+	for _, ph := range phases {
+		ds := durs[ph]
 		sort.Float64s(ds)
 		st := PhaseStats{
 			Phase: ph, Count: len(ds),

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"segscale/internal/deeplab"
+	"segscale/internal/metrics"
 	"segscale/internal/obs"
 	"segscale/internal/segdata"
 	"segscale/internal/telemetry"
@@ -114,5 +115,43 @@ func TestEvalAllocBudget(t *testing.T) {
 			row.call()
 			checkAllocRow(t, testing.AllocsPerRun(3, row.call), row.pin, 0)
 		})
+	}
+}
+
+// TestEvaluateMatchesHeapPath holds the pooled evaluation path to the
+// workspace contract: a tensor drawn from the arena is dead at the next
+// Reset. evaluate Resets between batches, so over a 4-batch shard any
+// arena tensor kept past a Reset and then used — stored in a global,
+// captured by a goroutine, returned past the Reset, or handed to a
+// callee that keeps it — reads recycled memory, and the confusion
+// matrix leaves the heap path's. The reference is evaluate's loop on
+// heap tensors, written out so that nothing it computes passes through
+// evaluate; the second pooled call runs on a warm arena.
+func TestEvaluateMatchesHeapPath(t *testing.T) {
+	cfg := deeplab.DefaultConfig()
+	ds := segdata.New(16, cfg.InputSize, cfg.InputSize, 7)
+	ref := deeplab.New(cfg)
+	pred := make([]int32, 4*cfg.InputSize*cfg.InputSize)
+	conf := metrics.NewConfusion(segdata.NumClasses)
+	for lo := 0; lo < ds.Len(); lo += 4 {
+		x, labels := ds.Batch([]int{lo, lo + 1, lo + 2, lo + 3})
+		conf.Update(labels, ref.PredictInto(x, pred), segdata.IgnoreLabel)
+	}
+	want := conf.M
+
+	net := deeplab.New(cfg)
+	ws := tensor.NewWorkspace()
+	net.SetWorkspace(ws)
+	for call := 0; call < 2; call++ {
+		got := evaluate(net, ds, 1, 0, ws).M
+		diff := 0
+		for i := range got {
+			if got[i] != want[i] {
+				diff++
+			}
+		}
+		if diff > 0 {
+			t.Fatalf("call %d: pooled evaluate's confusion matrix differs from the heap path's in %d of %d cells", call, diff, len(want))
+		}
 	}
 }
