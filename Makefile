@@ -25,8 +25,10 @@ race:
 # collectives and the conv lowerings (which fan samples out over workers
 # sharing one workspace) give the same bits at GOMAXPROCS 1 and 4: every
 # golden and bit-identity test in these packages must hold at both
-# settings. The transport's semaphore wake-ups depend on interleaving,
-# which the two settings exercise differently.
+# settings. A training rank gets GOMAXPROCS/world kernel workers, so it
+# fans out only when GOMAXPROCS exceeds the world size: at 4, worlds 1
+# and 2 run the parallel kernels. The transport's semaphore wake-ups
+# depend on interleaving, which the two settings exercise differently.
 gomaxprocs:
 	go test -count=1 -cpu 1,4 ./internal/train ./internal/perfsim ./internal/transport ./internal/collective ./internal/horovod ./internal/tensor ./internal/deeplab
 

@@ -510,12 +510,10 @@ func (m *Model) Predict(x *tensor.Tensor) []int32 {
 }
 
 // PredictInto is Predict writing labels into a caller-owned buffer of
-// exactly N·H·W entries. With a warm workspace its only allocations are
-// the Parallel closures of the image pooling, the three bilinear
-// resizes and the argmax.
+// exactly N·H·W entries.
 //
-// Pooled eval inference: 5 allocations a call, pinned by
+// Pooled eval inference, pinned by
 // train.TestEvalAllocBudget/deeplab_PredictInto.
 func (m *Model) PredictInto(x *tensor.Tensor, out []int32) []int32 {
-	return tensor.ArgmaxClassInto(m.Forward(x, false), out)
+	return tensor.ArgmaxClassInto(m.Forward(x, false), out, m.ws)
 }

@@ -119,10 +119,10 @@ func (f *FCN) Predict(x *tensor.Tensor) []int32 {
 
 // PredictInto is Predict writing into a caller-owned label buffer.
 //
-// Pooled eval inference: 2 allocations a call with a warm workspace,
-// pinned by train.TestEvalAllocBudget/fcn_PredictInto.
+// Pooled eval inference, pinned by
+// train.TestEvalAllocBudget/fcn_PredictInto.
 func (f *FCN) PredictInto(x *tensor.Tensor, out []int32) []int32 {
-	return tensor.ArgmaxClassInto(f.Forward(x, false), out)
+	return tensor.ArgmaxClassInto(f.Forward(x, false), out, f.ws)
 }
 
 var (

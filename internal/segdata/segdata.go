@@ -349,6 +349,12 @@ func FlipHoriz(x *tensor.Tensor, labels []int32) {
 // scaled image's edge via clamping, matching resize semantics).
 // Labels use nearest-neighbour resampling to stay categorical.
 func RandomScaleCrop(rng *rand.Rand, x *tensor.Tensor, labels []int32, minScale, maxScale float64) {
+	RandomScaleCropWS(rng, x, labels, minScale, maxScale, nil)
+}
+
+// RandomScaleCropWS is RandomScaleCrop with each sample's scaled copy
+// drawn from ws, and the resize fanned out over ws's worker budget.
+func RandomScaleCropWS(rng *rand.Rand, x *tensor.Tensor, labels []int32, minScale, maxScale float64, ws *tensor.Workspace) {
 	if minScale <= 0 || maxScale < minScale {
 		panic(fmt.Sprintf("segdata: scale range [%g, %g]", minScale, maxScale))
 	}
@@ -363,7 +369,7 @@ func RandomScaleCrop(rng *rand.Rand, x *tensor.Tensor, labels []int32, minScale,
 
 		// Scale the image sample bilinearly.
 		one := tensor.FromSlice(x.Data[i*c*h*w:(i+1)*c*h*w], 1, c, h, w)
-		scaled := tensor.BilinearResize(one, sh, sw)
+		scaled := tensor.BilinearResizeWS(one, sh, sw, ws)
 
 		// Crop (or clamp-pad) back to h×w from a random offset.
 		offY, offX := 0, 0
@@ -383,6 +389,7 @@ func RandomScaleCrop(rng *rand.Rand, x *tensor.Tensor, labels []int32, minScale,
 				}
 			}
 		}
+		ws.Put(scaled)
 
 		// Nearest-neighbour for the labels, from the same geometry.
 		copy(src, labels[i*h*w:(i+1)*h*w])

@@ -161,22 +161,24 @@ func Conv2D(x, w *Tensor, spec ConvSpec) *Tensor {
 }
 
 // Conv2DWS is Conv2D drawing the output and all internal scratch from
-// ws (heap when nil). With a warm workspace the call is
-// allocation-free on the serial path; the returned tensor is owned by
-// ws and valid until its Reset.
+// ws (heap when nil), fanning samples out over ws's worker budget.
+// With a warm workspace the call is allocation-free on the serial path
+// (one worker); the returned tensor is owned by ws and valid until its
+// Reset.
 //
 // Pinned at zero allocations on the serial path by
-// TestConv2DWorkspaceZeroAllocs.
+// TestConv2DWorkspaceZeroAllocs and TestWorkspaceBudgetZeroAllocs.
 func Conv2DWS(x, w *Tensor, spec ConvSpec, ws *Workspace) *Tensor {
 	s := spec.Canon()
 	n, _, _, _, f, cg, kh, kw, oh, ow := convCheck(x, w, s)
 	out := ws.GetRaw(n, f, oh, ow) // every element written below
 	fg := f / s.Groups
-	if parallelDegree(n) <= 1 {
+	deg := ws.degree(n)
+	if deg <= 1 {
 		conv2DSamples(x, w, out, s, 0, n, fg, cg, kh, kw, oh, ow, ws)
 		return out
 	}
-	Parallel(n, func(lo, hi int) {
+	parallelOver(deg, n, func(lo, hi int) {
 		conv2DSamples(x, w, out, s, lo, hi, fg, cg, kh, kw, oh, ow, ws)
 	})
 	return out
@@ -284,13 +286,13 @@ func Conv2DBackward(x, w, dout *Tensor, spec ConvSpec) (dx, dw *Tensor) {
 }
 
 // Conv2DBackwardWS is Conv2DBackward drawing outputs and scratch from
-// ws (heap when nil).
+// ws (heap when nil), fanning out over ws's worker budget.
 //
 // Weight gradients are accumulated deterministically: each sample's
 // dW contribution lands in its own partial buffer, and the partials
 // are merged in ascending sample order with the element range split
 // across workers. Every dw element therefore folds its samples in the
-// exact order the GOMAXPROCS=1 serial loop would, so the result is
+// exact order the one-worker serial loop would, so the result is
 // bit-identical regardless of worker count — unlike the previous
 // per-worker partials appended under a mutex, whose merge order
 // depended on goroutine scheduling. (A pairwise tree reduction was
@@ -298,7 +300,7 @@ func Conv2DBackward(x, w, dout *Tensor, spec ConvSpec) (dx, dw *Tensor) {
 // it cannot be bit-identical to the serial merge it replaces.)
 //
 // Pinned at zero allocations on the serial path by
-// TestConv2DWorkspaceZeroAllocs.
+// TestConv2DWorkspaceZeroAllocs and TestWorkspaceBudgetZeroAllocs.
 func Conv2DBackwardWS(x, w, dout *Tensor, spec ConvSpec, ws *Workspace) (dx, dw *Tensor) {
 	s := spec.Canon()
 	n, c, h, wd, f, cg, kh, kw, oh, ow := convCheck(x, w, s)
@@ -312,18 +314,18 @@ func Conv2DBackwardWS(x, w, dout *Tensor, spec ConvSpec, ws *Workspace) (dx, dw 
 	fg := f / s.Groups
 	psz := f * cg * kh * kw
 	partials := ws.GetRaw(n, f, cg, kh, kw)
-	if parallelDegree(n) <= 1 {
+	if deg := ws.degree(n); deg <= 1 {
 		convBackwardSamples(x, w, dout, dxT, partials, s, 0, n, fg, cg, kh, kw, oh, ow, ws)
 	} else {
-		Parallel(n, func(lo, hi int) {
+		parallelOver(deg, n, func(lo, hi int) {
 			convBackwardSamples(x, w, dout, dxT, partials, s, lo, hi, fg, cg, kh, kw, oh, ow, ws)
 		})
 	}
 	dwd, pd := dwT.Data, partials.Data
-	if parallelDegree(psz) <= 1 {
+	if deg := ws.degree(psz); deg <= 1 {
 		mergeSamplePartials(dwd, pd, n, 0, psz)
 	} else {
-		Parallel(psz, func(lo, hi int) {
+		parallelOver(deg, psz, func(lo, hi int) {
 			mergeSamplePartials(dwd, pd, n, lo, hi)
 		})
 	}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -132,5 +133,98 @@ func TestConv2DWorkspaceZeroAllocs(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			checkAllocRow(t, mallocsPerRun(4, 10, row.call), row.pin, 4)
 		})
+	}
+}
+
+// budgetRun is one pass of every kernel that fans out over its
+// workspace's budget; a value, so collecting it allocates nothing.
+type budgetRun struct {
+	out, dx, dw, dlogits, pool, dpool, mp, dmp, up, dup *Tensor
+	loss                                                float64
+}
+
+// TestWorkspaceBudgetZeroAllocs pins the rank worker budget: with
+// SetWorkers(1) every kernel takes its closure-free serial branch even
+// at GOMAXPROCS=4 — conv forward and backward, the loss, the argmax,
+// global and max pooling and the bilinear resize, each with its
+// backward — so a warm pass allocates nothing, and every result
+// matches a workspace at the default, GOMAXPROCS-wide budget bit for
+// bit.
+func TestWorkspaceBudgetZeroAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n, c, hw, classes, ignore = 4, 8, 12, 21, 255
+	x, wt, dout, s := convCase(41, n, c, hw, hw, c, 3, ConvSpec{Pad: 1})
+	rng := rand.New(rand.NewSource(43))
+	logits := randTensor(rng, n, classes, hw, hw)
+	labels := make([]int32, n*hw*hw)
+	for i := range labels {
+		labels[i] = int32(rng.Intn(classes))
+	}
+	labels[0] = ignore
+	argBuf := make([]int32, n*c*hw*hw/4)
+	pass := func(ws *Workspace, pred []int32) budgetRun {
+		var r budgetRun
+		r.out = Conv2DWS(x, wt, s, ws)
+		r.dx, r.dw = Conv2DBackwardWS(x, wt, dout, s, ws)
+		r.loss, r.dlogits = SoftmaxCrossEntropyWS(logits, labels, ignore, ws)
+		ArgmaxClassInto(logits, pred, ws)
+		r.pool = GlobalAvgPoolWS(x, ws)
+		r.dpool = GlobalAvgPoolBackwardWS(r.pool, hw, hw, ws)
+		var arg []int32
+		r.mp, arg = MaxPool2WS(x, argBuf, ws)
+		r.dmp = MaxPool2BackwardWS(r.mp, arg, hw, hw, ws)
+		r.up = BilinearResizeWS(x, 17, 17, ws)
+		r.dup = BilinearResizeBackwardWS(r.up, hw, hw, ws)
+		return r
+	}
+
+	serial := NewWorkspace()
+	serial.SetWorkers(1)
+	if got := serial.Workers(); got != 1 {
+		t.Fatalf("Workers() = %d after SetWorkers(1)", got)
+	}
+	serialPred := make([]int32, len(labels))
+	warm := func() { serial.Reset(); pass(serial, serialPred) }
+	// A pooled tensor's shape header grows the first time a request
+	// with more dims than its earlier borrowers draws it: two passes
+	// settle the arena. At four procs the runtime's own goroutines can
+	// land a stray allocation in a window, so the row is the least of
+	// three; a kernel allocation would show in all of them.
+	warm()
+	warm()
+	got := mallocsPerRun(4, 10, warm)
+	for range 2 {
+		got = min(got, mallocsPerRun(4, 10, warm))
+	}
+	if got != 0 {
+		t.Errorf("one-worker pass allocates %.1f times at GOMAXPROCS=4, want 0", got)
+	}
+
+	wide := NewWorkspace()
+	if got := wide.Workers(); got != 4 {
+		t.Fatalf("default budget %d, want GOMAXPROCS=4", got)
+	}
+	widePred := make([]int32, len(labels))
+	serial.Reset()
+	a, b := pass(serial, serialPred), pass(wide, widePred)
+	if math.Float64bits(a.loss) != math.Float64bits(b.loss) {
+		t.Errorf("loss %v on one worker, %v on four", a.loss, b.loss)
+	}
+	for i := range serialPred {
+		if serialPred[i] != widePred[i] {
+			t.Fatalf("argmax differs at %d: %d on one worker, %d on four", i, serialPred[i], widePred[i])
+		}
+	}
+	for _, p := range []struct {
+		name       string
+		got, wider *Tensor
+	}{
+		{"conv forward", a.out, b.out}, {"conv dx", a.dx, b.dx}, {"conv dw", a.dw, b.dw},
+		{"loss gradient", a.dlogits, b.dlogits},
+		{"avg pool", a.pool, b.pool}, {"avg pool backward", a.dpool, b.dpool},
+		{"max pool", a.mp, b.mp}, {"max pool backward", a.dmp, b.dmp},
+		{"resize", a.up, b.up}, {"resize backward", a.dup, b.dup},
+	} {
+		requireBitIdentical(t, p.got, p.wider, p.name)
 	}
 }

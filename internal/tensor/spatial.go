@@ -11,19 +11,28 @@ func GlobalAvgPool(x *Tensor) *Tensor { return GlobalAvgPoolWS(x, nil) }
 
 // GlobalAvgPoolWS is GlobalAvgPool with the output drawn from ws.
 func GlobalAvgPoolWS(x *Tensor, ws *Workspace) *Tensor {
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	n, c := x.Dim(0), x.Dim(1)
 	out := ws.GetRaw(n, c, 1, 1)
-	inv := 1 / float32(h*w)
-	Parallel(n*c, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var s float32
-			for _, v := range x.Data[i*h*w : (i+1)*h*w] {
-				s += v
-			}
-			out.Data[i] = s * inv
-		}
-	})
+	if deg := ws.degree(n * c); deg <= 1 {
+		avgPoolPlanes(x, out, 0, n*c)
+	} else {
+		parallelOver(deg, n*c, func(lo, hi int) { avgPoolPlanes(x, out, lo, hi) })
+	}
 	return out
+}
+
+// avgPoolPlanes is GlobalAvgPoolWS's per-worker body over planes
+// [lo,hi).
+func avgPoolPlanes(x, out *Tensor, lo, hi int) {
+	hw := x.Dim(2) * x.Dim(3)
+	inv := 1 / float32(hw)
+	for i := lo; i < hi; i++ {
+		var s float32
+		for _, v := range x.Data[i*hw : (i+1)*hw] {
+			s += v
+		}
+		out.Data[i] = s * inv
+	}
 }
 
 // GlobalAvgPoolBackward spreads dout [N,C,1,1] uniformly over the
@@ -37,17 +46,26 @@ func GlobalAvgPoolBackward(dout *Tensor, h, w int) *Tensor {
 func GlobalAvgPoolBackwardWS(dout *Tensor, h, w int, ws *Workspace) *Tensor {
 	n, c := dout.Dim(0), dout.Dim(1)
 	dx := ws.GetRaw(n, c, h, w)
-	inv := 1 / float32(h*w)
-	Parallel(n*c, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g := dout.Data[i] * inv
-			row := dx.Data[i*h*w : (i+1)*h*w]
-			for j := range row {
-				row[j] = g
-			}
-		}
-	})
+	if deg := ws.degree(n * c); deg <= 1 {
+		avgPoolBackwardPlanes(dout, dx, 0, n*c)
+	} else {
+		parallelOver(deg, n*c, func(lo, hi int) { avgPoolBackwardPlanes(dout, dx, lo, hi) })
+	}
 	return dx
+}
+
+// avgPoolBackwardPlanes is GlobalAvgPoolBackwardWS's per-worker body
+// over planes [lo,hi).
+func avgPoolBackwardPlanes(dout, dx *Tensor, lo, hi int) {
+	hw := dx.Dim(2) * dx.Dim(3)
+	inv := 1 / float32(hw)
+	for i := lo; i < hi; i++ {
+		g := dout.Data[i] * inv
+		row := dx.Data[i*hw : (i+1)*hw]
+		for j := range row {
+			row[j] = g
+		}
+	}
 }
 
 // MaxPool2 performs 2×2/stride-2 max pooling (even H,W required) and
@@ -70,28 +88,36 @@ func MaxPool2WS(x *Tensor, argBuf []int32, ws *Workspace) (*Tensor, []int32) {
 	} else {
 		arg = arg[:n*c*oh*ow]
 	}
-	Parallel(n*c, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			in := x.Data[i*h*w : (i+1)*h*w]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := float32(0)
-					bestIdx := -1
-					for dy := 0; dy < 2; dy++ {
-						for dx := 0; dx < 2; dx++ {
-							idx := (oy*2+dy)*w + ox*2 + dx
-							if bestIdx < 0 || in[idx] > best {
-								best, bestIdx = in[idx], idx
-							}
+	if deg := ws.degree(n * c); deg <= 1 {
+		maxPoolPlanes(x, out, arg, 0, n*c)
+	} else {
+		parallelOver(deg, n*c, func(lo, hi int) { maxPoolPlanes(x, out, arg, lo, hi) })
+	}
+	return out, arg
+}
+
+// maxPoolPlanes is MaxPool2WS's per-worker body over planes [lo,hi).
+func maxPoolPlanes(x, out *Tensor, arg []int32, lo, hi int) {
+	h, w, oh, ow := x.Dim(2), x.Dim(3), out.Dim(2), out.Dim(3)
+	for i := lo; i < hi; i++ {
+		in := x.Data[i*h*w : (i+1)*h*w]
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best := float32(0)
+				bestIdx := -1
+				for dy := 0; dy < 2; dy++ {
+					for dx := 0; dx < 2; dx++ {
+						idx := (oy*2+dy)*w + ox*2 + dx
+						if bestIdx < 0 || in[idx] > best {
+							best, bestIdx = in[idx], idx
 						}
 					}
-					out.Data[i*oh*ow+oy*ow+ox] = best
-					arg[i*oh*ow+oy*ow+ox] = int32(bestIdx)
 				}
+				out.Data[i*oh*ow+oy*ow+ox] = best
+				arg[i*oh*ow+oy*ow+ox] = int32(bestIdx)
 			}
 		}
-	})
-	return out, arg
+	}
 }
 
 // MaxPool2Backward routes gradients to the argmax positions.
@@ -102,16 +128,25 @@ func MaxPool2Backward(dout *Tensor, arg []int32, h, w int) *Tensor {
 // MaxPool2BackwardWS is MaxPool2Backward with the gradient drawn
 // from ws.
 func MaxPool2BackwardWS(dout *Tensor, arg []int32, h, w int, ws *Workspace) *Tensor {
-	n, c, oh, ow := dout.Dim(0), dout.Dim(1), dout.Dim(2), dout.Dim(3)
+	n, c := dout.Dim(0), dout.Dim(1)
 	dx := ws.Get(n, c, h, w) // zeroed: gradients scatter sparsely
-	Parallel(n*c, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := 0; j < oh*ow; j++ {
-				dx.Data[i*h*w+int(arg[i*oh*ow+j])] += dout.Data[i*oh*ow+j]
-			}
-		}
-	})
+	if deg := ws.degree(n * c); deg <= 1 {
+		maxPoolBackwardPlanes(dout, dx, arg, 0, n*c)
+	} else {
+		parallelOver(deg, n*c, func(lo, hi int) { maxPoolBackwardPlanes(dout, dx, arg, lo, hi) })
+	}
 	return dx
+}
+
+// maxPoolBackwardPlanes is MaxPool2BackwardWS's per-worker body over
+// planes [lo,hi).
+func maxPoolBackwardPlanes(dout, dx *Tensor, arg []int32, lo, hi int) {
+	hw, ohw := dx.Dim(2)*dx.Dim(3), dout.Dim(2)*dout.Dim(3)
+	for i := lo; i < hi; i++ {
+		for j := 0; j < ohw; j++ {
+			dx.Data[i*hw+int(arg[i*ohw+j])] += dout.Data[i*ohw+j]
+		}
+	}
 }
 
 // bilinearAxis holds the precomputed resampling plan for one axis.
@@ -182,29 +217,38 @@ func BilinearResizeWS(x *Tensor, oh, ow int, ws *Workspace) *Tensor {
 		panic(fmt.Sprintf("tensor: resize to %dx%d", oh, ow))
 	}
 	yax, xax := bilinearAxisFor(h, oh), bilinearAxisFor(w, ow)
+	out := ws.GetRaw(n, c, oh, ow)
+	if deg := ws.degree(n * c); deg <= 1 {
+		resizePlanes(x, out, yax, xax, 0, n*c)
+	} else {
+		parallelOver(deg, n*c, func(lo, hi int) { resizePlanes(x, out, yax, xax, lo, hi) })
+	}
+	return out
+}
+
+// resizePlanes is BilinearResizeWS's per-worker body over planes
+// [lo,hi).
+func resizePlanes(x, out *Tensor, yax, xax *bilinearAxis, lo, hi int) {
+	h, w, oh, ow := x.Dim(2), x.Dim(3), out.Dim(2), out.Dim(3)
 	ylo, yhi, wy := yax.lo, yax.hi, yax.w
 	xlo, xhi, wx := xax.lo, xax.hi, xax.w
-	out := ws.GetRaw(n, c, oh, ow)
-	Parallel(n*c, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			in := x.Data[i*h*w : (i+1)*h*w]
-			dst := out.Data[i*oh*ow : (i+1)*oh*ow]
-			for oy := 0; oy < oh; oy++ {
-				y0, y1, fy := ylo[oy], yhi[oy], wy[oy]
-				for ox := 0; ox < ow; ox++ {
-					x0, x1, fx := xlo[ox], xhi[ox], wx[ox]
-					v00 := in[y0*w+x0]
-					v01 := in[y0*w+x1]
-					v10 := in[y1*w+x0]
-					v11 := in[y1*w+x1]
-					top := v00 + fx*(v01-v00)
-					bot := v10 + fx*(v11-v10)
-					dst[oy*ow+ox] = top + fy*(bot-top)
-				}
+	for i := lo; i < hi; i++ {
+		in := x.Data[i*h*w : (i+1)*h*w]
+		dst := out.Data[i*oh*ow : (i+1)*oh*ow]
+		for oy := 0; oy < oh; oy++ {
+			y0, y1, fy := ylo[oy], yhi[oy], wy[oy]
+			for ox := 0; ox < ow; ox++ {
+				x0, x1, fx := xlo[ox], xhi[ox], wx[ox]
+				v00 := in[y0*w+x0]
+				v01 := in[y0*w+x1]
+				v10 := in[y1*w+x0]
+				v11 := in[y1*w+x1]
+				top := v00 + fx*(v01-v00)
+				bot := v10 + fx*(v11-v10)
+				dst[oy*ow+ox] = top + fy*(bot-top)
 			}
 		}
-	})
-	return out
+	}
 }
 
 // BilinearResizeBackward is the adjoint of BilinearResize: it scatters
@@ -218,25 +262,34 @@ func BilinearResizeBackward(dout *Tensor, h, w int) *Tensor {
 func BilinearResizeBackwardWS(dout *Tensor, h, w int, ws *Workspace) *Tensor {
 	n, c, oh, ow := dout.Dim(0), dout.Dim(1), dout.Dim(2), dout.Dim(3)
 	yax, xax := bilinearAxisFor(h, oh), bilinearAxisFor(w, ow)
+	dx := ws.Get(n, c, h, w) // zeroed: the scatter accumulates
+	if deg := ws.degree(n * c); deg <= 1 {
+		resizeBackwardPlanes(dout, dx, yax, xax, 0, n*c)
+	} else {
+		parallelOver(deg, n*c, func(lo, hi int) { resizeBackwardPlanes(dout, dx, yax, xax, lo, hi) })
+	}
+	return dx
+}
+
+// resizeBackwardPlanes is BilinearResizeBackwardWS's per-worker body
+// over planes [lo,hi).
+func resizeBackwardPlanes(dout, dx *Tensor, yax, xax *bilinearAxis, lo, hi int) {
+	h, w, oh, ow := dx.Dim(2), dx.Dim(3), dout.Dim(2), dout.Dim(3)
 	ylo, yhi, wy := yax.lo, yax.hi, yax.w
 	xlo, xhi, wx := xax.lo, xax.hi, xax.w
-	dx := ws.Get(n, c, h, w) // zeroed: the scatter accumulates
-	Parallel(n*c, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			src := dout.Data[i*oh*ow : (i+1)*oh*ow]
-			dst := dx.Data[i*h*w : (i+1)*h*w]
-			for oy := 0; oy < oh; oy++ {
-				y0, y1, fy := ylo[oy], yhi[oy], wy[oy]
-				for ox := 0; ox < ow; ox++ {
-					x0, x1, fx := xlo[ox], xhi[ox], wx[ox]
-					g := src[oy*ow+ox]
-					dst[y0*w+x0] += g * (1 - fy) * (1 - fx)
-					dst[y0*w+x1] += g * (1 - fy) * fx
-					dst[y1*w+x0] += g * fy * (1 - fx)
-					dst[y1*w+x1] += g * fy * fx
-				}
+	for i := lo; i < hi; i++ {
+		src := dout.Data[i*oh*ow : (i+1)*oh*ow]
+		dst := dx.Data[i*h*w : (i+1)*h*w]
+		for oy := 0; oy < oh; oy++ {
+			y0, y1, fy := ylo[oy], yhi[oy], wy[oy]
+			for ox := 0; ox < ow; ox++ {
+				x0, x1, fx := xlo[ox], xhi[ox], wx[ox]
+				g := src[oy*ow+ox]
+				dst[y0*w+x0] += g * (1 - fy) * (1 - fx)
+				dst[y0*w+x1] += g * (1 - fy) * fx
+				dst[y1*w+x0] += g * fy * (1 - fx)
+				dst[y1*w+x1] += g * fy * fx
 			}
 		}
-	})
-	return dx
+	}
 }

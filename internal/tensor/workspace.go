@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 )
 
@@ -31,13 +32,20 @@ import (
 //     allocation, so kernels take a workspace unconditionally and
 //     callers opt in.
 //
-// All methods are safe for concurrent use: the per-worker goroutines a
-// kernel fans out share their rank's workspace under one mutex (the
-// handful of Gets per kernel launch is far off the critical path).
+// The workspace also carries its owner's worker budget: a kernel that
+// draws from it fans out over at most Workers goroutines (see
+// SetWorkers), so each rank of a world splits the cores with its peers
+// instead of every rank claiming all of them.
+//
+// All methods except SetWorkers are safe for concurrent use: the
+// per-worker goroutines a kernel fans out share their rank's workspace
+// under one mutex (the handful of Gets per kernel launch is far off
+// the critical path).
 type Workspace struct {
-	mu   sync.Mutex
-	free map[uint][]*Tensor // capacity class (log2) → free tensors
-	lent []*Tensor          // outstanding tensors, reclaimed by Reset
+	mu      sync.Mutex
+	free    map[uint][]*Tensor // capacity class (log2) → free tensors
+	lent    []*Tensor          // outstanding tensors, reclaimed by Reset
+	workers int                // kernel fan-out budget; 0 means GOMAXPROCS
 
 	gets   uint64
 	hits   uint64
@@ -48,6 +56,30 @@ type Workspace struct {
 // NewWorkspace returns an empty arena.
 func NewWorkspace() *Workspace {
 	return &Workspace{free: make(map[uint][]*Tensor)}
+}
+
+// SetWorkers sets the budget of goroutines a kernel drawing from w fans
+// out over; n <= 0 restores the default, GOMAXPROCS. A budget of 1 runs
+// every kernel on its caller's goroutine, closure-free. Results are
+// bit-identical at any budget. Call it between kernels, not
+// concurrently with one.
+func (w *Workspace) SetWorkers(n int) {
+	w.workers = max(n, 0)
+}
+
+// Workers reports the budget: the SetWorkers value, or GOMAXPROCS when
+// none is set or w is nil.
+func (w *Workspace) Workers() int {
+	if w == nil || w.workers == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return w.workers
+}
+
+// degree reports how many workers a kernel drawing from w splits a
+// range of size n over: the budget, capped at n.
+func (w *Workspace) degree(n int) int {
+	return min(w.Workers(), n)
 }
 
 // wsClassMin is the smallest pooled capacity; tiny requests all share

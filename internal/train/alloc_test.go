@@ -189,12 +189,12 @@ func (r stepRow) config() Config {
 // generator, an fp16 step whose gradients overflow (with telemetry on,
 // so the backoff is marked), and each observer (health plane,
 // telemetry with a flight recorder, step observer). The world-1
-// residue is bounded and intentional — among it Parallel-closure
-// headers at tensor-op call sites, the loss's tiny float64 reduction
-// buffers, and SplitChannels' slice-of-headers: each a handful of
-// words, none proportional to activation size. Augmentation adds, per
-// step, RandomScaleCrop's label scratch and each sample's resized copy
-// and view header. The urban generator seeds a generator per sample.
+// residue is bounded and intentional — among it the loss's tiny
+// float64 reduction buffers and SplitChannels' slice-of-headers: each
+// a handful of words, none proportional to activation size; no kernel
+// launch allocates on one worker. Augmentation adds, per step,
+// RandomScaleCrop's label scratch and each sample's view header. The
+// urban generator seeds a generator per sample.
 // The observers' logs (health rows, telemetry spans) grow by doubling;
 // AllocsPerRun rounds its per-step mean down, so a doubling that lands
 // among the three measured steps does not move a row, and one
@@ -203,43 +203,49 @@ func (r stepRow) config() Config {
 // transport recycles every payload and wakes its peers through
 // semaphores made once, so the fused gradient buffers and SyncBN's
 // per-layer reductions add nothing. Every row at one proc is exact, so
-// one extra allocation a step fails it. At GOMAXPROCS=4 every Parallel
-// launch adds its closure and goroutines, whose count moves with
-// scheduling; that row has a ceiling.
+// one extra allocation a step fails it. Each rank's kernels fan out
+// over GOMAXPROCS/world workers (newRankStep), so world 2 at
+// GOMAXPROCS=2 still runs one worker a rank: w2_fp32_aug_mp2 must read
+// the one-proc w2_fp32_aug pin exactly. Above that, with two workers a
+// rank at world 2 or four at world 1, every kernel launch adds its
+// closure and goroutines, whose count moves with scheduling; those
+// rows have a ceiling.
 func TestTrainStepAllocBudget(t *testing.T) {
 	fp16 := func(c *Config) { c.MixedPrecision = true }
 	aug := func(c *Config) { c.Augment = true }
 	for _, r := range []stepRow{
-		{"w1_fp32", 1, 1, nil, 32, 0},
-		{"w1_fp16", 1, 1, fp16, 32, 0},
-		{"w2_fp32", 2, 1, nil, 65, 0},
-		{"w2_fp16", 2, 1, fp16, 65, 0},
-		{"w1_fp32_aug", 1, 1, aug, 61, 0},
-		{"w1_fp16_aug", 1, 1, func(c *Config) { fp16(c); aug(c) }, 61, 0},
-		{"w2_fp32_aug", 2, 1, aug, 123, 0},
-		{"w2_fp16_aug", 2, 1, func(c *Config) { fp16(c); aug(c) }, 123, 0},
-		{"w1_fp32_aug_mp4", 1, 4, aug, 896, 1.25*896 + 2},
-		{"w1_fp32_lars", 1, 1, func(c *Config) { c.Optimizer = "lars" }, 32, 0},
-		{"w1_fp32_clip", 1, 1, func(c *Config) { c.GradClip = 1 }, 32, 0},
-		{"w1_fp16_clip", 1, 1, func(c *Config) { fp16(c); c.GradClip = 1 }, 32, 0},
-		{"w1_fp32_accum2", 1, 1, func(c *Config) { c.Horovod.BackwardPassesPerStep = 2 }, 32, 0},
-		{"w1_fp32_fcn", 1, 1, func(c *Config) { c.Arch = "fcn" }, 22, 0},
-		{"w1_fp32_nodecoder", 1, 1, func(c *Config) { c.Model.NoDecoder = true }, 28, 0},
-		{"w1_fp32_urban", 1, 1, func(c *Config) { c.DataStyle = segdata.StyleUrban }, 32, 0},
+		{"w1_fp32", 1, 1, nil, 20, 0},
+		{"w1_fp16", 1, 1, fp16, 20, 0},
+		{"w2_fp32", 2, 1, nil, 41, 0},
+		{"w2_fp16", 2, 1, fp16, 41, 0},
+		{"w1_fp32_aug", 1, 1, aug, 33, 0},
+		{"w1_fp16_aug", 1, 1, func(c *Config) { fp16(c); aug(c) }, 33, 0},
+		{"w2_fp32_aug", 2, 1, aug, 67, 0},
+		{"w2_fp16_aug", 2, 1, func(c *Config) { fp16(c); aug(c) }, 67, 0},
+		{"w2_fp32_aug_mp2", 2, 2, aug, 67, 0},
+		{"w2_fp32_aug_mp4", 2, 4, aug, 1094, 1.25*1094 + 2},
+		{"w1_fp32_aug_mp4", 1, 4, aug, 879, 1.25*879 + 2},
+		{"w1_fp32_lars", 1, 1, func(c *Config) { c.Optimizer = "lars" }, 20, 0},
+		{"w1_fp32_clip", 1, 1, func(c *Config) { c.GradClip = 1 }, 20, 0},
+		{"w1_fp16_clip", 1, 1, func(c *Config) { fp16(c); c.GradClip = 1 }, 20, 0},
+		{"w1_fp32_accum2", 1, 1, func(c *Config) { c.Horovod.BackwardPassesPerStep = 2 }, 20, 0},
+		{"w1_fp32_fcn", 1, 1, func(c *Config) { c.Arch = "fcn" }, 16, 0},
+		{"w1_fp32_nodecoder", 1, 1, func(c *Config) { c.Model.NoDecoder = true }, 18, 0},
+		{"w1_fp32_urban", 1, 1, func(c *Config) { c.DataStyle = segdata.StyleUrban }, 20, 0},
 		{"w1_fp16_overflow", 1, 1, func(c *Config) {
 			fp16(c)
 			c.LossScale = 1 << 200 // +Inf as a float32 scale: every step overflows
 			c.Telemetry = telemetry.NewCollector()
-		}, 32, 0},
-		{"w1_fp32_health", 1, 1, func(c *Config) { c.Health = modelhealth.New(modelhealth.Config{}) }, 32, 0},
+		}, 20, 0},
+		{"w1_fp32_health", 1, 1, func(c *Config) { c.Health = modelhealth.New(modelhealth.Config{}) }, 20, 0},
 		{"w1_fp32_telemetry", 1, 1, func(c *Config) {
 			c.Telemetry = telemetry.NewCollector()
 			c.Telemetry.EnableFlight(0)
-		}, 32, 0},
+		}, 20, 0},
 		{"w1_fp32_stepobs", 1, 1, func(c *Config) {
 			// A flusher that counts every step and never reaches its flush.
 			c.StepObs = telemetry.MultiObserver(obs.NewPromFlusher(telemetry.NewCollector(), filepath.Join(t.TempDir(), "m.prom"), 1<<30))
-		}, 32, 0},
+		}, 20, 0},
 	} {
 		t.Run(r.name, func(t *testing.T) {
 			checkAllocRow(t, realStepAllocs(t, r.config(), r.procs, true), r.pin, r.ceiling)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"segscale/internal/faultinject"
@@ -217,6 +218,57 @@ func TestElasticKeepsHealthPlane(t *testing.T) {
 	}
 	if !bytes.Equal(elastic, fixed) {
 		t.Error("elastic health ledger differs from the fixed-world ledger on a fault-free run")
+	}
+}
+
+// budgetObserver records the kernel worker budget of slot 0's
+// workspace at each of slot 0's steps, in order. Only slot 0's rank
+// goroutine appends, and incarnations run one after another.
+type budgetObserver struct {
+	rs      *runState
+	budgets []int
+}
+
+func (o *budgetObserver) ObserveStep(lane string, _, _ int, _ float64) {
+	if lane == "rank0" {
+		o.budgets = append(o.budgets, o.rs.replicas[0].ws.Workers())
+	}
+}
+
+// TestElasticShrinkReturnsCores checks that the rank worker budget
+// follows the live world: at GOMAXPROCS=2 each rank of a two-rank
+// world fans its kernels out over one worker, and once a crash shrinks
+// the world to one rank the survivor gets both cores back.
+func TestElasticShrinkReturnsCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := fastCfg()
+	cfg.World = 2
+	cfg.Epochs = 3
+	cfg.Elastic = true
+	cfg.MaxRestarts = 1
+	// Three steps an epoch at world 2: rank 1 dies in epoch 1.
+	cfg.Chaos = &faultinject.Plan{Crashes: []faultinject.Crash{{Rank: 1, Step: 4, Incarnation: 0}}}
+	obs := &budgetObserver{}
+	cfg.StepObs = obs
+	rs, err := newRunState(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.rs = rs
+	if err := rs.train(); err != nil {
+		t.Fatal(err)
+	}
+	if rs.shrinks != 1 || rs.members.Size() != 1 {
+		t.Fatalf("shrinks=%d world=%d, want one shrink to world 1", rs.shrinks, rs.members.Size())
+	}
+	if len(obs.budgets) == 0 || obs.budgets[0] != 1 {
+		t.Fatalf("slot 0's budgets %v: want 1 worker a rank at world 2 on two procs first", obs.budgets)
+	}
+	if last := obs.budgets[len(obs.budgets)-1]; last != 2 {
+		t.Errorf("slot 0's budgets %v: the world-1 survivor should end on 2 workers", obs.budgets)
+	}
+	if got := rs.replicas[0].ws.Workers(); got != 2 {
+		t.Errorf("survivor's workspace budget %d after the shrink, want 2", got)
 	}
 }
 

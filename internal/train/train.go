@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 
 	"segscale/internal/checkpoint"
 	"segscale/internal/deeplab"
@@ -329,14 +330,8 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for inc := 0; ; inc++ {
-		failedSlots, err := run.incarnation(run.members.Members(), run.doneEpoch+1, inc)
-		if err == nil {
-			break
-		}
-		if err := run.absorb(err, failedSlots); err != nil {
-			return nil, fmt.Errorf("train: %w", err)
-		}
+	if err := run.train(); err != nil {
+		return nil, err
 	}
 
 	res := &Result{Config: run.cfg, History: run.history,
@@ -393,6 +388,20 @@ func newRunState(cfg Config) (*runState, error) {
 		members:   members,
 		replicas:  make([]*replica, cfg.World),
 	}, nil
+}
+
+// train runs incarnations until one finishes, absorbing each failure
+// in between.
+func (rs *runState) train() error {
+	for inc := 0; ; inc++ {
+		failedSlots, err := rs.incarnation(rs.members.Members(), rs.doneEpoch+1, inc)
+		if err == nil {
+			return nil
+		}
+		if err := rs.absorb(err, failedSlots); err != nil {
+			return fmt.Errorf("train: %w", err)
+		}
+	}
 }
 
 // runState carries everything that survives across incarnations of
@@ -622,8 +631,16 @@ type rankStep struct {
 // it, and the health collector, re-pointed every incarnation because
 // the replica's network may outlive one. The caller attaches the
 // runtime once syncState has built it.
+//
+// It also gives the rank its share of the cores, GOMAXPROCS/world
+// kernel workers (at least one), as Horovod pins one process per
+// device: the ranks of a world then run side by side instead of each
+// fanning every kernel out over every core. Set per incarnation, the
+// budget follows the live world through a restart, shrink or regrow.
+// Kernel results are bit-identical at any budget.
 func (rs *runState) newRankStep(c *transport.Comm, rep *replica, slot, inc int, shard []int) *rankStep {
 	cfg := rs.cfg
+	rep.ws.SetWorkers(max(1, runtime.GOMAXPROCS(0)/c.Size()))
 	obsLane := fmt.Sprintf("rank%d", slot)
 	lane := obsLane
 	if inc > 0 {
@@ -686,7 +703,7 @@ func (t *rankStep) step(s int, perm []int, rng *rand.Rand) (float64, error) {
 	if t.cfg.Augment {
 		// DeepLab's recipe: random scale jitter + crop,
 		// then random horizontal flip.
-		segdata.RandomScaleCrop(rng, x, labels, 0.75, 1.25)
+		segdata.RandomScaleCropWS(rng, x, labels, 0.75, 1.25, t.ws)
 		if rng.Intn(2) == 1 {
 			segdata.FlipHoriz(x, labels)
 		}
