@@ -164,7 +164,7 @@ func main() {
 			opts.Chaos = summitseg.RandomChaosPlan(*chaosSeed, g)
 		}
 		if *timelineOut != "" && i == len(scales)-1 {
-			opts.Timeline = &summitseg.Timeline{Enabled: true}
+			opts.Timeline = &summitseg.Timeline{}
 		}
 		if attrRec != nil && i == len(scales)-1 {
 			opts.Attribution = attrRec

@@ -29,7 +29,8 @@ func writeTrace(t *testing.T, rec *timeline.Recorder) string {
 
 func TestRunGolden(t *testing.T) {
 	// Two ranks: rank1 computes 3x slower, then both allreduce.
-	// Lane names round-trip as tid0/tid1 through the Chrome format.
+	// Lane names round-trip through the Chrome format's thread_name
+	// metadata.
 	rec := timeline.New()
 	rec.Add("rank0", timeline.PhaseForward, "fwd", 0, 0.001)
 	rec.Add("rank1", timeline.PhaseForward, "fwd", 0, 0.003)
@@ -56,11 +57,11 @@ FORWARD                       2    2.000ms    2.000ms    2.800ms    3.000ms  █
 MPI_ALLREDUCE                 2    1.000ms    1.000ms    1.000ms    1.000ms  █
 
 == critical path (4.000 ms busy, 100.0% of span) ==
-  tid1       FORWARD                  fwd                  3.000ms
-  tid1       MPI_ALLREDUCE            buf0                 1.000ms
+  rank1      FORWARD                  fwd                  3.000ms
+  rank1      MPI_ALLREDUCE            buf0                 1.000ms
 
 == stragglers ==
-tid1       busy 4.000ms = 1.33x the median lane
+rank1      busy 4.000ms = 1.33x the median lane
 `
 	if got != want {
 		t.Errorf("output mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"segscale/internal/telemetry"
+	"segscale/internal/timeline"
 )
 
 func TestFlushPrometheusAtomic(t *testing.T) {
@@ -79,7 +80,7 @@ func TestWriteFlightTrace(t *testing.T) {
 	}
 
 	f := telemetry.NewFlightRecorder(8)
-	f.Record(telemetry.FlightEvent{Lane: "rank0", Phase: "STEP", Name: "s0", Start: 1, End: 2})
+	f.Record(timeline.Event{Lane: "rank0", Phase: "STEP", Name: "s0", Start: 1, End: 2})
 	if err := WriteFlightTrace(f, path); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestWriteFlightTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events []map[string]any
-	if err := json.Unmarshal(data, &events); err != nil || len(events) != 1 {
+	if err := json.Unmarshal(data, &events); err != nil || len(events) != 2 { // lane name + span
 		t.Fatalf("trace dump wrong (%v):\n%s", err, data)
 	}
 }

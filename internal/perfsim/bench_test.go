@@ -74,10 +74,10 @@ func TestSimulatorAllocBudget(t *testing.T) {
 		{"gpus_132_observed", 132, func(c *Config) {
 			col := telemetry.NewCollector()
 			c.Probe = col.NewProbe("sim", telemetry.NewStepClock())
-			c.Timeline = &timeline.Recorder{}
+			c.Timeline = timeline.New()
 			c.StepObs = telemetry.MultiObserver()
 			c.Attribution = &traceanalysis.LedgerRecorder{}
-		}, 5577},
+		}, 5580},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := Config{GPUs: row.gpus, Model: model.DLv3Plus(), MPI: mpiprofile.MV2GDR(), Horovod: horovod.Default(), Seed: 1}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"segscale/internal/timeline"
 )
 
 // Collector gathers per-rank probes and merges their metrics and
@@ -90,20 +92,23 @@ func (c *Collector) Probes() []*Probe {
 	return append([]*Probe(nil), c.probes...)
 }
 
-// Spans returns every attached probe's spans, ordered by start time
-// (ties by lane, then insertion) — the merged trace.
-func (c *Collector) Spans() []SpanRecord {
-	var out []SpanRecord
+// Timeline returns every attached probe's spans as one recorder,
+// ordered by start time (ties by lane, then insertion) — the merged
+// trace that WriteChromeTrace, trace analysis and chrome://tracing
+// consume.
+func (c *Collector) Timeline() *timeline.Recorder {
+	rec := timeline.New()
 	for _, p := range c.Probes() {
-		out = append(out, p.Tracer().Spans()...)
+		rec.Events = append(rec.Events, p.Tracer().Spans()...)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+	ev := rec.Events
+	sort.SliceStable(ev, func(i, j int) bool {
+		if ev[i].Start != ev[j].Start {
+			return ev[i].Start < ev[j].Start
 		}
-		return out[i].Lane < out[j].Lane
+		return ev[i].Lane < ev[j].Lane
 	})
-	return out
+	return rec
 }
 
 // HistSnapshot is one histogram's merged state.

@@ -1,28 +1,13 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
-
-	"segscale/internal/timeline"
 )
-
-// Timeline converts the merged trace into a timeline.Recorder, the
-// bridge to the existing Chrome trace tooling: WriteChromeTrace,
-// ReadChromeTrace, trace-stats, and chrome://tracing all consume the
-// result unchanged.
-func (c *Collector) Timeline() *timeline.Recorder {
-	rec := timeline.New()
-	for _, s := range c.Spans() {
-		rec.AddEdge(s.Lane, s.Phase, s.Name, s.Edge, s.Start, s.End)
-	}
-	return rec
-}
 
 // WriteChromeTrace emits the merged trace as Chrome trace-event JSON
 // via internal/timeline's writer.
@@ -39,7 +24,7 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 // states.
 func (c *Collector) WritePrometheus(w io.Writer) error {
 	for _, m := range c.Gather() {
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.Name, promType(m.Kind)); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.Name, m.Kind); err != nil {
 			return err
 		}
 		switch m.Kind {
@@ -64,16 +49,6 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func promType(kind string) string {
-	if kind == "counter" {
-		return "counter"
-	}
-	if kind == "histogram" {
-		return "histogram"
-	}
-	return "gauge"
 }
 
 func writePromHistogram(w io.Writer, name string, h *HistSnapshot) error {
@@ -148,55 +123,4 @@ func sortedLanes(m map[string]float64) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// PhaseSummary aggregates the merged trace per phase.
-type PhaseSummary struct {
-	Phase string  `json:"phase"`
-	Count int     `json:"count"`
-	Total float64 `json:"total"` // summed duration, clock units
-}
-
-// Summary is the machine-readable run digest WriteJSON emits.
-type Summary struct {
-	Lanes   []string         `json:"lanes"`
-	Spans   int              `json:"spans"`
-	Phases  []PhaseSummary   `json:"phases"`
-	Metrics []MetricSnapshot `json:"metrics"`
-}
-
-// Summarize builds the JSON-facing digest of the collected telemetry.
-func (c *Collector) Summarize() Summary {
-	spans := c.Spans()
-	laneSet := map[string]bool{}
-	phase := map[string]*PhaseSummary{}
-	var phases []string
-	for _, s := range spans {
-		laneSet[s.Lane] = true
-		ps, ok := phase[s.Phase]
-		if !ok {
-			ps = &PhaseSummary{Phase: s.Phase}
-			phase[s.Phase] = ps
-			phases = append(phases, s.Phase)
-		}
-		ps.Count++
-		ps.Total += s.End - s.Start
-	}
-	sort.Strings(phases)
-	sum := Summary{Spans: len(spans), Metrics: c.Gather()}
-	for l := range laneSet {
-		sum.Lanes = append(sum.Lanes, l)
-	}
-	sort.Strings(sum.Lanes)
-	for _, p := range phases {
-		sum.Phases = append(sum.Phases, *phase[p])
-	}
-	return sum
-}
-
-// WriteJSON emits the Summary as indented JSON.
-func (c *Collector) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c.Summarize())
 }

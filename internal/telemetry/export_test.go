@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -73,21 +72,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	col := exampleCollector()
-	var buf bytes.Buffer
-	if err := col.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var sum Summary
-	if err := json.Unmarshal(buf.Bytes(), &sum); err != nil {
-		t.Fatalf("summary is not valid JSON: %v", err)
-	}
-	if sum.Spans != 4 || len(sum.Lanes) != 2 || len(sum.Metrics) != 4 {
-		t.Fatalf("summary %+v", sum)
-	}
-}
-
 func TestEmptyCollectorExports(t *testing.T) {
 	col := NewCollector()
 	var buf bytes.Buffer
@@ -100,9 +84,5 @@ func TestEmptyCollectorExports(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("empty collector wrote %q", buf.String())
-	}
-	buf.Reset()
-	if err := col.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -7,19 +7,6 @@ import (
 	"segscale/internal/timeline"
 )
 
-// FlightEvent is one entry in the flight recorder: a finished span or
-// an instantaneous mark (Start == End), in the owning clock's units.
-// Edge mirrors the span's message-edge attribute, so a flight dump
-// keeps the causal structure trace analysis needs.
-type FlightEvent struct {
-	Lane  string
-	Phase string
-	Name  string
-	Start float64
-	End   float64
-	Edge  string
-}
-
 // FlightRecorder is a bounded ring buffer of the most recent telemetry
 // events — the always-on "black box" that can be dumped as a Chrome
 // trace at any moment (on demand over HTTP, on SIGQUIT, or when crash
@@ -28,6 +15,9 @@ type FlightEvent struct {
 // recorded through that collector's probes also lands here; when the
 // ring wraps, the oldest events are overwritten, so a dump always
 // shows the last Cap() events leading up to the moment of the dump.
+// Each entry is a finished span or an instantaneous mark (Start ==
+// End) in the owning clock's units, its message edge kept, so a dump
+// keeps the causal structure trace analysis needs.
 //
 // The ring holds event *values* under one short-lived mutex per
 // record; the critical section is a copy of five words plus an index
@@ -35,7 +25,7 @@ type FlightEvent struct {
 // nanoseconds. A nil *FlightRecorder is a valid no-op.
 type FlightRecorder struct {
 	mu    sync.Mutex
-	buf   []FlightEvent
+	buf   []timeline.Event
 	next  int
 	n     int
 	total uint64
@@ -51,13 +41,13 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &FlightRecorder{buf: make([]FlightEvent, capacity)}
+	return &FlightRecorder{buf: make([]timeline.Event, capacity)}
 }
 
 // Record appends an event, overwriting the oldest once the ring is
 // full. Events with End < Start are clamped to zero duration so a
 // dump can never produce a trace chrome://tracing rejects. Nil-safe.
-func (f *FlightRecorder) Record(ev FlightEvent) {
+func (f *FlightRecorder) Record(ev timeline.Event) {
 	if f == nil {
 		return
 	}
@@ -78,13 +68,13 @@ func (f *FlightRecorder) Record(ev FlightEvent) {
 }
 
 // Snapshot returns the retained events oldest-first.
-func (f *FlightRecorder) Snapshot() []FlightEvent {
+func (f *FlightRecorder) Snapshot() []timeline.Event {
 	if f == nil {
 		return nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]FlightEvent, 0, f.n)
+	out := make([]timeline.Event, 0, f.n)
 	start := f.next - f.n
 	if start < 0 {
 		start += len(f.buf)
@@ -128,11 +118,7 @@ func (f *FlightRecorder) Total() uint64 {
 // format — the same format the post-hoc exporters use, so
 // chrome://tracing and trace-stats consume a flight dump unchanged.
 func (f *FlightRecorder) WriteChromeTrace(w io.Writer) error {
-	rec := &timeline.Recorder{Enabled: true}
-	for _, ev := range f.Snapshot() {
-		rec.AddEdge(ev.Lane, ev.Phase, ev.Name, ev.Edge, ev.Start, ev.End)
-	}
-	return rec.WriteChromeTrace(w)
+	return (&timeline.Recorder{Events: f.Snapshot()}).WriteChromeTrace(w)
 }
 
 // StepObserver receives a notification after each completed training

@@ -12,7 +12,7 @@ import (
 func TestFlightRecorderWraparound(t *testing.T) {
 	f := NewFlightRecorder(4)
 	for i := 0; i < 10; i++ {
-		f.Record(FlightEvent{Lane: "r0", Phase: "P", Name: fmt.Sprintf("e%d", i),
+		f.Record(timeline.Event{Lane: "r0", Phase: "P", Name: fmt.Sprintf("e%d", i),
 			Start: float64(i), End: float64(i) + 0.5})
 	}
 	if got := f.Total(); got != 10 {
@@ -35,8 +35,8 @@ func TestFlightRecorderWraparound(t *testing.T) {
 
 func TestFlightRecorderPartialFill(t *testing.T) {
 	f := NewFlightRecorder(8)
-	f.Record(FlightEvent{Name: "a", Start: 1, End: 2})
-	f.Record(FlightEvent{Name: "b", Start: 3, End: 2}) // end<start clamps
+	f.Record(timeline.Event{Name: "a", Start: 1, End: 2})
+	f.Record(timeline.Event{Name: "b", Start: 3, End: 2}) // end<start clamps
 	snap := f.Snapshot()
 	if len(snap) != 2 || snap[0].Name != "a" || snap[1].Name != "b" {
 		t.Fatalf("Snapshot() = %+v, want [a b]", snap)
@@ -48,7 +48,7 @@ func TestFlightRecorderPartialFill(t *testing.T) {
 
 func TestFlightRecorderNilIsNoOp(t *testing.T) {
 	var f *FlightRecorder
-	f.Record(FlightEvent{Name: "x"})
+	f.Record(timeline.Event{Name: "x"})
 	if f.Snapshot() != nil || f.Len() != 0 || f.Cap() != 0 || f.Total() != 0 {
 		t.Fatal("nil FlightRecorder is not a no-op")
 	}
@@ -109,7 +109,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			defer wg.Done()
 			lane := fmt.Sprintf("rank%d", w)
 			for i := 0; i < perWriter; i++ {
-				f.Record(FlightEvent{Lane: lane, Phase: "P", Name: "e",
+				f.Record(timeline.Event{Lane: lane, Phase: "P", Name: "e",
 					Start: float64(i), End: float64(i + 1)})
 			}
 		}(w)

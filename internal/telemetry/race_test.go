@@ -37,7 +37,7 @@ func TestConcurrentPerRankWrites(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 20; i++ {
 			col.Gather()
-			col.Spans()
+			col.Timeline()
 		}
 	}()
 	wg.Wait()
@@ -54,7 +54,7 @@ func TestConcurrentPerRankWrites(t *testing.T) {
 	if got := byName["train_step_ops"].Hist.Total; got != ranks*steps {
 		t.Fatalf("histogram total = %d, want %d", got, ranks*steps)
 	}
-	if got := len(col.Spans()); got != ranks*steps {
+	if got := len(col.Timeline().Events); got != ranks*steps {
 		t.Fatalf("%d spans, want %d", got, ranks*steps)
 	}
 }

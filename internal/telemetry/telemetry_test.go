@@ -162,36 +162,6 @@ func TestCollectorGatherMerges(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	col := NewCollector()
-	p := col.NewProbe("rank0", ClockFunc(func() float64 { return 0 }))
-	p.Tracer().Add("rank0", "FORWARD", "s0", 0, 2)
-	p.Tracer().Add("rank0", "FORWARD", "s1", 2, 3)
-	p.Tracer().Add("rank0", "MPI_ALLREDUCE", "buf0", 3, 7)
-	p.Counter("train_steps_total").Inc()
-	sum := col.Summarize()
-	if sum.Spans != 3 || len(sum.Lanes) != 1 || sum.Lanes[0] != "rank0" {
-		t.Fatalf("summary %+v", sum)
-	}
-	if len(sum.Phases) != 2 {
-		t.Fatalf("phases %+v", sum.Phases)
-	}
-	for _, ph := range sum.Phases {
-		switch ph.Phase {
-		case "FORWARD":
-			if ph.Count != 2 || math.Abs(ph.Total-3) > 1e-12 {
-				t.Fatalf("FORWARD %+v", ph)
-			}
-		case "MPI_ALLREDUCE":
-			if ph.Count != 1 || math.Abs(ph.Total-4) > 1e-12 {
-				t.Fatalf("MPI_ALLREDUCE %+v", ph)
-			}
-		default:
-			t.Fatalf("unexpected phase %q", ph.Phase)
-		}
-	}
-}
-
 func TestExpBuckets(t *testing.T) {
 	b := ExpBuckets(1e-6, 10, 4)
 	want := []float64{1e-6, 1e-5, 1e-4, 1e-3}

@@ -43,6 +43,16 @@ func TestReadChromeTraceMalformed(t *testing.T) {
 			input:   `[{"name":"a","cat":"FORWARD","ph":"X","ts":"0","dur":1}]`,
 			wantErr: true,
 		},
+		{
+			name:    "lane metadata without args",
+			input:   `[{"name":"thread_name","ph":"M","tid":1},{"ph":"X","tid":1}]`,
+			wantErr: false, events: 1,
+		},
+		{
+			name:    "lane metadata with a numeric name",
+			input:   `[{"name":"thread_name","ph":"M","tid":1,"args":{"name":7}},{"ph":"X","tid":1}]`,
+			wantErr: true,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,6 +85,8 @@ func FuzzReadChromeTrace(f *testing.F) {
 	f.Add(`[{"name":"a","cat":"c","ph":"M"}]`)
 	f.Add(`[{"ph":"X","ts":1e308,"dur":1e308}]`)
 	f.Add(`[{"ph":"X","ts":-5,"dur":2}]`)
+	f.Add(`[{"name":"thread_name","ph":"M","tid":0,"args":{"name":"rank0"}},{"ph":"X","tid":0,"dur":1}]`)
+	f.Add(`[{"name":"thread_name","ph":"M","tid":3,"args":{}},{"ph":"X","tid":3}]`)
 	f.Fuzz(func(t *testing.T, input string) {
 		rec, err := ReadChromeTrace(strings.NewReader(input))
 		if err != nil {
@@ -86,4 +98,26 @@ func FuzzReadChromeTrace(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReadChromeTraceLaneNames checks where lane names come from:
+// a tid's thread_name metadata when the trace carries one, "tid<N>"
+// otherwise (a foreign Horovod timeline, or metadata with no name).
+func TestReadChromeTraceLaneNames(t *testing.T) {
+	input := `[{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"rank1.r1"}},
+		{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{}},
+		{"name":"a","cat":"FORWARD","ph":"X","ts":0,"dur":1,"tid":0},
+		{"name":"b","cat":"FORWARD","ph":"X","ts":0,"dur":1,"tid":1},
+		{"name":"c","cat":"FORWARD","ph":"X","ts":0,"dur":1,"tid":2}]`
+	rec, err := ReadChromeTrace(strings.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lanes []string
+	for _, e := range rec.Events {
+		lanes = append(lanes, e.Lane)
+	}
+	if want := "rank1.r1 tid1 tid2"; strings.Join(lanes, " ") != want {
+		t.Fatalf("lanes = %v, want %s", lanes, want)
+	}
 }

@@ -86,25 +86,25 @@ type Event struct {
 	Edge string
 }
 
-// Recorder accumulates events.
+// Recorder accumulates events. The zero Recorder records; a nil
+// *Recorder is the off switch (HOROVOD_TIMELINE unset): every Add is a
+// no-op costing one branch.
 type Recorder struct {
 	Events []Event
-	// Enabled mirrors HOROVOD_TIMELINE: recording off costs nothing.
-	Enabled bool
 }
 
-// New returns an enabled recorder.
-func New() *Recorder { return &Recorder{Enabled: true} }
+// New returns an empty recorder.
+func New() *Recorder { return &Recorder{} }
 
-// Add records one interval (no-op when disabled).
+// Add records one interval (no-op on a nil recorder).
 func (r *Recorder) Add(lane, phase, name string, start, end float64) {
 	r.AddEdge(lane, phase, name, "", start, end)
 }
 
 // AddEdge records one interval carrying a message-edge attribute
-// (no-op when disabled; an empty edge is a plain Add).
+// (no-op on a nil recorder; an empty edge is a plain Add).
 func (r *Recorder) AddEdge(lane, phase, name, edge string, start, end float64) {
-	if r == nil || !r.Enabled {
+	if r == nil {
 		return
 	}
 	if end < start {
@@ -118,17 +118,6 @@ func (r *Recorder) Breakdown() map[string]float64 {
 	out := map[string]float64{}
 	for _, e := range r.Events {
 		out[e.Phase] += e.End - e.Start
-	}
-	return out
-}
-
-// LaneBreakdown sums durations per phase for one lane.
-func (r *Recorder) LaneBreakdown(lane string) map[string]float64 {
-	out := map[string]float64{}
-	for _, e := range r.Events {
-		if e.Lane == lane {
-			out[e.Phase] += e.End - e.Start
-		}
 	}
 	return out
 }
@@ -151,7 +140,8 @@ func (r *Recorder) Span() (float64, float64) {
 	return lo, hi
 }
 
-// chromeEvent is the trace-event JSON schema ("X" complete events).
+// chromeEvent is the trace-event JSON schema: "X" complete events
+// for spans, and one "M" thread_name metadata event per lane.
 type chromeEvent struct {
 	Name string  `json:"name"`
 	Cat  string  `json:"cat"`
@@ -160,29 +150,41 @@ type chromeEvent struct {
 	Dur  float64 `json:"dur"` // microseconds
 	PID  int     `json:"pid"`
 	TID  int     `json:"tid"`
-	// Args carries span attributes; chrome://tracing shows them in the
-	// event detail pane, and ReadChromeTrace round-trips them.
+	// Args carries span attributes (and a metadata event's lane name);
+	// chrome://tracing shows them in the event detail pane, and
+	// ReadChromeTrace round-trips them.
 	Args *chromeArgs `json:"args,omitempty"`
 }
 
 // chromeArgs is the attribute payload of one trace event.
 type chromeArgs struct {
 	Edge string `json:"edge,omitempty"`
+	Name string `json:"name,omitempty"`
 }
 
+// threadName is the metadata event that names a tid's lane.
+const threadName = "thread_name"
+
 // ReadChromeTrace parses a Chrome trace-event JSON stream written by
-// WriteChromeTrace back into a Recorder (lane names become "tid<N>";
-// the original names are not stored in the trace format). It lets
-// tooling re-aggregate breakdowns from saved traces.
+// WriteChromeTrace back into a Recorder, lane names restored from the
+// thread_name metadata. A tid that carries no name (a foreign Horovod
+// timeline, say) reads back as lane "tid<N>". It lets tooling
+// re-aggregate breakdowns from saved traces.
 func ReadChromeTrace(r io.Reader) (*Recorder, error) {
 	var events []chromeEvent
 	if err := json.NewDecoder(r).Decode(&events); err != nil {
 		return nil, fmt.Errorf("timeline: parsing trace: %w", err)
 	}
+	lanes := map[int]string{}
+	for _, e := range events {
+		if e.Ph == "M" && e.Name == threadName && e.Args != nil && e.Args.Name != "" {
+			lanes[e.TID] = e.Args.Name
+		}
+	}
 	rec := New()
 	for _, e := range events {
 		if e.Ph != "X" {
-			continue // only complete events are ours
+			continue // only complete events are spans
 		}
 		if e.Dur < 0 {
 			return nil, fmt.Errorf("timeline: negative duration in trace")
@@ -195,14 +197,19 @@ func ReadChromeTrace(r io.Reader) (*Recorder, error) {
 		if e.Args != nil {
 			edge = e.Args.Edge
 		}
-		rec.AddEdge(fmt.Sprintf("tid%d", e.TID), e.Cat, name, edge, start, start+e.Dur/1e6)
+		lane, ok := lanes[e.TID]
+		if !ok {
+			lane = fmt.Sprintf("tid%d", e.TID)
+		}
+		rec.AddEdge(lane, e.Cat, name, edge, start, start+e.Dur/1e6)
 	}
 	return rec, nil
 }
 
 // WriteChromeTrace emits the events as a Chrome trace-event JSON
-// array, one thread id per lane, loadable in chrome://tracing or
-// Perfetto — the same workflow as inspecting a real Horovod timeline.
+// array, one thread id per lane named by a thread_name metadata event,
+// loadable in chrome://tracing or Perfetto — the same workflow as
+// inspecting a real Horovod timeline.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	lanes := map[string]int{}
 	var laneNames []string
@@ -213,10 +220,11 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 	sort.Strings(laneNames)
+	out := make([]chromeEvent, 0, len(laneNames)+len(r.Events))
 	for i, n := range laneNames {
 		lanes[n] = i
+		out = append(out, chromeEvent{Name: threadName, Ph: "M", TID: i, Args: &chromeArgs{Name: n}})
 	}
-	out := make([]chromeEvent, 0, len(r.Events))
 	for _, e := range r.Events {
 		ce := chromeEvent{
 			Name: e.Phase + ":" + e.Name,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -16,10 +17,6 @@ func TestBreakdown(t *testing.T) {
 	b := r.Breakdown()
 	if math.Abs(b[PhaseForward]-1) > 1e-12 || math.Abs(b[PhaseBackward]-2) > 1e-12 || math.Abs(b[PhaseAllreduce]-0.5) > 1e-12 {
 		t.Fatalf("breakdown %v", b)
-	}
-	lb := r.LaneBreakdown("rank0")
-	if _, ok := lb[PhaseAllreduce]; ok {
-		t.Fatal("lane breakdown leaked other lane")
 	}
 }
 
@@ -36,14 +33,16 @@ func TestSpan(t *testing.T) {
 	}
 }
 
-func TestDisabledRecorderIsFree(t *testing.T) {
-	r := &Recorder{}
-	r.Add("a", PhaseForward, "x", 0, 1)
-	if len(r.Events) != 0 {
-		t.Fatal("disabled recorder stored events")
-	}
+// TestNilRecorderIsOff checks the off switch is the nil recorder, and
+// that a zero Recorder records like New's.
+func TestNilRecorderIsOff(t *testing.T) {
 	var nilRec *Recorder
 	nilRec.Add("a", PhaseForward, "x", 0, 1) // must not panic
+	r := &Recorder{}
+	r.Add("a", PhaseForward, "x", 0, 1)
+	if len(r.Events) != 1 {
+		t.Fatalf("zero recorder stored %d events, want 1", len(r.Events))
+	}
 }
 
 func TestNegativeDurationPanics(t *testing.T) {
@@ -91,9 +90,19 @@ func TestChromeTraceFormat(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
 	}
-	if len(events) != 2 {
-		t.Fatalf("%d events", len(events))
+	// One thread_name metadata event per lane, in tid order, then the
+	// spans.
+	if len(events) != 4 {
+		t.Fatalf("%d events, want 2 metadata + 2 spans", len(events))
 	}
+	for i, lane := range []string{"coordinator", "rank0"} {
+		m := events[i]
+		if m["ph"] != "M" || m["name"] != "thread_name" || m["tid"] != float64(i) ||
+			m["args"].(map[string]any)["name"] != lane {
+			t.Fatalf("metadata event %d = %v, want thread_name %q on tid %d", i, m, lane, i)
+		}
+	}
+	events = events[2:]
 	e := events[0]
 	if e["ph"] != "X" {
 		t.Fatalf("phase type %v", e["ph"])
@@ -157,5 +166,27 @@ func TestChromeTraceEdgeRoundTrip(t *testing.T) {
 	}
 	if len(edges) != 1 || edges[0] != "0>1#5.0" {
 		t.Fatalf("edges after round trip = %v, want [0>1#5.0]", edges)
+	}
+}
+
+// TestChromeTraceLaneRoundTrip writes lanes whose sorted order is not
+// their rank order — a restart's "rank0.r1", a two-digit rank — and
+// requires every record to read back whole, lane name included.
+func TestChromeTraceLaneRoundTrip(t *testing.T) {
+	r := New()
+	r.Add("rank10", PhaseForward, "f", 0, 0.25)
+	r.Add("rank0.r1", PhaseStep, "step", 0, 0.5)
+	r.AddEdge("rank2", PhaseSend, "send", "2>0#1.1", 0.25, 0.5)
+	r.Add("rank0", PhaseRecovery, "restart", 0.5, 0.5)
+	var buf bytes.Buffer
+	if err := r.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadChromeTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Events, r.Events) {
+		t.Fatalf("round trip:\n got  %+v\n want %+v", back.Events, r.Events)
 	}
 }

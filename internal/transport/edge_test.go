@@ -9,8 +9,8 @@ import (
 
 // edgeSpans filters a probe's recorded spans down to those of one
 // phase.
-func edgeSpans(p *telemetry.Probe, phase string) []telemetry.SpanRecord {
-	var out []telemetry.SpanRecord
+func edgeSpans(p *telemetry.Probe, phase string) []timeline.Event {
+	var out []timeline.Event
 	for _, s := range p.Tracer().Spans() {
 		if s.Phase == phase {
 			out = append(out, s)

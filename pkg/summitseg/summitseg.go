@@ -171,7 +171,7 @@ func RandomChaosPlan(seed int64, world int) *ChaosPlan { return faultinject.Rand
 
 // NewTelemetry returns an empty telemetry collector. Attach it via
 // TrainConfig.Telemetry or SimOptions.Telemetry, then export with its
-// WriteChromeTrace / WritePrometheus / WriteJSON methods.
+// WriteChromeTrace / WritePrometheus methods.
 func NewTelemetry() *Telemetry { return telemetry.NewCollector() }
 
 // DefaultHorovod returns Horovod's out-of-the-box knobs.

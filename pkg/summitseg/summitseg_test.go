@@ -1,12 +1,14 @@
 package summitseg
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"path/filepath"
-
-	"math"
-	"segscale/internal/traceanalysis"
 	"testing"
+
+	"segscale/internal/timeline"
+	"segscale/internal/traceanalysis"
 )
 
 func TestLookupHelpers(t *testing.T) {
@@ -270,5 +272,69 @@ func TestAttributeTelemetryFacade(t *testing.T) {
 	}
 	if len(l.Steps) == 0 || l.Source != "trace" {
 		t.Fatalf("ledger %d rows source %q", len(l.Steps), l.Source)
+	}
+}
+
+// TestAttributeTelemetryMatchesChromeRoundTrip runs a world-2 trainer
+// through a crash and restart, whose "rank0.r1" lanes do not sort in
+// rank order, and requires the saved Chrome trace to attribute to the
+// same ledger as the in-memory collector: lane names, and with them
+// every row's rank, must survive the file.
+func TestAttributeTelemetryMatchesChromeRoundTrip(t *testing.T) {
+	cfg := DefaultTraining()
+	cfg.Model.InputSize = 16
+	cfg.Model.Width = 6
+	cfg.Model.DeepBlocks = 1
+	cfg.Model.AtrousRates = [3]int{1, 2, 3}
+	cfg.World = 2
+	cfg.Epochs = 3
+	cfg.TrainSize = 24
+	cfg.EvalSize = 4
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "ckpt.segc")
+	cfg.MaxRestarts = 1
+	plan, err := ParseChaosSpec("crash=1@5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Chaos = plan
+	col := NewTelemetry()
+	cfg.Telemetry = col
+	res, err := Train(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Restarts != 1 {
+		t.Fatalf("restarts = %d, want 1", res.Restarts)
+	}
+	direct, err := AttributeTelemetry(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := col.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := timeline.ReadChromeTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, err := traceanalysis.AttributeTrace(rec, traceanalysis.BuildDAG(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if err := direct.WriteLedger(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := read.WriteLedger(&got); err != nil {
+		t.Fatal(err)
+	}
+	if direct.Ranks != cfg.World {
+		t.Errorf("in-memory ledger: %d ranks, want %d", direct.Ranks, cfg.World)
+	}
+	if got.String() != want.String() {
+		t.Errorf("ledger read back from the Chrome trace (%d ranks, %d rows) differs from the in-memory one (%d ranks, %d rows)",
+			read.Ranks, len(read.Steps), direct.Ranks, len(direct.Steps))
 	}
 }
