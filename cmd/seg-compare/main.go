@@ -37,6 +37,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -105,43 +106,22 @@ func runValidate(path string, stdout io.Writer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if sniffHealth(data) {
-		hl, err := modelhealth.ReadLedger(bytes.NewReader(data))
-		if err == nil {
-			err = hl.Validate()
-		}
-		if err != nil {
-			// Validation failures are the tool's verdict, not its malfunction.
-			fmt.Fprintf(stdout, "INVALID %s: %v\n", path, err)
-			return 1, nil
-		}
-		fmt.Fprintf(stdout, "OK %s: health schema %d, world %d, %d rows through step %d, %d alert(s)\n",
-			path, hl.Header.HealthSchema, hl.Header.World, len(hl.Rows), hl.Header.LastStep, hl.Header.Alerts)
-		return 0, nil
-	}
-	l, err := traceanalysis.ReadLedger(bytes.NewReader(data))
-	if err != nil {
+	a, err := decode(data, true)
+	switch {
+	case err != nil:
 		// Validation failures are the tool's verdict, not its malfunction.
 		fmt.Fprintf(stdout, "INVALID %s: %v\n", path, err)
 		return 1, nil
+	case a.health != nil:
+		hl := a.health
+		fmt.Fprintf(stdout, "OK %s: health schema %d, world %d, %d rows through step %d, %d alert(s)\n",
+			path, hl.Header.HealthSchema, hl.Header.World, len(hl.Rows), hl.Header.LastStep, hl.Header.Alerts)
+	default:
+		l := a.ledger
+		fmt.Fprintf(stdout, "OK %s: schema %d, source %s, %d ranks, %d rows, buckets sum to step walls within %g\n",
+			path, l.Schema, l.Source, l.Ranks, len(l.Steps), traceanalysis.SumEpsilon)
 	}
-	fmt.Fprintf(stdout, "OK %s: schema %d, source %s, %d ranks, %d rows, buckets sum to step walls within %g\n",
-		path, l.Schema, l.Source, l.Ranks, len(l.Steps), traceanalysis.SumEpsilon)
 	return 0, nil
-}
-
-// sniffHealth reports whether data's first JSON value carries a
-// health_schema field — the health ledger's JSONL header. A Decoder
-// reads only the first value, so the trailing row lines (invalid as a
-// single JSON document) do not break the probe.
-func sniffHealth(data []byte) bool {
-	var probe struct {
-		HealthSchema *int `json:"health_schema"`
-	}
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&probe); err != nil {
-		return false
-	}
-	return probe.HealthSchema != nil
 }
 
 // artifact is one loaded input file: exactly one of
@@ -176,50 +156,60 @@ type manifest struct {
 	Restarts        int     `json:"restarts"`
 }
 
-// load sniffs the artifact kind: manifests carry "tool", attribution
-// ledgers carry "schema", health ledgers open with a "health_schema"
-// header line. The probe decodes only the first JSON value so JSONL
-// health ledgers sniff the same way single-object artifacts do.
+// load reads and decodes one artifact to compare.
 func load(path string) (artifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return artifact{}, err
 	}
+	a, err := decode(data, false)
+	if err != nil {
+		return artifact{}, fmt.Errorf("%s: %w", path, err)
+	}
+	a.path = path
+	return a, nil
+}
+
+// decode sniffs the artifact kind and parses and validates it:
+// manifests carry "tool", attribution ledgers carry "schema", health
+// ledgers open with a "health_schema" header line. The probe decodes
+// only the first JSON value so JSONL health ledgers sniff the same way
+// single-object artifacts do. ledgersOnly is -validate's contract:
+// whatever is not a health ledger goes to the strict attribution
+// ledger reader, which rejects a manifest's or any unknown field; a
+// diff reads attribution ledgers leniently, ignoring unknown fields.
+func decode(data []byte, ledgersOnly bool) (artifact, error) {
 	var probe struct {
 		Tool         string `json:"tool"`
 		Schema       *int   `json:"schema"`
 		HealthSchema *int   `json:"health_schema"`
 	}
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&probe); err != nil {
-		return artifact{}, fmt.Errorf("%s: %w", path, err)
-	}
+	err := json.NewDecoder(bytes.NewReader(data)).Decode(&probe)
 	switch {
+	case err != nil && !ledgersOnly:
+		return artifact{}, err
 	case probe.HealthSchema != nil:
 		hl, err := modelhealth.ReadLedger(bytes.NewReader(data))
-		if err != nil {
-			return artifact{}, fmt.Errorf("%s: %w", path, err)
+		if err == nil {
+			err = hl.Validate()
 		}
-		if err := hl.Validate(); err != nil {
-			return artifact{}, fmt.Errorf("%s: %w", path, err)
-		}
-		return artifact{path: path, health: hl}, nil
-	case probe.Tool != "":
+		return artifact{health: hl}, err
+	case probe.Tool != "" && !ledgersOnly:
 		var m manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			return artifact{}, fmt.Errorf("%s: %w", path, err)
-		}
-		return artifact{path: path, manifest: &m}, nil
+		err := json.Unmarshal(data, &m)
+		return artifact{manifest: &m}, err
+	case ledgersOnly:
+		l, err := traceanalysis.ReadLedger(bytes.NewReader(data))
+		return artifact{ledger: l}, err
 	case probe.Schema != nil:
 		var l traceanalysis.Ledger
-		if err := json.Unmarshal(data, &l); err != nil {
-			return artifact{}, fmt.Errorf("%s: %w", path, err)
+		err := json.Unmarshal(data, &l)
+		if err == nil {
+			err = l.Validate(traceanalysis.SumEpsilon)
 		}
-		if err := l.Validate(traceanalysis.SumEpsilon); err != nil {
-			return artifact{}, fmt.Errorf("%s: %w", path, err)
-		}
-		return artifact{path: path, ledger: &l}, nil
+		return artifact{ledger: &l}, err
 	default:
-		return artifact{}, fmt.Errorf("%s: not a run manifest, attribution ledger, or health ledger", path)
+		return artifact{}, errors.New("not a run manifest, attribution ledger, or health ledger")
 	}
 }
 
@@ -269,42 +259,60 @@ func sign(x float64) int {
 	return 1
 }
 
+// gate prints a diff table, one row per metric, and counts the rows
+// that regressed. A one-sided gate (attribution: only slower is worse)
+// flags a rise that clears -min-abs, -rel and -z and calls the
+// matching fall "improved"; a two-sided gate (health) flags a shift
+// that clears them in either direction.
+type gate struct {
+	w                    io.Writer
+	rel, zThresh, minAbs float64
+	twoSided             bool
+	regressions          int
+}
+
+// newGate prints the table header, label naming the row column.
+func newGate(w io.Writer, label string, rel, zThresh, minAbs float64, twoSided bool) *gate {
+	fmt.Fprintf(w, "%-20s %12s %12s %10s %8s %8s  %s\n",
+		label, "base mean", "cand mean", "delta", "rel", "z", "verdict")
+	return &gate{w: w, rel: rel, zThresh: zThresh, minAbs: minAbs, twoSided: twoSided}
+}
+
+func (g *gate) row(name string, bs, cs stats) {
+	d := cs.mean - bs.mean
+	relD := 0.0
+	if bs.mean != 0 {
+		relD = d / bs.mean
+	} else if d != 0 {
+		relD = math.Inf(sign(d))
+	}
+	z := zScore(bs, cs)
+	verdict := "ok"
+	switch {
+	case g.twoSided && math.Abs(d) > g.minAbs && math.Abs(relD) > g.rel && math.Abs(z) > g.zThresh,
+		!g.twoSided && d > g.minAbs && relD > g.rel && z > g.zThresh:
+		verdict = "REGRESSION"
+		g.regressions++
+	case !g.twoSided && d < -g.minAbs && relD < -g.rel && z < -g.zThresh:
+		verdict = "improved"
+	}
+	fmt.Fprintf(g.w, "%-20s %12.6f %12.6f %+10.6f %+7.1f%% %8.1f  %s\n",
+		name, bs.mean, cs.mean, d, 100*relD, z, verdict)
+}
+
 func compareLedgers(w io.Writer, base, cand artifact, rel, zThresh, minAbs float64) int {
 	b, c := base.ledger, cand.ledger
 	fmt.Fprintf(w, "attribution diff: %s (%d rows) -> %s (%d rows)\n\n",
 		base.path, len(b.Steps), cand.path, len(c.Steps))
-	fmt.Fprintf(w, "%-20s %12s %12s %10s %8s %8s  %s\n",
-		"bucket", "base mean", "cand mean", "delta", "rel", "z", "verdict")
-
-	regressions := 0
-	row := func(name string, bs, cs stats) {
-		d := cs.mean - bs.mean
-		relD := 0.0
-		if bs.mean != 0 {
-			relD = d / bs.mean
-		} else if d != 0 {
-			relD = math.Inf(sign(d))
-		}
-		z := zScore(bs, cs)
-		verdict := "ok"
-		switch {
-		case d > minAbs && relD > rel && z > zThresh:
-			verdict = "REGRESSION"
-			regressions++
-		case d < -minAbs && relD < -rel && z < -zThresh:
-			verdict = "improved"
-		}
-		fmt.Fprintf(w, "%-20s %12.6f %12.6f %+10.6f %+7.1f%% %8.1f  %s\n",
-			name, bs.mean, cs.mean, d, 100*relD, z, verdict)
-	}
+	g := newGate(w, "bucket", rel, zThresh, minAbs, false)
 	for i, name := range traceanalysis.BucketNames {
-		row(name, summarize(b.BucketSamples(i)), summarize(c.BucketSamples(i)))
+		g.row(name, summarize(b.BucketSamples(i)), summarize(c.BucketSamples(i)))
 	}
-	row("step_wall", summarize(stepWalls(b)), summarize(stepWalls(c)))
+	g.row("step_wall", summarize(stepWalls(b)), summarize(stepWalls(c)))
 
 	fmt.Fprintf(w, "\nblame: baseline %s, candidate %s\n", blameLine(b), blameLine(c))
-	if regressions > 0 {
-		fmt.Fprintf(w, "\nRESULT: %d bucket(s) regressed\n", regressions)
+	if g.regressions > 0 {
+		fmt.Fprintf(w, "\nRESULT: %d bucket(s) regressed\n", g.regressions)
 		return 1
 	}
 	fmt.Fprintf(w, "\nRESULT: no regression\n")
@@ -366,48 +374,28 @@ func compareHealth(w io.Writer, base, cand artifact, rel, zThresh float64) int {
 	b, c := base.health, cand.health
 	fmt.Fprintf(w, "health diff: %s (%d rows) -> %s (%d rows)\n\n",
 		base.path, len(b.Rows), cand.path, len(c.Rows))
-	fmt.Fprintf(w, "%-20s %12s %12s %10s %8s %8s  %s\n",
-		"metric", "base mean", "cand mean", "delta", "rel", "z", "verdict")
-
-	regressions := 0
-	row := func(name string, bs, cs stats) {
-		d := cs.mean - bs.mean
-		relD := 0.0
-		if bs.mean != 0 {
-			relD = d / bs.mean
-		} else if d != 0 {
-			relD = math.Inf(sign(d))
-		}
-		z := zScore(bs, cs)
-		verdict := "ok"
-		if math.Abs(d) > 0 && math.Abs(relD) > rel && math.Abs(z) > zThresh {
-			verdict = "REGRESSION"
-			regressions++
-		}
-		fmt.Fprintf(w, "%-20s %12.6f %12.6f %+10.6f %+7.1f%% %8.1f  %s\n",
-			name, bs.mean, cs.mean, d, 100*relD, z, verdict)
-	}
+	g := newGate(w, "metric", rel, zThresh, 0, true)
 	gradL2 := func(r modelhealth.Row) float64 { return r.GradL2 }
 	updRatio := func(r modelhealth.Row) float64 { return r.UpdRatio }
 	deadFrac := func(r modelhealth.Row) float64 { return r.DeadFrac }
-	row("grad_l2", summarize(healthSamples(b, "grad", gradL2)), summarize(healthSamples(c, "grad", gradL2)))
-	row("upd_ratio", summarize(healthSamples(b, "grad", updRatio)), summarize(healthSamples(c, "grad", updRatio)))
-	row("dead_frac", summarize(healthSamples(b, "act", deadFrac)), summarize(healthSamples(c, "act", deadFrac)))
+	g.row("grad_l2", summarize(healthSamples(b, "grad", gradL2)), summarize(healthSamples(c, "grad", gradL2)))
+	g.row("upd_ratio", summarize(healthSamples(b, "grad", updRatio)), summarize(healthSamples(c, "grad", updRatio)))
+	g.row("dead_frac", summarize(healthSamples(b, "act", deadFrac)), summarize(healthSamples(c, "act", deadFrac)))
 
 	bNF, cNF := healthNonFinite(b), healthNonFinite(c)
 	fmt.Fprintf(w, "\nnonfinite elements: %d -> %d\n", bNF, cNF)
 	fmt.Fprintf(w, "sentinel trips:     %d -> %d\n", b.Header.Alerts, c.Header.Alerts)
 	if cNF > bNF {
 		fmt.Fprintf(w, "HARD REGRESSION: candidate introduced %d non-finite gradient/activation elements\n", cNF-bNF)
-		regressions++
+		g.regressions++
 	}
 	if c.Header.Alerts > b.Header.Alerts {
 		fmt.Fprintf(w, "HARD REGRESSION: candidate tripped %d more sentinel(s) than baseline\n",
 			c.Header.Alerts-b.Header.Alerts)
-		regressions++
+		g.regressions++
 	}
-	if regressions > 0 {
-		fmt.Fprintf(w, "\nRESULT: %d health metric(s) regressed\n", regressions)
+	if g.regressions > 0 {
+		fmt.Fprintf(w, "\nRESULT: %d health metric(s) regressed\n", g.regressions)
 		return 1
 	}
 	fmt.Fprintf(w, "\nRESULT: no regression\n")
