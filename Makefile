@@ -50,14 +50,14 @@ fuzz-smoke:
 # the trace tooling: summit-sim writes a Chrome trace and a Prometheus
 # dump, trace-stats must analyse the trace; a world-2 dlv3-train run
 # that crashes and restarts writes a trace whose lanes ("rank0.r1")
-# do not sort in rank order, and trace-stats -attr must still read
-# back its true two ranks.
+# do not sort in rank order, and trace-stats's attribution section
+# must still read back its true two ranks.
 trace-smoke:
 	go run ./cmd/summit-sim -gpus 6,132 -timeline /tmp/segscale-trace.json -prom /tmp/segscale-metrics.prom
 	go run ./cmd/trace-stats /tmp/segscale-trace.json
 	rm -f /tmp/segscale-train-trace.segc
 	go run ./cmd/dlv3-train -world 2 -batch 2 -epochs 3 -train 8 -eval 8 -ckpt /tmp/segscale-train-trace.segc -chaos-plan "crash=1@5" -trace /tmp/segscale-train-trace.json > /dev/null
-	go run ./cmd/trace-stats -attr /tmp/segscale-train-trace.json > /tmp/segscale-train-attr.txt
+	go run ./cmd/trace-stats /tmp/segscale-train-trace.json > /tmp/segscale-train-attr.txt
 	grep -q '^attribution ledger: 2 ranks' /tmp/segscale-train-attr.txt
 
 # chaos-smoke checks the fault-injection reproducibility contract:

@@ -10,8 +10,12 @@
 //	           [-elastic] [-rejoin-epoch 5]
 //	           [-trace trace.json] [-prom metrics.prom]
 //	           [-obs-addr 127.0.0.1:6060] [-flight flight.json]
-//	           [-slo 0.92] [-runs-dir results/runs] [-attr-out ledger.json]
+//	           [-runs-dir results/runs] [-attr-out ledger.json]
 //	           [-health] [-health-out health.jsonl]
+//
+// A real run has no 1-GPU baseline, so it reports no scaling
+// efficiency: its run manifest carries the configuration, seed, chaos
+// plan, restart count and alert log.
 package main
 
 import (
@@ -59,8 +63,7 @@ func main() {
 	promEvery := flag.Int("prom-every", 25, "with -prom, also re-export every N steps (atomic rename; 0 = final write only)")
 	obsAddr := flag.String("obs-addr", "", "serve /metrics, /healthz, /readyz, /debug/flight and /debug/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 	flightOut := flag.String("flight", "", "keep an always-on flight recorder and dump its window (Chrome trace) to this file at exit, on SIGQUIT, and on each rank-failure recovery")
-	slo := flag.Float64("slo", summitseg.DefaultSLO, "scaling-efficiency objective for the online monitor")
-	runsDir := flag.String("runs-dir", "", "write a run manifest (config, seed, chaos, final efficiency, alerts) under this directory (empty = off)")
+	runsDir := flag.String("runs-dir", "", "write a run manifest (config, seed, chaos, restarts, alerts) under this directory (empty = off)")
 	attrOut := flag.String("attr-out", "", "decompose each rank's recorded step spans into the attribution ledger and write it to this file (seg-compare's input)")
 	healthOn := flag.Bool("health", false, "collect the training-health plane: per-layer gradient/activation statistics with divergence sentinels (served on /debug/health when -obs-addr is set)")
 	healthOut := flag.String("health-out", "", "write the per-run health ledger (deterministic JSONL, seg-compare's input) to this file; implies -health")
@@ -108,10 +111,12 @@ func main() {
 	)
 	if obsOn {
 		flight = cfg.Telemetry.EnableFlight(0)
-		mon = summitseg.NewEffMonitor(cfg.Telemetry, summitseg.MonitorConfig{SLO: *slo})
+		// No baseline, no anchor: the monitor is only the run's alert
+		// log, fed by the restart hook and the health plane.
+		mon = summitseg.NewEffMonitor(cfg.Telemetry, summitseg.MonitorConfig{})
 	}
 	// Training-health plane: a pure observer of the train step. A
-	// sentinel trip is routed into the efficiency monitor's alert log
+	// sentinel trip is routed into the monitor's alert log
 	// and (once per run, while the window still shows the divergence)
 	// dumps the flight recorder naming the offending layer/rank/step.
 	var health *summitseg.HealthPlane
@@ -146,15 +151,8 @@ func main() {
 	if *promOut != "" && *promEvery > 0 {
 		flusher = summitseg.NewPromFlusher(cfg.Telemetry, *promOut, *promEvery)
 	}
-	if mon != nil || flusher != nil {
-		var chain []summitseg.StepObserver
-		if mon != nil {
-			chain = append(chain, mon)
-		}
-		if flusher != nil {
-			chain = append(chain, flusher)
-		}
-		cfg.StepObs = summitseg.MultiStepObserver(chain...)
+	if flusher != nil {
+		cfg.StepObs = flusher
 	}
 	if *obsAddr != "" {
 		srv = summitseg.NewObsServer(summitseg.ObsServerOptions{
@@ -295,8 +293,7 @@ func main() {
 				"arch": cfg.Arch, "optimizer": cfg.Optimizer, "syncbn": cfg.SyncBN,
 				"base_lr": cfg.BaseLR,
 			},
-			ChaosSpec: chaos, SLO: mon.SLO(), AnchorImgPerSec: mon.Anchor(),
-			FinalEfficiency: mon.LastEfficiency(), Restarts: res.Restarts, Alerts: mon.Alerts(),
+			ChaosSpec: chaos, Restarts: res.Restarts, Alerts: mon.Alerts(),
 		}
 		path, err := summitseg.WriteRunManifest(*runsDir, m)
 		if err != nil {

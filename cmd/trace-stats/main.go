@@ -1,20 +1,21 @@
 // Command trace-stats analyses a Chrome trace (as written by
 // summit-sim -timeline, dlv3-train -trace, or real Horovod's
 // HOROVOD_TIMELINE): per-phase time breakdown and duration
-// histograms, the critical path through the step, and a straggler
-// report over lanes.
+// histograms, the critical path through the step, and the attribution
+// ledger that says which rank paced each step.
 //
 // Usage:
 //
-//	trace-stats [-straggler-factor 1.2] [-path 12] trace.json
-//	trace-stats -attr [-attr-out ledger.json] trace.json
+//	trace-stats [-path 12] [-attr-out ledger.json] trace.json
 //
-// -attr switches to attribution mode: the trace's message edges are
-// assembled into a cross-rank happens-before DAG, every rank's
-// TRAIN_STEP windows are decomposed into the sum-to-100% attribution
-// buckets, and the report names which rank each waiter was blocked on.
-// -attr-out additionally writes the full ledger as canonical JSON, the
-// input format of seg-compare.
+// The attribution section assembles the trace's message edges into a
+// cross-rank happens-before DAG, decomposes every rank's TRAIN_STEP
+// windows into the sum-to-100% attribution buckets, and names which
+// rank each waiter was blocked on. A trace without rank lanes or
+// TRAIN_STEP windows cannot be attributed; the report says why in one
+// line. -attr-out additionally writes the full ledger as canonical
+// JSON, the input format of seg-compare, and makes an unattributable
+// trace an error.
 package main
 
 import (
@@ -43,11 +44,8 @@ func main() {
 // stdout.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("trace-stats", flag.ContinueOnError)
-	factor := fs.Float64("straggler-factor", 1.2,
-		"flag lanes busier than this multiple of the median lane")
 	pathMax := fs.Int("path", 12, "critical-path steps to print (0 = all)")
-	attr := fs.Bool("attr", false, "attribution mode: decompose per-rank step windows via the happens-before DAG")
-	attrOut := fs.String("attr-out", "", "with -attr, also write the ledger JSON here")
+	attrOut := fs.String("attr-out", "", "also write the attribution ledger JSON here (an unattributable trace is then an error)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -64,24 +62,26 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *attr {
-		return runAttr(stdout, rec, *attrOut)
-	}
-	rep, err := traceanalysis.Analyze(rec, traceanalysis.Options{StragglerFactor: *factor})
+	rep, err := traceanalysis.Analyze(rec)
 	if err != nil {
 		return err
 	}
 	render(stdout, rep, *pathMax)
-	return nil
+	return renderAttr(stdout, rec, *attrOut)
 }
 
-// runAttr renders the attribution view of a trace and optionally
-// writes the ledger for seg-compare.
-func runAttr(w io.Writer, rec *timeline.Recorder, outPath string) error {
+// renderAttr prints the attribution section of a trace and optionally
+// writes the ledger for seg-compare. A trace that cannot be attributed
+// gets one line naming the reason, unless the ledger was asked for.
+func renderAttr(w io.Writer, rec *timeline.Recorder, outPath string) error {
 	dag := traceanalysis.BuildDAG(rec)
 	l, err := traceanalysis.AttributeTrace(rec, dag)
 	if err != nil {
-		return err
+		if outPath != "" {
+			return err
+		}
+		fmt.Fprintf(w, "no attribution ledger (%v)\n", err)
+		return nil
 	}
 	fmt.Fprintf(w, "happens-before DAG: %d events, %d lanes, %d message edges, %d orphan edges\n",
 		len(dag.Events), len(dag.Lanes), dag.Stats.MessageEdges, dag.Stats.OrphanEdges())
@@ -175,16 +175,6 @@ func render(w io.Writer, rep *traceanalysis.Report, pathMax int) {
 		fmt.Fprintf(w, "  %-10s %-24s %-20s %s\n", e.Lane, e.Phase, e.Name, ms(e.End-e.Start))
 	}
 	fmt.Fprintln(w)
-
-	fmt.Fprintln(w, "== stragglers ==")
-	if len(rep.Stragglers) == 0 {
-		fmt.Fprintf(w, "none (no lane over %.3f ms median busy time by the threshold)\n",
-			rep.MedianBusySec*1e3)
-		return
-	}
-	for _, s := range rep.Stragglers {
-		fmt.Fprintf(w, "%-10s busy %s = %.2fx the median lane\n", s.Lane, ms(s.BusySec), s.Ratio)
-	}
 }
 
 // ms renders seconds as fixed-point milliseconds.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,8 +61,7 @@ MPI_ALLREDUCE                 2    1.000ms    1.000ms    1.000ms    1.000ms  █
   rank1      FORWARD                  fwd                  3.000ms
   rank1      MPI_ALLREDUCE            buf0                 1.000ms
 
-== stragglers ==
-rank1      busy 4.000ms = 1.33x the median lane
+no attribution ledger (traceanalysis: no TRAIN_STEP windows in trace)
 `
 	if got != want {
 		t.Errorf("output mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
@@ -130,10 +130,14 @@ func TestRunAttrMode(t *testing.T) {
 	path := writeTrace(t, attrTrace())
 	out := filepath.Join(t.TempDir(), "ledger.json")
 	var buf strings.Builder
-	if err := run([]string{"-attr", "-attr-out", out, path}, &buf); err != nil {
+	if err := run([]string{"-attr-out", out, path}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	s := buf.String()
+	// The critical path comes first; the attribution section follows.
+	if i, j := strings.Index(s, "== critical path"), strings.Index(s, "happens-before DAG:"); i < 0 || j < i {
+		t.Errorf("attribution section does not follow the critical path:\n%s", s)
+	}
 	for _, want := range []string{
 		"happens-before DAG:", "1 message edges",
 		"attribution ledger: 2 ranks, 2 rows",
@@ -158,6 +162,16 @@ func TestRunAttrMode(t *testing.T) {
 	if l.Ranks != 2 || len(l.Steps) != 2 {
 		t.Fatalf("ledger shape: ranks %d rows %d", l.Ranks, len(l.Steps))
 	}
+	// The printed blame table is the ledger's BlameCounts, line for line.
+	var blame []string
+	for r, n := range l.BlameCounts() {
+		if n > 0 {
+			blame = append(blame, fmt.Sprintf("rank %d blamed in %d/%d rows", r, n, len(l.Steps)))
+		}
+	}
+	if want := "== blame ==\n" + strings.Join(blame, "\n") + "\n"; !strings.Contains(s, want) {
+		t.Errorf("blame table is not the ledger's BlameCounts %v:\n%s", l.BlameCounts(), s)
+	}
 }
 
 func TestRunAttrNoBlame(t *testing.T) {
@@ -167,7 +181,7 @@ func TestRunAttrNoBlame(t *testing.T) {
 	rec.Add("rank0", timeline.PhaseForward, "fwd", 0, 2)
 	path := writeTrace(t, rec)
 	var buf strings.Builder
-	if err := run([]string{"-attr", path}, &buf); err != nil {
+	if err := run([]string{path}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "no idle waits attributable") {
@@ -179,9 +193,20 @@ func TestRunAttrNoStepWindows(t *testing.T) {
 	rec := timeline.New()
 	rec.Add("rank0", timeline.PhaseForward, "fwd", 0, 1)
 	path := writeTrace(t, rec)
+	// The report still prints, with one line naming why there is no
+	// ledger...
 	var buf strings.Builder
-	if err := run([]string{"-attr", path}, &buf); err == nil {
-		t.Fatal("trace without TRAIN_STEP windows: want error")
+	if err := run([]string{path}, &buf); err != nil {
+		t.Fatalf("trace without TRAIN_STEP windows: %v", err)
+	}
+	if !strings.HasSuffix(buf.String(), "\n\nno attribution ledger (traceanalysis: no TRAIN_STEP windows in trace)\n") {
+		t.Errorf("output does not end in the one-line reason:\n%s", buf.String())
+	}
+	// ...but a ledger that was asked for and cannot be written is an
+	// error.
+	out := filepath.Join(t.TempDir(), "ledger.json")
+	if err := run([]string{"-attr-out", out, path}, &buf); err == nil {
+		t.Fatal("-attr-out on a trace without TRAIN_STEP windows: want error")
 	}
 }
 
@@ -192,7 +217,7 @@ func TestRunAttrOrphanReport(t *testing.T) {
 	rec.AddEdge("rank0", timeline.PhaseRecv, "recv", "1>0#5.0", 0, 1)
 	path := writeTrace(t, rec)
 	var buf strings.Builder
-	if err := run([]string{"-attr", path}, &buf); err != nil {
+	if err := run([]string{path}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "1 recvs without sends") {

@@ -137,4 +137,10 @@ func TestWriteManifest(t *testing.T) {
 	if !strings.Contains(string(raw), `"alerts": []`) {
 		t.Fatalf("nil alerts serialised as null:\n%s", raw)
 	}
+	// A run without a baseline writes no efficiency fields at all.
+	for _, key := range []string{`"slo"`, `"anchor_img_per_sec"`, `"final_efficiency"`} {
+		if strings.Contains(string(raw), key) {
+			t.Errorf("baseline-free manifest carries %s:\n%s", key, raw)
+		}
+	}
 }

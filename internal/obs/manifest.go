@@ -11,8 +11,8 @@ import (
 
 // Manifest is the run record written under results/runs/ whenever the
 // observability plane is armed: enough to answer "what ran, from
-// which revision, with what faults, and how well did it scale" from
-// the artifact alone.
+// which revision, with what faults, and — when the run has a baseline —
+// how well did it scale" from the artifact alone.
 type Manifest struct {
 	// Tool is the producing binary ("dlv3-train", "summit-sim").
 	Tool string `json:"tool"`
@@ -24,11 +24,14 @@ type Manifest struct {
 	Config map[string]any `json:"config"`
 	// ChaosSpec is the armed fault plan's compact spec ("" when none).
 	ChaosSpec string `json:"chaos_spec,omitempty"`
-	// SLO / AnchorImgPerSec / FinalEfficiency mirror the efficiency
-	// monitor's configuration and last reading.
-	SLO             float64 `json:"slo"`
-	AnchorImgPerSec float64 `json:"anchor_img_per_sec"`
-	FinalEfficiency float64 `json:"final_efficiency"`
+	// SLO, AnchorImgPerSec and FinalEfficiency are set only by a run
+	// with a baseline (summit-sim): the objective, the baseline's
+	// single-rank img/s, and the last reported scale's
+	// metrics.ScalingEfficiency against it. A run without a baseline
+	// (real training) omits all three.
+	SLO             float64 `json:"slo,omitempty"`
+	AnchorImgPerSec float64 `json:"anchor_img_per_sec,omitempty"`
+	FinalEfficiency float64 `json:"final_efficiency,omitempty"`
 	// Restarts counts checkpoint-restart recoveries (real training).
 	Restarts int `json:"restarts"`
 	// Alerts is the monitor's full structured alert log.

@@ -8,18 +8,16 @@
 // simulator publish through nil-safe hooks (telemetry probes,
 // telemetry.StepObserver, train.Config.OnWorld) that default to off,
 // so a run with the plane disabled is bit-identical to one that never
-// linked it — the deterministic goldens depend on that. Unlike the
-// telemetry package (which must stay wall-clock-free), obs lives at
-// the edge of the system and may read real time: rolling img/s for
-// real training is measured here, not in the trainer.
+// linked it — the deterministic goldens depend on that. Scaling
+// efficiency is only ever metrics.ScalingEfficiency against a stated
+// baseline's single-rank rate; a run without a baseline reports none.
 package obs
 
 import (
 	"fmt"
-	"math"
 	"sync"
-	"time"
 
+	"segscale/internal/metrics"
 	"segscale/internal/telemetry"
 )
 
@@ -31,92 +29,61 @@ type Alert struct {
 	// Obs is the global observation (step notification) count when the
 	// alert fired.
 	Obs int `json:"obs"`
-	// Kind is "slo_breach", "slo_recovered", "straggler",
-	// "straggler_recovered", "restart", or a caller-supplied kind fed
-	// through Event.
+	// Kind is "slo_breach" or "slo_recovered" (raised by the monitor),
+	// or a caller-supplied kind fed through Event or Report: "restart"
+	// from the trainer's recovery path, "health_<sentinel>" from the
+	// training-health plane.
 	Kind string `json:"kind"`
 	// Lane names the offending executor for per-lane alerts ("" for
 	// aggregate ones).
 	Lane string `json:"lane,omitempty"`
 	// Value / Threshold carry the measurement that tripped the alert
-	// (efficiency for SLO alerts, z-score for straggler alerts).
+	// (efficiency for SLO alerts, the sentinel's reading for health
+	// alerts).
 	Value     float64 `json:"value,omitempty"`
 	Threshold float64 `json:"threshold,omitempty"`
 	Msg       string  `json:"msg"`
 }
 
-// MonitorConfig tunes the efficiency monitor. The zero value gives
-// the paper-derived defaults.
+// MonitorConfig configures the efficiency monitor.
 type MonitorConfig struct {
-	// AnchorImgPerSec is the single-rank throughput perfect scaling is
-	// measured against — the paper's calibration anchor is 6.7 img/s
-	// for DeepLab-v3+ on a V100. Zero self-calibrates: the first
-	// efficiency evaluation's per-rank rate becomes the anchor, which
-	// is the right choice for real training whose absolute throughput
-	// is machine-dependent.
+	// AnchorImgPerSec is the single-rank throughput of the stated
+	// baseline that perfect scaling is measured against: summit-sim
+	// passes its 1-GPU run of the same simulator options. Zero means
+	// there is no baseline, and the monitor computes no efficiency and
+	// raises no SLO alert; it is then only the alert log.
 	AnchorImgPerSec float64
-	// SLO is the scaling-efficiency objective; aggregate efficiency
+	// SLO is the scaling-efficiency objective; a lane's efficiency
 	// below it raises an "slo_breach" alert (hysteresis: one alert per
 	// excursion, "slo_recovered" on the way back). Default 0.92, the
 	// paper's headline.
 	SLO float64
-	// Window is the per-lane rolling window, in steps (default 20).
-	Window int
-	// EveryK evaluates efficiency and straggler scores every K step
-	// observations (default 10).
-	EveryK int
-	// ZThreshold flags a lane as a straggler when its per-rank rate
-	// falls this many standard deviations below the lane mean
-	// (default 3).
-	ZThreshold float64
-	// StaleAfter drops a lane from the aggregate after it has gone
-	// this many global observations without a step — a crashed rank's
-	// lane must stop depressing efficiency once its restarted
-	// incarnation's lane has taken over (default 160).
-	StaleAfter int
-}
-
-func (c MonitorConfig) canon() MonitorConfig {
-	if c.SLO == 0 {
-		c.SLO = DefaultSLO
-	}
-	if c.Window <= 0 {
-		c.Window = 20
-	}
-	if c.EveryK <= 0 {
-		c.EveryK = 10
-	}
-	if c.ZThreshold <= 0 {
-		c.ZThreshold = 3
-	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 160
-	}
-	return c
 }
 
 // DefaultSLO is the paper's ~92% scaling-efficiency headline.
 const DefaultSLO = 0.92
 
-// maxAlerts bounds the alert log; a monitor that cries this often has
-// made its point, and manifests should stay readable.
-const maxAlerts = 1024
+const (
+	// window is each lane's rolling window, in steps.
+	window = 20
+	// everyK evaluates efficiency every everyK step observations.
+	everyK = 10
+	// maxAlerts bounds the alert log; a monitor that cries this often
+	// has made its point, and manifests should stay readable.
+	maxAlerts = 1024
+)
 
 // laneStat is one executor's rolling window.
 type laneStat struct {
-	ranks    int       // data-parallel ranks this lane aggregates (sim lanes cover whole worlds)
-	durs     []float64 // ring of step durations (seconds)
-	imgs     []float64 // ring of images per step
-	next, n  int
-	sumDur   float64
-	sumImgs  float64
-	lastWall float64 // last wall-clock observation (stepSec<=0 mode)
-	hasWall  bool
-	lastObs  int // global observation index of the last update
-	straggle bool
+	ranks   int // data-parallel ranks this lane aggregates (sim lanes cover whole worlds)
+	durs    [window]float64
+	imgs    [window]float64
+	next, n int
+	sumDur  float64
+	sumImgs float64
 }
 
-func (l *laneStat) push(dur, img float64, window int) {
+func (l *laneStat) push(dur, img float64) {
 	if l.n == window {
 		l.sumDur -= l.durs[l.next]
 		l.sumImgs -= l.imgs[l.next]
@@ -130,37 +97,26 @@ func (l *laneStat) push(dur, img float64, window int) {
 	l.next = (l.next + 1) % window
 }
 
-// rate returns the lane's rolling throughput in img/s.
-func (l *laneStat) rate() float64 {
-	if l.sumDur <= 0 {
-		return 0
-	}
-	return l.sumImgs / l.sumDur
-}
-
 // EffMonitor is the online scaling-efficiency monitor: it consumes
 // per-step notifications (telemetry.StepObserver), keeps a rolling
-// per-lane img/s window, and every EveryK observations computes the
-// aggregate scaling efficiency against the calibration anchor plus a
-// per-lane straggler z-score, publishing gauges on an "obs" telemetry
-// lane and appending structured alerts when the SLO is breached. All
-// methods are goroutine-safe and nil-safe.
+// per-lane img/s window, and every everyK observations computes the
+// observed lane's scaling efficiency against the baseline anchor,
+// publishing a gauge on an "obs" telemetry lane and appending
+// structured alerts when the SLO is breached. It is also the run's
+// alert log for externally observed events. All methods are
+// goroutine-safe and nil-safe.
 type EffMonitor struct {
-	cfg    MonitorConfig
-	nowSec func() float64 // injected monotonic clock (tests); wall time by default
+	cfg MonitorConfig
 
 	mu        sync.Mutex
 	lanes     map[string]*laneStat
-	order     []string
 	globalObs int
-	anchor    float64 // resolved anchor (self-calibrated when cfg.AnchorImgPerSec == 0)
 	lastEff   float64
 	breached  bool
 	alerts    []Alert
 	dropped   int // alerts beyond maxAlerts
 
 	effGauge    *telemetry.Gauge
-	zGauge      *telemetry.Gauge
 	alertsTotal *telemetry.Counter
 	breachTotal *telemetry.Counter
 	probe       *telemetry.Probe
@@ -171,20 +127,18 @@ type EffMonitor struct {
 // computes efficiency and alerts, it just has nowhere to export
 // gauges).
 func NewEffMonitor(col *telemetry.Collector, cfg MonitorConfig) *EffMonitor {
+	if cfg.SLO == 0 {
+		cfg.SLO = DefaultSLO
+	}
 	probe := col.NewProbe("obs", telemetry.NewStepClock())
-	start := time.Now()
-	m := &EffMonitor{
-		cfg:         cfg.canon(),
-		nowSec:      func() float64 { return time.Since(start).Seconds() },
+	return &EffMonitor{
+		cfg:         cfg,
 		lanes:       map[string]*laneStat{},
-		anchor:      cfg.AnchorImgPerSec,
 		probe:       probe,
 		effGauge:    probe.Gauge("obs_scaling_efficiency_ratio"),
-		zGauge:      probe.Gauge("obs_straggler_zscore_ratio"),
 		alertsTotal: probe.Counter("obs_alerts_total"),
 		breachTotal: probe.Counter("obs_slo_breaches_total"),
 	}
-	return m
 }
 
 // SLO returns the configured efficiency objective.
@@ -193,17 +147,6 @@ func (m *EffMonitor) SLO() float64 {
 		return 0
 	}
 	return m.cfg.SLO
-}
-
-// Anchor returns the resolved calibration anchor in img/s per rank
-// (0 until self-calibration has happened).
-func (m *EffMonitor) Anchor() float64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.anchor
 }
 
 // SetLaneRanks declares how many data-parallel ranks a lane
@@ -223,44 +166,27 @@ func (m *EffMonitor) SetLaneRanks(lane string, ranks int) {
 func (m *EffMonitor) lane(name string) *laneStat {
 	ls, ok := m.lanes[name]
 	if !ok {
-		ls = &laneStat{
-			ranks: 1,
-			durs:  make([]float64, m.cfg.Window),
-			imgs:  make([]float64, m.cfg.Window),
-		}
+		ls = &laneStat{ranks: 1}
 		m.lanes[name] = ls
-		m.order = append(m.order, name)
 	}
 	return ls
 }
 
-// ObserveStep implements telemetry.StepObserver. stepSec > 0 is a
-// modelled virtual duration (the simulator); stepSec <= 0 means "you
-// time it", and the monitor measures the wall-clock gap between
-// consecutive observations on the lane (the first observation only
-// starts the clock). Nil-safe.
+// ObserveStep implements telemetry.StepObserver. stepSec is the step's
+// duration (the simulator's virtual seconds); a step without one
+// (stepSec <= 0) is counted but not measured. Nil-safe.
 func (m *EffMonitor) ObserveStep(lane string, step, imgs int, stepSec float64) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	ls := m.lane(lane)
-	dur := stepSec
-	if stepSec <= 0 {
-		now := m.nowSec()
-		if ls.hasWall {
-			dur = now - ls.lastWall
-		}
-		ls.lastWall = now
-		ls.hasWall = true
-	}
-	if dur > 0 {
-		ls.push(dur, float64(imgs), m.cfg.Window)
-	}
 	m.globalObs++
-	ls.lastObs = m.globalObs
-	if m.globalObs%m.cfg.EveryK == 0 {
-		m.evaluateLocked()
+	if m.cfg.AnchorImgPerSec > 0 && stepSec > 0 {
+		ls := m.lane(lane)
+		ls.push(stepSec, float64(imgs))
+		if m.globalObs%everyK == 0 {
+			m.evaluateLocked(lane, ls)
+		}
 	}
 	m.mu.Unlock()
 }
@@ -314,95 +240,34 @@ func (m *EffMonitor) addAlertLocked(a Alert) {
 	m.alerts = append(m.alerts, a)
 }
 
-// evaluateLocked recomputes efficiency and straggler scores. Caller
-// holds mu.
-func (m *EffMonitor) evaluateLocked() {
-	type active struct {
-		name string
-		ls   *laneStat
-	}
-	var act []active
-	totalRate, totalRanks := 0.0, 0
-	for _, name := range m.order {
-		ls := m.lanes[name]
-		if ls.n == 0 || m.globalObs-ls.lastObs > m.cfg.StaleAfter {
-			continue
-		}
-		act = append(act, active{name, ls})
-		totalRate += ls.rate()
-		totalRanks += ls.ranks
-	}
-	if totalRanks == 0 || totalRate <= 0 {
-		return
-	}
-	if m.anchor <= 0 {
-		// Self-calibration: the first stable reading defines "perfect".
-		m.anchor = totalRate / float64(totalRanks)
-	}
-	eff := totalRate / (m.anchor * float64(totalRanks))
+// evaluateLocked recomputes the efficiency of the lane just observed
+// and raises or clears the SLO alert. Caller holds mu.
+func (m *EffMonitor) evaluateLocked(name string, ls *laneStat) {
+	eff := metrics.ScalingEfficiency(m.cfg.AnchorImgPerSec, ls.sumImgs/ls.sumDur, ls.ranks)
 	m.lastEff = eff
 	m.effGauge.Set(eff)
 	// Heartbeat into the flight recorder: even span-free producers (the
 	// simulator) leave a readable efficiency trail in /debug/flight.
-	m.probe.Mark("EVAL", fmt.Sprintf("eff %.1f%% over %d lanes", 100*eff, len(act)))
+	m.probe.Mark("EVAL", fmt.Sprintf("eff %.1f%% on lane %s", 100*eff, name))
 
 	switch {
 	case eff < m.cfg.SLO && !m.breached:
 		m.breached = true
 		m.breachTotal.Inc()
 		m.probe.Mark("ALERT", "slo_breach")
-		m.addAlertLocked(Alert{Kind: "slo_breach", Value: eff, Threshold: m.cfg.SLO,
+		m.addAlertLocked(Alert{Kind: "slo_breach", Lane: name, Value: eff, Threshold: m.cfg.SLO,
 			Msg: fmt.Sprintf("scaling efficiency %.1f%% below SLO %.1f%%", 100*eff, 100*m.cfg.SLO)})
 	case eff >= m.cfg.SLO && m.breached:
 		m.breached = false
 		m.probe.Mark("ALERT", "slo_recovered")
-		m.addAlertLocked(Alert{Kind: "slo_recovered", Value: eff, Threshold: m.cfg.SLO,
+		m.addAlertLocked(Alert{Kind: "slo_recovered", Lane: name, Value: eff, Threshold: m.cfg.SLO,
 			Msg: fmt.Sprintf("scaling efficiency back to %.1f%%", 100*eff)})
 	}
-
-	// Straggler z-scores need a population: at least 3 active lanes.
-	if len(act) < 3 {
-		return
-	}
-	mean, n := 0.0, float64(len(act))
-	perRank := make([]float64, len(act))
-	for i, a := range act {
-		perRank[i] = a.ls.rate() / float64(a.ls.ranks)
-		mean += perRank[i]
-	}
-	mean /= n
-	var varSum float64
-	for _, r := range perRank {
-		varSum += (r - mean) * (r - mean)
-	}
-	std := math.Sqrt(varSum / n)
-	if std == 0 {
-		return
-	}
-	worst := 0.0
-	for i, a := range act {
-		z := (mean - perRank[i]) / std // positive = slower than the pack
-		if z > worst {
-			worst = z
-		}
-		switch {
-		case z > m.cfg.ZThreshold && !a.ls.straggle:
-			a.ls.straggle = true
-			m.probe.Mark("ALERT", "straggler")
-			m.addAlertLocked(Alert{Kind: "straggler", Lane: a.name, Value: z, Threshold: m.cfg.ZThreshold,
-				Msg: fmt.Sprintf("lane %s runs %.1f img/s/rank against a mean of %.1f (z=%.1f)",
-					a.name, perRank[i], mean, z)})
-		case z <= m.cfg.ZThreshold/2 && a.ls.straggle:
-			a.ls.straggle = false
-			m.addAlertLocked(Alert{Kind: "straggler_recovered", Lane: a.name, Value: z, Threshold: m.cfg.ZThreshold,
-				Msg: fmt.Sprintf("lane %s caught back up (z=%.1f)", a.name, z)})
-		}
-	}
-	m.zGauge.Set(worst)
 }
 
-// LastEfficiency returns the most recent aggregate scaling efficiency
-// (0 before the first evaluation).
+// LastEfficiency returns the most recent evaluation's scaling
+// efficiency, that of the lane last observed (0 before the first
+// evaluation, and always 0 without an anchor).
 func (m *EffMonitor) LastEfficiency() float64 {
 	if m == nil {
 		return 0

@@ -27,10 +27,9 @@ func feed(m *EffMonitor, lane string, n, imgs int, stepSec float64) {
 }
 
 func TestMonitorEfficiencySLOHysteresis(t *testing.T) {
-	m := NewEffMonitor(nil, MonitorConfig{
-		AnchorImgPerSec: 10, SLO: 0.9, Window: 4, EveryK: 2})
+	m := NewEffMonitor(nil, MonitorConfig{AnchorImgPerSec: 10, SLO: 0.9})
 
-	feed(m, "a", 8, 1, 0.1) // 10 img/s = perfect scaling
+	feed(m, "a", window, 1, 0.1) // 10 img/s = perfect scaling
 	if eff := m.LastEfficiency(); eff < 0.99 || eff > 1.01 {
 		t.Fatalf("efficiency at anchor rate = %v, want ~1", eff)
 	}
@@ -38,17 +37,17 @@ func TestMonitorEfficiencySLOHysteresis(t *testing.T) {
 		t.Fatalf("unexpected alerts at full efficiency: %v", m.Alerts())
 	}
 
-	feed(m, "a", 8, 1, 0.2) // window flushes to 5 img/s = 50%
+	feed(m, "a", window, 1, 0.2) // window flushes to 5 img/s = 50%
 	if eff := m.LastEfficiency(); eff > 0.51 {
 		t.Fatalf("efficiency after slowdown = %v, want ~0.5", eff)
 	}
 	// Hysteresis: a sustained breach alerts exactly once.
-	if got := kinds(m.Alerts()); got != "slo_breach" {
+	if got := kinds(m.Alerts()); got != "slo_breach:a" {
 		t.Fatalf("alerts after breach = %q, want one slo_breach", got)
 	}
 
-	feed(m, "a", 8, 1, 0.1)
-	if got := kinds(m.Alerts()); got != "slo_breach,slo_recovered" {
+	feed(m, "a", window, 1, 0.1)
+	if got := kinds(m.Alerts()); got != "slo_breach:a,slo_recovered:a" {
 		t.Fatalf("alerts after recovery = %q", got)
 	}
 	b, r := m.Alerts()[0], m.Alerts()[1]
@@ -57,90 +56,58 @@ func TestMonitorEfficiencySLOHysteresis(t *testing.T) {
 	}
 }
 
-func TestMonitorSelfCalibratingAnchorAndWallClock(t *testing.T) {
-	m := NewEffMonitor(nil, MonitorConfig{Window: 4, EveryK: 2})
-	clock := 0.0
-	m.nowSec = func() float64 { return clock }
-
-	// stepSec <= 0: the monitor stamps wall deltas itself; the first
-	// observation only starts the lane's clock.
-	for i := 0; i < 9; i++ {
-		m.ObserveStep("rank0", i, 2, 0)
-		clock += 0.25
+// TestMonitorSweepLanesAreNotBlended feeds lanes the way summit-sim
+// does: one world size after another, each on its own lane. Every
+// evaluation is the lane just observed against the baseline anchor;
+// an earlier scale's lane must not blend into a later one's reading.
+func TestMonitorSweepLanesAreNotBlended(t *testing.T) {
+	m := NewEffMonitor(nil, MonitorConfig{AnchorImgPerSec: 10, SLO: 0.7})
+	for _, lane := range []struct {
+		name      string
+		ranks     int
+		imgPerSec float64
+	}{
+		{"gpus1", 1, 10},   // the baseline itself: 100%
+		{"gpus6", 6, 48},   // 48 / (10 * 6) = 80%
+		{"gpus12", 12, 60}, // 60 / (10 * 12) = 50%
+	} {
+		m.SetLaneRanks(lane.name, lane.ranks)
+		feed(m, lane.name, 18, int(lane.imgPerSec), 1)
+		want := lane.imgPerSec / (10 * float64(lane.ranks))
+		if eff := m.LastEfficiency(); eff < want-1e-9 || eff > want+1e-9 {
+			t.Fatalf("after lane %s: efficiency = %v, want the lane's own %v", lane.name, eff, want)
+		}
 	}
-	if a := m.Anchor(); a < 7.9 || a > 8.1 {
-		t.Fatalf("self-calibrated anchor = %v, want ~8 img/s", a)
-	}
-	if eff := m.LastEfficiency(); eff < 0.99 || eff > 1.01 {
-		t.Fatalf("efficiency vs self-anchor = %v, want ~1", eff)
-	}
-
-	// A long stall (crash + restart gap) lands in the window as one
-	// huge step and drags efficiency down — the recovery-dip signal.
-	clock += 10
-	for i := 0; i < 2; i++ {
-		m.ObserveStep("rank0", 9+i, 2, 0)
-		clock += 0.25
-	}
-	if eff := m.LastEfficiency(); eff > 0.5 {
-		t.Fatalf("efficiency across a 10s stall = %v, want a deep dip", eff)
+	if got := kinds(m.Alerts()); got != "slo_breach:gpus12" {
+		t.Fatalf("alerts = %q, want one breach naming gpus12", got)
 	}
 }
 
-func TestMonitorStragglerZScores(t *testing.T) {
-	m := NewEffMonitor(nil, MonitorConfig{
-		AnchorImgPerSec: 10, SLO: 0.01, Window: 4, EveryK: 1, ZThreshold: 1.5})
-
-	// Round-robin keeps lane windows balanced; d runs at half speed.
-	for i := 0; i < 4; i++ {
-		m.ObserveStep("a", i, 1, 0.1)
-		m.ObserveStep("b", i, 1, 0.1)
-		m.ObserveStep("c", i, 1, 0.1)
-		m.ObserveStep("d", i, 1, 0.2)
+// TestMonitorWithoutAnchor is the real trainer's monitor: with no
+// baseline there is no efficiency and no SLO alert, only the alert log.
+func TestMonitorWithoutAnchor(t *testing.T) {
+	col := telemetry.NewCollector()
+	m := NewEffMonitor(col, MonitorConfig{})
+	feed(m, "rank0", 5*everyK, 1, 0.1)
+	m.Event("restart", "", "incarnation 1 after rank failure")
+	if eff := m.LastEfficiency(); eff != 0 {
+		t.Fatalf("efficiency without an anchor = %v, want none", eff)
 	}
-	if got := kinds(m.Alerts()); got != "straggler:d" {
-		t.Fatalf("alerts after slow lane = %q, want straggler:d", got)
+	if got := kinds(m.Alerts()); got != "restart" {
+		t.Fatalf("alerts = %q, want only the restart", got)
 	}
-
-	// d catches up while a collapses: d must recover, a must trip.
-	for i := 0; i < 4; i++ {
-		m.ObserveStep("a", 4+i, 1, 0.5)
-		m.ObserveStep("b", 4+i, 1, 0.1)
-		m.ObserveStep("c", 4+i, 1, 0.1)
-		m.ObserveStep("d", 4+i, 1, 0.1)
-	}
-	got := kinds(m.Alerts())
-	if !strings.Contains(got, "straggler_recovered:d") || !strings.Contains(got, "straggler:a") {
-		t.Fatalf("alerts after role swap = %q, want d recovered and a straggling", got)
-	}
-}
-
-func TestMonitorStaleLaneEviction(t *testing.T) {
-	m := NewEffMonitor(nil, MonitorConfig{
-		AnchorImgPerSec: 10, SLO: 0.01, Window: 4, EveryK: 1, StaleAfter: 6})
-
-	feed(m, "rank1", 4, 1, 0.2) // 5 img/s, then goes silent (crashed)
-	feed(m, "rank0", 4, 1, 0.1)
-	// Both active: aggregate (5+10)/(10*2) = 0.75.
-	if eff := m.LastEfficiency(); eff < 0.74 || eff > 0.76 {
-		t.Fatalf("efficiency with both lanes = %v, want 0.75", eff)
-	}
-
-	// rank1 idles past StaleAfter global observations; only rank0
-	// counts afterwards.
-	feed(m, "rank0", 8, 1, 0.1)
-	if eff := m.LastEfficiency(); eff < 0.99 || eff > 1.01 {
-		t.Fatalf("efficiency after stale eviction = %v, want ~1", eff)
+	if a := m.Alerts()[0]; a.Obs != 5*everyK {
+		t.Fatalf("restart stamped at observation %d, want %d", a.Obs, 5*everyK)
 	}
 }
 
 func TestMonitorLaneRanksAndGauges(t *testing.T) {
 	col := telemetry.NewCollector()
-	m := NewEffMonitor(col, MonitorConfig{AnchorImgPerSec: 10, Window: 4, EveryK: 2})
+	m := NewEffMonitor(col, MonitorConfig{AnchorImgPerSec: 10})
 	// One simulator lane covering a 6-GPU world at 48 img/s aggregate:
 	// per-rank 8 img/s, efficiency 0.8.
 	m.SetLaneRanks("gpus6", 6)
-	feed(m, "gpus6", 4, 48, 1.0)
+	feed(m, "gpus6", everyK, 48, 1.0)
 	if eff := m.LastEfficiency(); eff < 0.79 || eff > 0.81 {
 		t.Fatalf("world-lane efficiency = %v, want 0.8", eff)
 	}
@@ -159,7 +126,7 @@ func TestMonitorNilIsNoOp(t *testing.T) {
 	m.ObserveStep("a", 0, 1, 0.1) // must not panic
 	m.Event("restart", "", "x")
 	m.SetLaneRanks("a", 4)
-	if m.LastEfficiency() != 0 || m.Alerts() != nil || m.SLO() != 0 || m.Anchor() != 0 {
+	if m.LastEfficiency() != 0 || m.Alerts() != nil || m.SLO() != 0 {
 		t.Fatal("nil monitor must read as zero")
 	}
 }
@@ -206,7 +173,7 @@ func TestMonitorDroppedAlertCounting(t *testing.T) {
 // plane's sentinel trips route through here): fields pass through,
 // Seq/Obs are stamped by the monitor, and nil stays a no-op.
 func TestMonitorReport(t *testing.T) {
-	m := NewEffMonitor(nil, MonitorConfig{AnchorImgPerSec: 10, Window: 2, EveryK: 1})
+	m := NewEffMonitor(nil, MonitorConfig{AnchorImgPerSec: 10})
 	feed(m, "rank0", 3, 1, 0.1) // advance the observation counter
 	m.Report(Alert{
 		Kind: "health_nonfinite_grad", Lane: "rank1",

@@ -38,7 +38,7 @@ func TestServerEndpoints(t *testing.T) {
 	probe.Counter("train_steps_total").Inc()
 	probe.Mark("STEP", "step0")
 
-	mon := NewEffMonitor(col, MonitorConfig{AnchorImgPerSec: 10, Window: 4, EveryK: 1})
+	mon := NewEffMonitor(col, MonitorConfig{AnchorImgPerSec: 10})
 	mon.ObserveStep("rank0", 0, 1, 0.1)
 
 	s := NewServer(ServerOptions{Telemetry: col, Monitor: mon})

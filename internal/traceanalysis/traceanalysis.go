@@ -1,9 +1,10 @@
 // Package traceanalysis turns a recorded timeline into the reports a
 // performance engineer asks for first: where did the time go
 // (per-phase duration statistics), what sequence of events bounded
-// the run (critical path), and which ranks held everyone else back
-// (stragglers). It consumes the same timeline.Recorder that both the
-// simulator and the real training loop emit, so one tool serves both.
+// the run (critical path), and which rank paced each step (the
+// attribution ledger's blame, built over the happens-before DAG). It
+// consumes the same timeline.Recorder that both the simulator and the
+// real training loop emit, so one tool serves both.
 package traceanalysis
 
 import (
@@ -14,26 +15,9 @@ import (
 	"segscale/internal/timeline"
 )
 
-// Options tunes the analysis.
-type Options struct {
-	// StragglerFactor flags a lane whose busy time exceeds the median
-	// lane's by this multiple (default 1.2 — a rank 20% slower than
-	// the median gates a synchronous allreduce by that margin).
-	StragglerFactor float64
-	// HistBuckets is the linear bucket count for per-phase duration
-	// histograms (default 8).
-	HistBuckets int
-}
-
-func (o Options) withDefaults() Options {
-	if o.StragglerFactor <= 1 {
-		o.StragglerFactor = 1.2
-	}
-	if o.HistBuckets <= 0 {
-		o.HistBuckets = 8
-	}
-	return o
-}
+// histBuckets is the linear bucket count of every per-phase duration
+// histogram.
+const histBuckets = 8
 
 // PhaseStats summarises one phase's event durations.
 type PhaseStats struct {
@@ -58,13 +42,6 @@ type PathStep struct {
 	GapSec float64 // idle time between the previous step's end and this start
 }
 
-// Straggler is a lane whose busy time exceeds the threshold.
-type Straggler struct {
-	Lane    string
-	BusySec float64
-	Ratio   float64 // BusySec / median lane busy time
-}
-
 // LaneStats is one lane's aggregate activity.
 type LaneStats struct {
 	Lane    string
@@ -86,17 +63,11 @@ type Report struct {
 	// SpanSec - CriticalSec - (summed gaps) is zero by construction.
 	CriticalPath []PathStep
 	CriticalSec  float64
-
-	// Stragglers lists lanes whose busy time exceeds
-	// StragglerFactor × the median lane busy time, slowest first.
-	// MedianBusySec is that median.
-	Stragglers    []Straggler
-	MedianBusySec float64
 }
 
 // Analyze computes the report. It errors on an empty or zero-width
 // trace rather than emitting a degenerate report.
-func Analyze(rec *timeline.Recorder, opts Options) (*Report, error) {
+func Analyze(rec *timeline.Recorder) (*Report, error) {
 	if rec == nil || len(rec.Events) == 0 {
 		return nil, fmt.Errorf("traceanalysis: trace has no events")
 	}
@@ -104,16 +75,14 @@ func Analyze(rec *timeline.Recorder, opts Options) (*Report, error) {
 	if hi <= lo {
 		return nil, fmt.Errorf("traceanalysis: trace spans zero time")
 	}
-	opts = opts.withDefaults()
 	r := &Report{Events: len(rec.Events), SpanSec: hi - lo}
-	r.Phases = phaseStats(rec.Events, opts.HistBuckets)
+	r.Phases = phaseStats(rec.Events)
 	r.Lanes = laneStats(rec.Events)
 	r.CriticalPath, r.CriticalSec = criticalPath(rec.Events)
-	r.Stragglers, r.MedianBusySec = stragglers(r.Lanes, opts.StragglerFactor)
 	return r, nil
 }
 
-func phaseStats(events []timeline.Event, buckets int) []PhaseStats {
+func phaseStats(events []timeline.Event) []PhaseStats {
 	durs := map[string][]float64{}
 	for _, e := range events {
 		durs[e.Phase] = append(durs[e.Phase], e.End-e.Start)
@@ -131,19 +100,19 @@ func phaseStats(events []timeline.Event, buckets int) []PhaseStats {
 			Phase: ph, Count: len(ds),
 			Min: ds[0], Max: ds[len(ds)-1],
 			P50: quantile(ds, 0.50), P90: quantile(ds, 0.90),
-			Hist: make([]int, buckets),
+			Hist: make([]int, histBuckets),
 		}
 		for _, d := range ds {
 			st.Total += d
 		}
 		st.Mean = st.Total / float64(st.Count)
-		width := (st.Max - st.Min) / float64(buckets)
+		width := (st.Max - st.Min) / histBuckets
 		for _, d := range ds {
 			i := 0
 			if width > 0 {
 				i = int((d - st.Min) / width)
-				if i >= buckets {
-					i = buckets - 1 // d == Max lands in the top bucket
+				if i >= histBuckets {
+					i = histBuckets - 1 // d == Max lands in the top bucket
 				}
 			}
 			st.Hist[i]++
@@ -251,29 +220,4 @@ func criticalPath(events []timeline.Event) ([]PathStep, float64) {
 		busy += e.End - e.Start
 	}
 	return steps, busy
-}
-
-func stragglers(lanes []LaneStats, factor float64) ([]Straggler, float64) {
-	if len(lanes) == 0 {
-		return nil, 0
-	}
-	busy := make([]float64, 0, len(lanes))
-	for _, ls := range lanes {
-		busy = append(busy, ls.BusySec)
-	}
-	sort.Float64s(busy)
-	median := quantile(busy, 0.50)
-	var out []Straggler
-	for _, ls := range lanes {
-		if median > 0 && ls.BusySec > factor*median {
-			out = append(out, Straggler{Lane: ls.Lane, BusySec: ls.BusySec, Ratio: ls.BusySec / median})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].BusySec != out[j].BusySec {
-			return out[i].BusySec > out[j].BusySec
-		}
-		return out[i].Lane < out[j].Lane
-	})
-	return out, median
 }

@@ -18,8 +18,8 @@ import (
 
 // TestObsPlaneDoesNotChangeResults is the observability no-op
 // contract, one level up from the telemetry test: a run with the FULL
-// live plane attached — collector, flight recorder, efficiency
-// monitor consuming every step, liveness tracking through OnWorld —
+// live plane attached — collector, flight recorder, monitor and step
+// counter consuming every step, liveness tracking through OnWorld —
 // must produce numerically identical training results to a bare run.
 func TestObsPlaneDoesNotChangeResults(t *testing.T) {
 	cfg := fastCfg()
@@ -34,8 +34,9 @@ func TestObsPlaneDoesNotChangeResults(t *testing.T) {
 	instrumented := cfg
 	instrumented.Telemetry = telemetry.NewCollector()
 	flight := instrumented.Telemetry.EnableFlight(256)
-	mon := obs.NewEffMonitor(instrumented.Telemetry, obs.MonitorConfig{EveryK: 2})
-	instrumented.StepObs = mon
+	mon := obs.NewEffMonitor(instrumented.Telemetry, obs.MonitorConfig{})
+	steps := &countingObserver{}
+	instrumented.StepObs = telemetry.MultiObserver(mon, steps)
 	srv := obs.NewServer(obs.ServerOptions{Telemetry: instrumented.Telemetry, Monitor: mon})
 	var worldsSeen atomic.Int32
 	instrumented.OnWorld = func(w *transport.World, inc int) {
@@ -55,8 +56,8 @@ func TestObsPlaneDoesNotChangeResults(t *testing.T) {
 	if flight.Total() == 0 {
 		t.Fatal("flight recorder saw no events")
 	}
-	if mon.LastEfficiency() <= 0 {
-		t.Fatal("efficiency monitor never evaluated")
+	if steps.n.Load() == 0 {
+		t.Fatal("no step observer saw a step")
 	}
 
 	// Results must match bit-for-bit once the observer hooks themselves
@@ -76,6 +77,11 @@ func TestObsPlaneDoesNotChangeResults(t *testing.T) {
 		t.Errorf("observability plane changed the training result:\nbare:     %+v\nobserved: %+v", a, b)
 	}
 }
+
+// countingObserver counts step notifications, from any rank's goroutine.
+type countingObserver struct{ n atomic.Int64 }
+
+func (c *countingObserver) ObserveStep(string, int, int, float64) { c.n.Add(1) }
 
 // TestEvalAllocBudget pins the pooled evaluation path at GOMAXPROCS=1:
 // one evaluate() call over a 16-image shard (4 batches), and what each

@@ -156,10 +156,9 @@ type Config struct {
 	// training step on every rank. The lane is "rank<N>" and — unlike
 	// the telemetry lane — stays stable across restarts, so a
 	// wall-timing observer sees the crash-to-recovery gap as one long
-	// stall on the affected ranks (the efficiency dip). Real training
-	// deliberately never reads a clock, so the notification carries
-	// stepSec = 0 and leaves wall timing to the observer (the
-	// efficiency monitor stamps arrival times itself). Implementations
+	// stall on the affected ranks. Real training deliberately never
+	// reads a clock, so the notification carries stepSec = 0 and
+	// leaves wall timing to the observer. Implementations
 	// must be goroutine-safe; nil (the default) must not change
 	// results.
 	StepObs telemetry.StepObserver

@@ -94,7 +94,7 @@ type (
 	// ObsServerOptions configures NewObsServer.
 	ObsServerOptions = obs.ServerOptions
 	// EffMonitor is the online scaling-efficiency monitor with SLO
-	// alerts and straggler z-scores.
+	// alerts against a stated baseline, and the run's alert log.
 	EffMonitor = obs.EffMonitor
 	// MonitorConfig tunes the efficiency monitor.
 	MonitorConfig = obs.MonitorConfig
@@ -117,8 +117,10 @@ type (
 func NewObsServer(o ObsServerOptions) *ObsServer { return obs.NewServer(o) }
 
 // NewEffMonitor builds an online scaling-efficiency monitor
-// publishing gauges through col (which may be nil). Attach it via
-// TrainConfig.StepObs or SimOptions.StepObs.
+// publishing gauges through col (which may be nil). With
+// cfg.AnchorImgPerSec set to a baseline's single-rank img/s, attach it
+// via SimOptions.StepObs; without one it computes no efficiency and is
+// only an alert log (Event, Report).
 func NewEffMonitor(col *Telemetry, cfg MonitorConfig) *EffMonitor {
 	return obs.NewEffMonitor(col, cfg)
 }
@@ -231,8 +233,8 @@ type SimOptions struct {
 	// message drop/duplication/delay) into the simulated run.
 	Chaos *ChaosPlan
 	// StepObs, when non-nil, receives every post-warmup simulated step
-	// (lane "gpus<N>", virtual duration) — attach an EffMonitor here to
-	// watch scaling efficiency live.
+	// (lane "gpus<N>", virtual duration) — attach an EffMonitor anchored
+	// at a 1-GPU run here to watch scaling efficiency live.
 	StepObs StepObserver
 	// Attribution, when non-nil, receives per-(step, rank) attribution
 	// ledger rows: each rank's step wall time decomposed into buckets
@@ -273,7 +275,7 @@ func AttributionPublisher(col *Telemetry, rec *AttributionRecorder) func() {
 // cross-rank happens-before DAG and decomposes every rank's TRAIN_STEP
 // window into the attribution buckets — the trace-side route to the
 // same ledger the simulator records natively, used by dlv3-train
-// -attr-out and trace-stats -attr.
+// -attr-out and trace-stats.
 func AttributeTelemetry(col *Telemetry) (*AttributionLedger, error) {
 	rec := col.Timeline()
 	return traceanalysis.AttributeTrace(rec, traceanalysis.BuildDAG(rec))
