@@ -48,13 +48,15 @@ fuzz-smoke:
 
 # trace-smoke runs the simulator and the real trainer end-to-end into
 # the trace tooling: summit-sim writes a Chrome trace and a Prometheus
-# dump, trace-stats must analyse the trace; a world-2 dlv3-train run
-# that crashes and restarts writes a trace whose lanes ("rank0.r1")
-# do not sort in rank order, and trace-stats's attribution section
-# must still read back its true two ranks.
+# dump with its step-time histogram, trace-stats must analyse the
+# trace; a world-2 dlv3-train run that crashes and restarts writes a
+# trace whose lanes ("rank0.r1") do not sort in rank order, and
+# trace-stats's attribution section must still read back its true two
+# ranks. CI runs this target, so the two cannot drift.
 trace-smoke:
 	go run ./cmd/summit-sim -gpus 6,132 -timeline /tmp/segscale-trace.json -prom /tmp/segscale-metrics.prom
 	go run ./cmd/trace-stats /tmp/segscale-trace.json
+	grep -q '^# TYPE perfsim_step_seconds histogram' /tmp/segscale-metrics.prom
 	rm -f /tmp/segscale-train-trace.segc
 	go run ./cmd/dlv3-train -world 2 -batch 2 -epochs 3 -train 8 -eval 8 -ckpt /tmp/segscale-train-trace.segc -chaos-plan "crash=1@5" -trace /tmp/segscale-train-trace.json > /dev/null
 	go run ./cmd/trace-stats /tmp/segscale-train-trace.json > /tmp/segscale-train-attr.txt

@@ -111,9 +111,9 @@ func main() {
 	)
 	if obsOn {
 		flight = cfg.Telemetry.EnableFlight(0)
-		// No baseline, no anchor: the monitor is only the run's alert
-		// log, fed by the restart hook and the health plane.
-		mon = summitseg.NewEffMonitor(cfg.Telemetry, summitseg.MonitorConfig{})
+		// No baseline, so nothing to Observe: the monitor is only the
+		// run's alert log, fed by the restart hook and the health plane.
+		mon = summitseg.NewEffMonitor(cfg.Telemetry, 0)
 	}
 	// Training-health plane: a pure observer of the train step. A
 	// sentinel trip is routed into the monitor's alert log

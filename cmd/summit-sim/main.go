@@ -63,7 +63,7 @@ func run(args []string, stdout io.Writer) error {
 	obsAddr := fs.String("obs-addr", "", "serve /metrics, /healthz, /readyz and /debug/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 	obsLinger := fs.Duration("obs-linger", 0, "with -obs-addr, keep serving this long after the table completes (for scraping a finished run)")
 	flightOut := fs.String("flight", "", "keep a flight recorder over the simulated steps and dump its window (Chrome trace) to this file at exit")
-	slo := fs.Float64("slo", summitseg.DefaultSLO, "scaling-efficiency objective for the online monitor")
+	slo := fs.Float64("slo", summitseg.DefaultSLO, "scaling-efficiency objective: a printed eff below it logs an slo_breach alert")
 	runsDir := fs.String("runs-dir", "", "write a run manifest (config, seed, chaos, baseline, final efficiency, alerts) under this directory (empty = off)")
 	attrOut := fs.String("attr-out", "", "write the largest scale's per-(step,rank) attribution ledger to this file (seg-compare's input)")
 	if err := fs.Parse(args); err != nil {
@@ -141,10 +141,9 @@ func run(args []string, stdout io.Writer) error {
 		col = summitseg.NewTelemetry()
 	}
 
-	// Live observability plane: the monitor consumes every post-warmup
-	// simulated step (virtual durations), so each scale's efficiency
-	// against the baseline is live on /metrics while the table is
-	// still printing.
+	// Live observability plane: the monitor is handed each scale's
+	// efficiency as the table prints it, so /metrics, /debug/alerts and
+	// the manifest's alert log read the printed rows.
 	var (
 		mon    *summitseg.EffMonitor
 		flight *summitseg.FlightRecorder
@@ -152,8 +151,7 @@ func run(args []string, stdout io.Writer) error {
 	)
 	if obsOn {
 		flight = col.EnableFlight(0)
-		mon = summitseg.NewEffMonitor(col, summitseg.MonitorConfig{
-			AnchorImgPerSec: base.ImgPerSec, SLO: *slo})
+		mon = summitseg.NewEffMonitor(col, *slo)
 	}
 	// Attribution rides the largest scale (like -timeline): one ledger
 	// per sweep, served live on /debug/attribution and summarised as
@@ -182,9 +180,6 @@ func run(args []string, stdout io.Writer) error {
 	for i, g := range scales {
 		opts := summitseg.SimOptions{GPUs: g, Model: prof, MPI: mpi, Horovod: hvd, Seed: *seed,
 			CyclicPlacement: *cyclic, IO: ioCfg, Telemetry: col}
-		if mon != nil {
-			opts.StepObs = mon
-		}
 		switch {
 		case fixedPlan != nil:
 			opts.Chaos = fixedPlan
@@ -208,6 +203,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "%-6d %12.1f %9.1f%% %12s %12s\n",
 			g, res.ImgPerSec, 100*lastEff,
 			summitseg.FormatDuration(res.AvgStepSec), summitseg.FormatDuration(res.ExposedSec))
+		mon.Observe(fmt.Sprintf("gpus%d", g), lastEff)
 		bars = append(bars, asciichart.Bar{Label: fmt.Sprintf("%d GPUs", g), Value: res.ImgPerSec})
 		all = append(all, res)
 		if col != nil && *promOut != "" {

@@ -21,12 +21,12 @@
 // checked where it is defined, whichever package holds it. The one
 // kind of callee outside the closure is an implementation of an
 // interface the deterministic packages call into without importing it
-// — observers such as obs.EffMonitor.ObserveStep behind
+// — observers such as obs.PromFlusher.ObserveStep behind
 // train.Config.StepObs. Observers must not feed back into the run:
-// train's TestObsPlaneDoesNotChangeResults reruns with the efficiency
-// monitor attached, and the trajectory fingerprint reruns every cell
-// with the health plane attached, and both must match the bare run bit
-// for bit.
+// train's TestObsPlaneDoesNotChangeResults reruns with the metrics
+// flusher and the monitor attached, and the trajectory fingerprint
+// reruns every cell with the health plane attached, and both must
+// match the bare run bit for bit.
 package maporder
 
 import (

@@ -19,63 +19,55 @@ func kinds(alerts []Alert) string {
 	return strings.Join(parts, ",")
 }
 
-// feed pushes n virtual-duration steps on one lane.
-func feed(m *EffMonitor, lane string, n, imgs int, stepSec float64) {
-	for i := 0; i < n; i++ {
-		m.ObserveStep(lane, i, imgs, stepSec)
-	}
-}
-
 func TestMonitorEfficiencySLOHysteresis(t *testing.T) {
-	m := NewEffMonitor(nil, MonitorConfig{AnchorImgPerSec: 10, SLO: 0.9})
+	m := NewEffMonitor(nil, 0.9)
 
-	feed(m, "a", window, 1, 0.1) // 10 img/s = perfect scaling
-	if eff := m.LastEfficiency(); eff < 0.99 || eff > 1.01 {
-		t.Fatalf("efficiency at anchor rate = %v, want ~1", eff)
+	m.Observe("a", 1)
+	if eff := m.LastEfficiency(); eff != 1 {
+		t.Fatalf("efficiency = %v, want the observed 1", eff)
 	}
 	if len(m.Alerts()) != 0 {
 		t.Fatalf("unexpected alerts at full efficiency: %v", m.Alerts())
 	}
 
-	feed(m, "a", window, 1, 0.2) // window flushes to 5 img/s = 50%
-	if eff := m.LastEfficiency(); eff > 0.51 {
-		t.Fatalf("efficiency after slowdown = %v, want ~0.5", eff)
+	m.Observe("a", 0.5)
+	m.Observe("b", 0.6)
+	if eff := m.LastEfficiency(); eff != 0.6 {
+		t.Fatalf("efficiency = %v, want the last observed 0.6", eff)
 	}
 	// Hysteresis: a sustained breach alerts exactly once.
 	if got := kinds(m.Alerts()); got != "slo_breach:a" {
 		t.Fatalf("alerts after breach = %q, want one slo_breach", got)
 	}
 
-	feed(m, "a", window, 1, 0.1)
-	if got := kinds(m.Alerts()); got != "slo_breach:a,slo_recovered:a" {
+	m.Observe("c", 0.95)
+	m.Observe("d", 0.9) // at the objective is not a breach
+	if got := kinds(m.Alerts()); got != "slo_breach:a,slo_recovered:c" {
 		t.Fatalf("alerts after recovery = %q", got)
 	}
 	b, r := m.Alerts()[0], m.Alerts()[1]
-	if b.Value >= 0.9 || b.Threshold != 0.9 || r.Value < 0.9 {
+	if b.Value != 0.5 || b.Threshold != 0.9 || r.Value != 0.95 || r.Threshold != 0.9 {
 		t.Fatalf("alert measurements wrong: breach=%+v recovered=%+v", b, r)
 	}
 }
 
-// TestMonitorSweepLanesAreNotBlended feeds lanes the way summit-sim
-// does: one world size after another, each on its own lane. Every
-// evaluation is the lane just observed against the baseline anchor;
-// an earlier scale's lane must not blend into a later one's reading.
+// TestMonitorSweepLanesAreNotBlended observes lanes the way summit-sim
+// does: one world size after another, each scale's printed efficiency
+// on its own lane. Every reading is the value observed, so an earlier
+// scale never blends into a later one's.
 func TestMonitorSweepLanesAreNotBlended(t *testing.T) {
-	m := NewEffMonitor(nil, MonitorConfig{AnchorImgPerSec: 10, SLO: 0.7})
+	m := NewEffMonitor(nil, 0.7)
 	for _, lane := range []struct {
-		name      string
-		ranks     int
-		imgPerSec float64
+		name string
+		eff  float64
 	}{
-		{"gpus1", 1, 10},   // the baseline itself: 100%
-		{"gpus6", 6, 48},   // 48 / (10 * 6) = 80%
-		{"gpus12", 12, 60}, // 60 / (10 * 12) = 50%
+		{"gpus1", 1},
+		{"gpus6", 0.8},
+		{"gpus12", 0.5},
 	} {
-		m.SetLaneRanks(lane.name, lane.ranks)
-		feed(m, lane.name, 18, int(lane.imgPerSec), 1)
-		want := lane.imgPerSec / (10 * float64(lane.ranks))
-		if eff := m.LastEfficiency(); eff < want-1e-9 || eff > want+1e-9 {
-			t.Fatalf("after lane %s: efficiency = %v, want the lane's own %v", lane.name, eff, want)
+		m.Observe(lane.name, lane.eff)
+		if eff := m.LastEfficiency(); eff != lane.eff {
+			t.Fatalf("after lane %s: efficiency = %v, want the lane's own %v", lane.name, eff, lane.eff)
 		}
 	}
 	if got := kinds(m.Alerts()); got != "slo_breach:gpus12" {
@@ -84,55 +76,63 @@ func TestMonitorSweepLanesAreNotBlended(t *testing.T) {
 }
 
 // TestMonitorWithoutAnchor is the real trainer's monitor: with no
-// baseline there is no efficiency and no SLO alert, only the alert log.
+// baseline there is nothing to observe, so no efficiency and no SLO
+// alert, only the alert log.
 func TestMonitorWithoutAnchor(t *testing.T) {
-	col := telemetry.NewCollector()
-	m := NewEffMonitor(col, MonitorConfig{})
-	feed(m, "rank0", 5*everyK, 1, 0.1)
+	m := NewEffMonitor(telemetry.NewCollector(), 0)
 	m.Event("restart", "", "incarnation 1 after rank failure")
 	if eff := m.LastEfficiency(); eff != 0 {
-		t.Fatalf("efficiency without an anchor = %v, want none", eff)
+		t.Fatalf("efficiency without a baseline = %v, want none", eff)
 	}
 	if got := kinds(m.Alerts()); got != "restart" {
 		t.Fatalf("alerts = %q, want only the restart", got)
 	}
-	if a := m.Alerts()[0]; a.Obs != 5*everyK {
-		t.Fatalf("restart stamped at observation %d, want %d", a.Obs, 5*everyK)
-	}
 }
 
-func TestMonitorLaneRanksAndGauges(t *testing.T) {
+// TestMonitorGaugesAndFlightMarks checks what observations publish:
+// the gauge holds the last observed value exactly, the breach counter
+// counts, and the flight ring carries the EVAL and ALERT marks.
+func TestMonitorGaugesAndFlightMarks(t *testing.T) {
 	col := telemetry.NewCollector()
-	m := NewEffMonitor(col, MonitorConfig{AnchorImgPerSec: 10})
-	// One simulator lane covering a 6-GPU world at 48 img/s aggregate:
-	// per-rank 8 img/s, efficiency 0.8.
-	m.SetLaneRanks("gpus6", 6)
-	feed(m, "gpus6", everyK, 48, 1.0)
-	if eff := m.LastEfficiency(); eff < 0.79 || eff > 0.81 {
-		t.Fatalf("world-lane efficiency = %v, want 0.8", eff)
-	}
+	flight := col.EnableFlight(16)
+	m := NewEffMonitor(col, 0.92)
+	m.Observe("gpus6", 0.966)
+	m.Observe("gpus12", 0.8)
 
 	var prom strings.Builder
 	if err := col.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(prom.String(), "obs_scaling_efficiency_ratio") {
-		t.Fatalf("efficiency gauge missing from export:\n%s", prom.String())
+	for _, want := range []string{
+		`obs_scaling_efficiency_ratio{lane="obs"} 0.8` + "\n",
+		`obs_slo_breaches_total{lane="obs"} 1` + "\n",
+		`obs_alerts_total{lane="obs"} 1` + "\n",
+	} {
+		if !strings.Contains(prom.String(), want) {
+			t.Fatalf("export lacks %q:\n%s", want, prom.String())
+		}
+	}
+	var marks []string
+	for _, e := range flight.Snapshot() {
+		marks = append(marks, e.Name)
+	}
+	want := "eff 96.6% on lane gpus6,eff 80.0% on lane gpus12,slo_breach"
+	if got := strings.Join(marks, ","); got != want {
+		t.Fatalf("flight marks = %q, want %q", got, want)
 	}
 }
 
 func TestMonitorNilIsNoOp(t *testing.T) {
 	var m *EffMonitor
-	m.ObserveStep("a", 0, 1, 0.1) // must not panic
+	m.Observe("a", 0.5) // must not panic
 	m.Event("restart", "", "x")
-	m.SetLaneRanks("a", 4)
 	if m.LastEfficiency() != 0 || m.Alerts() != nil || m.SLO() != 0 {
 		t.Fatal("nil monitor must read as zero")
 	}
 }
 
 func TestMonitorEventsAndAlertCap(t *testing.T) {
-	m := NewEffMonitor(nil, MonitorConfig{AnchorImgPerSec: 10})
+	m := NewEffMonitor(nil, 0)
 	for i := 0; i < maxAlerts+10; i++ {
 		m.Event("restart", "", "again")
 	}
@@ -150,7 +150,7 @@ func TestMonitorEventsAndAlertCap(t *testing.T) {
 // values keep advancing across drops (so a later Report is stamped as
 // if the dropped alerts were still in the log).
 func TestMonitorDroppedAlertCounting(t *testing.T) {
-	m := NewEffMonitor(nil, MonitorConfig{AnchorImgPerSec: 10})
+	m := NewEffMonitor(nil, 0)
 	if m.DroppedAlerts() != 0 {
 		t.Fatal("fresh monitor reports drops")
 	}
@@ -171,10 +171,10 @@ func TestMonitorDroppedAlertCounting(t *testing.T) {
 
 // TestMonitorReport covers externally sourced alerts (the health
 // plane's sentinel trips route through here): fields pass through,
-// Seq/Obs are stamped by the monitor, and nil stays a no-op.
+// Seq is stamped by the monitor, and nil stays a no-op.
 func TestMonitorReport(t *testing.T) {
-	m := NewEffMonitor(nil, MonitorConfig{AnchorImgPerSec: 10})
-	feed(m, "rank0", 3, 1, 0.1) // advance the observation counter
+	m := NewEffMonitor(nil, 0)
+	m.Observe("gpus6", 1) // an observation raises no alert and takes no Seq
 	m.Report(Alert{
 		Kind: "health_nonfinite_grad", Lane: "rank1",
 		Value: 3, Threshold: 0, Msg: "nonfinite_grad: layer aspp.b0 rank 1 step 7 inc 0",
@@ -187,8 +187,8 @@ func TestMonitorReport(t *testing.T) {
 	if a.Kind != "health_nonfinite_grad" || a.Lane != "rank1" || a.Value != 3 {
 		t.Fatalf("reported alert mangled: %+v", a)
 	}
-	if a.Seq != 0 || a.Obs != 3 {
-		t.Fatalf("monitor did not stamp seq/obs: %+v", a)
+	if a.Seq != 0 {
+		t.Fatalf("monitor did not stamp seq: %+v", a)
 	}
 	var nilMon *EffMonitor
 	nilMon.Report(Alert{Kind: "x"}) // must not panic

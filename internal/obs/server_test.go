@@ -38,8 +38,8 @@ func TestServerEndpoints(t *testing.T) {
 	probe.Counter("train_steps_total").Inc()
 	probe.Mark("STEP", "step0")
 
-	mon := NewEffMonitor(col, MonitorConfig{AnchorImgPerSec: 10})
-	mon.ObserveStep("rank0", 0, 1, 0.1)
+	mon := NewEffMonitor(col, 0)
+	mon.Observe("gpus6", 0.95)
 
 	s := NewServer(ServerOptions{Telemetry: col, Monitor: mon})
 	ts := httptest.NewServer(s.Handler())
@@ -107,7 +107,7 @@ func TestServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &alerts); err != nil {
 		t.Fatalf("alerts payload: %v\n%s", err, body)
 	}
-	if alerts.SLO != DefaultSLO || alerts.Alerts == nil {
+	if alerts.SLO != DefaultSLO || alerts.Efficiency != 0.95 || alerts.Alerts == nil {
 		t.Fatalf("alerts payload wrong: %+v", alerts)
 	}
 

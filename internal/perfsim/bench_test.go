@@ -55,29 +55,28 @@ func TestSimulatorAllocBudget(t *testing.T) {
 		set  func(*Config)
 		pin  float64
 	}{
-		{"gpus_132", 132, nil, 2900},
-		{"gpus_1056_hier", 1056, withAlg(netmodel.AlgHierTwoLevel), 3573},
-		{"gpus_132_ring", 132, withAlg(netmodel.AlgRing), 2762},
-		{"gpus_132_rabenseifner", 132, withAlg(netmodel.AlgRabenseifner), 2775},
-		{"gpus_132_leader", 132, withAlg(netmodel.AlgHierLeader), 2891},
-		{"gpus_132_fp16", 132, func(c *Config) { c.Horovod.FP16Compression = true }, 2900},
-		{"gpus_132_accum2", 132, func(c *Config) { c.Horovod.BackwardPassesPerStep = 2 }, 1542},
-		{"gpus_132_cache", 132, func(c *Config) { c.Horovod.ResponseCache = true }, 2900},
+		{"gpus_132", 132, nil, 2899},
+		{"gpus_1056_hier", 1056, withAlg(netmodel.AlgHierTwoLevel), 3571},
+		{"gpus_132_ring", 132, withAlg(netmodel.AlgRing), 2761},
+		{"gpus_132_rabenseifner", 132, withAlg(netmodel.AlgRabenseifner), 2774},
+		{"gpus_132_leader", 132, withAlg(netmodel.AlgHierLeader), 2890},
+		{"gpus_132_fp16", 132, func(c *Config) { c.Horovod.FP16Compression = true }, 2899},
+		{"gpus_132_accum2", 132, func(c *Config) { c.Horovod.BackwardPassesPerStep = 2 }, 1541},
+		{"gpus_132_cache", 132, func(c *Config) { c.Horovod.ResponseCache = true }, 2899},
 		{"gpus_132_chaos", 132, func(c *Config) {
 			c.SlowRanks, c.SlowFactor = 2, 1.2
 			c.Chaos = &faultinject.Plan{
 				Seed: 5, DropRate: 0.1, DupRate: 0.1, DelayRate: 0.1,
 				Stragglers: []faultinject.Straggler{{Rank: 3, Factor: 2, FromStep: 2, ToStep: 6}},
 			}
-		}, 3687},
-		{"gpus_132_io", 132, func(c *Config) { io := iosim.Default(); c.IO = &io }, 2900},
+		}, 3686},
+		{"gpus_132_io", 132, func(c *Config) { io := iosim.Default(); c.IO = &io }, 2899},
 		{"gpus_132_observed", 132, func(c *Config) {
 			col := telemetry.NewCollector()
 			c.Probe = col.NewProbe("sim", telemetry.NewStepClock())
 			c.Timeline = timeline.New()
-			c.StepObs = telemetry.MultiObserver()
 			c.Attribution = &traceanalysis.LedgerRecorder{}
-		}, 5580},
+		}, 5578},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := Config{GPUs: row.gpus, Model: model.DLv3Plus(), MPI: mpiprofile.MV2GDR(), Horovod: horovod.Default(), Seed: 1}

@@ -108,12 +108,6 @@ type Config struct {
 	// event/queue-depth instruments. Nil (the default) keeps the
 	// event loop uninstrumented at one branch per site.
 	Probe *telemetry.Probe
-	// StepObs, when non-nil, is notified after each post-warmup step
-	// with the step's virtual duration (lane "gpus<N>", images =
-	// batch × GPUs) — the live efficiency monitor's feed. Purely an
-	// observer: it must not influence the simulation, and nil (the
-	// default) keeps results byte-identical.
-	StepObs telemetry.StepObserver
 	// Attribution, when non-nil, receives one ledger row per
 	// (post-warmup step, rank): the rank's step wall time decomposed
 	// into buckets that sum to it exactly, with idle waits blamed on
@@ -291,7 +285,6 @@ func Run(cfg Config) (*Result, error) {
 	now := 0.0
 	accum := cfg.Horovod.AccumPasses()
 	stepHist := cfg.Probe.Histogram("perfsim_step_seconds", stepBucketsSec)
-	obsLane := fmt.Sprintf("gpus%d", cfg.GPUs)
 	for step := 0; step < cfg.Steps; step++ {
 		recordTimeline := cfg.Timeline != nil && step == cfg.WarmupSteps
 		// With gradient accumulation only every accum-th backward
@@ -304,9 +297,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 		d := st.endSec - st.startSec
 		stepHist.Observe(d)
-		if cfg.StepObs != nil {
-			cfg.StepObs.ObserveStep(obsLane, step, batch*cfg.GPUs, d)
-		}
 		if cfg.Attribution != nil {
 			sim.attribute(cfg.Attribution, step, st)
 		}

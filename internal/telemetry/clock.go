@@ -4,8 +4,8 @@
 // (train/horovod/collective/transport, on deterministic step-counter
 // time), merged per rank at a Collector and exported as Chrome
 // trace-event JSON (internal/timeline's format, so chrome://tracing
-// and trace-stats consume it unchanged), Prometheus text exposition,
-// and a machine-readable JSON summary.
+// and trace-stats consume it unchanged) and Prometheus text
+// exposition.
 //
 // Horovod ships HOROVOD_TIMELINE because distributed-training tuning
 // is evidence-driven — "you can't tune what you can't see" — and the

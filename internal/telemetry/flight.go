@@ -122,12 +122,11 @@ func (f *FlightRecorder) WriteChromeTrace(w io.Writer) error {
 }
 
 // StepObserver receives a notification after each completed training
-// or simulated step — the live efficiency monitor's feed. lane names
-// the executor ("rank0", "rank0.r1", "gpus6"), step is the global step
-// index, imgs the images the step processed on that lane, and stepSec
-// the step's duration in virtual seconds when the producer models time
-// (the performance simulator). Real training passes stepSec <= 0 —
-// it deliberately never reads a clock — leaving wall timing to the
+// step — the feed of the periodic metrics flusher and of step logs.
+// lane names the rank ("rank0"), step is the global step index, imgs
+// the images the step processed on that lane, and stepSec the step's
+// duration when the producer knows it. The trainer passes 0 — it
+// deliberately never reads a clock — leaving wall timing to the
 // observer. Implementations must be safe for concurrent use from many
 // rank goroutines and must not influence the run they observe.
 type StepObserver interface {

@@ -2,6 +2,8 @@ package train
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -18,9 +20,10 @@ import (
 
 // TestObsPlaneDoesNotChangeResults is the observability no-op
 // contract, one level up from the telemetry test: a run with the FULL
-// live plane attached — collector, flight recorder, monitor and step
-// counter consuming every step, liveness tracking through OnWorld —
-// must produce numerically identical training results to a bare run.
+// live plane attached — collector, flight recorder, metrics flusher and
+// step counter consuming every step, the monitor as the alert log,
+// liveness tracking through OnWorld — must produce numerically
+// identical training results to a bare run.
 func TestObsPlaneDoesNotChangeResults(t *testing.T) {
 	cfg := fastCfg()
 	cfg.World = 2
@@ -34,9 +37,13 @@ func TestObsPlaneDoesNotChangeResults(t *testing.T) {
 	instrumented := cfg
 	instrumented.Telemetry = telemetry.NewCollector()
 	flight := instrumented.Telemetry.EnableFlight(256)
-	mon := obs.NewEffMonitor(instrumented.Telemetry, obs.MonitorConfig{})
+	// What dlv3-train attaches: a metrics flusher behind StepObs, and
+	// the monitor as the server's alert log.
+	mon := obs.NewEffMonitor(instrumented.Telemetry, 0)
 	steps := &countingObserver{}
-	instrumented.StepObs = telemetry.MultiObserver(mon, steps)
+	promPath := filepath.Join(t.TempDir(), "m.prom")
+	flusher := obs.NewPromFlusher(instrumented.Telemetry, promPath, 1)
+	instrumented.StepObs = telemetry.MultiObserver(flusher, steps)
 	srv := obs.NewServer(obs.ServerOptions{Telemetry: instrumented.Telemetry, Monitor: mon})
 	var worldsSeen atomic.Int32
 	instrumented.OnWorld = func(w *transport.World, inc int) {
@@ -58,6 +65,9 @@ func TestObsPlaneDoesNotChangeResults(t *testing.T) {
 	}
 	if steps.n.Load() == 0 {
 		t.Fatal("no step observer saw a step")
+	}
+	if _, err := os.Stat(promPath); err != nil {
+		t.Fatalf("the metrics flusher wrote nothing: %v", err)
 	}
 
 	// Results must match bit-for-bit once the observer hooks themselves

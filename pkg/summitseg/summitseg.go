@@ -70,7 +70,7 @@ type (
 	// Timeline records Horovod-style phase traces.
 	Timeline = timeline.Recorder
 	// Telemetry collects per-rank spans and metrics and exports them
-	// as a Chrome trace, Prometheus text, or a JSON summary.
+	// as a Chrome trace or Prometheus text.
 	Telemetry = telemetry.Collector
 	// TelemetryProbe is one lane's instrumentation handle.
 	TelemetryProbe = telemetry.Probe
@@ -85,19 +85,16 @@ type (
 	// Telemetry.EnableFlight).
 	FlightRecorder = telemetry.FlightRecorder
 	// StepObserver receives per-step completion notifications from the
-	// trainer (TrainConfig.StepObs) or the simulator
-	// (SimOptions.StepObs).
+	// trainer (TrainConfig.StepObs).
 	StepObserver = telemetry.StepObserver
 	// ObsServer is the live observability HTTP server (/metrics,
 	// /healthz, /readyz, /debug/flight, /debug/alerts, /debug/pprof).
 	ObsServer = obs.Server
 	// ObsServerOptions configures NewObsServer.
 	ObsServerOptions = obs.ServerOptions
-	// EffMonitor is the online scaling-efficiency monitor with SLO
-	// alerts against a stated baseline, and the run's alert log.
+	// EffMonitor publishes a caller-measured scaling efficiency with
+	// SLO alerts, and is the run's alert log.
 	EffMonitor = obs.EffMonitor
-	// MonitorConfig tunes the efficiency monitor.
-	MonitorConfig = obs.MonitorConfig
 	// ObsAlert is one structured alert from the efficiency monitor.
 	ObsAlert = obs.Alert
 	// RunManifest is the per-run record written under results/runs/.
@@ -116,13 +113,14 @@ type (
 // liveness, and Close when the run ends.
 func NewObsServer(o ObsServerOptions) *ObsServer { return obs.NewServer(o) }
 
-// NewEffMonitor builds an online scaling-efficiency monitor
-// publishing gauges through col (which may be nil). With
-// cfg.AnchorImgPerSec set to a baseline's single-rank img/s, attach it
-// via SimOptions.StepObs; without one it computes no efficiency and is
-// only an alert log (Event, Report).
-func NewEffMonitor(col *Telemetry, cfg MonitorConfig) *EffMonitor {
-	return obs.NewEffMonitor(col, cfg)
+// NewEffMonitor builds a scaling-efficiency monitor with objective slo
+// (0 means DefaultSLO) publishing gauges through col (which may be
+// nil). Feed it each scale's efficiency against a stated baseline with
+// Observe (summit-sim passes the row it prints); a run without a
+// baseline never calls Observe and uses the monitor only as its alert
+// log (Event, Report).
+func NewEffMonitor(col *Telemetry, slo float64) *EffMonitor {
+	return obs.NewEffMonitor(col, slo)
 }
 
 // NewPromFlusher re-exports col's metrics to path every `every` step
@@ -232,10 +230,6 @@ type SimOptions struct {
 	// Chaos, when non-nil, injects deterministic faults (stragglers,
 	// message drop/duplication/delay) into the simulated run.
 	Chaos *ChaosPlan
-	// StepObs, when non-nil, receives every post-warmup simulated step
-	// (lane "gpus<N>", virtual duration) — attach an EffMonitor anchored
-	// at a 1-GPU run here to watch scaling efficiency live.
-	StepObs StepObserver
 	// Attribution, when non-nil, receives per-(step, rank) attribution
 	// ledger rows: each rank's step wall time decomposed into buckets
 	// that sum to it exactly, with idle waits blamed on the pacing
@@ -343,18 +337,11 @@ func Simulate(opts SimOptions) (*SimResult, error) {
 	// the right choice.
 	lane := fmt.Sprintf("gpus%d", opts.GPUs)
 	probe := opts.Telemetry.NewProbe(lane, telemetry.NewStepClock())
-	// A simulated "image" is one sample on one GPU, so the lane's rank
-	// count is the GPU count — observers that normalise per-rank
-	// throughput (EffMonitor) need to know it.
-	if lr, ok := opts.StepObs.(interface{ SetLaneRanks(string, int) }); ok && lr != nil {
-		lr.SetLaneRanks(lane, opts.GPUs)
-	}
 	return perfsim.Run(perfsim.Config{
 		GPUs: opts.GPUs, Model: opts.Model, MPI: opts.MPI,
 		Horovod: opts.Horovod, Seed: opts.Seed, Steps: opts.Steps,
 		Placement: placement, IO: opts.IO,
-		Timeline: opts.Timeline, Probe: probe, Chaos: opts.Chaos,
-		StepObs: opts.StepObs, Attribution: opts.Attribution,
+		Timeline: opts.Timeline, Probe: probe, Chaos: opts.Chaos, Attribution: opts.Attribution,
 	})
 }
 

@@ -1,10 +1,12 @@
 #!/bin/sh
 # obs_smoke.sh — end-to-end check of the live observability plane:
 # start summit-sim with the HTTP endpoint armed, wait for the run to
-# finish (it lingers for scrapes), curl /metrics and /healthz, validate
-# the scraped metric names against the repository convention with
-# seglint -prom, and validate the /debug/attribution ledger's schema
-# (buckets summing to each row's step wall) with seg-compare -validate.
+# finish (it lingers for scrapes), curl /metrics and /healthz, check
+# that the efficiency gauge and /debug/alerts serve the last printed
+# row's eff, validate the scraped metric names against the repository
+# convention with seglint -prom, and validate the /debug/attribution
+# ledger's schema (buckets summing to each row's step wall) with
+# seg-compare -validate.
 set -eu
 
 log=/tmp/segscale-obs-smoke.log
@@ -36,6 +38,15 @@ grep -q '^# TYPE perfsim_step_seconds histogram' "$prom" || {
     echo "/metrics missing perfsim histogram:"; head "$prom"; exit 1; }
 grep -q '^obs_scaling_efficiency_ratio' "$prom" || {
     echo "/metrics missing efficiency gauge:"; head "$prom"; exit 1; }
+
+# One efficiency reading per scale: the gauge and /debug/alerts'
+# efficiency are the last printed row's eff, to the printed digit.
+eff=$(awk 'NF == 5 && $1 ~ /^[0-9]+$/ { e = $3 } END { print e }' "$log")
+gauge=$(awk '/^obs_scaling_efficiency_ratio/ { printf "%.1f%%", 100 * $2 }' "$prom")
+alerts=$(curl -fsS "$url/debug/alerts" |
+    sed -n 's/^ *"efficiency": *\([^,]*\),*$/\1/p' | awk '{ printf "%.1f%%", 100 * $1 }')
+[ -n "$eff" ] && [ "$gauge" = "$eff" ] && [ "$alerts" = "$eff" ] || {
+    echo "efficiency mismatch: table $eff, /metrics $gauge, /debug/alerts $alerts"; exit 1; }
 
 grep -q '^perfsim_step_p99_seconds' "$prom" || {
     echo "/metrics missing p99 quantile gauge:"; head "$prom"; exit 1; }
