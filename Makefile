@@ -63,15 +63,23 @@ trace-smoke:
 	grep -q '^attribution ledger: 2 ranks' /tmp/segscale-train-attr.txt
 
 # chaos-smoke checks the fault-injection reproducibility contract:
-# the same chaos seed must yield a byte-identical simulator report.
+# the same chaos seed must yield a byte-identical simulator report. A
+# seeded trainer run arms the seed's message faults without its
+# straggler (only the simulator runs stragglers), so its plan prints no
+# slow= clause.
 chaos-smoke:
 	go run ./cmd/summit-sim -gpus 1,6,24 -chaos-seed 1 > /tmp/segscale-chaos-a.txt
 	go run ./cmd/summit-sim -gpus 1,6,24 -chaos-seed 1 > /tmp/segscale-chaos-b.txt
 	diff /tmp/segscale-chaos-a.txt /tmp/segscale-chaos-b.txt
+	go run ./cmd/dlv3-train -world 2 -batch 2 -epochs 1 -train 8 -eval 8 -chaos-seed 3 > /tmp/segscale-chaos-train.txt
+	grep -q '^chaos armed: ' /tmp/segscale-chaos-train.txt
+	! grep -q 'slow=' /tmp/segscale-chaos-train.txt
 
-# obs-smoke drives the live observability plane end to end: serve,
-# scrape /metrics + /healthz + /debug/attribution, validate scraped
-# names with seglint and the attribution ledger with seg-compare.
+# obs-smoke drives the live observability plane end to end on a
+# world-2 dlv3-train run with one crash: once /debug/alerts lists the
+# restart, check /healthz and /readyz, validate the scraped /metrics
+# names with seglint, require that no endpoint serves an efficiency (the
+# run has no baseline), and that /debug/flight is a Chrome trace.
 obs-smoke:
 	./scripts/obs_smoke.sh
 

@@ -52,7 +52,7 @@ func main() {
 	flag.IntVar(&cfg.MaxRestarts, "max-restarts", 2, "checkpoint-restart budget after rank failures (with -elastic: shrink budget)")
 	flag.BoolVar(&cfg.Elastic, "elastic", false, "elastic membership: a failed rank shrinks the world in place and the survivors continue, no checkpoint restart")
 	flag.IntVar(&cfg.RejoinEpoch, "rejoin-epoch", 0, "with -elastic, regrow dead ranks back into the world at this epoch boundary (0 = never)")
-	chaosSeed := flag.Int64("chaos-seed", 0, "derive a recoverable chaos plan (message faults + straggler) from this seed (0 = off)")
+	chaosSeed := flag.Int64("chaos-seed", 0, "derive a recoverable chaos plan (message faults; the seed's straggler is dropped, as only summit-sim runs stragglers) from this seed (0 = off)")
 	chaosSpec := flag.String("chaos-plan", "", `explicit chaos-plan spec, e.g. "seed=7;drop=0.01;crash=1@40" (overrides -chaos-seed)`)
 	fp16 := flag.Bool("fp16", false, "mixed precision: binary16 gradient allreduce with fp32 master weights and dynamic loss scaling")
 	lossScale := flag.Float64("loss-scale", 0, "with -fp16, initial loss scale (power of two; 0 = default 1024)")
@@ -91,7 +91,10 @@ func main() {
 		}
 		cfg.Chaos = plan
 	case *chaosSeed != 0:
+		// The derived straggler models time, which only the simulator
+		// runs; the message-fault draws do not depend on it.
 		cfg.Chaos = summitseg.RandomChaosPlan(*chaosSeed, cfg.World)
+		cfg.Chaos.Stragglers = nil
 	}
 
 	fmt.Printf("training %s: world=%d batch/rank=%d effective=%d syncbn=%v lr-scaling=%v\n",
@@ -104,19 +107,18 @@ func main() {
 	// hangs off nil-safe hooks and leaves the training computation
 	// untouched.
 	var (
-		mon     *summitseg.EffMonitor
+		alerts  *summitseg.AlertLog
 		flight  *summitseg.FlightRecorder
 		srv     *summitseg.ObsServer
 		flusher *summitseg.PromFlusher
 	)
 	if obsOn {
 		flight = cfg.Telemetry.EnableFlight(0)
-		// No baseline, so nothing to Observe: the monitor is only the
-		// run's alert log, fed by the restart hook and the health plane.
-		mon = summitseg.NewEffMonitor(cfg.Telemetry, 0)
+		// Fed by the restart hook and the health plane.
+		alerts = summitseg.NewAlertLog(cfg.Telemetry)
 	}
 	// Training-health plane: a pure observer of the train step. A
-	// sentinel trip is routed into the monitor's alert log
+	// sentinel trip is routed into the run's alert log
 	// and (once per run, while the window still shows the divergence)
 	// dumps the flight recorder naming the offending layer/rank/step.
 	var health *summitseg.HealthPlane
@@ -129,7 +131,7 @@ func main() {
 		health = summitseg.NewHealthPlane(summitseg.HealthConfig{
 			Every: *healthEvery,
 			OnAlert: func(a summitseg.HealthAlert) {
-				mon.Report(summitseg.ObsAlert{
+				alerts.Report(summitseg.ObsAlert{
 					Kind: "health_" + a.Kind, Lane: fmt.Sprintf("rank%d", a.Rank),
 					Value: a.Value, Threshold: a.Threshold, Msg: a.Msg,
 				})
@@ -156,7 +158,7 @@ func main() {
 	}
 	if *obsAddr != "" {
 		srv = summitseg.NewObsServer(summitseg.ObsServerOptions{
-			Addr: *obsAddr, Telemetry: cfg.Telemetry, Monitor: mon, Health: health})
+			Addr: *obsAddr, Telemetry: cfg.Telemetry, Alerts: alerts, Health: health})
 		url, err := srv.Start()
 		if err != nil {
 			log.Fatal(err)
@@ -171,7 +173,7 @@ func main() {
 			if inc == 0 {
 				return
 			}
-			mon.Event("restart", "", fmt.Sprintf("incarnation %d after rank failure", inc))
+			alerts.Event("restart", "", fmt.Sprintf("incarnation %d after rank failure", inc))
 			if flightPath != "" {
 				// Dump the pre-crash window before the new incarnation's
 				// events overwrite it.
@@ -293,7 +295,7 @@ func main() {
 				"arch": cfg.Arch, "optimizer": cfg.Optimizer, "syncbn": cfg.SyncBN,
 				"base_lr": cfg.BaseLR,
 			},
-			ChaosSpec: chaos, Restarts: res.Restarts, Alerts: mon.Alerts(),
+			ChaosSpec: chaos, Restarts: res.Restarts, Alerts: alerts.Alerts(),
 		}
 		path, err := summitseg.WriteRunManifest(*runsDir, m)
 		if err != nil {

@@ -133,8 +133,8 @@ func TestCompareManifests(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.json")
 	cand := filepath.Join(dir, "cand.json")
-	writeStr(t, base, `{"tool":"summit-sim","git_rev":"aaa","seed":1,"slo":0.8,"final_efficiency":0.90}`)
-	writeStr(t, cand, `{"tool":"summit-sim","git_rev":"bbb","seed":1,"slo":0.8,"final_efficiency":0.70}`)
+	writeStr(t, base, `{"tool":"summit-sim","git_rev":"aaa","seed":1,"final_efficiency":0.90}`)
+	writeStr(t, cand, `{"tool":"summit-sim","git_rev":"bbb","seed":1,"final_efficiency":0.70}`)
 	var out bytes.Buffer
 	code, err := run([]string{base, cand}, &out)
 	if err != nil {

@@ -8,13 +8,14 @@
 //	summit-sim [-model dlv3plus] [-mpi mv2gdr] [-tuned] [-alg hier-2level]
 //	           [-gpus 1,6,12,...]
 //	           [-seed 1] [-timeline trace.json] [-prom metrics.prom]
-//	           [-obs-addr 127.0.0.1:6060] [-obs-linger 30s] [-slo 0.92]
-//	           [-runs-dir results/runs] [-attr-out ledger.json]
+//	           [-json results.json] [-runs-dir results/runs]
+//	           [-attr-out ledger.json]
 //
-// Every efficiency it prints, publishes or writes is
-// metrics.ScalingEfficiency against one baseline: a 1-GPU run of the
-// same model, MPI, Horovod, input-pipeline, placement and seed options,
-// simulated without chaos.
+// Every efficiency it prints or writes is metrics.ScalingEfficiency
+// against one baseline: a 1-GPU run of the same model, MPI, Horovod,
+// input-pipeline, placement and seed options, simulated without chaos.
+// A sweep ends in milliseconds, so it serves no live plane: its
+// record is the printed table and the files the flags above name.
 package main
 
 import (
@@ -26,7 +27,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"segscale/internal/asciichart"
 	"segscale/pkg/summitseg"
@@ -60,11 +60,7 @@ func run(args []string, stdout io.Writer) error {
 	chaosSpec := fs.String("chaos-plan", "", `explicit chaos-plan spec, e.g. "seed=7;drop=0.01;slow=2*1.5" (overrides -chaos-seed)`)
 	plot := fs.Bool("plot", false, "render a throughput bar chart after the table")
 	jsonOut := fs.String("json", "", "also write results as JSON to this file")
-	obsAddr := fs.String("obs-addr", "", "serve /metrics, /healthz, /readyz and /debug/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
-	obsLinger := fs.Duration("obs-linger", 0, "with -obs-addr, keep serving this long after the table completes (for scraping a finished run)")
-	flightOut := fs.String("flight", "", "keep a flight recorder over the simulated steps and dump its window (Chrome trace) to this file at exit")
-	slo := fs.Float64("slo", summitseg.DefaultSLO, "scaling-efficiency objective: a printed eff below it logs an slo_breach alert")
-	runsDir := fs.String("runs-dir", "", "write a run manifest (config, seed, chaos, baseline, final efficiency, alerts) under this directory (empty = off)")
+	runsDir := fs.String("runs-dir", "", "write a run manifest (config, seed, chaos, baseline, final efficiency) under this directory (empty = off)")
 	attrOut := fs.String("attr-out", "", "write the largest scale's per-(step,rank) attribution ledger to this file (seg-compare's input)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -135,43 +131,15 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "%-6s %12s %10s %12s %12s\n", "GPUs", "img/s", "eff", "step", "exposed")
 
-	obsOn := *obsAddr != "" || *flightOut != "" || *runsDir != ""
 	var col *summitseg.Telemetry
-	if *promOut != "" || obsOn {
+	if *promOut != "" {
 		col = summitseg.NewTelemetry()
 	}
-
-	// Live observability plane: the monitor is handed each scale's
-	// efficiency as the table prints it, so /metrics, /debug/alerts and
-	// the manifest's alert log read the printed rows.
-	var (
-		mon    *summitseg.EffMonitor
-		flight *summitseg.FlightRecorder
-		srv    *summitseg.ObsServer
-	)
-	if obsOn {
-		flight = col.EnableFlight(0)
-		mon = summitseg.NewEffMonitor(col, *slo)
-	}
 	// Attribution rides the largest scale (like -timeline): one ledger
-	// per sweep, served live on /debug/attribution and summarised as
-	// train_step_attribution_* gauges on /metrics.
+	// per sweep.
 	var attrRec *summitseg.AttributionRecorder
-	publishAttr := func() {}
-	if *attrOut != "" || obsOn {
+	if *attrOut != "" {
 		attrRec = summitseg.NewAttributionRecorder("perfsim", scales[len(scales)-1])
-		publishAttr = summitseg.AttributionPublisher(col, attrRec)
-	}
-	if *obsAddr != "" {
-		srv = summitseg.NewObsServer(summitseg.ObsServerOptions{
-			Addr: *obsAddr, Telemetry: col, Monitor: mon, Attribution: attrRec})
-		url, err := srv.Start()
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		srv.SetReady(true) // no transport world to track in a simulation
-		fmt.Fprintf(stdout, "obs: serving on %s\n", url)
 	}
 
 	var bars []asciichart.Bar
@@ -196,17 +164,13 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if opts.Attribution != nil {
-			publishAttr()
-		}
 		lastEff = res.EfficiencyVs(base)
 		fmt.Fprintf(stdout, "%-6d %12.1f %9.1f%% %12s %12s\n",
 			g, res.ImgPerSec, 100*lastEff,
 			summitseg.FormatDuration(res.AvgStepSec), summitseg.FormatDuration(res.ExposedSec))
-		mon.Observe(fmt.Sprintf("gpus%d", g), lastEff)
 		bars = append(bars, asciichart.Bar{Label: fmt.Sprintf("%d GPUs", g), Value: res.ImgPerSec})
 		all = append(all, res)
-		if col != nil && *promOut != "" {
+		if col != nil {
 			// Crash-safe incremental export: each scale atomically
 			// replaces the file, so a killed sweep keeps every completed
 			// scale's metrics.
@@ -233,7 +197,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, asciichart.HBar(bars, 48, "%.1f img/s"))
 	}
-	if col != nil && *promOut != "" {
+	if col != nil {
 		if err := summitseg.FlushPrometheus(col, *promOut); err != nil {
 			return err
 		}
@@ -255,12 +219,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "attribution ledger written to %s\n", *attrOut)
 	}
-	if *flightOut != "" {
-		if err := summitseg.WriteFlightTrace(flight, *flightOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "flight window written to %s\n", *flightOut)
-	}
 	if *runsDir != "" {
 		chaos := ""
 		switch {
@@ -275,20 +233,13 @@ func run(args []string, stdout io.Writer) error {
 				"model": prof.Name, "mpi": mpi.Name, "tuned": *tuned, "fp16": *fp16,
 				"cyclic": *cyclic, "io": *withIO, "gpus": scales,
 			},
-			ChaosSpec: chaos, SLO: mon.SLO(), AnchorImgPerSec: base.ImgPerSec,
-			FinalEfficiency: lastEff, Alerts: mon.Alerts(),
+			ChaosSpec: chaos, AnchorImgPerSec: base.ImgPerSec, FinalEfficiency: lastEff,
 		}
 		path, err := summitseg.WriteRunManifest(*runsDir, m)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "run manifest written to %s\n", path)
-	}
-	// Completion marker the obs smoke test waits on before scraping.
-	fmt.Fprintln(stdout, "summit-sim: done")
-	if srv != nil && *obsLinger > 0 {
-		fmt.Fprintf(stdout, "obs: lingering %s for scrapes\n", *obsLinger)
-		time.Sleep(*obsLinger)
 	}
 	return nil
 }

@@ -58,42 +58,6 @@ func TestRunManifestEfficiencyIsThePrintedRow(t *testing.T) {
 	if m.FinalEfficiency < 0.925 || m.FinalEfficiency >= 0.926 {
 		t.Fatalf("132-GPU efficiency at seed 1 = %v, want 0.925…", m.FinalEfficiency)
 	}
-
-	// The SLO alerts read the printed rows too: at a 94 % objective the
-	// default sweep (24 GPUs at 94.2 %, 48 at 93.7 %) breaches once, at
-	// 48 GPUs, and never recovers.
-	dir = t.TempDir()
-	out.Reset()
-	if err := run([]string{"-slo", "0.94", "-runs-dir", dir}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if table := strings.TrimSuffix(sweep.String(), "summit-sim: done\n"); !strings.HasPrefix(out.String(), table) {
-		t.Fatalf("-slo changed the table:\n%s\nwant:\n%s", out.String(), table)
-	}
-	data, err = os.ReadFile(filepath.Join(dir, "summit-sim-seed1.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var slo struct {
-		FinalEfficiency float64 `json:"final_efficiency"`
-		Alerts          []struct {
-			Kind  string  `json:"kind"`
-			Lane  string  `json:"lane"`
-			Value float64 `json:"value"`
-		} `json:"alerts"`
-	}
-	if err := json.Unmarshal(data, &slo); err != nil {
-		t.Fatal(err)
-	}
-	if len(slo.Alerts) != 1 || slo.Alerts[0].Kind != "slo_breach" || slo.Alerts[0].Lane != "gpus48" {
-		t.Fatalf("alert log %+v, want one slo_breach on gpus48", slo.Alerts)
-	}
-	if printed, eff := fmt.Sprintf("%.1f%%", 100*slo.Alerts[0].Value), row(t, out.String(), 48)[2]; printed != eff {
-		t.Fatalf("slo_breach value %v prints as %s, the 48-GPU row says %s", slo.Alerts[0].Value, printed, eff)
-	}
-	if slo.FinalEfficiency != m.FinalEfficiency {
-		t.Fatalf("sweep final_efficiency %v, -gpus 132 wrote %v", slo.FinalEfficiency, m.FinalEfficiency)
-	}
 }
 
 func TestRunRejectsBadArgs(t *testing.T) {
@@ -101,6 +65,11 @@ func TestRunRejectsBadArgs(t *testing.T) {
 		{"-gpus", "6,x"},
 		{"-model", "nope"},
 		{"stray"},
+		// No live plane: a sweep ends before anything could scrape it.
+		{"-obs-addr", "127.0.0.1:0"},
+		{"-obs-linger", "1s"},
+		{"-slo", "0.94"},
+		{"-flight", "flight.json"},
 	} {
 		var out strings.Builder
 		if err := run(args, &out); err == nil {

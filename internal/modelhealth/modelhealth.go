@@ -49,7 +49,7 @@ const (
 // maxAlerts caps the retained alert log; a diverging run trips the
 // same sentinel every step and must not grow memory without bound.
 // Later alerts are dropped (counted in DroppedAlerts), mirroring the
-// efficiency monitor's alert-log policy.
+// obs alert log's policy.
 const maxAlerts = 1024
 
 // Config tunes collection cadence and sentinel thresholds.

@@ -103,7 +103,7 @@ func TestWriteManifest(t *testing.T) {
 	m := Manifest{
 		Tool: "dlv3-train", GitRev: "abc123", Seed: 7,
 		Config:    map[string]any{"world": 4},
-		ChaosSpec: "seed=7;crash=1@40", SLO: 0.92, AnchorImgPerSec: 6.7,
+		ChaosSpec: "seed=7;crash=1@40", AnchorImgPerSec: 6.7,
 		FinalEfficiency: 0.95, Restarts: 1,
 		Alerts: []Alert{{Kind: "restart", Msg: "incarnation 1"}},
 	}

@@ -24,17 +24,15 @@ type Manifest struct {
 	Config map[string]any `json:"config"`
 	// ChaosSpec is the armed fault plan's compact spec ("" when none).
 	ChaosSpec string `json:"chaos_spec,omitempty"`
-	// SLO, AnchorImgPerSec and FinalEfficiency are set only by a run
-	// with a baseline (summit-sim): the objective, the baseline's
-	// single-rank img/s, and the last reported scale's
-	// metrics.ScalingEfficiency against it. A run without a baseline
-	// (real training) omits all three.
-	SLO             float64 `json:"slo,omitempty"`
+	// AnchorImgPerSec and FinalEfficiency are set only by a run with a
+	// baseline (summit-sim): the baseline's single-rank img/s, and the
+	// last printed scale's metrics.ScalingEfficiency against it. A run
+	// without a baseline (real training) omits both.
 	AnchorImgPerSec float64 `json:"anchor_img_per_sec,omitempty"`
 	FinalEfficiency float64 `json:"final_efficiency,omitempty"`
 	// Restarts counts checkpoint-restart recoveries (real training).
 	Restarts int `json:"restarts"`
-	// Alerts is the monitor's full structured alert log.
+	// Alerts is the run's full structured alert log.
 	Alerts []Alert `json:"alerts"`
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"segscale/internal/modelhealth"
 	"segscale/internal/telemetry"
-	"segscale/internal/traceanalysis"
 	"segscale/internal/transport"
 )
 
@@ -23,11 +22,8 @@ type ServerOptions struct {
 	// Telemetry feeds /metrics (live Prometheus rendering) and
 	// /debug/flight (when its flight recorder is enabled). May be nil.
 	Telemetry *telemetry.Collector
-	// Monitor feeds /debug/alerts and the readiness detail. May be nil.
-	Monitor *EffMonitor
-	// Attribution feeds /debug/attribution: a live snapshot of the
-	// run's step-time attribution ledger. May be nil.
-	Attribution *traceanalysis.LedgerRecorder
+	// Alerts feeds /debug/alerts. May be nil.
+	Alerts *AlertLog
 	// Health feeds /debug/health: a live snapshot of the training-
 	// health plane (per-layer statistics, sentinel alerts). May be nil.
 	Health *modelhealth.Plane
@@ -37,9 +33,10 @@ type ServerOptions struct {
 //
 //	/metrics       Prometheus text, rendered live from the collector
 //	/healthz       process liveness (always 200 while serving) + world detail
-//	/readyz        503 until a healthy world is tracked (or SetReady), 503 again while a world drains after a rank failure
+//	/readyz        503 until a healthy world is tracked, 503 again while a world drains after a rank failure
 //	/debug/flight  Chrome-trace dump of the flight recorder's window
-//	/debug/alerts  the efficiency monitor's alert log as JSON
+//	/debug/alerts  the run's alert log as JSON
+//	/debug/health  the training-health plane's live snapshot
 //	/debug/pprof/  the standard pprof handlers
 //
 // World liveness comes from transport incarnation state: the trainer's
@@ -54,7 +51,6 @@ type Server struct {
 	ln    net.Listener
 	world *transport.World
 	inc   int
-	ready bool
 }
 
 // NewServer builds a server (not yet listening; Start does that).
@@ -66,7 +62,6 @@ func NewServer(opts ServerOptions) *Server {
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/debug/flight", s.handleFlight)
 	s.mux.HandleFunc("/debug/alerts", s.handleAlerts)
-	s.mux.HandleFunc("/debug/attribution", s.handleAttribution)
 	s.mux.HandleFunc("/debug/health", s.handleHealth)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -121,26 +116,14 @@ func (s *Server) TrackWorld(w *transport.World, inc int) {
 	s.mu.Lock()
 	s.world = w
 	s.inc = inc
-	s.ready = true
 	s.mu.Unlock()
 }
 
-// SetReady forces readiness for processes with no transport world to
-// track (the simulator).
-func (s *Server) SetReady(ready bool) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.ready = ready
-	s.mu.Unlock()
-}
-
-// worldState snapshots the tracked incarnation.
-func (s *Server) worldState() (w *transport.World, inc int, ready bool) {
+// worldState snapshots the tracked incarnation (nil before the first).
+func (s *Server) worldState() (w *transport.World, inc int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.world, s.inc, s.ready
+	return s.world, s.inc
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -149,7 +132,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, "segscale observability\n\n/metrics\n/healthz\n/readyz\n/debug/flight\n/debug/alerts\n/debug/attribution\n/debug/health\n/debug/pprof/\n")
+	fmt.Fprint(w, "segscale observability\n\n/metrics\n/healthz\n/readyz\n/debug/flight\n/debug/alerts\n/debug/health\n/debug/pprof/\n")
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -166,7 +149,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	world, inc, _ := s.worldState()
+	world, inc := s.worldState()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, "ok\n")
 	if world == nil {
@@ -181,18 +164,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	world, inc, ready := s.worldState()
+	world, inc := s.worldState()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if !ready {
+	if world == nil {
 		http.Error(w, "not ready: no world tracked yet", http.StatusServiceUnavailable)
 		return
 	}
-	if world != nil {
-		if err := world.Failure(); err != nil {
-			http.Error(w, fmt.Sprintf("not ready (incarnation %d): %v", inc, err),
-				http.StatusServiceUnavailable)
-			return
-		}
+	if err := world.Failure(); err != nil {
+		http.Error(w, fmt.Sprintf("not ready (incarnation %d): %v", inc, err),
+			http.StatusServiceUnavailable)
+		return
 	}
 	fmt.Fprint(w, "ready\n")
 }
@@ -205,19 +186,6 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := f.WriteChromeTrace(w); err != nil {
-		fmt.Fprintf(w, "\n# render error: %v\n", err)
-	}
-}
-
-func (s *Server) handleAttribution(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Attribution == nil {
-		http.Error(w, "attribution disabled", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	// The snapshot is the same canonical form seg-compare reads from
-	// disk, so a live scrape can be diffed against a saved baseline.
-	if err := s.opts.Attribution.Ledger().WriteLedger(w); err != nil {
 		fmt.Fprintf(w, "\n# render error: %v\n", err)
 	}
 }
@@ -241,20 +209,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Monitor == nil {
-		http.Error(w, "efficiency monitor disabled", http.StatusNotFound)
+	if s.opts.Alerts == nil {
+		http.Error(w, "alert log disabled", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	alerts := s.opts.Monitor.Alerts()
+	alerts := s.opts.Alerts.Alerts()
 	if alerts == nil {
 		alerts = []Alert{}
 	}
 	_ = enc.Encode(struct {
-		Efficiency float64 `json:"efficiency"`
-		SLO        float64 `json:"slo"`
-		Alerts     []Alert `json:"alerts"`
-	}{s.opts.Monitor.LastEfficiency(), s.opts.Monitor.SLO(), alerts})
+		Alerts []Alert `json:"alerts"`
+	}{alerts})
 }

@@ -12,7 +12,6 @@ import (
 	"segscale/internal/nn"
 	"segscale/internal/telemetry"
 	"segscale/internal/tensor"
-	"segscale/internal/traceanalysis"
 	"segscale/internal/transport"
 )
 
@@ -38,10 +37,10 @@ func TestServerEndpoints(t *testing.T) {
 	probe.Counter("train_steps_total").Inc()
 	probe.Mark("STEP", "step0")
 
-	mon := NewEffMonitor(col, 0)
-	mon.Observe("gpus6", 0.95)
+	alerts := NewAlertLog(col)
+	alerts.Event("restart", "", "incarnation 1 after rank failure")
 
-	s := NewServer(ServerOptions{Telemetry: col, Monitor: mon})
+	s := NewServer(ServerOptions{Telemetry: col, Alerts: alerts})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -52,7 +51,7 @@ func TestServerEndpoints(t *testing.T) {
 	if code, body := scrape(t, ts, "/healthz"); code != http.StatusOK || !strings.HasPrefix(body, "ok") {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}
-	// Not ready until a world (or SetReady) arrives.
+	// Not ready until a world arrives.
 	if code, _ := scrape(t, ts, "/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz before TrackWorld = %d, want 503", code)
 	}
@@ -99,16 +98,14 @@ func TestServerEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/debug/alerts = %d", code)
 	}
-	var alerts struct {
-		Efficiency float64 `json:"efficiency"`
-		SLO        float64 `json:"slo"`
-		Alerts     []Alert `json:"alerts"`
-	}
-	if err := json.Unmarshal([]byte(body), &alerts); err != nil {
+	// The payload is the alert log and nothing else: a run without a
+	// baseline serves no efficiency.
+	var payload map[string][]Alert
+	if err := json.Unmarshal([]byte(body), &payload); err != nil {
 		t.Fatalf("alerts payload: %v\n%s", err, body)
 	}
-	if alerts.SLO != DefaultSLO || alerts.Efficiency != 0.95 || alerts.Alerts == nil {
-		t.Fatalf("alerts payload wrong: %+v", alerts)
+	if got := payload["alerts"]; len(payload) != 1 || kinds(got) != "restart" || got[0].Seq != 0 {
+		t.Fatalf("alerts payload wrong: %s", body)
 	}
 
 	if code, _ := scrape(t, ts, "/debug/pprof/cmdline"); code != http.StatusOK {
@@ -129,11 +126,6 @@ func TestServerDisabledFeatures(t *testing.T) {
 	// Liveness works even with every feed disabled.
 	if code, _ := scrape(t, ts, "/healthz"); code != http.StatusOK {
 		t.Fatalf("/healthz = %d", code)
-	}
-	// SetReady covers producers with no transport world (the simulator).
-	s.SetReady(true)
-	if code, _ := scrape(t, ts, "/readyz"); code != http.StatusOK {
-		t.Fatalf("/readyz after SetReady = %d", code)
 	}
 }
 
@@ -159,40 +151,6 @@ func TestServerStartServesAndCloses(t *testing.T) {
 	}
 	var nilServer *Server
 	nilServer.TrackWorld(nil, 0) // nil receiver must be safe
-	nilServer.SetReady(true)
-}
-
-func TestServerAttributionEndpoint(t *testing.T) {
-	rec := traceanalysis.NewLedgerRecorder("perfsim", 2)
-	var b traceanalysis.BucketSet
-	b[traceanalysis.BucketForward] = 1.5
-	b[traceanalysis.BucketIdleWait] = 0.5
-	rec.Record(traceanalysis.StepAttribution{
-		Step: 0, Rank: 0, StepSec: b.Sum(), Buckets: b,
-		BlameRank: 1, BlameEdge: "1>0#0.0",
-	})
-	s := NewServer(ServerOptions{Attribution: rec})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	code, body := scrape(t, ts, "/debug/attribution")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/attribution: %d", code)
-	}
-	l, err := traceanalysis.ReadLedger(strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("endpoint did not serve a valid ledger: %v", err)
-	}
-	if l.Ranks != 2 || len(l.Steps) != 1 || l.Steps[0].BlameRank != 1 {
-		t.Fatalf("served ledger %+v", l)
-	}
-
-	// Disabled: no recorder configured.
-	off := httptest.NewServer(NewServer(ServerOptions{}).Handler())
-	defer off.Close()
-	if code, _ := scrape(t, off, "/debug/attribution"); code != http.StatusNotFound {
-		t.Fatalf("disabled attribution endpoint: %d, want 404", code)
-	}
 }
 
 func TestServerHealthEndpoint(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 
-	"segscale/internal/telemetry"
 	"segscale/internal/timeline"
 )
 
@@ -243,9 +242,8 @@ func ReadLedger(r io.Reader) (*Ledger, error) {
 const SumEpsilon = 1e-9
 
 // LedgerRecorder accumulates attribution rows as a run produces them —
-// perfsim records one row per (step, rank); the obs server snapshots
-// it live for /debug/attribution. Safe for concurrent use; a nil
-// recorder is a valid no-op.
+// perfsim records one row per (step, rank). Safe for concurrent use; a
+// nil recorder is a valid no-op.
 type LedgerRecorder struct {
 	mu     sync.Mutex
 	source string
@@ -292,63 +290,6 @@ func (r *LedgerRecorder) Ledger() *Ledger {
 	l := &Ledger{Schema: LedgerSchema, Source: source, Ranks: ranks, Steps: steps}
 	l.Sort()
 	return l
-}
-
-// Attribution gauge names, one per bucket. The metricname pass holds
-// registration sites to compile-time constant names, so the buckets
-// are spelled out rather than looped over.
-const (
-	MetricAttrDataStall  = "train_step_attribution_data_stall_seconds"
-	MetricAttrForward    = "train_step_attribution_forward_seconds"
-	MetricAttrBackward   = "train_step_attribution_backward_seconds"
-	MetricAttrInterrupts = "train_step_attribution_interrupts_seconds"
-	MetricAttrPack       = "train_step_attribution_pack_seconds"
-	MetricAttrWire       = "train_step_attribution_allreduce_wire_seconds"
-	MetricAttrIdleWait   = "train_step_attribution_idle_wait_seconds"
-	MetricAttrExposed    = "train_step_attribution_exposed_comm_seconds"
-	MetricAttrOverhead   = "train_step_attribution_overhead_seconds"
-	MetricAttrSteps      = "train_step_attribution_rows_events"
-	// MetricOrphanEdges counts message edges the DAG builder had to
-	// discard (orphan recvs, unmatched sends, duplicates, malformed).
-	MetricOrphanEdges = "trace_orphan_edges_total"
-)
-
-// Publish mirrors the recorder's cumulative per-bucket totals into
-// gauges on the given registry, so a live scrape of /metrics shows the
-// running attribution next to the rest of the telemetry. Nil-safe on
-// both sides.
-func (r *LedgerRecorder) Publish(reg *telemetry.Registry) {
-	if r == nil || reg == nil {
-		return
-	}
-	var sum BucketSet
-	r.mu.Lock()
-	rows := len(r.steps)
-	for _, s := range r.steps {
-		for i, v := range s.Buckets {
-			sum[i] += v
-		}
-	}
-	r.mu.Unlock()
-	reg.Gauge(MetricAttrDataStall).Set(sum[BucketDataStall])
-	reg.Gauge(MetricAttrForward).Set(sum[BucketForward])
-	reg.Gauge(MetricAttrBackward).Set(sum[BucketBackward])
-	reg.Gauge(MetricAttrInterrupts).Set(sum[BucketInterrupts])
-	reg.Gauge(MetricAttrPack).Set(sum[BucketPack])
-	reg.Gauge(MetricAttrWire).Set(sum[BucketWire])
-	reg.Gauge(MetricAttrIdleWait).Set(sum[BucketIdleWait])
-	reg.Gauge(MetricAttrExposed).Set(sum[BucketExposed])
-	reg.Gauge(MetricAttrOverhead).Set(sum[BucketOverhead])
-	reg.Gauge(MetricAttrSteps).Set(float64(rows))
-}
-
-// PublishDAGStats records the DAG's discarded-edge count on the given
-// registry's orphan counter. Nil-safe.
-func PublishDAGStats(reg *telemetry.Registry, s DAGStats) {
-	if reg == nil {
-		return
-	}
-	reg.Counter(MetricOrphanEdges).Add(float64(s.OrphanEdges()))
 }
 
 // tracePriorities maps trace phases to buckets, highest priority

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"segscale/internal/telemetry"
 	"segscale/internal/timeline"
 )
 
@@ -135,7 +134,7 @@ func TestLedgerValidateCatchesBadSums(t *testing.T) {
 	}
 }
 
-func TestLedgerRecorderAndPublish(t *testing.T) {
+func TestLedgerRecorder(t *testing.T) {
 	r := NewLedgerRecorder("perfsim", 2)
 	var b0, b1 BucketSet
 	b0[BucketForward] = 2
@@ -155,11 +154,8 @@ func TestLedgerRecorderAndPublish(t *testing.T) {
 		t.Fatalf("mean forward = %g, want 1.5", means[BucketForward])
 	}
 
-	reg := telemetry.NewRegistry("test")
-	r.Publish(reg)
 	var nilRec *LedgerRecorder
 	nilRec.Record(StepAttribution{}) // nil recorder must be a no-op
-	nilRec.Publish(reg)
 	if nilRec.Len() != 0 {
 		t.Fatal("nil recorder reports rows")
 	}
@@ -222,15 +218,6 @@ func TestBucketSamplesAndRecorderLen(t *testing.T) {
 	if got := r.Ledger().BucketSamples(BucketForward); got[0] != 0 || got[1] != 0 {
 		t.Fatalf("untouched bucket samples = %v, want zeros", got)
 	}
-}
-
-func TestPublishDAGStats(t *testing.T) {
-	reg := telemetry.NewRegistry("test")
-	PublishDAGStats(reg, DAGStats{OrphanRecvs: 2, MalformedEdges: 1})
-	if got := reg.Counter(MetricOrphanEdges).Value(); got != 3 {
-		t.Fatalf("%s = %g, want 3", MetricOrphanEdges, got)
-	}
-	PublishDAGStats(nil, DAGStats{OrphanRecvs: 9}) // nil registry: no-op
 }
 
 func TestReadLedgerRejectsGarbage(t *testing.T) {

@@ -18,7 +18,7 @@ import (
 // never fails: malformed traces (receives without sends, duplicate
 // edge IDs, edges stranded by a crashed incarnation) degrade into a
 // smaller but still valid DAG, with every discarded edge counted in
-// Stats so the trace_orphan_edges_total metric can surface the decay.
+// Stats so trace-stats can report the decay.
 type DAG struct {
 	Events []timeline.Event
 	Succ   [][]int
@@ -37,8 +37,8 @@ type DAGStats struct {
 	MalformedEdges int // edge attributes ParseEdge rejects
 }
 
-// OrphanEdges totals every degraded edge — the value behind
-// trace_orphan_edges_total. Matched pairs are not orphans.
+// OrphanEdges totals every degraded edge — the orphan count trace-stats
+// prints. Matched pairs are not orphans.
 func (s DAGStats) OrphanEdges() int {
 	return s.OrphanRecvs + s.UnmatchedSends + s.DuplicateEdges + s.MalformedEdges
 }

@@ -21,7 +21,7 @@ import (
 // TestObsPlaneDoesNotChangeResults is the observability no-op
 // contract, one level up from the telemetry test: a run with the FULL
 // live plane attached — collector, flight recorder, metrics flusher and
-// step counter consuming every step, the monitor as the alert log,
+// step counter consuming every step, the alert log behind the server,
 // liveness tracking through OnWorld — must produce numerically
 // identical training results to a bare run.
 func TestObsPlaneDoesNotChangeResults(t *testing.T) {
@@ -38,13 +38,13 @@ func TestObsPlaneDoesNotChangeResults(t *testing.T) {
 	instrumented.Telemetry = telemetry.NewCollector()
 	flight := instrumented.Telemetry.EnableFlight(256)
 	// What dlv3-train attaches: a metrics flusher behind StepObs, and
-	// the monitor as the server's alert log.
-	mon := obs.NewEffMonitor(instrumented.Telemetry, 0)
+	// the alert log behind the server.
+	alerts := obs.NewAlertLog(instrumented.Telemetry)
 	steps := &countingObserver{}
 	promPath := filepath.Join(t.TempDir(), "m.prom")
 	flusher := obs.NewPromFlusher(instrumented.Telemetry, promPath, 1)
 	instrumented.StepObs = telemetry.MultiObserver(flusher, steps)
-	srv := obs.NewServer(obs.ServerOptions{Telemetry: instrumented.Telemetry, Monitor: mon})
+	srv := obs.NewServer(obs.ServerOptions{Telemetry: instrumented.Telemetry, Alerts: alerts})
 	var worldsSeen atomic.Int32
 	instrumented.OnWorld = func(w *transport.World, inc int) {
 		srv.TrackWorld(w, inc)

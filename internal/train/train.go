@@ -110,9 +110,9 @@ type Config struct {
 	Seed int64
 	// Chaos, when non-nil, arms deterministic fault injection on the
 	// transport: scheduled rank crashes, and message drop/duplication/
-	// delay drawn from the plan's seed. Straggler entries are ignored
-	// here (they model time, which real training does not simulate;
-	// the performance simulator consumes them instead).
+	// delay drawn from the plan's seed. A plan with Stragglers is
+	// rejected: they model time, which only the performance simulator
+	// runs.
 	Chaos *faultinject.Plan
 	// MaxRestarts bounds how many times Run rebuilds the world after a
 	// recoverable failure (rank crash, delivery failure, timeout)
@@ -239,6 +239,10 @@ func (c Config) validate() error {
 	if c.Chaos != nil {
 		if err := c.Chaos.Validate(); err != nil {
 			return fmt.Errorf("train: %w", err)
+		}
+		if len(c.Chaos.Stragglers) > 0 {
+			return fmt.Errorf("train: Chaos.Stragglers=%v: only perfsim reads stragglers; real training has no modelled compute time to slow",
+				c.Chaos.Stragglers)
 		}
 	}
 	if err := c.Horovod.Validate(); err != nil {

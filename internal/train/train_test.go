@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"segscale/internal/deeplab"
+	"segscale/internal/faultinject"
 	"segscale/internal/segdata"
 )
 
@@ -45,12 +46,16 @@ func TestValidation(t *testing.T) {
 }
 
 // The paper's cycle-time and response-cache knobs tune a background
-// loop and a negotiation only the simulator models: the trainer says
-// so instead of silently ignoring them.
+// loop and a negotiation only the simulator models, and a straggler
+// slows modelled compute time: the trainer says so instead of silently
+// ignoring them.
 func TestValidationRejectsSimulatorOnlyKnobs(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"CycleTime":     func(c *Config) { c.Horovod.CycleTime = 2 * time.Millisecond },
 		"ResponseCache": func(c *Config) { c.Horovod.ResponseCache = true },
+		"Stragglers": func(c *Config) {
+			c.Chaos = &faultinject.Plan{Stragglers: []faultinject.Straggler{{Rank: 0, Factor: 1.5, ToStep: -1}}}
+		},
 	} {
 		cfg := fastCfg()
 		mutate(&cfg)

@@ -87,15 +87,16 @@ type (
 	// StepObserver receives per-step completion notifications from the
 	// trainer (TrainConfig.StepObs).
 	StepObserver = telemetry.StepObserver
-	// ObsServer is the live observability HTTP server (/metrics,
-	// /healthz, /readyz, /debug/flight, /debug/alerts, /debug/pprof).
+	// ObsServer is the training run's live observability HTTP server
+	// (/metrics, /healthz, /readyz, /debug/flight, /debug/alerts,
+	// /debug/health, /debug/pprof).
 	ObsServer = obs.Server
 	// ObsServerOptions configures NewObsServer.
 	ObsServerOptions = obs.ServerOptions
-	// EffMonitor publishes a caller-measured scaling efficiency with
-	// SLO alerts, and is the run's alert log.
-	EffMonitor = obs.EffMonitor
-	// ObsAlert is one structured alert from the efficiency monitor.
+	// AlertLog is the run's alert log (restarts, health sentinel
+	// trips).
+	AlertLog = obs.AlertLog
+	// ObsAlert is one structured alert from the alert log.
 	ObsAlert = obs.Alert
 	// RunManifest is the per-run record written under results/runs/.
 	RunManifest = obs.Manifest
@@ -113,15 +114,10 @@ type (
 // liveness, and Close when the run ends.
 func NewObsServer(o ObsServerOptions) *ObsServer { return obs.NewServer(o) }
 
-// NewEffMonitor builds a scaling-efficiency monitor with objective slo
-// (0 means DefaultSLO) publishing gauges through col (which may be
-// nil). Feed it each scale's efficiency against a stated baseline with
-// Observe (summit-sim passes the row it prints); a run without a
-// baseline never calls Observe and uses the monitor only as its alert
-// log (Event, Report).
-func NewEffMonitor(col *Telemetry, slo float64) *EffMonitor {
-	return obs.NewEffMonitor(col, slo)
-}
+// NewAlertLog builds a run's alert log, counting its alerts through
+// col (which may be nil). Feed it with Event and Report; serve it via
+// ObsServerOptions.Alerts and persist it in a RunManifest.
+func NewAlertLog(col *Telemetry) *AlertLog { return obs.NewAlertLog(col) }
 
 // NewPromFlusher re-exports col's metrics to path every `every` step
 // observations. Combine with other observers via MultiStepObserver.
@@ -155,10 +151,6 @@ func WriteRunManifest(dir string, m RunManifest) (string, error) { return obs.Wr
 // GitRev returns the VCS revision baked into the running binary, or
 // "unknown" for go-run builds.
 func GitRev() string { return obs.GitRev() }
-
-// DefaultSLO is the paper's ~92% scaling-efficiency headline — the
-// efficiency monitor's default objective.
-const DefaultSLO = obs.DefaultSLO
 
 // ParseChaosSpec parses a compact chaos-plan spec such as
 // "seed=7;drop=0.01;crash=1@40;slow=2*1.5@10-60". See
@@ -233,13 +225,12 @@ type SimOptions struct {
 	// Attribution, when non-nil, receives per-(step, rank) attribution
 	// ledger rows: each rank's step wall time decomposed into buckets
 	// that sum to it exactly, with idle waits blamed on the pacing
-	// rank. Serve live via ObsServerOptions.Attribution, persist with
-	// WriteAttribution, diff with seg-compare.
+	// rank. Persist with WriteAttribution, diff with seg-compare.
 	Attribution *AttributionRecorder
 }
 
 // AttributionRecorder accumulates step-time attribution rows (see
-// SimOptions.Attribution and ObsServerOptions.Attribution).
+// SimOptions.Attribution).
 type AttributionRecorder = traceanalysis.LedgerRecorder
 
 // AttributionLedger is the serialised attribution table seg-compare
@@ -250,19 +241,6 @@ type AttributionLedger = traceanalysis.Ledger
 // source label ("perfsim", "trace") and rank count.
 func NewAttributionRecorder(source string, ranks int) *AttributionRecorder {
 	return traceanalysis.NewLedgerRecorder(source, ranks)
-}
-
-// AttributionPublisher attaches an "attribution" metrics lane to col
-// and returns a refresh function: each call re-derives the
-// train_step_attribution_* gauges (cumulative seconds per bucket plus
-// a row counter) from the recorder's current ledger, keeping /metrics
-// live. A nil collector or recorder yields a no-op.
-func AttributionPublisher(col *Telemetry, rec *AttributionRecorder) func() {
-	if col == nil || rec == nil {
-		return func() {}
-	}
-	reg := col.NewProbe("attribution", telemetry.NewStepClock()).Metrics()
-	return func() { rec.Publish(reg) }
 }
 
 // AttributeTelemetry assembles the collector's recorded spans into the

@@ -205,8 +205,6 @@ func TestAttributionFacade(t *testing.T) {
 	mpi, _ := MPIByName("mv2gdr")
 	prof, _ := ModelByName("dlv3plus")
 	rec := NewAttributionRecorder("perfsim", 6)
-	col := NewTelemetry()
-	publish := AttributionPublisher(col, rec)
 	if _, err := Simulate(SimOptions{
 		GPUs: 6, Model: prof, MPI: mpi, Horovod: DefaultHorovod(),
 		Seed: 1, Steps: 3, Attribution: rec,
@@ -222,7 +220,6 @@ func TestAttributionFacade(t *testing.T) {
 	if err := l.Validate(0); err != nil {
 		t.Fatalf("simulated ledger invalid: %v", err)
 	}
-	publish()
 
 	path := filepath.Join(t.TempDir(), "ledger.json")
 	if err := WriteAttribution(rec, path); err != nil {
@@ -243,10 +240,6 @@ func TestAttributionFacade(t *testing.T) {
 	if err := WriteAttribution(rec, filepath.Join(path, "nope")); err == nil {
 		t.Error("WriteAttribution to an impossible path succeeded")
 	}
-
-	// Nil sides of the publisher must degrade to a no-op.
-	AttributionPublisher(nil, rec)()
-	AttributionPublisher(col, nil)()
 }
 
 func TestAttributeTelemetryFacade(t *testing.T) {
