@@ -49,25 +49,3 @@ func HBar(bars []Bar, width int, format string) string {
 	}
 	return sb.String()
 }
-
-// Series is one named curve for Compare.
-type Series struct {
-	Name   string
-	Values []float64
-}
-
-// Compare renders grouped bars: for each x-label, one bar per series
-// — the shape of the paper's default-vs-tuned scaling figure.
-func Compare(xLabels []string, series []Series, width int, format string) string {
-	var bars []Bar
-	for i, x := range xLabels {
-		for _, s := range series {
-			v := 0.0
-			if i < len(s.Values) {
-				v = s.Values[i]
-			}
-			bars = append(bars, Bar{Label: x + " " + s.Name, Value: v})
-		}
-	}
-	return HBar(bars, width, format)
-}

@@ -51,19 +51,3 @@ func TestLabelsAligned(t *testing.T) {
 		t.Error("bars not aligned")
 	}
 }
-
-func TestCompare(t *testing.T) {
-	out := Compare([]string{"6", "132"},
-		[]Series{{"default", []float64{34.9, 640.5}}, {"tuned", []float64{38.6, 813.4}}},
-		24, "%.1f")
-	for _, want := range []string{"6 default", "6 tuned", "132 default", "132 tuned", "813.4"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("compare output missing %q\n%s", want, out)
-		}
-	}
-	// Missing values render as zero rather than panicking.
-	out2 := Compare([]string{"a", "b"}, []Series{{"s", []float64{1}}}, 10, "%.0f")
-	if !strings.Contains(out2, "b s") {
-		t.Error("short series not padded")
-	}
-}

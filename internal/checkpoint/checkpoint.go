@@ -278,41 +278,6 @@ func LoadState(r io.Reader, st *State) error {
 	}
 }
 
-// ReadMeta scans a checkpoint stream for its progress record without
-// needing the model: the recovery loop reads it to decide which epoch
-// to resume from. Returns an error if the file carries no meta
-// section (a v1 or weights-only snapshot).
-func ReadMeta(r io.Reader) (Meta, error) {
-	br := bufio.NewReader(r)
-	ver, err := readHeader(br)
-	if err != nil {
-		return Meta{}, err
-	}
-	for {
-		kind, _, raw, err := readSection(br, ver)
-		if err != nil {
-			return Meta{}, err
-		}
-		switch kind {
-		case secEnd:
-			return Meta{}, fmt.Errorf("checkpoint: no meta section")
-		case secMeta:
-			if len(raw) != 8 {
-				return Meta{}, fmt.Errorf("checkpoint: meta section has %d bytes, want 8", len(raw))
-			}
-			return Meta{
-				Epoch: int(binary.LittleEndian.Uint32(raw)),
-				Step:  int(binary.LittleEndian.Uint32(raw[4:])),
-			}, nil
-		}
-	}
-}
-
-// SaveFile writes a checkpoint atomically (temp file + rename).
-func SaveFile(path string, params []*nn.Param, bns []*nn.BatchNorm2D) error {
-	return SaveStateFile(path, State{Params: params, BNs: bns})
-}
-
 // LoadFile restores a checkpoint from disk.
 func LoadFile(path string, params []*nn.Param, bns []*nn.BatchNorm2D) error {
 	st := State{Params: params, BNs: bns}
@@ -385,16 +350,6 @@ func LoadStateFile(path string, st *State) error {
 	}
 	defer f.Close()
 	return LoadState(f, st)
-}
-
-// ReadMetaFile reads just the progress record from a checkpoint file.
-func ReadMetaFile(path string) (Meta, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Meta{}, err
-	}
-	defer f.Close()
-	return ReadMeta(f)
 }
 
 func writeHeader(w io.Writer) error {

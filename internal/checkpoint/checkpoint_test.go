@@ -72,7 +72,7 @@ func TestFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.segc")
 	src := smallModel(2)
-	if err := SaveFile(path, src.Params(), src.BatchNorms()); err != nil {
+	if err := SaveStateFile(path, State{Params: src.Params(), BNs: src.BatchNorms()}); err != nil {
 		t.Fatal(err)
 	}
 	dst := smallModel(3)

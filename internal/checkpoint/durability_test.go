@@ -8,6 +8,21 @@ import (
 )
 
 // dirEntries lists the names currently in dir.
+// readMeta loads the full snapshot at path into a small model and
+// returns its progress record, failing when there is none.
+func readMeta(t *testing.T, path string) Meta {
+	t.Helper()
+	m := smallModel(0)
+	st := State{Params: m.Params(), BNs: m.BatchNorms()}
+	if err := LoadStateFile(path, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Meta == nil {
+		t.Fatalf("%s has no meta record", path)
+	}
+	return *st.Meta
+}
+
 func dirEntries(t *testing.T, dir string) []string {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
@@ -66,11 +81,7 @@ func TestSaveStateFileErrorPreservesExisting(t *testing.T) {
 	if got := dirEntries(t, dir); len(got) != 1 || got[0] != "state.segc" {
 		t.Fatalf("directory after failed overwrite: %v", got)
 	}
-	meta, err := ReadMetaFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta != (Meta{Epoch: 3, Step: 17}) {
+	if meta := readMeta(t, path); meta != (Meta{Epoch: 3, Step: 17}) {
 		t.Fatalf("existing checkpoint damaged by failed save: %+v", meta)
 	}
 }
@@ -110,10 +121,7 @@ func TestSaveStateFileConcurrentSaves(t *testing.T) {
 	}
 
 	// The survivor is one writer's complete snapshot, not an interleaving.
-	meta, err := ReadMetaFile(path)
-	if err != nil {
-		t.Fatalf("survivor unreadable: %v", err)
-	}
+	meta := readMeta(t, path)
 	winner := meta.Step - 100
 	if winner < 0 || winner >= writers || meta.Epoch != winner {
 		t.Fatalf("survivor meta %+v matches no writer", meta)

@@ -49,7 +49,7 @@ func benchAllreduce(b *testing.B, fn allreduceFn, p, n int, longLived bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := transport.Run(p, func(c *transport.Comm) error { return calls(c, 1) }); err != nil {
+		if err := runWorld(p, func(c *transport.Comm) error { return calls(c, 1) }); err != nil {
 			b.Fatal(err)
 		}
 	}

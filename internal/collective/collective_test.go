@@ -10,13 +10,22 @@ import (
 	"segscale/internal/transport"
 )
 
+// runWorld runs fn on every rank of a fresh n-rank world.
+func runWorld(n int, fn func(c *transport.Comm) error) error {
+	w, err := transport.NewWorld(n)
+	if err != nil {
+		return err
+	}
+	return w.Run(fn)
+}
+
 // runGroup executes fn on a world of n ranks with group = all ranks.
 func runGroup(n int, fn func(c *transport.Comm, group []int)) {
 	group := make([]int, n)
 	for i := range group {
 		group[i] = i
 	}
-	transport.Run(n, func(c *transport.Comm) error { fn(c, group); return nil })
+	runWorld(n, func(c *transport.Comm) error { fn(c, group); return nil })
 }
 
 // makeInputs builds deterministic per-rank vectors and their expected
@@ -128,7 +137,7 @@ func TestAllreduceHierLeaderMatchesNaive(t *testing.T) {
 		ins, want := makeInputs(p, n, int64(p))
 		outs := make([][]float32, p)
 		errs := make([]error, p)
-		transport.Run(p, func(c *transport.Comm) error {
+		runWorld(p, func(c *transport.Comm) error {
 			buf := make([]float32, n)
 			copy(buf, ins[c.Rank()])
 			errs[c.Rank()] = AllreduceHierLeader(c, mach, buf)
@@ -151,7 +160,7 @@ func TestAllreduceHierLeaderMatchesNaive(t *testing.T) {
 func TestAllreduceHierLeaderWorldMismatchErrors(t *testing.T) {
 	mach := topology.Summit(2) // 12 ranks
 	errs := make([]error, 2)
-	transport.Run(2, func(c *transport.Comm) error {
+	runWorld(2, func(c *transport.Comm) error {
 		errs[c.Rank()] = AllreduceHierLeader(c, mach, make([]float32, 4))
 		return nil
 	})

@@ -10,6 +10,20 @@ import (
 	"segscale/internal/transport"
 )
 
+// float32ToHalf and halfToFloat32 convert one value through the wire's
+// slice kernels.
+func float32ToHalf(f float32) uint16 {
+	var h [1]uint16
+	_ = fp16.Encode([]float32{f}, h[:])
+	return h[0]
+}
+
+func halfToFloat32(h uint16) float32 {
+	var f [1]float32
+	_ = fp16.Decode([]uint16{h}, f[:])
+	return f[0]
+}
+
 type allreduce16Fn func(c *transport.Comm, group []int, buf []uint16) error
 
 var algs16 = map[string]allreduce16Fn{
@@ -67,7 +81,7 @@ func TestAllreduce16ExactSmallIntegers(t *testing.T) {
 				outs := runAllreduce16(t, name, fn, ins)
 				for r := 0; r < p; r++ {
 					for i, h := range outs[r] {
-						if got := fp16.ToFloat32(h); got != want[i] {
+						if got := halfToFloat32(h); got != want[i] {
 							t.Fatalf("%s p=%d n=%d rank %d elem %d: got %g, want %g",
 								name, p, n, r, i, got, want[i])
 						}
@@ -93,7 +107,7 @@ func TestAllreduce16MatchesReferenceSum(t *testing.T) {
 				ins[r] = make([]float32, n)
 				for i := range ins[r] {
 					ins[r][i] = float32(rng.NormFloat64())
-					want[i] += float64(fp16.ToFloat32(fp16.FromFloat32(ins[r][i])))
+					want[i] += float64(halfToFloat32(float32ToHalf(ins[r][i])))
 				}
 			}
 			outs := runAllreduce16(t, name, fn, ins)
@@ -101,7 +115,7 @@ func TestAllreduce16MatchesReferenceSum(t *testing.T) {
 			// bounded by ~4·sqrt(p) the tolerance p·2⁻¹⁰·(1+|want|)
 			// comfortably covers every schedule depth.
 			for i := 0; i < n; i++ {
-				got := float64(fp16.ToFloat32(outs[0][i]))
+				got := float64(halfToFloat32(outs[0][i]))
 				tol := float64(p) * (1.0 / 1024) * (1 + math.Abs(want[i]))
 				if math.Abs(got-want[i]) > tol {
 					t.Errorf("%s p=%d elem %d: got %g, want %g (tol %g)", name, p, i, got, want[i], tol)
@@ -150,7 +164,7 @@ func TestAllreduce16Hierarchical(t *testing.T) {
 		}
 		outs := make([][]uint16, p)
 		errs := make([]error, p)
-		transport.Run(p, func(c *transport.Comm) error {
+		runWorld(p, func(c *transport.Comm) error {
 			buf := make([]uint16, n)
 			if err := fp16.Encode(ins[c.Rank()], buf); err != nil {
 				return err
@@ -166,7 +180,7 @@ func TestAllreduce16Hierarchical(t *testing.T) {
 		}
 		for r := 0; r < p; r++ {
 			for i, h := range outs[r] {
-				if got := fp16.ToFloat32(h); got != want[i] {
+				if got := halfToFloat32(h); got != want[i] {
 					t.Fatalf("%s rank %d elem %d: got %g, want %g", tc.name, r, i, got, want[i])
 				}
 			}
@@ -194,7 +208,7 @@ func TestAllreduce16HierMachineWrappers(t *testing.T) {
 			}
 		}
 		outs := make([][]uint16, p)
-		transport.Run(p, func(c *transport.Comm) error {
+		runWorld(p, func(c *transport.Comm) error {
 			buf := make([]uint16, n)
 			if err := fp16.Encode(ins[c.Rank()], buf); err != nil {
 				return err
@@ -210,7 +224,7 @@ func TestAllreduce16HierMachineWrappers(t *testing.T) {
 				t.Fatalf("%s rank %d produced no output", name, r)
 			}
 			for i, h := range outs[r] {
-				if got := fp16.ToFloat32(h); got != want[i] {
+				if got := halfToFloat32(h); got != want[i] {
 					t.Fatalf("%s rank %d elem %d: got %g, want %g", name, r, i, got, want[i])
 				}
 			}
@@ -222,7 +236,7 @@ func TestAllreduce16HierMachineWrappers(t *testing.T) {
 // collectives.
 func TestAllreduce16Validation(t *testing.T) {
 	intra, inter := topology.SummitLinkSpecs()
-	transport.Run(1, func(c *transport.Comm) error {
+	runWorld(1, func(c *transport.Comm) error {
 		if err := AllreduceNaive(c, []int{1, 2}, []uint16{0}); err == nil {
 			t.Error("naive16 accepted a group that excludes the caller")
 		}

@@ -266,12 +266,12 @@ func TestModelNumericalGradient(t *testing.T) {
 	nn.ZeroGrads(m.Params())
 
 	logits := m.Forward(x, false)
-	loss, dlogits := tensor.SoftmaxCrossEntropy(logits, labels, segdata.IgnoreLabel)
+	loss, dlogits := tensor.SoftmaxCrossEntropyWS(logits, labels, segdata.IgnoreLabel, nil)
 	_ = loss
 	m.Backward(dlogits)
 
 	eval := func() float64 {
-		l, _ := tensor.SoftmaxCrossEntropy(m.Forward(x, false), labels, segdata.IgnoreLabel)
+		l, _ := tensor.SoftmaxCrossEntropyWS(m.Forward(x, false), labels, segdata.IgnoreLabel, nil)
 		return l
 	}
 	checked := 0

@@ -27,16 +27,6 @@ const (
 	half32      = 0x3F000000 // bits of float32(0.5)
 )
 
-// FromFloat32 converts a float32 to its nearest binary16
-// representation (round-to-nearest-even; overflow becomes ±Inf).
-func FromFloat32(f float32) uint16 {
-	b := math.Float32bits(f)
-	if hasNoFiniteHalf(b) {
-		return specialHalf(b)
-	}
-	return finiteHalf(b)
-}
-
 // finiteHalf converts the float32 with bit pattern b, |f| < 2¹⁶, to
 // binary16. It does not branch on the value's sign, exponent class or
 // mantissa — on real gradients those flip from element to element and
@@ -117,20 +107,6 @@ func buildDecodeTable() {
 			mag = math.Float32bits(math.Float32frombits(mag) * 0x1p112)
 		}
 		decodeTable[h] = math.Float32frombits(uint32(h&signMask16)<<16 | mag)
-	}
-}
-
-// ToFloat32 converts a binary16 value to float32 exactly.
-func ToFloat32(h uint16) float32 {
-	return decodeTab()[h]
-}
-
-// Quantize rounds every element through binary16 in place — the
-// precision effect of compressing, transmitting and decompressing a
-// gradient buffer.
-func Quantize(buf []float32) {
-	for i, v := range buf {
-		buf[i] = ToFloat32(FromFloat32(v))
 	}
 }
 

@@ -88,3 +88,31 @@ func FuzzHalfBits(f *testing.F) {
 		}
 	})
 }
+
+// Quantize rounds every element through binary16 in place, one
+// scalar conversion at a time — the oracle the slice kernels'
+// round trip must match bit for bit.
+func Quantize(buf []float32) {
+	for i, v := range buf {
+		buf[i] = ToFloat32(FromFloat32(v))
+	}
+}
+
+// FromFloat32 and ToFloat32 convert one value with the pieces the
+// slice kernels inline: finiteHalf or specialHalf one way, the decode
+// table the other. The tests pin them to the oracle scalar by scalar.
+
+// FromFloat32 converts a float32 to its nearest binary16
+// representation (round-to-nearest-even; overflow becomes ±Inf).
+func FromFloat32(f float32) uint16 {
+	b := math.Float32bits(f)
+	if hasNoFiniteHalf(b) {
+		return specialHalf(b)
+	}
+	return finiteHalf(b)
+}
+
+// ToFloat32 converts a binary16 value to float32 exactly.
+func ToFloat32(h uint16) float32 {
+	return decodeTab()[h]
+}

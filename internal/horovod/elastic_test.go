@@ -79,7 +79,7 @@ func TestElasticHierAllreduceShrunkenWorld(t *testing.T) {
 				}
 			}
 			outs := make([][]float32, p)
-			if err := transport.Run(p, func(c *transport.Comm) error {
+			if err := runWorld(p, func(c *transport.Comm) error {
 				rt, err := NewElasticRuntime(c, mach, members, cse.cfg())
 				if err != nil {
 					return err
@@ -115,7 +115,7 @@ func TestBroadcastFloat64ExactBits(t *testing.T) {
 		math.MaxFloat64, math.SmallestNonzeroFloat64,
 	}
 	mach := topology.ForGPUs(3)
-	if err := transport.Run(3, func(c *transport.Comm) error {
+	if err := runWorld(3, func(c *transport.Comm) error {
 		rt := newRuntime(c, mach, Default())
 		buf := make([]float64, len(src))
 		if c.Rank() == 0 {

@@ -35,7 +35,7 @@ func runGradsInstrumented(t *testing.T, cfg Config, world int, shapes []int) *te
 	t.Helper()
 	col := telemetry.NewCollector()
 	mach := topology.ForGPUs(world)
-	err := transport.Run(world, func(c *transport.Comm) error {
+	err := runWorld(world, func(c *transport.Comm) error {
 		c.SetProbe(col.NewProbe(fmt.Sprintf("rank%d", c.Rank()), telemetry.NewStepClock()))
 		rt := newRuntime(c, mach, cfg)
 		return rt.AllreduceGrads(makeParams(c.Rank(), shapes))
@@ -105,7 +105,7 @@ func testAllreduceGradsFP16WithConfig(t *testing.T, cfg Config, world int) {
 	}
 	mach := topology.ForGPUs(world)
 	results := make([][][]float32, world)
-	err := transport.Run(world, func(c *transport.Comm) error {
+	err := runWorld(world, func(c *transport.Comm) error {
 		rt := newRuntime(c, mach, cfg)
 		ps := makeParams(c.Rank(), shapes)
 		if err := rt.AllreduceGrads(ps); err != nil {

@@ -14,9 +14,18 @@ import (
 	"segscale/internal/transport"
 )
 
+// runWorld runs fn on every rank of a fresh n-rank world.
+func runWorld(n int, fn func(c *transport.Comm) error) error {
+	w, err := transport.NewWorld(n)
+	if err != nil {
+		return err
+	}
+	return w.Run(fn)
+}
+
 // newRuntime is the test-side shorthand for the error-returning
-// constructor: inside transport.Run rank goroutines a panic is the
-// failure channel (re-raised on the test goroutine by Run's contract).
+// constructor: inside runWorld rank goroutines a panic is the
+// failure channel (re-raised on the test goroutine by World.Run).
 func newRuntime(c *transport.Comm, mach topology.Machine, cfg Config) *Runtime {
 	rt, err := NewRuntime(c, mach, cfg)
 	if err != nil {
@@ -193,7 +202,7 @@ func testAllreduceGradsWithConfig(t *testing.T, cfg Config, world int) {
 	}
 	mach := topology.ForGPUs(world)
 	results := make([][][]float32, world)
-	err := transport.Run(world, func(c *transport.Comm) error {
+	err := runWorld(world, func(c *transport.Comm) error {
 		rt := newRuntime(c, mach, cfg)
 		ps := makeParams(c.Rank(), shapes)
 		if err := rt.AllreduceGrads(ps); err != nil {
@@ -270,7 +279,7 @@ func TestAllreduceGradsFP16Compression(t *testing.T) {
 	cfg.FP16Compression = true
 	mach := topology.ForGPUs(world)
 	results := make([][][]float32, world)
-	err := transport.Run(world, func(c *transport.Comm) error {
+	err := runWorld(world, func(c *transport.Comm) error {
 		rt := newRuntime(c, mach, cfg)
 		ps := makeParams(c.Rank(), shapes)
 		if err := rt.AllreduceGrads(ps); err != nil {
@@ -300,7 +309,7 @@ func TestAllreduceGradsFP16Compression(t *testing.T) {
 }
 
 func TestSingleRankNoop(t *testing.T) {
-	err := transport.Run(1, func(c *transport.Comm) error {
+	err := runWorld(1, func(c *transport.Comm) error {
 		rt := newRuntime(c, topology.ForGPUs(1), Default())
 		ps := makeParams(0, []int{4})
 		orig := append([]float32(nil), ps[0].G.Data...)
@@ -323,7 +332,7 @@ func TestBroadcastParams(t *testing.T) {
 	world := 4
 	mach := topology.ForGPUs(world)
 	results := make([][]float32, world)
-	err := transport.Run(world, func(c *transport.Comm) error {
+	err := runWorld(world, func(c *transport.Comm) error {
 		rt := newRuntime(c, mach, Default())
 		w := tensor.New(16)
 		for i := range w.Data {
@@ -356,7 +365,7 @@ func TestAllreduceScalarAndCounts(t *testing.T) {
 	mach := topology.ForGPUs(world)
 	scalars := make([]float64, world)
 	counts := make([][]int64, world)
-	err := transport.Run(world, func(c *transport.Comm) error {
+	err := runWorld(world, func(c *transport.Comm) error {
 		rt := newRuntime(c, mach, Default())
 		mean, err := rt.AllreduceScalar(float64(c.Rank() + 1))
 		if err != nil {
@@ -387,7 +396,7 @@ func TestBroadcast(t *testing.T) {
 	world := 4
 	mach := topology.ForGPUs(world)
 	bcast := make([][]float32, world)
-	err := transport.Run(world, func(c *transport.Comm) error {
+	err := runWorld(world, func(c *transport.Comm) error {
 		rt := newRuntime(c, mach, Default())
 		buf := []float32{float32(c.Rank() + 100)}
 		if err := rt.Broadcast(buf); err != nil {
@@ -407,7 +416,7 @@ func TestBroadcast(t *testing.T) {
 }
 
 func TestRuntimeWorldMismatchErrors(t *testing.T) {
-	err := transport.Run(2, func(c *transport.Comm) error {
+	err := runWorld(2, func(c *transport.Comm) error {
 		if _, err := NewRuntime(c, topology.ForGPUs(6), Default()); err == nil {
 			t.Error("mismatched machine accepted")
 		}
@@ -419,7 +428,7 @@ func TestRuntimeWorldMismatchErrors(t *testing.T) {
 }
 
 func TestRuntimeBadConfigErrors(t *testing.T) {
-	err := transport.Run(1, func(c *transport.Comm) error {
+	err := runWorld(1, func(c *transport.Comm) error {
 		cfg := Default()
 		cfg.CycleTime = 0
 		if _, err := NewRuntime(c, topology.ForGPUs(1), cfg); err == nil {

@@ -25,7 +25,7 @@ func TestMetamorphicFusionGrouping(t *testing.T) {
 		cfg.FusionThreshold = threshold
 		mach := topology.ForGPUs(world)
 		results := make([][][]float32, world)
-		err := transport.Run(world, func(c *transport.Comm) error {
+		err := runWorld(world, func(c *transport.Comm) error {
 			rt := newRuntime(c, mach, cfg)
 			ps := makeParams(c.Rank(), shapes)
 			if err := rt.AllreduceGrads(ps); err != nil {

@@ -89,7 +89,7 @@ func TestAllreduceGradsScaledMatchesThreePass(t *testing.T) {
 					cfg.FP16Compression = half
 					const pre, post = 1024, float32(1) / 1024
 					sawOverflow := false
-					err := transport.Run(world, func(c *transport.Comm) error {
+					err := runWorld(world, func(c *transport.Comm) error {
 						rt := newRuntime(c, mach, cfg)
 						want := scalerParams(c.Rank(), shapes, poison)
 						wantBad, err := threePass(rt, want, pre, post)
@@ -133,7 +133,7 @@ func TestAllreduceGradsScaledMatchesThreePass(t *testing.T) {
 // the first call it allocates nothing of its own (what remains is the
 // transport's per-message copies, the same with any staging).
 func TestAllreduceSumFloat64ReusesStaging(t *testing.T) {
-	err := transport.Run(2, func(c *transport.Comm) error {
+	err := runWorld(2, func(c *transport.Comm) error {
 		rt := newRuntime(c, topology.ExactFor(2), Default())
 		for round, n := range []int{64, 16, 64} {
 			buf := make([]float64, n)

@@ -1,15 +1,10 @@
 // Package metrics implements the evaluation measures the paper
 // reports: the per-class intersection-over-union and its mean (mIOU)
-// computed from a confusion matrix, pixel accuracy, plus the scaling
-// metrics (speedup, parallel efficiency) and small statistics helpers
-// the benchmark harness uses.
+// computed from a confusion matrix, pixel accuracy, plus the paper's
+// scaling efficiency and an arithmetic mean.
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // Confusion is a K×K confusion matrix over class labels; rows are
 // ground truth, columns are predictions.
@@ -141,14 +136,6 @@ func ScalingEfficiency(throughput1, throughputP float64, p int) float64 {
 	return throughputP / (throughput1 * float64(p))
 }
 
-// Speedup is throughputP / throughput1.
-func Speedup(throughput1, throughputP float64) float64 {
-	if throughput1 <= 0 {
-		panic("metrics: non-positive baseline throughput")
-	}
-	return throughputP / throughput1
-}
-
 // Mean returns the arithmetic mean (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -159,50 +146,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation (0 for n < 2).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// Median returns the middle value (mean of the middle two for even n).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// LinearFit returns slope and intercept of the least-squares line
-// through (x, y) — used to check near-linear scaling claims.
-func LinearFit(x, y []float64) (slope, intercept float64) {
-	if len(x) != len(y) || len(x) < 2 {
-		panic("metrics: linear fit needs ≥2 matched points")
-	}
-	mx, my := Mean(x), Mean(y)
-	var num, den float64
-	for i := range x {
-		num += (x[i] - mx) * (y[i] - my)
-		den += (x[i] - mx) * (x[i] - mx)
-	}
-	if den == 0 {
-		panic("metrics: degenerate x values")
-	}
-	slope = num / den
-	return slope, my - slope*mx
 }

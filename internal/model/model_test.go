@@ -129,7 +129,7 @@ func TestStepFLOPsIsTripleForward(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range append(Names(), "deeplab", "resnet-50", "resnet-101") {
+	for _, name := range []string{"dlv3plus", "resnet50", "resnet101", "dlv3plus-amp", "deeplab", "resnet-50", "resnet-101"} {
 		if _, err := ByName(name); err != nil {
 			t.Errorf("ByName(%q): %v", name, err)
 		}

@@ -166,8 +166,3 @@ func ByName(name string) (*Profile, error) {
 		return nil, fmt.Errorf("model: unknown profile %q", name)
 	}
 }
-
-// Names lists the built-in profile names.
-func Names() []string {
-	return []string{"dlv3plus", "resnet50", "resnet101", "dlv3plus-amp"}
-}

@@ -52,11 +52,6 @@ func AlgorithmByName(s string) (Algorithm, error) {
 	return AlgAuto, fmt.Errorf("netmodel: unknown allreduce algorithm %q", s)
 }
 
-// Algorithms lists the concrete (non-auto) algorithms.
-func Algorithms() []Algorithm {
-	return []Algorithm{AlgRing, AlgRecursiveDoubling, AlgRabenseifner, AlgHierLeader, AlgHierTorus, AlgHierTwoLevel}
-}
-
 // smallMessageLimit is the size below which latency-optimal
 // algorithms win and libraries switch to recursive doubling.
 const smallMessageLimit = 64 << 10

@@ -75,15 +75,6 @@ func New(m topology.Machine, p *mpiprofile.Profile) (*Model, error) {
 	return &Model{Mach: m, Prof: p}, nil
 }
 
-// MustNew is New for statically-correct inputs (tests, examples).
-func MustNew(m topology.Machine, p *mpiprofile.Profile) *Model {
-	mod, err := New(m, p)
-	if err != nil {
-		panic(err)
-	}
-	return mod
-}
-
 // LinkParams returns the (latency, bandwidth) the profile achieves on
 // a link kind for GPU-resident buffers. For a non-GPU-direct library
 // the inter-node path degrades to the host-staged parameters.

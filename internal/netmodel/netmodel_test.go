@@ -11,9 +11,21 @@ import (
 
 const MiB = 1 << 20
 
-func worldModel(nodes int, prof *mpiprofile.Profile) *Model {
-	return MustNew(topology.Summit(nodes), prof)
+func worldModel(t testing.TB, nodes int, prof *mpiprofile.Profile) *Model {
+	return newModel(t, topology.Summit(nodes), prof)
 }
+
+func newModel(t testing.TB, mach topology.Machine, prof *mpiprofile.Profile) *Model {
+	t.Helper()
+	m, err := New(mach, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// concreteAlgs lists every algorithm but AlgAuto.
+var concreteAlgs = []Algorithm{AlgRing, AlgRecursiveDoubling, AlgRabenseifner, AlgHierLeader, AlgHierTorus, AlgHierTwoLevel}
 
 func TestNewValidates(t *testing.T) {
 	if _, err := New(topology.Machine{Nodes: 0, GPUsPer: 6}, mpiprofile.MV2GDR()); err == nil {
@@ -27,7 +39,7 @@ func TestNewValidates(t *testing.T) {
 }
 
 func TestXferZeroAndSelf(t *testing.T) {
-	m := worldModel(2, mpiprofile.MV2GDR())
+	m := worldModel(t, 2, mpiprofile.MV2GDR())
 	if m.Xfer(topology.LinkIB, 0) != 0 {
 		t.Error("zero bytes should be free")
 	}
@@ -45,11 +57,11 @@ func TestXferNegativePanics(t *testing.T) {
 			t.Error("negative size did not panic")
 		}
 	}()
-	worldModel(1, mpiprofile.MV2GDR()).Xfer(topology.LinkNVLink, -1)
+	worldModel(t, 1, mpiprofile.MV2GDR()).Xfer(topology.LinkNVLink, -1)
 }
 
 func TestXferMonotoneInSize(t *testing.T) {
-	m := worldModel(2, mpiprofile.MV2GDR())
+	m := worldModel(t, 2, mpiprofile.MV2GDR())
 	f := func(a, b uint32) bool {
 		x, y := int(a%(64*MiB)), int(b%(64*MiB))
 		if x > y {
@@ -65,7 +77,7 @@ func TestXferMonotoneInSize(t *testing.T) {
 func TestLatencyOrdering(t *testing.T) {
 	// Small-message time: NVLink < XBus < IB for both libraries.
 	for _, prof := range []*mpiprofile.Profile{mpiprofile.Spectrum(), mpiprofile.MV2GDR()} {
-		m := worldModel(2, prof)
+		m := worldModel(t, 2, prof)
 		nv := m.Xfer(topology.LinkNVLink, 8)
 		xb := m.Xfer(topology.LinkXBus, 8)
 		ib := m.Xfer(topology.LinkIB, 8)
@@ -76,8 +88,8 @@ func TestLatencyOrdering(t *testing.T) {
 }
 
 func TestGDRBeatsStagingInterNode(t *testing.T) {
-	spec := worldModel(4, mpiprofile.Spectrum())
-	mv2 := worldModel(4, mpiprofile.MV2GDR())
+	spec := worldModel(t, 4, mpiprofile.Spectrum())
+	mv2 := worldModel(t, 4, mpiprofile.MV2GDR())
 	for _, n := range []int{8, 1024, 64 << 10, 1 << 20, 64 << 20} {
 		if mv2.Xfer(topology.LinkIB, n) >= spec.Xfer(topology.LinkIB, n) {
 			t.Errorf("n=%d: MV2-GDR (%g) not faster than Spectrum (%g)",
@@ -94,7 +106,7 @@ func TestChunkSizeHasInteriorOptimum(t *testing.T) {
 	for _, cs := range sizes {
 		p := mpiprofile.MV2GDR()
 		p.CUDABlockSize = cs
-		times[cs] = worldModel(2, p).Xfer(topology.LinkIB, 64*MiB)
+		times[cs] = worldModel(t, 2, p).Xfer(topology.LinkIB, 64*MiB)
 	}
 	best := sizes[0]
 	for _, cs := range sizes {
@@ -108,7 +120,7 @@ func TestChunkSizeHasInteriorOptimum(t *testing.T) {
 }
 
 func TestRingAllreduceSinglePair(t *testing.T) {
-	m := worldModel(1, mpiprofile.MV2GDR())
+	m := worldModel(t, 1, mpiprofile.MV2GDR())
 	ranks := []int{0, 1}
 	n := 8 * MiB
 	got := m.AllreduceRing(ranks, n)
@@ -121,8 +133,8 @@ func TestRingAllreduceSinglePair(t *testing.T) {
 }
 
 func TestAllreduceTrivialGroups(t *testing.T) {
-	m := worldModel(2, mpiprofile.MV2GDR())
-	for _, alg := range Algorithms() {
+	m := worldModel(t, 2, mpiprofile.MV2GDR())
+	for _, alg := range concreteAlgs {
 		if tm := m.Allreduce(alg, []int{3}, 1*MiB); tm != 0 {
 			t.Errorf("%v: single-rank allreduce should be free, got %g", alg, tm)
 		}
@@ -133,7 +145,7 @@ func TestAllreduceTrivialGroups(t *testing.T) {
 }
 
 func TestRecursiveDoublingBeatsRingSmall(t *testing.T) {
-	m := worldModel(4, mpiprofile.MV2GDR())
+	m := worldModel(t, 4, mpiprofile.MV2GDR())
 	ranks := m.WorldRanks()
 	small := 4 << 10
 	if rd, ring := m.AllreduceRecursiveDoubling(ranks, small), m.AllreduceRing(ranks, small); rd >= ring {
@@ -142,7 +154,7 @@ func TestRecursiveDoublingBeatsRingSmall(t *testing.T) {
 }
 
 func TestRingBeatsRecursiveDoublingLarge(t *testing.T) {
-	m := worldModel(4, mpiprofile.MV2GDR())
+	m := worldModel(t, 4, mpiprofile.MV2GDR())
 	ranks := m.WorldRanks()
 	large := 64 * MiB
 	if rd, ring := m.AllreduceRecursiveDoubling(ranks, large), m.AllreduceRing(ranks, large); ring >= rd {
@@ -156,7 +168,7 @@ func TestHierarchicalBeatsFlatRingAtScale(t *testing.T) {
 	// leader variant (Horovod's HOROVOD_HIERARCHICAL_ALLREDUCE) wins
 	// in the latency-bound small-buffer regime but loses bandwidth-
 	// bound — exactly the trade-off tuning studies report.
-	m := worldModel(22, mpiprofile.MV2GDR())
+	m := worldModel(t, 22, mpiprofile.MV2GDR())
 	ranks := m.WorldRanks()
 
 	large := 64 * MiB
@@ -173,7 +185,7 @@ func TestHierarchicalBeatsFlatRingAtScale(t *testing.T) {
 }
 
 func TestHierarchicalSingleNodeFallsBack(t *testing.T) {
-	m := worldModel(1, mpiprofile.MV2GDR())
+	m := worldModel(t, 1, mpiprofile.MV2GDR())
 	ranks := m.WorldRanks()
 	n := 16 * MiB
 	if got, want := m.AllreduceHierLeader(ranks, n), m.AllreduceRing(ranks, n); got != want {
@@ -189,7 +201,7 @@ func TestAllreduceScalesWithNodes(t *testing.T) {
 	n := 64 * MiB
 	prev := 0.0
 	for _, nodes := range []int{2, 4, 8, 16, 22} {
-		m := worldModel(nodes, mpiprofile.MV2GDR())
+		m := worldModel(t, nodes, mpiprofile.MV2GDR())
 		tm := m.AllreduceHierTorus(m.WorldRanks(), n)
 		if tm <= prev {
 			t.Errorf("allreduce time not increasing at %d nodes: %g <= %g", nodes, tm, prev)
@@ -201,8 +213,8 @@ func TestAllreduceScalesWithNodes(t *testing.T) {
 func TestAllreduceMV2FasterThanSpectrumEverywhere(t *testing.T) {
 	for _, nodes := range []int{1, 2, 8, 22} {
 		for _, n := range []int{8 << 10, 1 << 20, 64 << 20, 164 << 20} {
-			spec := worldModel(nodes, mpiprofile.Spectrum())
-			mv2 := worldModel(nodes, mpiprofile.MV2GDR())
+			spec := worldModel(t, nodes, mpiprofile.Spectrum())
+			mv2 := worldModel(t, nodes, mpiprofile.MV2GDR())
 			ranks := spec.WorldRanks()
 			ts := spec.Allreduce(AlgAuto, ranks, n)
 			tm := mv2.Allreduce(AlgAuto, ranks, n)
@@ -214,7 +226,7 @@ func TestAllreduceMV2FasterThanSpectrumEverywhere(t *testing.T) {
 }
 
 func TestPickAuto(t *testing.T) {
-	m := worldModel(4, mpiprofile.MV2GDR())
+	m := worldModel(t, 4, mpiprofile.MV2GDR())
 	ranks := m.WorldRanks()
 	if got := m.Pick(AlgAuto, ranks, 1024); got != AlgRecursiveDoubling {
 		t.Errorf("small message picked %v", got)
@@ -222,7 +234,7 @@ func TestPickAuto(t *testing.T) {
 	if got := m.Pick(AlgAuto, ranks, 64*MiB); got != AlgHierTorus {
 		t.Errorf("large multi-node message picked %v", got)
 	}
-	single := worldModel(1, mpiprofile.MV2GDR())
+	single := worldModel(t, 1, mpiprofile.MV2GDR())
 	if got := single.Pick(AlgAuto, single.WorldRanks(), 64*MiB); got != AlgRing {
 		t.Errorf("single-node large message picked %v", got)
 	}
@@ -232,7 +244,7 @@ func TestPickAuto(t *testing.T) {
 }
 
 func TestAlgorithmNames(t *testing.T) {
-	for _, a := range Algorithms() {
+	for _, a := range concreteAlgs {
 		name := a.String()
 		back, err := AlgorithmByName(name)
 		if err != nil || back != a {
@@ -268,14 +280,14 @@ func TestNegotiationGrowsWithRanks(t *testing.T) {
 
 // Property: all allreduce algorithms are monotone in message size.
 func TestPropertyAllreduceMonotone(t *testing.T) {
-	m := worldModel(3, mpiprofile.Spectrum())
+	m := worldModel(t, 3, mpiprofile.Spectrum())
 	ranks := m.WorldRanks()
 	f := func(a, b uint32) bool {
 		x, y := int(a%(32*MiB))+1, int(b%(32*MiB))+1
 		if x > y {
 			x, y = y, x
 		}
-		for _, alg := range Algorithms() {
+		for _, alg := range concreteAlgs {
 			if m.Allreduce(alg, ranks, x) > m.Allreduce(alg, ranks, y)+1e-12 {
 				return false
 			}
@@ -289,7 +301,7 @@ func TestPropertyAllreduceMonotone(t *testing.T) {
 
 // Property: P2P time is symmetric in rank order.
 func TestPropertyP2PSymmetric(t *testing.T) {
-	m := worldModel(3, mpiprofile.MV2GDR())
+	m := worldModel(t, 3, mpiprofile.MV2GDR())
 	f := func(a, b uint8, n uint32) bool {
 		ra, rb := int(a)%m.Mach.Ranks(), int(b)%m.Mach.Ranks()
 		sz := int(n % (8 * MiB))
@@ -301,7 +313,7 @@ func TestPropertyP2PSymmetric(t *testing.T) {
 }
 
 func TestRingFlowsContiguousPlacement(t *testing.T) {
-	m := worldModel(4, mpiprofile.MV2GDR())
+	m := worldModel(t, 4, mpiprofile.MV2GDR())
 	if got := m.ringFlowsPerNIC(m.WorldRanks()); got != 1 {
 		t.Errorf("contiguous ring should have 1 NIC flow per node, got %d", got)
 	}
@@ -320,7 +332,7 @@ func TestHierTwoLevelBeatsFlatRingAt1056(t *testing.T) {
 	// regime, and must also beat the fixed-algorithm hierarchical
 	// variants at the paper's fusion threshold (the per-level pick is
 	// the point of the algorithm).
-	m := worldModel(176, mpiprofile.MV2GDR())
+	m := worldModel(t, 176, mpiprofile.MV2GDR())
 	ranks := m.WorldRanks()
 	for _, n := range []int{1 * MiB, 16 * MiB, 64 * MiB} {
 		flat := m.AllreduceRing(ranks, n)
@@ -337,7 +349,7 @@ func TestHierTwoLevelBeatsFlatRingAt1056(t *testing.T) {
 }
 
 func TestHierTwoLevelSingleNodeFallsBack(t *testing.T) {
-	m := worldModel(1, mpiprofile.MV2GDR())
+	m := worldModel(t, 1, mpiprofile.MV2GDR())
 	ranks := m.WorldRanks()
 	n := 16 * MiB
 	if got, want := m.AllreduceHierTwoLevel(ranks, n), m.AllreduceRing(ranks, n); got != want {
@@ -347,7 +359,7 @@ func TestHierTwoLevelSingleNodeFallsBack(t *testing.T) {
 
 func TestLevelSpecsMatchProfile(t *testing.T) {
 	prof := mpiprofile.MV2GDR()
-	m := worldModel(2, prof)
+	m := worldModel(t, 2, prof)
 	intra, inter := m.LevelSpecs()
 	if !intra.Valid() || !inter.Valid() {
 		t.Fatalf("invalid level specs: %+v / %+v", intra, inter)
@@ -360,7 +372,7 @@ func TestLevelSpecsMatchProfile(t *testing.T) {
 	if inter.BWBytesPerSec != prof.BWInter {
 		t.Errorf("inter bandwidth %g, want %g", inter.BWBytesPerSec, prof.BWInter)
 	}
-	triad := MustNew(topology.Machine{Nodes: 2, GPUsPer: 3}, prof)
+	triad := newModel(t, topology.Machine{Nodes: 2, GPUsPer: 3}, prof)
 	intra, _ = triad.LevelSpecs()
 	if intra.AlphaSec != prof.LatIntraNVLink {
 		t.Errorf("triad intra alpha %g, want NVLink %g", intra.AlphaSec, prof.LatIntraNVLink)

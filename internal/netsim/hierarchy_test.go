@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"segscale/internal/mpiprofile"
-	"segscale/internal/netmodel"
 	"segscale/internal/topology"
 )
 
@@ -61,7 +60,7 @@ func TestHierLeaderAgreesWithAnalytic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		analytic := netmodel.MustNew(mach, prof).AllreduceHierLeader(slots(24), n)
+		analytic := analyticModel(t, mach, prof).AllreduceHierLeader(slots(24), n)
 		ratio := res.Finish / analytic
 		if ratio < 0.3 || ratio > 2.0 {
 			t.Errorf("n=%d: netsim %.3gms vs analytic %.3gms (ratio %.2f)",
@@ -118,7 +117,7 @@ func TestHierTorusAgreesWithAnalytic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		analytic := netmodel.MustNew(mach, prof).AllreduceHierTorus(slots(24), n)
+		analytic := analyticModel(t, mach, prof).AllreduceHierTorus(slots(24), n)
 		ratio := finish / analytic
 		if ratio < 0.3 || ratio > 2.0 {
 			t.Errorf("n=%d: netsim %.3gms vs analytic %.3gms (ratio %.2f)",

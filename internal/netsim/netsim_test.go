@@ -17,6 +17,16 @@ func slots(n int) []int {
 	return out
 }
 
+// analyticModel is the netmodel the simulation is checked against.
+func analyticModel(t *testing.T, mach topology.Machine, prof *mpiprofile.Profile) *netmodel.Model {
+	t.Helper()
+	m, err := netmodel.New(mach, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func mustNet(t *testing.T, mach topology.Machine, prof *mpiprofile.Profile) *Network {
 	t.Helper()
 	nw, err := New(mach, prof)
@@ -83,7 +93,7 @@ func TestAgreesWithAnalyticIntraNode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			analytic := netmodel.MustNew(mach, prof).AllreduceRing(slots(6), n)
+			analytic := analyticModel(t, mach, prof).AllreduceRing(slots(6), n)
 			ratio := res.Finish / analytic
 			if ratio < 0.5 || ratio > 1.6 {
 				t.Errorf("%s n=%d: netsim %.3gms vs analytic %.3gms (ratio %.2f)",
@@ -102,7 +112,7 @@ func TestAgreesWithAnalyticInterNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analytic := netmodel.MustNew(mach, prof).AllreduceRing(slots(24), n)
+	analytic := analyticModel(t, mach, prof).AllreduceRing(slots(24), n)
 	ratio := res.Finish / analytic
 	if ratio < 0.4 || ratio > 1.8 {
 		t.Errorf("inter-node: netsim %.3gms vs analytic %.3gms (ratio %.2f)",

@@ -557,12 +557,8 @@ func (s *Sequential) Params() []*Param {
 	return out
 }
 
-// ConcatChannels concatenates NCHW tensors along the channel axis.
-func ConcatChannels(xs ...*tensor.Tensor) *tensor.Tensor {
-	return ConcatChannelsWS(nil, xs...)
-}
-
-// ConcatChannelsWS is ConcatChannels with the output drawn from ws.
+// ConcatChannelsWS concatenates NCHW tensors along the channel axis,
+// with the output drawn from ws (heap when nil).
 func ConcatChannelsWS(ws *tensor.Workspace, xs ...*tensor.Tensor) *tensor.Tensor {
 	n, h, w := xs[0].Dim(0), xs[0].Dim(2), xs[0].Dim(3)
 	total := 0
@@ -586,14 +582,10 @@ func ConcatChannelsWS(ws *tensor.Workspace, xs ...*tensor.Tensor) *tensor.Tensor
 	return out
 }
 
-// SplitChannels is the backward of ConcatChannels: it slices dout into
-// per-input gradients with the given channel counts.
-func SplitChannels(dout *tensor.Tensor, channels []int) []*tensor.Tensor {
-	return SplitChannelsWS(dout, channels, nil)
-}
-
-// SplitChannelsWS is SplitChannels with the gradients drawn from ws
-// (the result slice itself is a small per-call allocation).
+// SplitChannelsWS is the backward of ConcatChannelsWS: it slices dout
+// into per-input gradients with the given channel counts, drawn from
+// ws (heap when nil; the result slice itself is a small per-call
+// allocation).
 func SplitChannelsWS(dout *tensor.Tensor, channels []int, ws *tensor.Workspace) []*tensor.Tensor {
 	n, total, h, w := dout.Dim(0), dout.Dim(1), dout.Dim(2), dout.Dim(3)
 	sum := 0

@@ -222,11 +222,11 @@ func TestConcatSplitRoundTrip(t *testing.T) {
 	a := tensor.Randn(rng, 1, 2, 3, 4, 4)
 	b := tensor.Randn(rng, 1, 2, 1, 4, 4)
 	c := tensor.Randn(rng, 1, 2, 2, 4, 4)
-	cat := ConcatChannels(a, b, c)
+	cat := ConcatChannelsWS(nil, a, b, c)
 	if cat.Dim(1) != 6 {
 		t.Fatalf("concat channels %d", cat.Dim(1))
 	}
-	parts := SplitChannels(cat, []int{3, 1, 2})
+	parts := SplitChannelsWS(cat, []int{3, 1, 2}, nil)
 	for i, want := range []*tensor.Tensor{a, b, c} {
 		got := parts[i]
 		for j := range want.Data {
@@ -243,7 +243,7 @@ func TestConcatShapeMismatchPanics(t *testing.T) {
 			t.Error("mismatched concat accepted")
 		}
 	}()
-	ConcatChannels(tensor.New(1, 2, 4, 4), tensor.New(1, 2, 5, 4))
+	ConcatChannelsWS(nil, tensor.New(1, 2, 4, 4), tensor.New(1, 2, 5, 4))
 }
 
 func TestUpsampleGradientAdjoint(t *testing.T) {
@@ -310,44 +310,6 @@ func TestPolyScheduleValidation(t *testing.T) {
 		}
 	}()
 	NewPolySchedule(0.007, 0, 0, 1)
-}
-
-func TestPackUnpackGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	conv := NewConv2D(rng, "c", 2, 2, 3, tensor.ConvSpec{Pad: 1}, true)
-	params := conv.Params()
-	for _, p := range params {
-		for i := range p.G.Data {
-			p.G.Data[i] = float32(rng.NormFloat64())
-		}
-	}
-	buf := PackGrads(params, nil)
-	if len(buf) != ParamCount(params) {
-		t.Fatalf("pack length %d", len(buf))
-	}
-	orig := append([]float32(nil), buf...)
-	ZeroGrads(params)
-	UnpackGrads(params, orig)
-	buf2 := PackGrads(params, buf)
-	for i := range orig {
-		if buf2[i] != orig[i] {
-			t.Fatal("pack/unpack round trip failed")
-		}
-	}
-	if GradBytes(params) != 4*len(orig) {
-		t.Error("GradBytes wrong")
-	}
-}
-
-func TestUnpackWrongSizePanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	conv := NewConv2D(rng, "c", 1, 1, 3, tensor.ConvSpec{Pad: 1}, false)
-	defer func() {
-		if recover() == nil {
-			t.Error("wrong-size unpack accepted")
-		}
-	}()
-	UnpackGrads(conv.Params(), make([]float32, 3))
 }
 
 func TestGradNorm(t *testing.T) {

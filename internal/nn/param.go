@@ -11,11 +11,7 @@
 // layers directly and route gradients by hand in internal/deeplab.
 package nn
 
-import (
-	"fmt"
-
-	"segscale/internal/tensor"
-)
+import "segscale/internal/tensor"
 
 // Param is one trainable tensor with its gradient accumulator. The
 // distributed trainer allreduces G.Data across ranks between backward
@@ -58,42 +54,9 @@ func ParamCount(params []*Param) int {
 	return n
 }
 
-// GradBytes is the wire size of all gradients in float32 bytes — the
-// number Horovod's fusion buffer sees.
-func GradBytes(params []*Param) int { return 4 * ParamCount(params) }
-
 // ZeroGrads clears all gradients.
 func ZeroGrads(params []*Param) {
 	for _, p := range params {
 		p.ZeroGrad()
-	}
-}
-
-// PackGrads copies all gradients into one flat buffer (allocating if
-// buf is nil or wrongly sized) in parameter order — the "fused
-// buffer" view of the model's gradients.
-func PackGrads(params []*Param, buf []float32) []float32 {
-	n := ParamCount(params)
-	if len(buf) != n {
-		buf = make([]float32, n)
-	}
-	off := 0
-	for _, p := range params {
-		copy(buf[off:], p.G.Data)
-		off += p.G.Len()
-	}
-	return buf
-}
-
-// UnpackGrads scatters a flat buffer back into per-parameter
-// gradients; the inverse of PackGrads.
-func UnpackGrads(params []*Param, buf []float32) {
-	if len(buf) != ParamCount(params) {
-		panic(fmt.Sprintf("nn: unpack %d floats into %d params", len(buf), ParamCount(params)))
-	}
-	off := 0
-	for _, p := range params {
-		copy(p.G.Data, buf[off:off+p.G.Len()])
-		off += p.G.Len()
 	}
 }

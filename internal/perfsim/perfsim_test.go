@@ -176,34 +176,6 @@ func TestFP16CompressionReducesAllreduceTime(t *testing.T) {
 	}
 }
 
-func TestRunSeedsAggregates(t *testing.T) {
-	agg, err := RunSeeds(tunedMV2(24), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(agg.Runs) != 5 {
-		t.Fatalf("%d runs", len(agg.Runs))
-	}
-	if agg.MeanImgPerSec <= 0 || agg.StdImgPerSec < 0 || agg.CI95ImgPerSec < 0 {
-		t.Fatalf("bad aggregate %+v", agg)
-	}
-	// Seed noise should be small relative to the mean (stable sim).
-	if agg.StdImgPerSec > 0.05*agg.MeanImgPerSec {
-		t.Fatalf("throughput too noisy: %.2f ± %.2f", agg.MeanImgPerSec, agg.StdImgPerSec)
-	}
-	// Different seeds really ran: at least two distinct values.
-	distinct := map[float64]bool{}
-	for _, r := range agg.Runs {
-		distinct[r.ImgPerSec] = true
-	}
-	if len(distinct) < 2 {
-		t.Fatal("seed variation had no effect")
-	}
-	if _, err := RunSeeds(tunedMV2(6), 0); err == nil {
-		t.Fatal("zero seed runs accepted")
-	}
-}
-
 func TestBatchOverrideAndMemoryCap(t *testing.T) {
 	cfg := tunedMV2(24)
 	cfg.BatchPerGPU = 8 // DLv3+'s memory ceiling

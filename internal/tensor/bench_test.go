@@ -28,7 +28,7 @@ func BenchmarkConv2DForward(b *testing.B) {
 	spec := ConvSpec{Pad: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Conv2D(x, w, spec)
+		Conv2DWS(x, w, spec, nil)
 	}
 }
 
@@ -39,7 +39,7 @@ func BenchmarkAtrousConv2D(b *testing.B) {
 	spec := ConvSpec{Pad: 6, Dilation: 6}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Conv2D(x, w, spec)
+		Conv2DWS(x, w, spec, nil)
 	}
 }
 
@@ -51,7 +51,7 @@ func BenchmarkConv2DBackward(b *testing.B) {
 	dout := Randn(rng, 1, 4, 16, 24, 24)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Conv2DBackward(x, w, dout, spec)
+		Conv2DBackwardWS(x, w, dout, spec, nil)
 	}
 }
 
@@ -60,7 +60,7 @@ func BenchmarkBilinearResize(b *testing.B) {
 	x := Randn(rng, 1, 4, 16, 12, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BilinearResize(x, 24, 24)
+		BilinearResizeWS(x, 24, 24, nil)
 	}
 }
 
@@ -73,7 +73,7 @@ func BenchmarkSoftmaxCrossEntropy(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SoftmaxCrossEntropy(logits, labels, 255)
+		SoftmaxCrossEntropyWS(logits, labels, 255, nil)
 	}
 }
 

@@ -154,14 +154,10 @@ func col2im(dx *Tensor, sample, chanLo, cg int, kh, kw, oh, ow int, s ConvSpec, 
 	}
 }
 
-// Conv2D computes the grouped, dilated 2-D convolution of x [N,C,H,W]
-// with w [F, C/groups, KH, KW], returning [N,F,OH,OW].
-func Conv2D(x, w *Tensor, spec ConvSpec) *Tensor {
-	return Conv2DWS(x, w, spec, nil)
-}
-
-// Conv2DWS is Conv2D drawing the output and all internal scratch from
-// ws (heap when nil), fanning samples out over ws's worker budget.
+// Conv2DWS computes the grouped, dilated 2-D convolution of x [N,C,H,W]
+// with w [F, C/groups, KH, KW], returning [N,F,OH,OW]. It draws the
+// output and all internal scratch from ws (heap when nil), fanning
+// samples out over ws's worker budget.
 // With a warm workspace the call is allocation-free on the serial path
 // (one worker); the returned tensor is owned by ws and valid until its
 // Reset.
@@ -279,14 +275,9 @@ func depthwiseForward(x, w, out *Tensor, s ConvSpec, lo, hi, kh, kw, oh, ow int,
 	ws.Put(xpad)
 }
 
-// Conv2DBackward returns gradients (dx, dw) of the convolution given
-// upstream gradient dout [N,F,OH,OW].
-func Conv2DBackward(x, w, dout *Tensor, spec ConvSpec) (dx, dw *Tensor) {
-	return Conv2DBackwardWS(x, w, dout, spec, nil)
-}
-
-// Conv2DBackwardWS is Conv2DBackward drawing outputs and scratch from
-// ws (heap when nil), fanning out over ws's worker budget.
+// Conv2DBackwardWS returns gradients (dx, dw) of Conv2DWS given
+// upstream gradient dout [N,F,OH,OW], drawing outputs and scratch from
+// ws (heap when nil) and fanning out over ws's worker budget.
 //
 // Weight gradients are accumulated deterministically: each sample's
 // dW contribution lands in its own partial buffer, and the partials

@@ -65,7 +65,7 @@ func TestConv2DMatchesNaive(t *testing.T) {
 		x := Randn(rng, 1, c.n, c.c, c.h, c.w)
 		g := c.spec.Canon().Groups
 		w := Randn(rng, 0.5, c.f, c.c/g, c.k, c.k)
-		got := Conv2D(x, w, c.spec)
+		got := Conv2DWS(x, w, c.spec, nil)
 		want := naiveConv2D(x, w, c.spec)
 		tensorsClose(t, got, want, 1e-3, "conv case "+string(rune('A'+i)))
 	}
@@ -104,9 +104,9 @@ func TestSamePad(t *testing.T) {
 func TestConvValidation(t *testing.T) {
 	x := New(1, 3, 5, 5)
 	for _, f := range []func(){
-		func() { Conv2D(x, New(2, 2, 3, 3), ConvSpec{Pad: 1}) },            // wrong cg
-		func() { Conv2D(x, New(2, 3, 3, 3), ConvSpec{Pad: 1, Groups: 2}) }, // groups ∤ C
-		func() { Conv2D(x.Reshape(3, 5, 5, 1), New(2, 3, 3, 3), ConvSpec{}) },
+		func() { Conv2DWS(x, New(2, 2, 3, 3), ConvSpec{Pad: 1}, nil) },            // wrong cg
+		func() { Conv2DWS(x, New(2, 3, 3, 3), ConvSpec{Pad: 1, Groups: 2}, nil) }, // groups ∤ C
+		func() { Conv2DWS(x.Reshape(3, 5, 5, 1), New(2, 3, 3, 3), ConvSpec{}, nil) },
 	} {
 		func() {
 			defer func() {
@@ -144,17 +144,17 @@ func TestConv2DBackwardNumerical(t *testing.T) {
 		g := spec.Canon().Groups
 		w := Randn(rng, 0.5, 2, 2/g, 3, 3)
 		// Loss = Σ out ⊙ mask for a random fixed mask.
-		out := Conv2D(x, w, spec)
+		out := Conv2DWS(x, w, spec, nil)
 		mask := Randn(rng, 1, out.Shape...)
 		eval := func() float64 {
-			o := Conv2D(x, w, spec)
+			o := Conv2DWS(x, w, spec, nil)
 			s := 0.0
 			for i := range o.Data {
 				s += float64(o.Data[i] * mask.Data[i])
 			}
 			return s
 		}
-		dx, dw := Conv2DBackward(x, w, mask, spec)
+		dx, dw := Conv2DBackwardWS(x, w, mask, spec, nil)
 		// Spot-check a handful of weight and input coordinates.
 		for _, i := range []int{0, 3, 7, len(w.Data) - 1} {
 			want := numericalGrad(eval, w.Data, i)
@@ -179,49 +179,26 @@ func TestConv2DBackwardShapeValidation(t *testing.T) {
 			t.Error("wrong dout shape accepted")
 		}
 	}()
-	Conv2DBackward(x, w, New(1, 2, 9, 9), ConvSpec{Pad: 1})
+	Conv2DBackwardWS(x, w, New(1, 2, 9, 9), ConvSpec{Pad: 1}, nil)
 }
 
 func TestGlobalAvgPool(t *testing.T) {
 	x := New(1, 2, 2, 2)
 	copy(x.Data, []float32{1, 2, 3, 4, 10, 20, 30, 40})
-	out := GlobalAvgPool(x)
+	out := GlobalAvgPoolWS(x, nil)
 	if out.At(0, 0, 0, 0) != 2.5 || out.At(0, 1, 0, 0) != 25 {
 		t.Fatalf("pool = %v", out.Data)
 	}
-	dx := GlobalAvgPoolBackward(out, 2, 2)
+	dx := GlobalAvgPoolBackwardWS(out, 2, 2, nil)
 	if dx.At(0, 0, 0, 0) != 2.5/4 {
 		t.Fatalf("pool backward = %v", dx.Data)
 	}
 }
 
-func TestMaxPool2(t *testing.T) {
-	x := New(1, 1, 2, 4)
-	copy(x.Data, []float32{1, 5, 2, 0, 3, 4, 1, 9})
-	out, arg := MaxPool2(x)
-	if out.At(0, 0, 0, 0) != 5 || out.At(0, 0, 0, 1) != 9 {
-		t.Fatalf("maxpool = %v", out.Data)
-	}
-	dout := Full(1, 1, 1, 1, 2)
-	dx := MaxPool2Backward(dout, arg, 2, 4)
-	if dx.Data[1] != 1 || dx.Data[7] != 1 || dx.Sum() != 2 {
-		t.Fatalf("maxpool backward = %v", dx.Data)
-	}
-}
-
-func TestMaxPool2OddPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("odd input accepted")
-		}
-	}()
-	MaxPool2(New(1, 1, 3, 4))
-}
-
 func TestBilinearResizeIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	x := Randn(rng, 1, 2, 2, 4, 4)
-	y := BilinearResize(x, 4, 4)
+	y := BilinearResizeWS(x, 4, 4, nil)
 	tensorsClose(t, y, x, 1e-6, "identity resize")
 }
 
@@ -229,7 +206,7 @@ func TestBilinearResizeUpsampleCorners(t *testing.T) {
 	// align_corners=true must preserve corner values exactly.
 	x := New(1, 1, 2, 2)
 	copy(x.Data, []float32{1, 2, 3, 4})
-	y := BilinearResize(x, 5, 5)
+	y := BilinearResizeWS(x, 5, 5, nil)
 	if y.At(0, 0, 0, 0) != 1 || y.At(0, 0, 0, 4) != 2 || y.At(0, 0, 4, 0) != 3 || y.At(0, 0, 4, 4) != 4 {
 		t.Fatalf("corners: %v", y.Data)
 	}
@@ -246,8 +223,8 @@ func TestBilinearResizeAdjoint(t *testing.T) {
 	for _, dims := range [][4]int{{3, 3, 7, 7}, {5, 5, 3, 3}, {4, 6, 9, 5}} {
 		x := Randn(rng, 1, 1, 1, dims[0], dims[1])
 		y := Randn(rng, 1, 1, 1, dims[2], dims[3])
-		ax := BilinearResize(x, dims[2], dims[3])
-		aty := BilinearResizeBackward(y, dims[0], dims[1])
+		ax := BilinearResizeWS(x, dims[2], dims[3], nil)
+		aty := BilinearResizeBackwardWS(y, dims[0], dims[1], nil)
 		var lhs, rhs float64
 		for i := range ax.Data {
 			lhs += float64(ax.Data[i] * y.Data[i])
@@ -266,7 +243,7 @@ func TestSoftmaxCrossEntropyUniform(t *testing.T) {
 	k := 4
 	logits := New(1, k, 2, 2)
 	labels := []int32{0, 1, 2, 3}
-	loss, grad := SoftmaxCrossEntropy(logits, labels, 255)
+	loss, grad := SoftmaxCrossEntropyWS(logits, labels, 255, nil)
 	if math.Abs(loss-math.Log(float64(k))) > 1e-6 {
 		t.Fatalf("uniform loss = %g, want ln %d", loss, k)
 	}
@@ -286,7 +263,7 @@ func TestSoftmaxCrossEntropyIgnore(t *testing.T) {
 	logits := New(1, 3, 1, 2)
 	logits.Set(5, 0, 1, 0, 0) // confident class-1 at pixel 0
 	labels := []int32{1, 255}
-	loss, grad := SoftmaxCrossEntropy(logits, labels, 255)
+	loss, grad := SoftmaxCrossEntropyWS(logits, labels, 255, nil)
 	if loss > 0.1 {
 		t.Fatalf("confident correct prediction loss = %g", loss)
 	}
@@ -296,7 +273,7 @@ func TestSoftmaxCrossEntropyIgnore(t *testing.T) {
 		}
 	}
 	// All-ignored batch: zero loss, zero grad.
-	loss2, grad2 := SoftmaxCrossEntropy(New(1, 3, 1, 2), []int32{255, 255}, 255)
+	loss2, grad2 := SoftmaxCrossEntropyWS(New(1, 3, 1, 2), []int32{255, 255}, 255, nil)
 	if loss2 != 0 || grad2.MaxAbs() != 0 {
 		t.Fatal("all-ignored batch produced loss/gradient")
 	}
@@ -306,9 +283,9 @@ func TestSoftmaxCrossEntropyNumericalGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	logits := Randn(rng, 1, 1, 3, 2, 2)
 	labels := []int32{0, 2, 255, 1}
-	_, grad := SoftmaxCrossEntropy(logits, labels, 255)
+	_, grad := SoftmaxCrossEntropyWS(logits, labels, 255, nil)
 	eval := func() float64 {
-		l, _ := SoftmaxCrossEntropy(logits, labels, 255)
+		l, _ := SoftmaxCrossEntropyWS(logits, labels, 255, nil)
 		return l
 	}
 	for _, i := range []int{0, 5, 11} {
@@ -325,7 +302,7 @@ func TestSoftmaxCrossEntropyBadLabelPanics(t *testing.T) {
 			t.Error("out-of-range label accepted")
 		}
 	}()
-	SoftmaxCrossEntropy(New(1, 3, 1, 1), []int32{7}, 255)
+	SoftmaxCrossEntropyWS(New(1, 3, 1, 1), []int32{7}, 255, nil)
 }
 
 func TestArgmaxClass(t *testing.T) {

@@ -42,9 +42,9 @@ func TestConv2DBackwardMergeBitIdentical(t *testing.T) {
 			x, wt, dout, s := convCase(99, tc.n, tc.c, tc.h, tc.w, tc.f, tc.k, tc.spec)
 
 			prev := runtime.GOMAXPROCS(1)
-			dxSerial, dwSerial := Conv2DBackward(x, wt, dout, s)
+			dxSerial, dwSerial := Conv2DBackwardWS(x, wt, dout, s, nil)
 			runtime.GOMAXPROCS(4)
-			dxWide, dwWide := Conv2DBackward(x, wt, dout, s)
+			dxWide, dwWide := Conv2DBackwardWS(x, wt, dout, s, nil)
 			runtime.GOMAXPROCS(prev)
 
 			requireBitIdentical(t, dwWide, dwSerial, "dw")
@@ -73,11 +73,11 @@ func TestConv2DWorkspaceMatchesHeap(t *testing.T) {
 			x, wt, dout, s := convCase(int64(7+i), tc.n, tc.c, tc.h, tc.w, tc.f, tc.k, tc.spec)
 			ws := NewWorkspace()
 
-			out := Conv2D(x, wt, s)
+			out := Conv2DWS(x, wt, s, nil)
 			outWS := Conv2DWS(x, wt, s, ws)
 			requireBitIdentical(t, outWS, out, "forward")
 
-			dx, dw := Conv2DBackward(x, wt, dout, s)
+			dx, dw := Conv2DBackwardWS(x, wt, dout, s, nil)
 			dxWS, dwWS := Conv2DBackwardWS(x, wt, dout, s, ws)
 			requireBitIdentical(t, dxWS, dx, "dx")
 			requireBitIdentical(t, dwWS, dw, "dw")
@@ -139,14 +139,14 @@ func TestConv2DWorkspaceZeroAllocs(t *testing.T) {
 // budgetRun is one pass of every kernel that fans out over its
 // workspace's budget; a value, so collecting it allocates nothing.
 type budgetRun struct {
-	out, dx, dw, dlogits, pool, dpool, mp, dmp, up, dup *Tensor
-	loss                                                float64
+	out, dx, dw, dlogits, pool, dpool, up, dup *Tensor
+	loss                                       float64
 }
 
 // TestWorkspaceBudgetZeroAllocs pins the rank worker budget: with
 // SetWorkers(1) every kernel takes its closure-free serial branch even
 // at GOMAXPROCS=4 — conv forward and backward, the loss, the argmax,
-// global and max pooling and the bilinear resize, each with its
+// global pooling and the bilinear resize, each with its
 // backward — so a warm pass allocates nothing, and every result
 // matches a workspace at the default, GOMAXPROCS-wide budget bit for
 // bit.
@@ -161,7 +161,6 @@ func TestWorkspaceBudgetZeroAllocs(t *testing.T) {
 		labels[i] = int32(rng.Intn(classes))
 	}
 	labels[0] = ignore
-	argBuf := make([]int32, n*c*hw*hw/4)
 	pass := func(ws *Workspace, pred []int32) budgetRun {
 		var r budgetRun
 		r.out = Conv2DWS(x, wt, s, ws)
@@ -170,9 +169,6 @@ func TestWorkspaceBudgetZeroAllocs(t *testing.T) {
 		ArgmaxClassInto(logits, pred, ws)
 		r.pool = GlobalAvgPoolWS(x, ws)
 		r.dpool = GlobalAvgPoolBackwardWS(r.pool, hw, hw, ws)
-		var arg []int32
-		r.mp, arg = MaxPool2WS(x, argBuf, ws)
-		r.dmp = MaxPool2BackwardWS(r.mp, arg, hw, hw, ws)
 		r.up = BilinearResizeWS(x, 17, 17, ws)
 		r.dup = BilinearResizeBackwardWS(r.up, hw, hw, ws)
 		return r
@@ -222,7 +218,6 @@ func TestWorkspaceBudgetZeroAllocs(t *testing.T) {
 		{"conv forward", a.out, b.out}, {"conv dx", a.dx, b.dx}, {"conv dw", a.dw, b.dw},
 		{"loss gradient", a.dlogits, b.dlogits},
 		{"avg pool", a.pool, b.pool}, {"avg pool backward", a.dpool, b.dpool},
-		{"max pool", a.mp, b.mp}, {"max pool backward", a.dmp, b.dmp},
 		{"resize", a.up, b.up}, {"resize backward", a.dup, b.dup},
 	} {
 		requireBitIdentical(t, p.got, p.wider, p.name)

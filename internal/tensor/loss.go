@@ -5,21 +5,17 @@ import (
 	"math"
 )
 
-// SoftmaxCrossEntropy computes the mean pixelwise cross-entropy of
+// SoftmaxCrossEntropyWS computes the mean pixelwise cross-entropy of
 // logits [N,K,H,W] against integer labels (length N·H·W, values in
 // [0,K) or ignore), and the gradient w.r.t. the logits. Pixels with
 // the ignore label (PASCAL VOC uses 255 for "void") contribute
 // nothing to loss or gradient — matching DeepLab's loss exactly.
-func SoftmaxCrossEntropy(logits *Tensor, labels []int32, ignore int32) (float64, *Tensor) {
-	return SoftmaxCrossEntropyWS(logits, labels, ignore, nil)
-}
-
-// SoftmaxCrossEntropyWS is SoftmaxCrossEntropy with the gradient drawn
-// from ws and samples fanned out over ws's worker budget. On one worker
-// it folds the samples' losses in order as it goes and allocates
-// nothing; a wider fan-out keeps per-sample partials on the heap and
-// folds them in the same order, so the loss is bit-identical at any
-// budget.
+//
+// The gradient is drawn from ws (heap when nil) and samples fan out
+// over ws's worker budget. On one worker it folds the samples' losses
+// in order as it goes and allocates nothing; a wider fan-out keeps
+// per-sample partials on the heap and folds them in the same order, so
+// the loss is bit-identical at any budget.
 func SoftmaxCrossEntropyWS(logits *Tensor, labels []int32, ignore int32, ws *Workspace) (float64, *Tensor) {
 	n, k, h, w := logits.Dim(0), logits.Dim(1), logits.Dim(2), logits.Dim(3)
 	if len(labels) != n*h*w {

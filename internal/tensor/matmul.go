@@ -33,14 +33,6 @@ const (
 	nrTile = 4 // columns per micro-tile (= packed panel width)
 )
 
-// MatMul computes C = A·B for A [m,k] and B [k,n], returning C [m,n].
-func MatMul(a, b *Tensor) *Tensor {
-	m, _, n := checkMatMul(a, b)
-	c := New(m, n)
-	MatMulInto(c, a, b, false)
-	return c
-}
-
 // MatMulInto computes C = A·B (or C += A·B when accumulate) into an
 // existing [m,n] tensor, allocation-free in steady state: the only
 // working memory is a per-worker B panel drawn from an internal pool,
@@ -87,36 +79,9 @@ func matmulRows(cd, ad, bd []float32, k, n, lo, hi int, bt, accumulate bool) {
 	kernelScratch.Put(panel)
 }
 
-// MatMulATInto computes C = Aᵀ·B for A [k,m], B [k,n] into C [m,n]
-// (accumulating when requested) — the shape conv backward needs for
-// input-column gradients. The worker gathers its slice of Aᵀ into a
-// contiguous strip once, then runs the same packed-panel core as
-// MatMulInto.
-//
-// Pinned at zero allocations on the serial path by
-// TestMatMulIntoZeroAllocs.
-func MatMulATInto(c, a, b *Tensor, accumulate bool) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic("tensor: matmulAT needs rank-2 inputs")
-	}
-	k, m := a.Dim(0), a.Dim(1)
-	if b.Dim(0) != k {
-		panic(fmt.Sprintf("tensor: matmulAT inner dims %v × %v", a.Shape, b.Shape))
-	}
-	n := b.Dim(1)
-	checkMatMulOut(c, m, n, "matmulAT")
-	cd, ad, bd := c.Data, a.Data, b.Data
-	if parallelDegree(m) <= 1 {
-		matmulATRows(cd, ad, bd, k, m, n, 0, m, accumulate)
-		return
-	}
-	Parallel(m, func(lo, hi int) {
-		matmulATRows(cd, ad, bd, k, m, n, lo, hi, accumulate)
-	})
-}
-
-// matmulATRows is the per-worker body of MatMulATInto: rows [lo,hi)
-// of C = Aᵀ·B, gathering the worker's strip of Aᵀ once up front and
+// matmulATRows computes rows [lo,hi) of C = Aᵀ·B for A [k,m], B [k,n]
+// into C [m,n] — the shape conv backward needs for input-column
+// gradients — gathering the worker's strip of Aᵀ once up front and
 // then running matmulRows on it.
 func matmulATRows(cd, ad, bd []float32, k, m, n, lo, hi int, accumulate bool) {
 	rows := hi - lo
@@ -124,33 +89,6 @@ func matmulATRows(cd, ad, bd []float32, k, m, n, lo, hi int, accumulate bool) {
 	packPanelAT(apanel.Data, ad, k, m, lo, rows)
 	matmulRows(cd[lo*n:], apanel.Data, bd, k, n, 0, rows, false, accumulate)
 	kernelScratch.Put(apanel)
-}
-
-// MatMulBTInto computes C = A·Bᵀ for A [m,k], B [n,k] into C [m,n]
-// (accumulating when requested) — the shape conv backward needs for
-// weight gradients. Each panel packs four rows of B transposed, and
-// the same micro-kernel as MatMulInto runs over it.
-//
-// Pinned at zero allocations on the serial path by
-// TestMatMulIntoZeroAllocs.
-func MatMulBTInto(c, a, b *Tensor, accumulate bool) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic("tensor: matmulBT needs rank-2 inputs")
-	}
-	m, k := a.Dim(0), a.Dim(1)
-	n := b.Dim(0)
-	if b.Dim(1) != k {
-		panic(fmt.Sprintf("tensor: matmulBT inner dims %v × %v", a.Shape, b.Shape))
-	}
-	checkMatMulOut(c, m, n, "matmulBT")
-	cd, ad, bd := c.Data, a.Data, b.Data
-	if parallelDegree(m) <= 1 {
-		matmulRows(cd, ad, bd, k, n, 0, m, true, accumulate)
-		return
-	}
-	Parallel(m, func(lo, hi int) {
-		matmulRows(cd, ad, bd, k, n, lo, hi, true, accumulate)
-	})
 }
 
 func checkMatMul(a, b *Tensor) (m, k, n int) {

@@ -5,11 +5,8 @@ import (
 	"sync"
 )
 
-// GlobalAvgPool reduces [N,C,H,W] to [N,C,1,1] — ASPP's image-level
-// pooling branch.
-func GlobalAvgPool(x *Tensor) *Tensor { return GlobalAvgPoolWS(x, nil) }
-
-// GlobalAvgPoolWS is GlobalAvgPool with the output drawn from ws.
+// GlobalAvgPoolWS reduces [N,C,H,W] to [N,C,1,1] — ASPP's image-level
+// pooling branch — with the output drawn from ws (heap when nil).
 func GlobalAvgPoolWS(x *Tensor, ws *Workspace) *Tensor {
 	n, c := x.Dim(0), x.Dim(1)
 	out := ws.GetRaw(n, c, 1, 1)
@@ -35,14 +32,9 @@ func avgPoolPlanes(x, out *Tensor, lo, hi int) {
 	}
 }
 
-// GlobalAvgPoolBackward spreads dout [N,C,1,1] uniformly over the
-// input extent.
-func GlobalAvgPoolBackward(dout *Tensor, h, w int) *Tensor {
-	return GlobalAvgPoolBackwardWS(dout, h, w, nil)
-}
-
-// GlobalAvgPoolBackwardWS is GlobalAvgPoolBackward with the gradient
-// drawn from ws.
+// GlobalAvgPoolBackwardWS spreads dout [N,C,1,1] uniformly over the
+// [N,C,h,w] input extent, with the gradient drawn from ws (heap when
+// nil).
 func GlobalAvgPoolBackwardWS(dout *Tensor, h, w int, ws *Workspace) *Tensor {
 	n, c := dout.Dim(0), dout.Dim(1)
 	dx := ws.GetRaw(n, c, h, w)
@@ -64,87 +56,6 @@ func avgPoolBackwardPlanes(dout, dx *Tensor, lo, hi int) {
 		row := dx.Data[i*hw : (i+1)*hw]
 		for j := range row {
 			row[j] = g
-		}
-	}
-}
-
-// MaxPool2 performs 2×2/stride-2 max pooling (even H,W required) and
-// returns the pooled tensor plus argmax indices for the backward pass.
-func MaxPool2(x *Tensor) (*Tensor, []int32) { return MaxPool2WS(x, nil, nil) }
-
-// MaxPool2WS is MaxPool2 with the output drawn from ws. argBuf, when
-// cap-sufficient, is reused for the argmax indices so steady-state
-// callers can recycle it across steps.
-func MaxPool2WS(x *Tensor, argBuf []int32, ws *Workspace) (*Tensor, []int32) {
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	if h%2 != 0 || w%2 != 0 {
-		panic(fmt.Sprintf("tensor: maxpool2 needs even spatial dims, got %dx%d", h, w))
-	}
-	oh, ow := h/2, w/2
-	out := ws.GetRaw(n, c, oh, ow)
-	arg := argBuf
-	if cap(arg) < n*c*oh*ow {
-		arg = make([]int32, n*c*oh*ow)
-	} else {
-		arg = arg[:n*c*oh*ow]
-	}
-	if deg := ws.degree(n * c); deg <= 1 {
-		maxPoolPlanes(x, out, arg, 0, n*c)
-	} else {
-		parallelOver(deg, n*c, func(lo, hi int) { maxPoolPlanes(x, out, arg, lo, hi) })
-	}
-	return out, arg
-}
-
-// maxPoolPlanes is MaxPool2WS's per-worker body over planes [lo,hi).
-func maxPoolPlanes(x, out *Tensor, arg []int32, lo, hi int) {
-	h, w, oh, ow := x.Dim(2), x.Dim(3), out.Dim(2), out.Dim(3)
-	for i := lo; i < hi; i++ {
-		in := x.Data[i*h*w : (i+1)*h*w]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := float32(0)
-				bestIdx := -1
-				for dy := 0; dy < 2; dy++ {
-					for dx := 0; dx < 2; dx++ {
-						idx := (oy*2+dy)*w + ox*2 + dx
-						if bestIdx < 0 || in[idx] > best {
-							best, bestIdx = in[idx], idx
-						}
-					}
-				}
-				out.Data[i*oh*ow+oy*ow+ox] = best
-				arg[i*oh*ow+oy*ow+ox] = int32(bestIdx)
-			}
-		}
-	}
-}
-
-// MaxPool2Backward routes gradients to the argmax positions.
-func MaxPool2Backward(dout *Tensor, arg []int32, h, w int) *Tensor {
-	return MaxPool2BackwardWS(dout, arg, h, w, nil)
-}
-
-// MaxPool2BackwardWS is MaxPool2Backward with the gradient drawn
-// from ws.
-func MaxPool2BackwardWS(dout *Tensor, arg []int32, h, w int, ws *Workspace) *Tensor {
-	n, c := dout.Dim(0), dout.Dim(1)
-	dx := ws.Get(n, c, h, w) // zeroed: gradients scatter sparsely
-	if deg := ws.degree(n * c); deg <= 1 {
-		maxPoolBackwardPlanes(dout, dx, arg, 0, n*c)
-	} else {
-		parallelOver(deg, n*c, func(lo, hi int) { maxPoolBackwardPlanes(dout, dx, arg, lo, hi) })
-	}
-	return dx
-}
-
-// maxPoolBackwardPlanes is MaxPool2BackwardWS's per-worker body over
-// planes [lo,hi).
-func maxPoolBackwardPlanes(dout, dx *Tensor, arg []int32, lo, hi int) {
-	hw, ohw := dx.Dim(2)*dx.Dim(3), dout.Dim(2)*dout.Dim(3)
-	for i := lo; i < hi; i++ {
-		for j := 0; j < ohw; j++ {
-			dx.Data[i*hw+int(arg[i*ohw+j])] += dout.Data[i*ohw+j]
 		}
 	}
 }
@@ -204,13 +115,9 @@ func bilinearWeights(in, out int) (lo, hi []int, w []float32) {
 	return
 }
 
-// BilinearResize resamples [N,C,H,W] to [N,C,OH,OW].
-func BilinearResize(x *Tensor, oh, ow int) *Tensor {
-	return BilinearResizeWS(x, oh, ow, nil)
-}
-
-// BilinearResizeWS is BilinearResize with the output drawn from ws and
-// the axis plans served from a process-wide cache.
+// BilinearResizeWS resamples [N,C,H,W] to [N,C,oh,ow], with the output
+// drawn from ws (heap when nil) and the axis plans served from a
+// process-wide cache.
 func BilinearResizeWS(x *Tensor, oh, ow int, ws *Workspace) *Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	if oh <= 0 || ow <= 0 {
@@ -251,14 +158,9 @@ func resizePlanes(x, out *Tensor, yax, xax *bilinearAxis, lo, hi int) {
 	}
 }
 
-// BilinearResizeBackward is the adjoint of BilinearResize: it scatters
-// dout [N,C,OH,OW] back onto an [N,C,H,W] gradient.
-func BilinearResizeBackward(dout *Tensor, h, w int) *Tensor {
-	return BilinearResizeBackwardWS(dout, h, w, nil)
-}
-
-// BilinearResizeBackwardWS is BilinearResizeBackward with the gradient
-// drawn from ws.
+// BilinearResizeBackwardWS is the adjoint of BilinearResizeWS: it
+// scatters dout [N,C,OH,OW] back onto an [N,C,h,w] gradient drawn from
+// ws (heap when nil).
 func BilinearResizeBackwardWS(dout *Tensor, h, w int, ws *Workspace) *Tensor {
 	n, c, oh, ow := dout.Dim(0), dout.Dim(1), dout.Dim(2), dout.Dim(3)
 	yax, xax := bilinearAxisFor(h, oh), bilinearAxisFor(w, ow)

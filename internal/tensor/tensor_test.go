@@ -167,7 +167,9 @@ func TestMatMulAgainstNaive(t *testing.T) {
 	for _, dims := range [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 7, 3}, {16, 16, 16}} {
 		a := Randn(rng, 1, dims[0], dims[1])
 		b := Randn(rng, 1, dims[1], dims[2])
-		tensorsClose(t, MatMul(a, b), naiveMatMul(a, b), 1e-4, "matmul")
+		got := New(dims[0], dims[2])
+		MatMulInto(got, a, b, false)
+		tensorsClose(t, got, naiveMatMul(a, b), 1e-4, "matmul")
 	}
 }
 
@@ -177,7 +179,7 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Error("mismatched matmul accepted")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 5))
+	MatMulInto(New(2, 5), New(2, 3), New(4, 5), false)
 }
 
 func TestMatMulTransposedVariants(t *testing.T) {
@@ -233,9 +235,10 @@ func TestPropertyMatMulLinear(t *testing.T) {
 		c := Randn(rng, 1, k, n)
 		bc := b.Clone()
 		bc.Add(c)
-		left := MatMul(a, bc)
-		right := MatMul(a, b)
-		right.Add(MatMul(a, c))
+		left, right := New(m, n), New(m, n)
+		MatMulInto(left, a, bc, false)
+		MatMulInto(right, a, b, false)
+		MatMulInto(right, a, c, true)
 		for i := range left.Data {
 			if math.Abs(float64(left.Data[i]-right.Data[i])) > 1e-3 {
 				return false

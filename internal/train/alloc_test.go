@@ -13,6 +13,15 @@ import (
 	"segscale/internal/transport"
 )
 
+// runWorld runs fn on every rank of a fresh n-rank world.
+func runWorld(n int, fn func(c *transport.Comm) error) error {
+	w, err := transport.NewWorld(n)
+	if err != nil {
+		return err
+	}
+	return w.Run(fn)
+}
+
 // realStepAllocs measures the steady-state heap allocations of
 // rankStep.step — the trainer's own step, built by newRankStep around
 // a fresh replica and synced by syncState exactly as an incarnation does
@@ -40,7 +49,7 @@ func realStepAllocs(t *testing.T, cfg Config, procs int, useWS bool) float64 {
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	var allocs float64
-	err = transport.Run(world, func(c *transport.Comm) error {
+	err = runWorld(world, func(c *transport.Comm) error {
 		rank := c.Rank()
 		rep := fresh()
 		if !useWS {
@@ -190,7 +199,7 @@ func (r stepRow) config() Config {
 // so the backoff is marked), and each observer (health plane,
 // telemetry with a flight recorder, step observer). The world-1
 // residue is bounded and intentional — among it the loss's tiny
-// float64 reduction buffers and SplitChannels' slice-of-headers: each
+// float64 reduction buffers and SplitChannelsWS' slice-of-headers: each
 // a handful of words, none proportional to activation size; no kernel
 // launch allocates on one worker. Augmentation adds, per step,
 // RandomScaleCrop's label scratch and each sample's view header. The

@@ -198,7 +198,7 @@ func TestGradOverflowAndScaling(t *testing.T) {
 	}
 	scaled := func(ps []*nn.Param, pre, post float32) (overflow bool) {
 		t.Helper()
-		err := transport.Run(1, func(c *transport.Comm) error {
+		err := runWorld(1, func(c *transport.Comm) error {
 			rt, err := horovod.NewRuntime(c, topology.ForGPUs(1), horovod.Default())
 			if err != nil {
 				return err

@@ -149,6 +149,35 @@ func TestRecoveryFromDoubleCrash(t *testing.T) {
 	}
 }
 
+// TestCrashCountsAsInjectedFault: a scheduled rank crash is an injected
+// fault like a dropped message, so the crashing rank's lane counts it
+// on faults_injected_total next to the recovery it causes.
+func TestCrashCountsAsInjectedFault(t *testing.T) {
+	cfg := chaosCfg(t.TempDir())
+	plan, err := faultinject.ParseSpec("crash=1@5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Chaos = plan
+	cfg.MaxRestarts = 1
+	cfg.Telemetry = telemetry.NewCollector()
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var faults, recoveries float64
+	for _, m := range cfg.Telemetry.Gather() {
+		switch m.Name {
+		case "faults_injected_total":
+			faults = m.PerLane["rank1"]
+		case "recoveries_total":
+			recoveries = m.Value
+		}
+	}
+	if faults < 1 || recoveries != 1 {
+		t.Fatalf("rank1 faults_injected_total = %g, recoveries_total = %g; want >= 1 and 1", faults, recoveries)
+	}
+}
+
 // TestCrashBeforeFirstCheckpointColdRestarts exercises the no-restore
 // path: a crash in epoch 0, before anything was saved, falls back to a
 // from-scratch restart and still matches the unfailed run.

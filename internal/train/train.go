@@ -683,6 +683,7 @@ func (rs *runState) newRankStep(c *transport.Comm, rep *replica, slot, inc int, 
 // TestTrainStepAllocBudget.
 func (t *rankStep) step(s int, perm []int, rng *rand.Rand) (float64, error) {
 	if t.cfg.Chaos.CrashAt(t.slot, t.gstep, t.inc) {
+		t.probe.Counter("faults_injected_total").Inc()
 		t.c.Kill()
 		return 0, fmt.Errorf("chaos: rank %d crashed at step %d (incarnation %d): %w",
 			t.slot, t.gstep, t.inc, faultinject.ErrCrashed)

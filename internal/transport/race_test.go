@@ -16,7 +16,7 @@ func TestBarrierHappensBefore(t *testing.T) {
 	const n = 8
 	const iters = 200
 	shared := make([]int, n)
-	err := Run(n, func(c *Comm) error {
+	err := runWorld(n, func(c *Comm) error {
 		for it := 1; it <= iters; it++ {
 			shared[c.Rank()] = it
 			if err := c.Barrier(); err != nil {
@@ -44,7 +44,7 @@ func TestBarrierHappensBefore(t *testing.T) {
 func TestBarrierManyRanksLooping(t *testing.T) {
 	const n = 32
 	const iters = 500
-	err := Run(n, func(c *Comm) error {
+	err := runWorld(n, func(c *Comm) error {
 		for it := 0; it < iters; it++ {
 			if err := c.Barrier(); err != nil {
 				return err
@@ -63,7 +63,7 @@ func TestBarrierManyRanksLooping(t *testing.T) {
 func TestBarrierInterleavedWithTraffic(t *testing.T) {
 	const n = 6
 	const iters = 100
-	err := Run(n, func(c *Comm) error {
+	err := runWorld(n, func(c *Comm) error {
 		next := (c.Rank() + 1) % n
 		prev := (c.Rank() - 1 + n) % n
 		for it := 0; it < iters; it++ {
@@ -97,7 +97,7 @@ func TestBarrierInterleavedWithTraffic(t *testing.T) {
 // read a wrong value.
 func TestSendSnapshotUnderRace(t *testing.T) {
 	const iters = 300
-	err := Run(2, func(c *Comm) error {
+	err := runWorld(2, func(c *Comm) error {
 		buf := []float32{0}
 		for it := 0; it < iters; it++ {
 			if c.Rank() == 0 {
@@ -131,7 +131,7 @@ func TestConcurrentWorlds(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := Run(4, func(c *Comm) error {
+			err := runWorld(4, func(c *Comm) error {
 				for it := 0; it < 50; it++ {
 					if err := c.Barrier(); err != nil {
 						return err

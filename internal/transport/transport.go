@@ -654,21 +654,10 @@ func (c *Comm) Barrier() error {
 	}
 }
 
-// Run spawns fn on every rank of a fresh world and waits for all to
-// return. Rank errors are aggregated (wrapped with the rank) into the
-// returned error; any rank panic is re-raised on the caller.
-func Run(n int, fn func(c *Comm) error) error {
-	w, err := NewWorld(n)
-	if err != nil {
-		return err
-	}
-	return w.Run(fn)
-}
-
 // Run spawns fn on every rank of this world and waits for all to
-// return, aggregating per-rank errors. It is the entry point for
-// worlds that need chaos configuration (SetInjector, SetOpTimeout)
-// before traffic starts.
+// return. Rank errors are aggregated (wrapped with the rank) into the
+// returned error; any rank panic is re-raised on the caller. Configure
+// chaos (SetInjector, SetOpTimeout) before calling it.
 func (w *World) Run(fn func(c *Comm) error) error {
 	var wg sync.WaitGroup
 	panics := make(chan any, w.n)

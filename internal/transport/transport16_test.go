@@ -24,7 +24,7 @@ func counterValue(t *testing.T, col *telemetry.Collector, lane, name string) flo
 // as the float32 path, and both kinds must interleave safely on one
 // (src,dst) pair when their tags differ.
 func TestSendRecv16Basic(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
+	err := runWorld(2, func(c *Comm) error {
 		const tag16, tag32 = 7, 8
 		if c.Rank() == 0 {
 			if err := Send(c, 1, tag16, []uint16{0x3C00, 0x4000, 0xFC00}); err != nil {
@@ -55,7 +55,7 @@ func TestSendRecv16Basic(t *testing.T) {
 
 func TestSendRecv16RingStep(t *testing.T) {
 	const world = 4
-	err := Run(world, func(c *Comm) error {
+	err := runWorld(world, func(c *Comm) error {
 		me := c.Rank()
 		next := (me + 1) % world
 		prev := (me - 1 + world) % world
@@ -115,7 +115,7 @@ func wantError(t *testing.T, err error, want string) {
 func TestSend16ByteAccounting(t *testing.T) {
 	const n = 64
 	col := telemetry.NewCollector()
-	err := Run(2, func(c *Comm) error {
+	err := runWorld(2, func(c *Comm) error {
 		c.SetProbe(col.NewProbe(fmt.Sprintf("rank%d", c.Rank()), telemetry.NewStepClock()))
 		if c.Rank() == 0 {
 			if err := c.Send(1, 1, make([]float32, n)); err != nil {

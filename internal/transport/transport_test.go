@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// runWorld runs fn on every rank of a fresh n-rank world.
+func runWorld(n int, fn func(c *Comm) error) error {
+	w, err := NewWorld(n)
+	if err != nil {
+		return err
+	}
+	return w.Run(fn)
+}
+
 // mustWorld builds a world or fails the test.
 func mustWorld(t *testing.T, n int) *World {
 	t.Helper()
@@ -166,7 +175,7 @@ func TestBarrier(t *testing.T) {
 	const n = 8
 	counter := 0
 	var mu sync.Mutex
-	err := Run(n, func(c *Comm) error {
+	err := runWorld(n, func(c *Comm) error {
 		mu.Lock()
 		counter++
 		mu.Unlock()
@@ -191,7 +200,7 @@ func TestRunPropagatesPanic(t *testing.T) {
 			t.Error("rank panic not propagated")
 		}
 	}()
-	Run(2, func(c *Comm) error {
+	runWorld(2, func(c *Comm) error {
 		if c.Rank() == 1 {
 			panic("rank 1 died")
 		}
@@ -201,7 +210,7 @@ func TestRunPropagatesPanic(t *testing.T) {
 
 func TestRunAggregatesErrors(t *testing.T) {
 	sentinel := errors.New("rank 1 refused")
-	err := Run(3, func(c *Comm) error {
+	err := runWorld(3, func(c *Comm) error {
 		if c.Rank() == 1 {
 			return sentinel
 		}
@@ -213,15 +222,15 @@ func TestRunAggregatesErrors(t *testing.T) {
 }
 
 func TestRunRejectsBadWorldSize(t *testing.T) {
-	if err := Run(0, func(c *Comm) error { return nil }); err == nil {
-		t.Fatal("Run(0) did not error")
+	if err := runWorld(0, func(c *Comm) error { return nil }); err == nil {
+		t.Fatal("runWorld(0) did not error")
 	}
 }
 
 func TestRingExchange(t *testing.T) {
 	const n = 6
 	results := make([]float32, n)
-	err := Run(n, func(c *Comm) error {
+	err := runWorld(n, func(c *Comm) error {
 		next := (c.Rank() + 1) % n
 		prev := (c.Rank() - 1 + n) % n
 		if err := c.Send(next, 0, []float32{float32(c.Rank())}); err != nil {
@@ -248,7 +257,7 @@ func TestRingExchange(t *testing.T) {
 func TestManyMessagesDoNotDeadlock(t *testing.T) {
 	// More messages than one mailbox depth, consumed concurrently.
 	const msgs = 500
-	err := Run(2, func(c *Comm) error {
+	err := runWorld(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < msgs; i++ {
 				if err := c.Send(1, i%3, []float32{float32(i)}); err != nil {

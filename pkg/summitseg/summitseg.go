@@ -25,13 +25,10 @@ import (
 	"os"
 	"time"
 
-	"segscale/internal/checkpoint"
 	"segscale/internal/core"
-	"segscale/internal/deeplab"
 	"segscale/internal/faultinject"
 	"segscale/internal/horovod"
 	"segscale/internal/iosim"
-	"segscale/internal/jobscript"
 	"segscale/internal/model"
 	"segscale/internal/modelhealth"
 	"segscale/internal/mpiprofile"
@@ -282,10 +279,6 @@ type HealthConfig = modelhealth.Config
 // incarnation) provenance.
 type HealthAlert = modelhealth.Alert
 
-// HealthRow is one health-ledger row: one layer's gradient or
-// activation statistics at one step on one rank.
-type HealthRow = modelhealth.Row
-
 // NewHealthPlane builds a training-health plane with defaults applied.
 func NewHealthPlane(cfg HealthConfig) *HealthPlane { return modelhealth.New(cfg) }
 
@@ -322,39 +315,6 @@ func Simulate(opts SimOptions) (*SimResult, error) {
 		Timeline: opts.Timeline, Probe: probe, Chaos: opts.Chaos, Attribution: opts.Attribution,
 	})
 }
-
-// JobScript renders an LSF/jsrun batch script for a configuration at
-// the given scale — ready to bsub on a Summit-like system.
-func JobScript(name string, gpus int, mpi *MPIProfile, hvd HorovodConfig) (string, error) {
-	return jobscript.FromConfig(name, gpus, mpi, hvd).LSF()
-}
-
-// SaveCheckpoint / LoadCheckpoint persist a trained model's weights
-// and batch-norm statistics.
-func SaveCheckpoint(path string, m Segmenter) error {
-	return checkpoint.SaveFile(path, m.Params(), m.BatchNorms())
-}
-
-// LoadCheckpoint restores weights saved by SaveCheckpoint into a
-// structurally identical model.
-func LoadCheckpoint(path string, m Segmenter) error {
-	return checkpoint.LoadFile(path, m.Params(), m.BatchNorms())
-}
-
-// Segmenter is a trainable segmentation model (DeepLab-v3+ or FCN).
-type Segmenter = deeplab.Segmenter
-
-// NewDeepLab builds the scaled-down trainable DeepLab-v3+.
-func NewDeepLab(cfg deeplab.Config) Segmenter { return deeplab.New(cfg) }
-
-// NewFCN builds the baseline model.
-func NewFCN(cfg deeplab.Config) Segmenter { return deeplab.NewFCN(cfg) }
-
-// DeepLabConfig sizes the trainable models.
-type DeepLabConfig = deeplab.Config
-
-// DefaultDeepLab returns the laptop-scale model configuration.
-func DefaultDeepLab() DeepLabConfig { return deeplab.DefaultConfig() }
 
 // Scaling runs the paper's scaling study: the default and tuned
 // configurations across the given GPU counts (PaperScales() if nil).

@@ -147,45 +147,6 @@ func TestSimulateWithExtensions(t *testing.T) {
 	}
 }
 
-func TestJobScriptFacade(t *testing.T) {
-	mpi, _ := MPIByName("mv2gdr")
-	script, err := JobScript("test-job", 48, mpi, TunedHorovod())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"#BSUB -J test-job", "jsrun -n 48"} {
-		if !contains(script, want) {
-			t.Errorf("script missing %q", want)
-		}
-	}
-}
-
-func TestCheckpointFacade(t *testing.T) {
-	cfg := DefaultDeepLab()
-	cfg.InputSize = 16
-	cfg.Width = 6
-	cfg.DeepBlocks = 1
-	cfg.AtrousRates = [3]int{1, 2, 3}
-	m := NewDeepLab(cfg)
-	path := t.TempDir() + "/m.segc"
-	if err := SaveCheckpoint(path, m); err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := cfg
-	cfg2.Seed = 77
-	m2 := NewDeepLab(cfg2)
-	if err := LoadCheckpoint(path, m2); err != nil {
-		t.Fatal(err)
-	}
-	if m.Params()[0].W.Data[0] != m2.Params()[0].W.Data[0] {
-		t.Fatal("checkpoint facade round trip failed")
-	}
-	// FCN constructor works too.
-	if NewFCN(cfg) == nil {
-		t.Fatal("FCN constructor broken")
-	}
-}
-
 func contains(s, sub string) bool {
 	for i := 0; i+len(sub) <= len(s); i++ {
 		if s[i:i+len(sub)] == sub {
