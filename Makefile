@@ -1,6 +1,6 @@
 # Mirrors .github/workflows/ci.yml so local runs and CI agree.
 
-RACE_PKGS := ./internal/transport/ ./internal/faultinject/ ./internal/tensor/ ./internal/nn/ ./internal/collective/ ./internal/horovod/ ./internal/telemetry/ ./internal/obs/ ./internal/fp16/ ./internal/modelhealth/
+RACE_PKGS := ./internal/transport/ ./internal/faultinject/ ./internal/tensor/ ./internal/nn/ ./internal/collective/ ./internal/horovod/ ./internal/telemetry/ ./internal/obs/ ./internal/fp16/ ./internal/modelhealth/ ./internal/segdata/
 FUZZTIME  ?= 10s
 
 # Statement-coverage floor across ./... — measured 76.9% when the
@@ -29,8 +29,10 @@ race:
 # fans out only when GOMAXPROCS exceeds the world size: at 4, worlds 1
 # and 2 run the parallel kernels. The transport's semaphore wake-ups
 # depend on interleaving, which the two settings exercise differently.
+# nn and segdata join for the backward pass's workspace releases and
+# the scene generators the ranks' goroutines share.
 gomaxprocs:
-	go test -count=1 -cpu 1,4 ./internal/train ./internal/perfsim ./internal/transport ./internal/collective ./internal/horovod ./internal/tensor ./internal/deeplab
+	go test -count=1 -cpu 1,4 ./internal/train ./internal/perfsim ./internal/transport ./internal/collective ./internal/horovod ./internal/tensor ./internal/deeplab ./internal/nn ./internal/segdata
 
 vet:
 	go vet ./...

@@ -100,6 +100,7 @@ func sepConv(rng *rand.Rand, name string, inC, outC, stride, dilation int) *nn.S
 type xblock struct {
 	body     *nn.Sequential
 	shortcut nn.Layer // nil means identity
+	ws       *tensor.Workspace
 }
 
 func newXBlock(rng *rand.Rand, name string, inC, outC, stride, dilation int) *xblock {
@@ -131,7 +132,9 @@ func (b *xblock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (b *xblock) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dx := b.body.Backward(dout)
 	if b.shortcut != nil {
-		dx.Add(b.shortcut.Backward(dout))
+		dsc := b.shortcut.Backward(dout)
+		dx.Add(dsc)
+		b.ws.Put(dsc)
 	} else {
 		dx.Add(dout)
 	}
@@ -155,6 +158,7 @@ func (b *xblock) BatchNorms() []*nn.BatchNorm2D {
 }
 
 func (b *xblock) SetWorkspace(ws *tensor.Workspace) {
+	b.ws = ws
 	b.body.SetWorkspace(ws)
 	if s, ok := b.shortcut.(nn.WorkspaceUser); ok {
 		s.SetWorkspace(ws)
@@ -249,24 +253,38 @@ func (a *aspp) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return a.dropout.Forward(a.project.Forward(cat, train), train)
 }
 
+// Backward returns each gradient it makes to the workspace once it is
+// consumed; dout is the caller's, and the dropout hands it back
+// unchanged when inactive.
 func (a *aspp) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	dout = a.dropout.Backward(dout)
-	dcat := a.project.Backward(dout)
+	ddrop := a.dropout.Backward(dout)
+	dcat := a.project.Backward(ddrop)
+	if ddrop != dout {
+		a.ws.Put(ddrop)
+	}
 	sizes := [5]int{a.branchC, a.branchC, a.branchC, a.branchC, a.branchC}
 	parts := nn.SplitChannelsWS(dcat, sizes[:], a.ws)
+	a.ws.Put(dcat)
 	var dx *tensor.Tensor
 	for i, b := range a.branches {
 		g := b.Backward(parts[i])
+		a.ws.Put(parts[i])
 		if dx == nil {
 			dx = g
 		} else {
 			dx.Add(g)
+			a.ws.Put(g)
 		}
 	}
 	// Pool branch: resize adjoint → conv → spread over the extent.
 	dpool := tensor.BilinearResizeBackwardWS(parts[4], 1, 1, a.ws)
-	dpool = a.poolConv.Backward(dpool)
-	dx.Add(tensor.GlobalAvgPoolBackwardWS(dpool, a.featH, a.featW, a.ws))
+	a.ws.Put(parts[4])
+	dconv := a.poolConv.Backward(dpool)
+	a.ws.Put(dpool)
+	dspread := tensor.GlobalAvgPoolBackwardWS(dconv, a.featH, a.featW, a.ws)
+	a.ws.Put(dconv)
+	dx.Add(dspread)
+	a.ws.Put(dspread)
 	return dx
 }
 
@@ -457,39 +475,45 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward propagates d(loss)/d(logits) through the whole graph,
 // accumulating parameter gradients. The input gradient is discarded
-// (images are not trainable).
+// (images are not trainable). Every gradient it makes goes back to the
+// workspace once consumed; dlogits is the caller's.
 func (m *Model) Backward(dlogits *tensor.Tensor) {
 	os2 := m.Cfg.InputSize / 2
 	os4 := m.Cfg.InputSize / 4
 
+	// through runs one stage and releases the gradient it consumed.
+	through := func(d *tensor.Tensor, stage nn.Layer) *tensor.Tensor {
+		next := stage.Backward(d)
+		m.ws.Put(d)
+		return next
+	}
+	var dEnc, dLow *tensor.Tensor
 	if m.Cfg.NoDecoder {
-		d := tensor.BilinearResizeBackwardWS(dlogits, os4, os4, m.ws)
-		d = m.classifier.Backward(d)
-		d = m.head.Backward(d)
-		for i := len(m.deep) - 1; i >= 0; i-- {
-			d = m.deep[i].Backward(d)
-		}
-		d = m.down.Backward(d)
-		m.entry.Backward(d)
-		m.lowFeat = nil
-		return
+		dEnc = through(tensor.BilinearResizeBackwardWS(dlogits, os4, os4, m.ws), m.classifier)
+	} else {
+		d := tensor.BilinearResizeBackwardWS(dlogits, os2, os2, m.ws)
+		d = through(through(d, m.classifier), m.decoder)
+		sizes := [2]int{m.lowC, d.Dim(1) - m.lowC}
+		parts := nn.SplitChannelsWS(d, sizes[:], m.ws)
+		m.ws.Put(d)
+		dUp, dLowRed := parts[0], parts[1]
+
+		dLow = through(dLowRed, m.decLow)
+		dEnc = tensor.BilinearResizeBackwardWS(dUp, os4, os4, m.ws)
+		m.ws.Put(dUp)
 	}
-
-	d := tensor.BilinearResizeBackwardWS(dlogits, os2, os2, m.ws)
-	d = m.classifier.Backward(d)
-	d = m.decoder.Backward(d)
-	sizes := [2]int{m.lowC, d.Dim(1) - m.lowC}
-	parts := nn.SplitChannelsWS(d, sizes[:], m.ws)
-	dUp, dLowRed := parts[0], parts[1]
-
-	dLow := m.decLow.Backward(dLowRed)
-	dEnc := tensor.BilinearResizeBackwardWS(dUp, os4, os4, m.ws)
-	dEnc = m.head.Backward(dEnc)
+	dEnc = through(dEnc, m.head)
 	for i := len(m.deep) - 1; i >= 0; i-- {
-		dEnc = m.deep[i].Backward(dEnc)
+		dEnc = through(dEnc, m.deep[i])
 	}
-	dLow.Add(m.down.Backward(dEnc))
-	m.entry.Backward(dLow)
+	dDown := through(dEnc, m.down)
+	if dLow == nil {
+		dLow = dDown
+	} else {
+		dLow.Add(dDown)
+		m.ws.Put(dDown)
+	}
+	m.ws.Put(through(dLow, m.entry))
 	m.lowFeat = nil
 }
 

@@ -29,6 +29,9 @@ func TestNewElasticRuntimeValidation(t *testing.T) {
 		if _, err := NewElasticRuntime(c, mach, []int{0, 2, 1, 4, 5}, Default()); err == nil {
 			t.Error("non-ascending members: want error")
 		}
+		if _, err := NewElasticRuntime(c, mach, []int{0, 1, 2, 2, 5}, Default()); err == nil {
+			t.Error("repeated member slot: want error")
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)

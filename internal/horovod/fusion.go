@@ -6,8 +6,10 @@ import "fmt"
 // into fused-buffer groups the way Horovod's coordinator does: walk
 // the ready list, packing consecutive tensors while the running total
 // stays within the threshold; a tensor larger than the threshold gets
-// a group of its own. threshold ≤ 0 disables fusion (one tensor per
-// group). Each returned group is a slice of indices into sizes.
+// a group of its own, and a group that reaches the threshold exactly
+// is closed there. threshold ≤ 0 disables fusion (one tensor per
+// group). A zero-size tensor is planned like any other; a negative
+// size panics. Each returned group is a slice of indices into sizes.
 func PlanFusion(sizes []int, threshold int) [][]int {
 	return PlanFusionInto(nil, sizes, threshold)
 }

@@ -1,8 +1,10 @@
 package horovod
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -125,6 +127,70 @@ func TestPlanFusionDisabled(t *testing.T) {
 	groups := PlanFusion([]int{1, 2, 3}, 0)
 	if len(groups) != 3 {
 		t.Fatalf("fusion disabled should yield singletons: %v", groups)
+	}
+}
+
+// A group whose running total reaches the threshold exactly is closed
+// there: a later tensor, even a zero-byte one, opens the next group.
+// (Horovod's coordinator would still admit a zero-byte tensor to a
+// full buffer; the two rules differ only there, and such a tensor
+// moves no bytes either way.)
+func TestPlanFusionClosesAtThreshold(t *testing.T) {
+	groups := PlanFusion([]int{4, 4, 0, 4}, 8)
+	if want := [][]int{{0, 1}, {2, 3}}; !reflect.DeepEqual(groups, want) {
+		t.Fatalf("groups = %v, want %v", groups, want)
+	}
+}
+
+// A zero-size tensor is legal — a layer may own an empty parameter —
+// and is planned like any other, taking no room in its group.
+func TestPlanFusionZeroSizeTensor(t *testing.T) {
+	groups := PlanFusion([]int{0, 4, 0}, 8)
+	if want := [][]int{{0, 1, 2}}; !reflect.DeepEqual(groups, want) {
+		t.Fatalf("groups = %v, want %v", groups, want)
+	}
+}
+
+// The fusion buffer is sized to the plan's largest group when the plan
+// is made, and a step then reuses it: groups growing through a step
+// (4, 40, 8 then 100 elements here) never regrow it.
+func TestFusionBufferSizedOncePerPlan(t *testing.T) {
+	shapes := []int{4, 40, 8, 100}
+	for _, fp16 := range []bool{false, true} {
+		cfg := Default()
+		cfg.FusionThreshold = 64 // bytes: one tensor per group
+		cfg.FP16Compression = fp16
+		err := runWorld(2, func(c *transport.Comm) error {
+			rt := newRuntime(c, topology.ForGPUs(2), cfg)
+			ps := makeParams(c.Rank(), shapes)
+			rt.fusionPlan(ps)
+			// wire reports the buffer's capacity and first element.
+			wire := func() (int, any) {
+				if fp16 {
+					return cap(rt.fused16), &rt.fused16[:1][0]
+				}
+				return cap(rt.fused), &rt.fused[:1][0]
+			}
+			if fp16 && cap(rt.fused16) == 0 || !fp16 && cap(rt.fused) == 0 {
+				return fmt.Errorf("fp16=%v: planning left the fusion buffer unallocated", fp16)
+			}
+			planned, base := wire()
+			if planned != 100 {
+				return fmt.Errorf("fp16=%v: planned buffer holds %d elements, want the largest group's 100", fp16, planned)
+			}
+			for step := 0; step < 2; step++ {
+				if err := rt.AllreduceGrads(ps); err != nil {
+					return err
+				}
+				if n, b := wire(); n != planned || b != base {
+					return fmt.Errorf("fp16=%v step %d: buffer regrown to %d elements", fp16, step, n)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -25,8 +25,8 @@ type Runtime struct {
 	Cfg  Config
 
 	world   []int
-	fused   []float32 // reusable fusion buffer (float32 wire)
-	fused16 []uint16  // reusable binary16 wire buffer (FP16Compression)
+	fused   []float32 // fusion buffer (float32 wire), sized by fusionPlan
+	fused16 []uint16  // binary16 wire buffer (FP16Compression), sized by fusionPlan
 	sum32   []float32 // reusable AllreduceSumFloat64 staging, grown to the widest batch norm once
 
 	// members maps comm rank → original machine slot: the identity for
@@ -200,9 +200,6 @@ func (r *Runtime) allreduceGrads(params []*nn.Param, pre, post float32, judge bo
 
 		var bad bool
 		if r.Cfg.FP16Compression {
-			if cap(r.fused16) < n {
-				r.fused16 = make([]uint16, n)
-			}
 			buf16 := r.fused16[:n]
 
 			pack := r.probe.Span(timeline.PhaseMemcpy, "pack")
@@ -223,9 +220,6 @@ func (r *Runtime) allreduceGrads(params []*nn.Param, pre, post float32, judge bo
 				return false, fmt.Errorf("horovod: allreduce grads: %w", err)
 			}
 		} else {
-			if cap(r.fused) < n {
-				r.fused = make([]float32, n)
-			}
 			buf := r.fused[:n]
 
 			pack := r.probe.Span(timeline.PhaseMemcpy, "pack")
@@ -248,7 +242,9 @@ func (r *Runtime) allreduceGrads(params []*nn.Param, pre, post float32, judge bo
 // fusionPlan returns the cached fusion grouping for params, recomputing
 // it only when the parameter-size vector differs from the cached one —
 // in practice once per runtime, since deterministic model construction
-// gives every step an identically-shaped list.
+// gives every step an identically-shaped list. A new plan also sizes
+// the wire's fusion buffer to its largest group, so the buffer is
+// allocated once rather than regrown as ever larger groups appear.
 func (r *Runtime) fusionPlan(params []*nn.Param) [][]int {
 	same := len(r.planSizes) == len(params)
 	if same {
@@ -267,6 +263,17 @@ func (r *Runtime) fusionPlan(params []*nn.Param) [][]int {
 		r.planSizes = append(r.planSizes, 4*p.G.Len())
 	}
 	r.plan = PlanFusion(r.planSizes, r.Cfg.FusionThreshold)
+	widest := 0
+	for _, g := range r.plan {
+		widest = max(widest, GroupBytes(r.planSizes, g)/4)
+	}
+	if r.Cfg.FP16Compression {
+		if cap(r.fused16) < widest {
+			r.fused16 = make([]uint16, widest)
+		}
+	} else if cap(r.fused) < widest {
+		r.fused = make([]float32, widest)
+	}
 	return r.plan
 }
 

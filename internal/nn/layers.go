@@ -90,8 +90,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if c.x == nil {
 		panic("nn: conv backward before forward")
 	}
-	dx, dw := tensor.Conv2DBackwardWS(c.x, c.w.W, dout, c.Spec, c.ws)
-	c.w.G.Add(dw)
+	dx := tensor.Conv2DBackwardAccWS(c.x, c.w.W, dout, c.w.G, c.Spec, c.ws)
 	if c.b != nil {
 		n, f, oh, ow := dout.Dim(0), dout.Dim(1), dout.Dim(2), dout.Dim(3)
 		spatial := oh * ow
@@ -511,6 +510,8 @@ func (d *Dropout2D) Params() []*Param { return nil }
 // Sequential chains layers.
 type Sequential struct {
 	Layers []Layer
+
+	ws *tensor.Workspace
 }
 
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
@@ -518,6 +519,7 @@ func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: lay
 // SetWorkspace recursively installs ws on every child that accepts
 // one.
 func (s *Sequential) SetWorkspace(ws *tensor.Workspace) {
+	s.ws = ws
 	for _, l := range s.Layers {
 		if u, ok := l.(WorkspaceUser); ok {
 			u.SetWorkspace(ws)
@@ -542,11 +544,23 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
+// Backward runs the layers' backwards in reverse. Each gradient it
+// passes between two layers is returned to the workspace as soon as the
+// earlier layer has consumed it, so the arena holds one such gradient
+// at a time rather than one per layer until the step's Reset. The
+// caller's dout is never released, nor a gradient a layer handed back
+// unchanged (an inactive Dropout2D), which stays live until it is
+// consumed.
 func (s *Sequential) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	d := dout
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		dout = s.Layers[i].Backward(dout)
+		next := s.Layers[i].Backward(d)
+		if d != dout && next != d {
+			s.ws.Put(d)
+		}
+		d = next
 	}
-	return dout
+	return d
 }
 
 func (s *Sequential) Params() []*Param {

@@ -339,3 +339,119 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 		}()
 	}
 }
+
+// scribbler is a pass-through layer that fills every free buffer of
+// its workspace with NaN on each forward and backward, so a tensor
+// released while something still reads it poisons the result.
+type scribbler struct{ ws *tensor.Workspace }
+
+func (s *scribbler) SetWorkspace(ws *tensor.Workspace) { s.ws = ws }
+func (s *scribbler) Params() []*Param                  { return nil }
+
+func (s *scribbler) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+	s.scribble()
+	return x
+}
+
+func (s *scribbler) Backward(d *tensor.Tensor) *tensor.Tensor {
+	s.scribble()
+	return d
+}
+
+// scribble fills the eight most recently released buffers of every
+// capacity class up to 2^14 floats with NaN and hands them back in
+// their order. A class with fewer free buffers gains one, a fresh
+// buffer the miss allocated; the model would have drawn it otherwise,
+// so the arena grows by at most eight buffers a class.
+func (s *scribbler) scribble() {
+	if s.ws == nil {
+		return
+	}
+	nan := float32(math.NaN())
+	var held [8]*tensor.Tensor
+	for size := 64; size <= 1<<14; size *= 2 {
+		n := 0
+		for n < len(held) {
+			hits := s.ws.Stats().Hits
+			held[n] = s.ws.GetRaw(size)
+			n++
+			if s.ws.Stats().Hits == hits {
+				break
+			}
+			for i := range held[n-1].Data {
+				held[n-1].Data[i] = nan
+			}
+		}
+		for n > 0 {
+			n--
+			s.ws.Put(held[n])
+		}
+	}
+}
+
+// TestSequentialBackwardReleasesDeadGradients holds Sequential.Backward's
+// releases to the workspace contract: nothing reads a tensor after its
+// Put. Scribblers between the layers poison every free buffer, so a
+// gradient released before its consumer ran, the caller's dout, or a
+// gradient an inactive dropout handed back unchanged — released while
+// still live — turns up as NaN. The pooled net must match the heap
+// path bit for bit over two steps, leave dout intact, and keep on loan
+// only the gradient it returns.
+func TestSequentialBackwardReleasesDeadGradients(t *testing.T) {
+	build := func() *Sequential {
+		rng := rand.New(rand.NewSource(12))
+		return NewSequential(
+			NewConv2D(rng, "c1", 2, 4, 3, tensor.ConvSpec{Pad: 1}, false),
+			&scribbler{},
+			NewBatchNorm2D("bn1", 4),
+			&scribbler{},
+			&ReLU{},
+			&scribbler{},
+			&Dropout2D{}, // P = 0: hands its gradient back unchanged
+			&scribbler{},
+			NewSequential(
+				NewConv2D(rng, "c2", 4, 3, 3, tensor.ConvSpec{Pad: 1}, true),
+				&scribbler{},
+				&Dropout2D{P: 0.5, Seed: 3},
+			),
+			&scribbler{},
+			&Dropout2D{},
+		)
+	}
+	heap, pooled := build(), build()
+	ws := tensor.NewWorkspace()
+	ws.SetWorkers(1)
+	pooled.SetWorkspace(ws)
+	rng := rand.New(rand.NewSource(13))
+	x := tensor.Randn(rng, 1, 2, 2, 7, 7)
+	g := tensor.Randn(rng, 1, 2, 3, 7, 7)
+
+	for step := 0; step < 2; step++ {
+		heap.Forward(x, true)
+		want := heap.Backward(g)
+		ws.Reset()
+		pooled.Forward(x, true)
+		dout := ws.GetRaw(g.Shape...)
+		copy(dout.Data, g.Data)
+		drawn := ws.Stats().Outstanding
+		got := pooled.Backward(dout)
+		requireSameBits(t, got.Data, want.Data, "dx")
+		requireSameBits(t, dout.Data, g.Data, "caller's dout")
+		for i, p := range pooled.Params() {
+			requireSameBits(t, p.G.Data, heap.Params()[i].G.Data, p.Name+" grad")
+		}
+		if held := ws.Stats().Outstanding - drawn; held != 1 {
+			t.Fatalf("step %d: backward left %d tensors on loan, want 1 (the gradient it returns)", step, held)
+		}
+	}
+}
+
+// requireSameBits fails unless got and want hold the same float32 bits.
+func requireSameBits(t *testing.T, got, want []float32, label string) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s[%d] = %g, want %g", label, i, got[i], want[i])
+		}
+	}
+}

@@ -12,6 +12,7 @@ package segdata
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"segscale/internal/tensor"
 )
@@ -108,6 +109,14 @@ func (d *Dataset) Sample(i int) (*tensor.Tensor, []int32) {
 	return img, label
 }
 
+// sceneRNGs recycles the scene generators SampleInto draws from: a
+// fresh rand.New(rand.NewSource(…)) per image is two allocations and
+// about 4.9 KB of garbage. Reseeding a generator in place replays
+// exactly the stream a fresh one would produce. A Dataset is shared by
+// every rank's goroutine, so the generators live in a pool rather than
+// on the Dataset.
+var sceneRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // SampleInto renders scene i into caller-owned buffers: img must be a
 // [3,H,W] tensor (its contents are fully overwritten) and label must
 // hold H·W entries. The pooled evaluation path reuses one set of
@@ -120,7 +129,9 @@ func (d *Dataset) SampleInto(i int, img *tensor.Tensor, label []int32) {
 	if len(img.Data) != 3*d.H*d.W || len(label) != d.H*d.W {
 		panic(fmt.Sprintf("segdata: sample buffers %d/%d for %dx%d", len(img.Data), len(label), d.H, d.W))
 	}
-	rng := rand.New(rand.NewSource(d.Seed*1_000_003 + int64(i)))
+	rng := sceneRNGs.Get().(*rand.Rand)
+	defer sceneRNGs.Put(rng)
+	rng.Seed(d.Seed*1_000_003 + int64(i))
 	// The background pass overwrites every image value; labels start
 	// from "all background" by contract, so clear any reused buffer.
 	for p := range label {

@@ -1,7 +1,10 @@
 package segdata
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -18,6 +21,46 @@ func TestDeterministic(t *testing.T) {
 	for i := range lbl1 {
 		if lbl1[i] != lbl2[i] {
 			t.Fatal("labels not deterministic")
+		}
+	}
+}
+
+// TestConcurrentRenderingMatchesSerial renders every scene from four
+// goroutines at once, as the ranks of a world share one Dataset, and
+// requires each to match the serial render bit for bit: the pooled
+// scene generators are never shared between two renders, and reseeding
+// one replays its scene's stream whatever it rendered before.
+func TestConcurrentRenderingMatchesSerial(t *testing.T) {
+	for _, style := range []Style{StyleVOC, StyleUrban} {
+		d := New(6, 16, 16, 11)
+		d.Style = style
+		want := make([][]float32, d.N)
+		for i := range want {
+			img, _ := d.Sample(i)
+			want[i] = img.Data
+		}
+		var wg sync.WaitGroup
+		errs := make(chan string, 4*d.N)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := 0; k < d.N; k++ {
+					i := (k + g) % d.N
+					img, _ := d.Sample(i)
+					for p, v := range img.Data {
+						if math.Float32bits(v) != math.Float32bits(want[i][p]) {
+							errs <- fmt.Sprintf("style %v goroutine %d: scene %d pixel %d differs", style, g, i, p)
+							break
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
 		}
 	}
 }

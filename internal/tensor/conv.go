@@ -277,12 +277,28 @@ func depthwiseForward(x, w, out *Tensor, s ConvSpec, lo, hi, kh, kw, oh, ow int,
 
 // Conv2DBackwardWS returns gradients (dx, dw) of Conv2DWS given
 // upstream gradient dout [N,F,OH,OW], drawing outputs and scratch from
-// ws (heap when nil) and fanning out over ws's worker budget.
+// ws (heap when nil) and fanning out over ws's worker budget. It is
+// Conv2DBackwardAccWS with the weight gradient stored into a fresh
+// workspace tensor rather than added into a caller's.
+//
+// Pinned at zero allocations on the serial path by
+// TestConv2DWorkspaceZeroAllocs and TestWorkspaceBudgetZeroAllocs.
+func Conv2DBackwardWS(x, w, dout *Tensor, spec ConvSpec, ws *Workspace) (dx, dw *Tensor) {
+	dw = ws.GetRaw(w.Shape...) // every element written by the merge
+	return conv2DBackward(x, w, dout, spec, dw.Data, false, ws), dw
+}
+
+// Conv2DBackwardAccWS returns the input gradient dx of Conv2DWS given
+// upstream gradient dout [N,F,OH,OW], and adds the weight gradient
+// into g, which has w's shape — a layer passes its parameter's
+// long-lived gradient, so no weight-sized temporary is drawn from ws.
+// g ends bit for bit where adding Conv2DBackwardWS's dw into it would
+// leave it.
 //
 // Weight gradients are accumulated deterministically: each sample's
 // dW contribution lands in its own partial buffer, and the partials
 // are merged in ascending sample order with the element range split
-// across workers. Every dw element therefore folds its samples in the
+// across workers. Every element therefore folds its samples in the
 // exact order the one-worker serial loop would, so the result is
 // bit-identical regardless of worker count — unlike the previous
 // per-worker partials appended under a mutex, whose merge order
@@ -291,37 +307,44 @@ func depthwiseForward(x, w, out *Tensor, s ConvSpec, lo, hi, kh, kw, oh, ow int,
 // it cannot be bit-identical to the serial merge it replaces.)
 //
 // Pinned at zero allocations on the serial path by
-// TestConv2DWorkspaceZeroAllocs and TestWorkspaceBudgetZeroAllocs.
-func Conv2DBackwardWS(x, w, dout *Tensor, spec ConvSpec, ws *Workspace) (dx, dw *Tensor) {
+// TestConv2DWorkspaceZeroAllocs.
+func Conv2DBackwardAccWS(x, w, dout, g *Tensor, spec ConvSpec, ws *Workspace) *Tensor {
+	if len(g.Data) != len(w.Data) {
+		panic(fmt.Sprintf("tensor: conv backward gradient %v, want weight shape %v", g.Shape, w.Shape))
+	}
+	return conv2DBackward(x, w, dout, spec, g.Data, true, ws)
+}
+
+// conv2DBackward is the conv backward both entry points share: it
+// returns dx and merges the per-sample weight partials into dw —
+// stored, or added with add set.
+func conv2DBackward(x, w, dout *Tensor, spec ConvSpec, dw []float32, add bool, ws *Workspace) *Tensor {
 	s := spec.Canon()
 	n, c, h, wd, f, cg, kh, kw, oh, ow := convCheck(x, w, s)
 	if dout.Dim(0) != n || dout.Dim(1) != f || dout.Dim(2) != oh || dout.Dim(3) != ow {
 		panic(fmt.Sprintf("tensor: conv backward dout %v, want [%d %d %d %d]", dout.Shape, n, f, oh, ow))
 	}
-	// Locals, not the named results: a closure capturing a named
-	// result forces it to be heap-boxed on every call.
-	dxT := ws.Get(n, c, h, wd)      // zeroed: col2im accumulates overlaps
-	dwT := ws.GetRaw(f, cg, kh, kw) // every element written by the merge
+	dx := ws.Get(n, c, h, wd) // zeroed: col2im accumulates overlaps
 	fg := f / s.Groups
-	psz := f * cg * kh * kw
+	psz := len(dw)
 	partials := ws.GetRaw(n, f, cg, kh, kw)
 	if deg := ws.degree(n); deg <= 1 {
-		convBackwardSamples(x, w, dout, dxT, partials, s, 0, n, fg, cg, kh, kw, oh, ow, ws)
+		convBackwardSamples(x, w, dout, dx, partials, s, 0, n, fg, cg, kh, kw, oh, ow, ws)
 	} else {
 		parallelOver(deg, n, func(lo, hi int) {
-			convBackwardSamples(x, w, dout, dxT, partials, s, lo, hi, fg, cg, kh, kw, oh, ow, ws)
+			convBackwardSamples(x, w, dout, dx, partials, s, lo, hi, fg, cg, kh, kw, oh, ow, ws)
 		})
 	}
-	dwd, pd := dwT.Data, partials.Data
+	pd := partials.Data
 	if deg := ws.degree(psz); deg <= 1 {
-		mergeSamplePartials(dwd, pd, n, 0, psz)
+		mergeSamplePartials(dw, pd, n, 0, psz, add)
 	} else {
 		parallelOver(deg, psz, func(lo, hi int) {
-			mergeSamplePartials(dwd, pd, n, lo, hi)
+			mergeSamplePartials(dw, pd, n, lo, hi, add)
 		})
 	}
 	ws.Put(partials)
-	return dxT, dwT
+	return dx
 }
 
 // convBackwardSamples computes dx rows and per-sample dW partials for
@@ -422,17 +445,24 @@ func depthwiseBackward(x, w, dout, dx, partials *Tensor, s ConvSpec, lo, hi, kh,
 }
 
 // mergeSamplePartials folds n per-sample partials into dst for the
-// element range [lo,hi): dst[e] = Σ_i src[i·len(dst)+e], summed in
-// ascending i. Splitting by element keeps every element's fold order
-// fixed, so the merge is bit-identical at any worker count.
-func mergeSamplePartials(dst, src []float32, n, lo, hi int) {
+// element range [lo,hi): each element's samples are summed in a
+// register in ascending i, sum = src[e] + src[len(dst)+e] + …, and the
+// sum is stored into dst[e], or added to it with add set. That is the
+// same float32 operations, in the same order, as storing the sum and
+// adding the stored tensor into dst afterwards, with one pass over dst
+// fewer. Splitting by element keeps every element's fold order fixed,
+// so the merge is bit-identical at any worker count.
+func mergeSamplePartials(dst, src []float32, n, lo, hi int, add bool) {
 	sz := len(dst)
-	copy(dst[lo:hi], src[lo:hi])
-	for i := 1; i < n; i++ {
-		p := src[i*sz+lo : i*sz+hi]
-		d := dst[lo:hi]
-		for e, v := range p {
-			d[e] += v
+	for e := lo; e < hi; e++ {
+		sum := src[e]
+		for i := 1; i < n; i++ {
+			sum += src[i*sz+e]
+		}
+		if add {
+			dst[e] += sum
+		} else {
+			dst[e] = sum
 		}
 	}
 }

@@ -41,14 +41,19 @@ func TestConv2DBackwardMergeBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			x, wt, dout, s := convCase(99, tc.n, tc.c, tc.h, tc.w, tc.f, tc.k, tc.spec)
 
+			g0 := randTensor(rand.New(rand.NewSource(98)), wt.Shape...)
+			gSerial, gWide := g0.Clone(), g0.Clone()
 			prev := runtime.GOMAXPROCS(1)
 			dxSerial, dwSerial := Conv2DBackwardWS(x, wt, dout, s, nil)
+			Conv2DBackwardAccWS(x, wt, dout, gSerial, s, nil)
 			runtime.GOMAXPROCS(4)
 			dxWide, dwWide := Conv2DBackwardWS(x, wt, dout, s, nil)
+			Conv2DBackwardAccWS(x, wt, dout, gWide, s, nil)
 			runtime.GOMAXPROCS(prev)
 
 			requireBitIdentical(t, dwWide, dwSerial, "dw")
 			requireBitIdentical(t, dxWide, dxSerial, "dx")
+			requireBitIdentical(t, gWide, gSerial, "dw added into g")
 		})
 	}
 }
@@ -95,8 +100,8 @@ func TestConv2DWorkspaceMatchesHeap(t *testing.T) {
 }
 
 // TestConv2DWorkspaceZeroAllocs pins the workspace promise: with a
-// warm arena, forward and backward conv touch the heap zero times on
-// the serial path of each lowering. At GOMAXPROCS=4 a dense 3×3 conv
+// warm arena, forward and both backward forms touch the heap zero
+// times on the serial path of each lowering. At GOMAXPROCS=4 a dense 3×3 conv
 // (batch 2, 32 → 64 channels, 33×33) fans its samples out over
 // Parallel, and those rows count the fan-out.
 func TestConv2DWorkspaceZeroAllocs(t *testing.T) {
@@ -106,16 +111,16 @@ func TestConv2DWorkspaceZeroAllocs(t *testing.T) {
 			x, wt, dout, s := convCase(int64(21+i), tc.n, tc.c, tc.h, tc.w, tc.f, tc.k, tc.spec)
 			ws := NewWorkspace()
 
-			// Warm the arena.
-			Conv2DWS(x, wt, s, ws)
-			Conv2DBackwardWS(x, wt, dout, s, ws)
-			ws.Reset()
-
-			got := testing.AllocsPerRun(10, func() {
+			g := New(wt.Shape...)
+			pass := func() {
 				Conv2DWS(x, wt, s, ws)
 				Conv2DBackwardWS(x, wt, dout, s, ws)
+				Conv2DBackwardAccWS(x, wt, dout, g, s, ws)
 				ws.Reset()
-			})
+			}
+			pass() // warm the arena
+
+			got := testing.AllocsPerRun(10, pass)
 			checkAllocRow(t, got, 0, 1)
 		})
 	}

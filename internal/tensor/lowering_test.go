@@ -215,7 +215,14 @@ func oracleConv2DBackward(x, w, dout *Tensor, spec ConvSpec) (dx, dw *Tensor) {
 			oracleCol2im(dx, i, g*cg, cg, kh, kw, oh, ow, s, dcol)
 		}
 	}
-	mergeSamplePartials(dw.Data, partials.Data, n, 0, len(dw.Data))
+	// The merge as a copy of sample 0 and one add pass per later sample.
+	sz := len(dw.Data)
+	copy(dw.Data, partials.Data[:sz])
+	for i := 1; i < n; i++ {
+		for e, v := range partials.Data[i*sz : (i+1)*sz] {
+			dw.Data[e] += v
+		}
+	}
 	return dx, dw
 }
 
@@ -275,8 +282,9 @@ func dirtyWorkspace(ws *Workspace) {
 }
 
 // TestConvLoweringMatchesOracle pins every lowering to the im2col →
-// GEMM → col2im oracle bit for bit — forward, dx and dW — on salted
-// inputs through a dirtied workspace. It crosses depthwise, pointwise
+// GEMM → col2im oracle bit for bit — forward, dx and dW, and dW added
+// into a gradient by Conv2DBackwardAccWS — on salted inputs through a
+// dirtied workspace. It crosses depthwise, pointwise
 // at groups 1 and 2, dense and grouped 3×3 convs with stride {1, 2},
 // dilation {1, 2, 3}, pad {0, same, > same} and planes 1×1, 3×5 and
 // 7×7, skipping geometries with no output; the 1×1 stride-2 conv (the
@@ -323,6 +331,15 @@ func TestConvLoweringMatchesOracle(t *testing.T) {
 						wantDx, wantDw := oracleConv2DBackward(x, w, dout, s)
 						requireBitIdentical(t, dx, wantDx, name+" dx")
 						requireBitIdentical(t, dw, wantDw, name+" dw")
+
+						// The accumulating form adds the same dW into a
+						// salted gradient: bit for bit a store then an Add.
+						g := saltedTensor(rng, 0.03, w.Shape...)
+						want := g.Clone()
+						want.Add(wantDw)
+						dirtyWorkspace(ws)
+						requireBitIdentical(t, Conv2DBackwardAccWS(x, w, dout, g, s, ws), wantDx, name+" acc dx")
+						requireBitIdentical(t, g, want, name+" acc dw")
 					}
 				}
 			}

@@ -26,8 +26,15 @@ import (
 //     holding a workspace tensor across Reset is a use-after-free bug.
 //     Long-lived state (parameters, gradients, running statistics)
 //     must not come from a workspace.
-//   - Put returns one tensor early (kernel-internal scratch); it is
-//     optional — Reset reclaims everything outstanding.
+//   - Kernels never lend out a parameter-gradient buffer: a weight
+//     gradient is added straight into the parameter's own long-lived
+//     gradient (Conv2DBackwardAccWS), so what the arena holds across a
+//     step is the activations kept for backward, not gradient
+//     temporaries.
+//   - Put returns one tensor early — kernel-internal scratch, or a
+//     gradient once the layer it was passed to has consumed it
+//     (nn.Sequential.Backward). Nothing may read a tensor after its
+//     Put; it is optional — Reset reclaims everything outstanding.
 //   - A nil *Workspace is valid and falls back to plain heap
 //     allocation, so kernels take a workspace unconditionally and
 //     callers opt in.

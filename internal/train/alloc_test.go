@@ -223,38 +223,38 @@ func TestTrainStepAllocBudget(t *testing.T) {
 	fp16 := func(c *Config) { c.MixedPrecision = true }
 	aug := func(c *Config) { c.Augment = true }
 	for _, r := range []stepRow{
-		{"w1_fp32", 1, 1, nil, 20, 0},
-		{"w1_fp16", 1, 1, fp16, 20, 0},
-		{"w2_fp32", 2, 1, nil, 41, 0},
-		{"w2_fp16", 2, 1, fp16, 41, 0},
-		{"w1_fp32_aug", 1, 1, aug, 33, 0},
-		{"w1_fp16_aug", 1, 1, func(c *Config) { fp16(c); aug(c) }, 33, 0},
-		{"w2_fp32_aug", 2, 1, aug, 67, 0},
-		{"w2_fp16_aug", 2, 1, func(c *Config) { fp16(c); aug(c) }, 67, 0},
-		{"w2_fp32_aug_mp2", 2, 2, aug, 67, 0},
-		{"w2_fp32_aug_mp4", 2, 4, aug, 1094, 1.25*1094 + 2},
-		{"w1_fp32_aug_mp4", 1, 4, aug, 879, 1.25*879 + 2},
-		{"w1_fp32_lars", 1, 1, func(c *Config) { c.Optimizer = "lars" }, 20, 0},
-		{"w1_fp32_clip", 1, 1, func(c *Config) { c.GradClip = 1 }, 20, 0},
-		{"w1_fp16_clip", 1, 1, func(c *Config) { fp16(c); c.GradClip = 1 }, 20, 0},
-		{"w1_fp32_accum2", 1, 1, func(c *Config) { c.Horovod.BackwardPassesPerStep = 2 }, 20, 0},
-		{"w1_fp32_fcn", 1, 1, func(c *Config) { c.Arch = "fcn" }, 16, 0},
-		{"w1_fp32_nodecoder", 1, 1, func(c *Config) { c.Model.NoDecoder = true }, 18, 0},
-		{"w1_fp32_urban", 1, 1, func(c *Config) { c.DataStyle = segdata.StyleUrban }, 20, 0},
+		{"w1_fp32", 1, 1, nil, 16, 0},
+		{"w1_fp16", 1, 1, fp16, 16, 0},
+		{"w2_fp32", 2, 1, nil, 33, 0},
+		{"w2_fp16", 2, 1, fp16, 33, 0},
+		{"w1_fp32_aug", 1, 1, aug, 29, 0},
+		{"w1_fp16_aug", 1, 1, func(c *Config) { fp16(c); aug(c) }, 29, 0},
+		{"w2_fp32_aug", 2, 1, aug, 59, 0},
+		{"w2_fp16_aug", 2, 1, func(c *Config) { fp16(c); aug(c) }, 59, 0},
+		{"w2_fp32_aug_mp2", 2, 2, aug, 59, 0},
+		{"w2_fp32_aug_mp4", 2, 4, aug, 1086, 1.25*1086 + 2},
+		{"w1_fp32_aug_mp4", 1, 4, aug, 875, 1.25*875 + 2},
+		{"w1_fp32_lars", 1, 1, func(c *Config) { c.Optimizer = "lars" }, 16, 0},
+		{"w1_fp32_clip", 1, 1, func(c *Config) { c.GradClip = 1 }, 16, 0},
+		{"w1_fp16_clip", 1, 1, func(c *Config) { fp16(c); c.GradClip = 1 }, 16, 0},
+		{"w1_fp32_accum2", 1, 1, func(c *Config) { c.Horovod.BackwardPassesPerStep = 2 }, 16, 0},
+		{"w1_fp32_fcn", 1, 1, func(c *Config) { c.Arch = "fcn" }, 12, 0},
+		{"w1_fp32_nodecoder", 1, 1, func(c *Config) { c.Model.NoDecoder = true }, 14, 0},
+		{"w1_fp32_urban", 1, 1, func(c *Config) { c.DataStyle = segdata.StyleUrban }, 16, 0},
 		{"w1_fp16_overflow", 1, 1, func(c *Config) {
 			fp16(c)
 			c.LossScale = 1 << 200 // +Inf as a float32 scale: every step overflows
 			c.Telemetry = telemetry.NewCollector()
-		}, 20, 0},
-		{"w1_fp32_health", 1, 1, func(c *Config) { c.Health = modelhealth.New(modelhealth.Config{}) }, 20, 0},
+		}, 16, 0},
+		{"w1_fp32_health", 1, 1, func(c *Config) { c.Health = modelhealth.New(modelhealth.Config{}) }, 16, 0},
 		{"w1_fp32_telemetry", 1, 1, func(c *Config) {
 			c.Telemetry = telemetry.NewCollector()
 			c.Telemetry.EnableFlight(0)
-		}, 20, 0},
+		}, 16, 0},
 		{"w1_fp32_stepobs", 1, 1, func(c *Config) {
 			// A flusher that counts every step and never reaches its flush.
 			c.StepObs = telemetry.MultiObserver(obs.NewPromFlusher(telemetry.NewCollector(), filepath.Join(t.TempDir(), "m.prom"), 1<<30))
-		}, 20, 0},
+		}, 16, 0},
 	} {
 		t.Run(r.name, func(t *testing.T) {
 			checkAllocRow(t, realStepAllocs(t, r.config(), r.procs, true), r.pin, r.ceiling)

@@ -121,7 +121,7 @@ func TestEvalAllocBudget(t *testing.T) {
 		call func()
 		pin  float64
 	}{
-		{"evaluate_16img", func() { evaluate(dl, ds, 1, 0, dlWS) }, 73},
+		{"evaluate_16img", func() { evaluate(dl, ds, 1, 0, dlWS) }, 57},
 		{"deeplab_PredictInto", func() { dlWS.Reset(); dl.PredictInto(x, pred) }, 0},
 		{"fcn_PredictInto", func() { fcnWS.Reset(); fcn.PredictInto(x, pred) }, 0},
 		{"ArgmaxClassInto", func() { tensor.ArgmaxClassInto(logits, pred, dlWS) }, 0},
