@@ -408,11 +408,14 @@ func New(cfg Config) *Model {
 		m.params = append(m.params, m.decoder.Params()...)
 	}
 	m.params = append(m.params, m.classifier.Params()...)
+	nn.LayOutGrads(m.params)
 	return m
 }
 
 // Params returns all trainable parameters in a deterministic order
-// (identical across ranks, which gradient allreduce relies on).
+// (identical across ranks, which gradient allreduce relies on). Their
+// gradients lie back to back in that order in one arena, so each
+// fusion group is reduced in place.
 func (m *Model) Params() []*nn.Param { return m.params }
 
 // BatchNorms enumerates every batch-norm layer in a deterministic

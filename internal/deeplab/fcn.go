@@ -39,10 +39,11 @@ type Segmenter interface {
 // encoder with a bilinear upsampling head. It shows what DeepLab's
 // architectural machinery buys on the segmentation task.
 type FCN struct {
-	Cfg  Config
-	net  *nn.Sequential
-	head *nn.Sequential
-	ws   *tensor.Workspace
+	Cfg    Config
+	net    *nn.Sequential
+	head   *nn.Sequential
+	params []*nn.Param
+	ws     *tensor.Workspace
 }
 
 // SetWorkspace implements Segmenter.
@@ -82,6 +83,8 @@ func NewFCN(cfg Config) *FCN {
 		nn.NewConv2D(rng, "fcn.cls", 2*w, cfg.Classes, 1, tensor.ConvSpec{}, true),
 		&nn.Upsample{OutH: cfg.InputSize, OutW: cfg.InputSize},
 	)
+	f.params = append(f.net.Params(), f.head.Params()...)
+	nn.LayOutGrads(f.params)
 	return f
 }
 
@@ -93,9 +96,9 @@ func (f *FCN) Backward(dlogits *tensor.Tensor) {
 	f.net.Backward(f.head.Backward(dlogits))
 }
 
-func (f *FCN) Params() []*nn.Param {
-	return append(f.net.Params(), f.head.Params()...)
-}
+// Params implements Segmenter: the list NewFCN built, whose gradients
+// lie back to back in one arena in list order.
+func (f *FCN) Params() []*nn.Param { return f.params }
 
 func (f *FCN) BatchNorms() []*nn.BatchNorm2D {
 	return append(f.net.BatchNorms(), f.head.BatchNorms()...)

@@ -17,6 +17,12 @@ import (
 // or every layer's input gradient — shows here as a larger pin. A
 // footprint above the pin is a regression; one below it fails with
 // "re-pin to N", so a saving gets written into the table.
+//
+// The pins fell when conv backward stopped drawing per-sample dW
+// partials at one worker: at batch 1 dW folds straight into the
+// parameter's gradient, and at batch 4 into one weight-sized sum, so
+// the arena no longer keeps a buffer in each conv weight's size class
+// (3 429 376 → 1 594 368 and 4 289 024 → 4 144 640 B).
 func TestWorkspaceFootprint(t *testing.T) {
 	comm := DefaultConfig()
 	comm.InputSize, comm.Width = 8, 64
@@ -26,8 +32,8 @@ func TestWorkspaceFootprint(t *testing.T) {
 		batch int
 		pin   uint64
 	}{
-		{"comm_8x8_w64_b1", comm, 1, 3429376},
-		{"default_b4", DefaultConfig(), 4, 4289024},
+		{"comm_8x8_w64_b1", comm, 1, 1594368},
+		{"default_b4", DefaultConfig(), 4, 4144640},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			got := warmFootprint(row.cfg, row.batch)

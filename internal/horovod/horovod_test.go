@@ -151,9 +151,10 @@ func TestPlanFusionZeroSizeTensor(t *testing.T) {
 	}
 }
 
-// The fusion buffer is sized to the plan's largest group when the plan
-// is made, and a step then reuses it: groups growing through a step
-// (4, 40, 8 then 100 elements here) never regrow it.
+// The binary16 wire buffer is sized to the plan's largest group when
+// the plan is made, and a step then reuses it: groups growing through a
+// step (4, 40, 8 then 100 elements here) never regrow it. The float32
+// wire reduces the gradient arena in place and never allocates one.
 func TestFusionBufferSizedOncePerPlan(t *testing.T) {
 	shapes := []int{4, 40, 8, 100}
 	for _, fp16 := range []bool{false, true} {
@@ -164,26 +165,30 @@ func TestFusionBufferSizedOncePerPlan(t *testing.T) {
 			rt := newRuntime(c, topology.ForGPUs(2), cfg)
 			ps := makeParams(c.Rank(), shapes)
 			rt.fusionPlan(ps)
-			// wire reports the buffer's capacity and first element.
-			wire := func() (int, any) {
-				if fp16 {
-					return cap(rt.fused16), &rt.fused16[:1][0]
+			if !fp16 {
+				for step := 0; step < 2; step++ {
+					if err := rt.AllreduceGrads(ps); err != nil {
+						return err
+					}
 				}
-				return cap(rt.fused), &rt.fused[:1][0]
+				if rt.fused16 != nil {
+					return fmt.Errorf("float32 wire allocated a %d-word wire buffer", cap(rt.fused16))
+				}
+				return nil
 			}
-			if fp16 && cap(rt.fused16) == 0 || !fp16 && cap(rt.fused) == 0 {
-				return fmt.Errorf("fp16=%v: planning left the fusion buffer unallocated", fp16)
+			if cap(rt.fused16) == 0 {
+				return fmt.Errorf("planning left the binary16 buffer unallocated")
 			}
-			planned, base := wire()
+			planned, base := cap(rt.fused16), &rt.fused16[:1][0]
 			if planned != 100 {
-				return fmt.Errorf("fp16=%v: planned buffer holds %d elements, want the largest group's 100", fp16, planned)
+				return fmt.Errorf("planned buffer holds %d elements, want the largest group's 100", planned)
 			}
 			for step := 0; step < 2; step++ {
 				if err := rt.AllreduceGrads(ps); err != nil {
 					return err
 				}
-				if n, b := wire(); n != planned || b != base {
-					return fmt.Errorf("fp16=%v step %d: buffer regrown to %d elements", fp16, step, n)
+				if n, b := cap(rt.fused16), &rt.fused16[:1][0]; n != planned || b != base {
+					return fmt.Errorf("step %d: buffer regrown to %d elements", step, n)
 				}
 			}
 			return nil
@@ -235,17 +240,19 @@ func TestPropertyPlanFusion(t *testing.T) {
 	}
 }
 
-// makeParams builds identical-shape params with rank-dependent grads.
+// makeParams builds identical-shape params, their gradients laid out
+// in one arena, with rank-dependent grads.
 func makeParams(rank int, shapes []int) []*nn.Param {
 	var out []*nn.Param
-	rng := rand.New(rand.NewSource(int64(rank) + 100))
 	for i, n := range shapes {
-		w := tensor.New(n)
-		p := &nn.Param{Name: string(rune('a' + i)), W: w, G: tensor.New(n)}
+		out = append(out, &nn.Param{Name: string(rune('a' + i)), W: tensor.New(n)})
+	}
+	nn.LayOutGrads(out)
+	rng := rand.New(rand.NewSource(int64(rank) + 100))
+	for _, p := range out {
 		for j := range p.G.Data {
 			p.G.Data[j] = float32(rng.NormFloat64())
 		}
-		out = append(out, p)
 	}
 	return out
 }
@@ -404,7 +411,8 @@ func TestBroadcastParams(t *testing.T) {
 		for i := range w.Data {
 			w.Data[i] = float32(c.Rank()*100 + i)
 		}
-		ps := []*nn.Param{{Name: "w", W: w, G: tensor.New(16)}}
+		ps := []*nn.Param{{Name: "w", W: w}}
+		nn.LayOutGrads(ps)
 		if err := rt.BroadcastParams(ps); err != nil {
 			return err
 		}

@@ -25,9 +25,8 @@ type Runtime struct {
 	Cfg  Config
 
 	world   []int
-	fused   []float32 // fusion buffer (float32 wire), sized by fusionPlan
 	fused16 []uint16  // binary16 wire buffer (FP16Compression), sized by fusionPlan
-	sum32   []float32 // reusable AllreduceSumFloat64 staging, grown to the widest batch norm once
+	sum32   []float32 // reusable float32 staging of SyncBN statistics and eval counts, grown once
 
 	// members maps comm rank → original machine slot: the identity for
 	// a full world, the ascending survivor slots for an elastic one.
@@ -131,8 +130,10 @@ var fusedBucketsBytes = telemetry.ExpBuckets(4<<10, 4, 9)
 // AllreduceGrads averages gradients across all ranks in place,
 // fusing consecutive tensors up to the configured threshold per
 // buffer. Every rank must call it with an identically-shaped
-// parameter list (guaranteed by deterministic model construction). It
-// is the unscaled, unjudged form of AllreduceGradsScaled.
+// parameter list (guaranteed by deterministic model construction)
+// whose gradients lie back to back in one arena (nn.LayOutGrads); a
+// list that does not is an error on every rank before anything is
+// sent. It is the unscaled, unjudged form of AllreduceGradsScaled.
 func (r *Runtime) AllreduceGrads(params []*nn.Param) error {
 	if r.Size() == 1 {
 		return nil
@@ -164,29 +165,38 @@ func (r *Runtime) AllreduceGradsScaled(params []*nn.Param, pre, post float32) (n
 	return r.allreduceGrads(params, pre, post, true)
 }
 
-// allreduceGrads runs the fusion plan over a multi-rank world.
+// allreduceGrads runs the fusion plan over a multi-rank world. Each
+// fusion group is a contiguous range of the gradient arena, which the
+// float32 collective reduces in place: of Horovod's copy into a fusion
+// buffer and back, what remains is the pre multiply (none when pre is
+// 1) and the inv·post pass, still timed as pack and unpack.
 //
-// Under FP16Compression each tensor is encoded to binary16 straight
-// into the wire buffer, the collective runs over []uint16 (2 bytes per
-// element, which every byte counter below reports), and the reduced
-// half-words are decoded straight back into the tensors —
-// hvd.Compression.fp16 as a real wire format, not a precision
-// simulation — with the verdict read off their exponent fields, where
-// it is all but free. On the float32 wire the verdict is a few more
-// instructions per element in a pass that has nothing else to hide
-// them behind, so the unscaled form (judge false) leaves it out.
+// Under FP16Compression each range is encoded to binary16 into the
+// wire buffer, the collective runs over []uint16 (2 bytes per element,
+// which every byte counter below reports), and the reduced half-words
+// are decoded straight back into the range — hvd.Compression.fp16 as a
+// real wire format — with the verdict read off their exponent fields,
+// where it is all but free. On the float32 wire the verdict costs a few
+// instructions per element with nothing to hide behind, so the
+// unscaled form (judge false) leaves it out.
+//
+// Allocation-free; the world-2 rows of train.TestTrainStepAllocBudget
+// pin it.
 func (r *Runtime) allreduceGrads(params []*nn.Param, pre, post float32, judge bool) (nonFinite bool, err error) {
+	grads, err := gradArena(params)
+	if err != nil {
+		return false, fmt.Errorf("horovod: allreduce grads: %w", err)
+	}
 	elemBytes := 4
 	if r.Cfg.FP16Compression {
 		elemBytes = 2
 	}
 	inv := 1 / float32(r.Size())
-	groups := r.fusionPlan(params)
-	for _, group := range groups {
-		n := 0
-		for _, i := range group {
-			n += params[i].G.Len()
-		}
+	off := 0
+	for _, group := range r.fusionPlan(params) {
+		n := GroupBytes(r.planSizes, group) / 4
+		buf := grads[off : off+n]
+		off += n
 
 		r.probe.Counter("horovod_fused_buffers_total").Inc()
 		r.probe.Counter("horovod_fused_bytes").Add(float64(elemBytes * n))
@@ -203,48 +213,78 @@ func (r *Runtime) allreduceGrads(params []*nn.Param, pre, post float32, judge bo
 			buf16 := r.fused16[:n]
 
 			pack := r.probe.Span(timeline.PhaseMemcpy, "pack")
-			err = encodeFused(buf16, params, group, pre)
+			err = fp16.EncodeScaled(buf, buf16, pre)
 			pack.End()
-			if err != nil {
-				return false, fmt.Errorf("horovod: allreduce grads: %w", err)
+			if err == nil {
+				err = allreduce(r, buf16)
 			}
-
-			if err = allreduce(r, buf16); err != nil {
-				return false, fmt.Errorf("horovod: allreduce grads: %w", err)
-			}
-
-			unpack := r.probe.Span(timeline.PhaseMemcpy, "unpack")
-			bad, err = decodeFused(params, group, buf16, inv, post)
-			unpack.End()
-			if err != nil {
-				return false, fmt.Errorf("horovod: allreduce grads: %w", err)
+			if err == nil {
+				unpack := r.probe.Span(timeline.PhaseMemcpy, "unpack")
+				bad, err = fp16.DecodeScaled(buf16, buf, inv, post)
+				unpack.End()
 			}
 		} else {
-			buf := r.fused[:n]
-
 			pack := r.probe.Span(timeline.PhaseMemcpy, "pack")
-			packFused(buf, params, group, pre)
+			if pre != 1 {
+				for i, v := range buf {
+					buf[i] = v * pre
+				}
+			}
 			pack.End()
 
-			if err = allreduce(r, buf); err != nil {
-				return false, fmt.Errorf("horovod: allreduce grads: %w", err)
+			if err = allreduce(r, buf); err == nil {
+				unpack := r.probe.Span(timeline.PhaseMemcpy, "unpack")
+				if judge {
+					bad = scaleJudged(buf, inv, post)
+				} else {
+					for i, v := range buf {
+						buf[i] = v * inv * post
+					}
+				}
+				unpack.End()
 			}
-
-			unpack := r.probe.Span(timeline.PhaseMemcpy, "unpack")
-			bad = unpackFused(params, group, buf, inv, post, judge)
-			unpack.End()
+		}
+		if err != nil {
+			return false, fmt.Errorf("horovod: allreduce grads: %w", err)
 		}
 		nonFinite = nonFinite || bad
 	}
 	return nonFinite, nil
 }
 
+// gradArena returns the one slice the gradients of params span, in
+// list order — the layout nn.LayOutGrads makes, in which every fusion
+// group is a contiguous range. A list whose gradients are not back to
+// back is an error, not a slow path. The check reads only the list, so
+// every rank rejects the same list before any send.
+func gradArena(params []*nn.Param) ([]float32, error) {
+	total := 0
+	for _, p := range params {
+		total += p.G.Len()
+	}
+	var arena []float32
+	off := 0
+	for _, p := range params {
+		if g := p.G.Data; len(g) > 0 {
+			if arena == nil && cap(g) >= total {
+				arena = g[:total]
+			}
+			if arena == nil || &arena[off] != &g[0] {
+				return nil, fmt.Errorf("gradient %q does not follow its list predecessors in one arena (nn.LayOutGrads)", p.Name)
+			}
+			off += len(g)
+		}
+	}
+	return arena, nil
+}
+
 // fusionPlan returns the cached fusion grouping for params, recomputing
 // it only when the parameter-size vector differs from the cached one —
 // in practice once per runtime, since deterministic model construction
 // gives every step an identically-shaped list. A new plan also sizes
-// the wire's fusion buffer to its largest group, so the buffer is
-// allocated once rather than regrown as ever larger groups appear.
+// the binary16 wire buffer to its largest group, so the buffer is
+// allocated once rather than regrown as ever larger groups appear; the
+// float32 wire reduces the arena in place and needs none.
 func (r *Runtime) fusionPlan(params []*nn.Param) [][]int {
 	same := len(r.planSizes) == len(params)
 	if same {
@@ -263,66 +303,16 @@ func (r *Runtime) fusionPlan(params []*nn.Param) [][]int {
 		r.planSizes = append(r.planSizes, 4*p.G.Len())
 	}
 	r.plan = PlanFusion(r.planSizes, r.Cfg.FusionThreshold)
-	widest := 0
-	for _, g := range r.plan {
-		widest = max(widest, GroupBytes(r.planSizes, g)/4)
-	}
 	if r.Cfg.FP16Compression {
+		widest := 0
+		for _, g := range r.plan {
+			widest = max(widest, GroupBytes(r.planSizes, g)/4)
+		}
 		if cap(r.fused16) < widest {
 			r.fused16 = make([]uint16, widest)
 		}
-	} else if cap(r.fused) < widest {
-		r.fused = make([]float32, widest)
 	}
 	return r.plan
-}
-
-// packFused copies each grouped tensor's gradient, times scale,
-// back-to-back into the fusion buffer — the memcpy half of Horovod's
-// tensor fusion that runs once per group per step. The unscaled
-// allreduce keeps the plain copy.
-//
-// Allocation-free; the world-2 fp32 rows of
-// train.TestTrainStepAllocBudget pin it.
-func packFused(buf []float32, params []*nn.Param, group []int, scale float32) {
-	off := 0
-	for _, i := range group {
-		g := params[i].G.Data
-		dst := buf[off : off+len(g)]
-		if scale == 1 {
-			copy(dst, g)
-		} else {
-			for j, v := range g {
-				dst[j] = v * scale
-			}
-		}
-		off += len(g)
-	}
-}
-
-// unpackFused averages (and unscales) the summed fusion buffer, then
-// scatters it into the grouped tensors' gradients; with judge set it
-// reports whether any average was non-finite. The arithmetic runs in
-// place on the buffer, which the collective has just left in cache,
-// and the scatter stays a memmove: storing products one float at a
-// time straight into the gradients — cold by now, and too many to stay
-// cached — stalls on the store buffer and measured twice as slow.
-//
-// Allocation-free; the world-2 fp32 rows of
-// train.TestTrainStepAllocBudget pin it.
-func unpackFused(params []*nn.Param, group []int, buf []float32, inv, post float32, judge bool) (nonFinite bool) {
-	if judge {
-		nonFinite = scaleJudged(buf, inv, post)
-	} else {
-		for i, v := range buf {
-			buf[i] = v * inv * post
-		}
-	}
-	off := 0
-	for _, i := range group {
-		off += copy(params[i].G.Data, buf[off:])
-	}
-	return nonFinite
 }
 
 // scaleJudged multiplies buf by a and then by b in place (each product
@@ -340,44 +330,6 @@ func scaleJudged(buf []float32, a, b float32) bool {
 		buf[i] = v * b
 	}
 	return acc>>31 != 0
-}
-
-// encodeFused is packFused for the binary16 wire: each grouped
-// tensor's gradient, times scale, is cast straight into the wire
-// buffer — no float32 staging copy.
-//
-// Allocation-free; the world-2 fp16 rows of
-// train.TestTrainStepAllocBudget pin it.
-func encodeFused(buf []uint16, params []*nn.Param, group []int, scale float32) error {
-	off := 0
-	for _, i := range group {
-		g := params[i].G.Data
-		if err := fp16.EncodeScaled(g, buf[off:off+len(g)], scale); err != nil {
-			return err
-		}
-		off += len(g)
-	}
-	return nil
-}
-
-// decodeFused is unpackFused for the binary16 wire: the reduced
-// half-words are decoded, averaged and unscaled straight into the
-// grouped tensors, and the verdict comes from the half-words.
-//
-// Allocation-free; the world-2 fp16 rows of
-// train.TestTrainStepAllocBudget pin it.
-func decodeFused(params []*nn.Param, group []int, buf []uint16, inv, post float32) (nonFinite bool, err error) {
-	off := 0
-	for _, i := range group {
-		g := params[i].G.Data
-		bad, err := fp16.DecodeScaled(buf[off:off+len(g)], g, inv, post)
-		if err != nil {
-			return false, err
-		}
-		nonFinite = nonFinite || bad
-		off += len(g)
-	}
-	return nonFinite, nil
 }
 
 // allreduce dispatches one fused buffer to the configured collective,
@@ -413,18 +365,25 @@ func (r *Runtime) AllreduceSumFloat64(buf []float64) error {
 	if r.Size() == 1 {
 		return nil
 	}
-	if cap(r.sum32) < len(buf) {
-		r.sum32 = make([]float32, len(buf))
+	return ringSum(r, buf, "float64", func(v float32) float64 { return float64(v) })
+}
+
+// ringSum sums vals elementwise across ranks in place on the float32
+// ring, staged through the runtime's buffer (grown to the widest
+// request once); back converts each sum back.
+func ringSum[T int64 | float64](r *Runtime, vals []T, what string, back func(float32) T) error {
+	if cap(r.sum32) < len(vals) {
+		r.sum32 = make([]float32, len(vals))
 	}
-	f := r.sum32[:len(buf)]
-	for i, v := range buf {
+	f := r.sum32[:len(vals)]
+	for i, v := range vals {
 		f[i] = float32(v)
 	}
 	if err := collective.AllreduceRing(r.Comm, r.world, f); err != nil {
-		return fmt.Errorf("horovod: allreduce float64: %w", err)
+		return fmt.Errorf("horovod: allreduce %s: %w", what, err)
 	}
-	for i := range buf {
-		buf[i] = float64(f[i])
+	for i, v := range f {
+		vals[i] = back(v)
 	}
 	return nil
 }
@@ -453,15 +412,5 @@ func (r *Runtime) AllreduceScalar(v float64) (float64, error) {
 // collective, which is exact while every partial sum stays below 2²⁴
 // — comfortably true for this package's evaluation-set pixel counts.
 func (r *Runtime) AllreduceCounts(counts []int64) error {
-	buf := make([]float32, len(counts))
-	for i, c := range counts {
-		buf[i] = float32(c)
-	}
-	if err := collective.AllreduceRing(r.Comm, r.world, buf); err != nil {
-		return fmt.Errorf("horovod: allreduce counts: %w", err)
-	}
-	for i := range counts {
-		counts[i] = int64(buf[i] + 0.5)
-	}
-	return nil
+	return ringSum(r, counts, "counts", func(v float32) int64 { return int64(v + 0.5) })
 }

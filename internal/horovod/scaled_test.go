@@ -22,7 +22,11 @@ func scalerParams(rank int, shapes []int, poison bool) []*nn.Param {
 	r := rand.New(rand.NewSource(int64(rank) + 7))
 	ps := make([]*nn.Param, len(shapes))
 	for i, n := range shapes {
-		g := tensor.New(n)
+		ps[i] = &nn.Param{Name: fmt.Sprint("p", i), W: tensor.New(n)}
+	}
+	nn.LayOutGrads(ps)
+	for _, p := range ps {
+		g := p.G
 		for j := range g.Data {
 			switch r.Intn(8) {
 			case 0: // exact zero
@@ -32,7 +36,6 @@ func scalerParams(rank int, shapes []int, poison bool) []*nn.Param {
 				g.Data[j] = float32(math.Exp(math.Log(1e-9)+r.Float64()*math.Log(1e10))) * float32(1-2*r.Intn(2))
 			}
 		}
-		ps[i] = &nn.Param{Name: fmt.Sprint("p", i), W: tensor.New(n), G: g}
 	}
 	if poison {
 		bad := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), 3e38}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestLARSTrustRatio(t *testing.T) {
-	p := newParam("w", tensor.FromSlice([]float32{3, 4}, 2), true) // ‖w‖=5
+	p := testParam("w", tensor.FromSlice([]float32{3, 4}, 2), true) // ‖w‖=5
 	p.G.Data[0] = 0.6
 	p.G.Data[1] = 0.8 // ‖g‖=1
 	o := NewLARS(0.1)
@@ -22,7 +22,7 @@ func TestLARSTrustRatio(t *testing.T) {
 }
 
 func TestLARSStepDirection(t *testing.T) {
-	p := newParam("w", tensor.FromSlice([]float32{1, 1}, 2), true)
+	p := testParam("w", tensor.FromSlice([]float32{1, 1}, 2), true)
 	p.G.Data[0] = 1
 	p.G.Data[1] = -1
 	o := NewLARS(1)
@@ -38,7 +38,7 @@ func TestLARSScaleInvariantToGradientMagnitude(t *testing.T) {
 	// constant barely changes the update size (the local rate divides
 	// it back out), unlike SGD.
 	mk := func(gscale float32) float64 {
-		p := newParam("w", tensor.FromSlice([]float32{3, 4}, 2), true)
+		p := testParam("w", tensor.FromSlice([]float32{3, 4}, 2), true)
 		p.G.Data[0] = 0.6 * gscale
 		p.G.Data[1] = 0.8 * gscale
 		o := NewLARS(1)
@@ -56,7 +56,7 @@ func TestLARSScaleInvariantToGradientMagnitude(t *testing.T) {
 }
 
 func TestLARSNoDecayParamsUsePlainSGD(t *testing.T) {
-	p := newParam("bn.gamma", tensor.FromSlice([]float32{1}, 1), false)
+	p := testParam("bn.gamma", tensor.FromSlice([]float32{1}, 1), false)
 	p.G.Data[0] = 1
 	o := NewLARS(0.1)
 	o.Step([]*Param{p})
@@ -67,7 +67,7 @@ func TestLARSNoDecayParamsUsePlainSGD(t *testing.T) {
 }
 
 func TestLARSMomentumAccumulates(t *testing.T) {
-	p := newParam("w", tensor.FromSlice([]float32{1}, 1), false)
+	p := testParam("w", tensor.FromSlice([]float32{1}, 1), false)
 	o := NewLARS(0.1)
 	p.G.Data[0] = 1
 	o.Step([]*Param{p})
@@ -82,7 +82,7 @@ func TestLARSMomentumAccumulates(t *testing.T) {
 }
 
 func TestLARSZeroWeightSafe(t *testing.T) {
-	p := newParam("w", tensor.New(2), true) // ‖w‖=0
+	p := testParam("w", tensor.New(2), true) // ‖w‖=0
 	p.G.Data[0] = 1
 	o := NewLARS(0.5)
 	o.Step([]*Param{p}) // must not NaN
@@ -105,7 +105,7 @@ func TestOptimizerInterface(t *testing.T) {
 
 func TestGlobalGradClip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	p := newParam("w", tensor.Randn(rng, 1, 100), true)
+	p := testParam("w", tensor.Randn(rng, 1, 100), true)
 	for i := range p.G.Data {
 		p.G.Data[i] = 1 // norm 10
 	}

@@ -19,13 +19,28 @@ func lossOf(l Layer, x, mask *tensor.Tensor, train bool) float64 {
 	return s
 }
 
+// laidOut lays out l's gradients in one arena, as a model constructor
+// does, and returns l.
+func laidOut[L Layer](l L) L {
+	LayOutGrads(l.Params())
+	return l
+}
+
+// testParam is newParam with its gradient laid out.
+func testParam(name string, w *tensor.Tensor, decay bool) *Param {
+	p := newParam(name, w, decay)
+	LayOutGrads([]*Param{p})
+	return p
+}
+
 func checkLayerGradients(t *testing.T, name string, l Layer, x *tensor.Tensor, train bool, tol float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
 	out := l.Forward(x, train)
 	mask := tensor.Randn(rng, 1, out.Shape...)
-	// Analytic gradients.
-	ZeroGrads(l.Params())
+	// Analytic gradients, into zeroed gradients laid out as a model
+	// constructor lays them out.
+	LayOutGrads(l.Params())
 	l.Forward(x, train)
 	dx := l.Backward(mask)
 
@@ -95,7 +110,7 @@ func TestBatchNormForwardNormalises(t *testing.T) {
 	for i := 0; i < 6*6; i++ {
 		x.Data[i] += 50
 	}
-	bn := NewBatchNorm2D("bn", 2)
+	bn := laidOut(NewBatchNorm2D("bn", 2))
 	out := bn.Forward(x, true)
 	// Each channel of the output should be ~N(0,1) (gamma=1, beta=0).
 	for ch := 0; ch < 2; ch++ {
@@ -120,7 +135,7 @@ func TestBatchNormForwardNormalises(t *testing.T) {
 func TestBatchNormGradientsTrainMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := tensor.Randn(rng, 1, 2, 2, 4, 4)
-	bn := NewBatchNorm2D("bn", 2)
+	bn := laidOut(NewBatchNorm2D("bn", 2))
 	// Non-trivial gamma/beta.
 	bn.gamma.W.Data[0] = 1.5
 	bn.beta.W.Data[1] = -0.3
@@ -129,7 +144,7 @@ func TestBatchNormGradientsTrainMode(t *testing.T) {
 
 func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	bn := NewBatchNorm2D("bn", 2)
+	bn := laidOut(NewBatchNorm2D("bn", 2))
 	// Train on a few batches to move running stats.
 	for i := 0; i < 20; i++ {
 		x := tensor.Randn(rng, 1, 2, 2, 4, 4)
@@ -254,8 +269,8 @@ func TestUpsampleGradientAdjoint(t *testing.T) {
 }
 
 func TestSGDMomentumAndDecay(t *testing.T) {
-	p := newParam("w", tensor.FromSlice([]float32{1}, 1), true)
-	q := newParam("bn", tensor.FromSlice([]float32{1}, 1), false)
+	p := testParam("w", tensor.FromSlice([]float32{1}, 1), true)
+	q := testParam("bn", tensor.FromSlice([]float32{1}, 1), false)
 	opt := NewSGD(0.1)
 	opt.Momentum = 0.9
 	opt.WeightDecay = 0.5
@@ -313,7 +328,7 @@ func TestPolyScheduleValidation(t *testing.T) {
 }
 
 func TestGradNorm(t *testing.T) {
-	p := newParam("w", tensor.FromSlice([]float32{0, 0}, 2), true)
+	p := testParam("w", tensor.FromSlice([]float32{0, 0}, 2), true)
 	p.G.Data[0] = 3
 	p.G.Data[1] = 4
 	if n := GradNorm([]*Param{p}); math.Abs(n-5) > 1e-9 {
@@ -324,8 +339,8 @@ func TestGradNorm(t *testing.T) {
 func TestBackwardBeforeForwardPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	layers := []Layer{
-		NewConv2D(rng, "c", 1, 1, 3, tensor.ConvSpec{Pad: 1}, false),
-		NewBatchNorm2D("bn", 1),
+		laidOut(NewConv2D(rng, "c", 1, 1, 3, tensor.ConvSpec{Pad: 1}, false)),
+		laidOut(NewBatchNorm2D("bn", 1)),
 		&ReLU{},
 	}
 	for _, l := range layers {
@@ -400,7 +415,7 @@ func (s *scribbler) scribble() {
 func TestSequentialBackwardReleasesDeadGradients(t *testing.T) {
 	build := func() *Sequential {
 		rng := rand.New(rand.NewSource(12))
-		return NewSequential(
+		return laidOut(NewSequential(
 			NewConv2D(rng, "c1", 2, 4, 3, tensor.ConvSpec{Pad: 1}, false),
 			&scribbler{},
 			NewBatchNorm2D("bn1", 4),
@@ -416,7 +431,7 @@ func TestSequentialBackwardReleasesDeadGradients(t *testing.T) {
 			),
 			&scribbler{},
 			&Dropout2D{},
-		)
+		))
 	}
 	heap, pooled := build(), build()
 	ws := tensor.NewWorkspace()

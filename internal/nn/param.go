@@ -16,6 +16,8 @@ import "segscale/internal/tensor"
 // Param is one trainable tensor with its gradient accumulator. The
 // distributed trainer allreduces G.Data across ranks between backward
 // and the optimiser step — exactly where Horovod intercepts gradients.
+// Layers build their parameters without a gradient; whoever assembles
+// the model gives them one with LayOutGrads.
 type Param struct {
 	Name string
 	W    *tensor.Tensor
@@ -27,7 +29,23 @@ type Param struct {
 }
 
 func newParam(name string, w *tensor.Tensor, decay bool) *Param {
-	return &Param{Name: name, W: w, G: tensor.New(w.Shape...), Decay: decay}
+	return &Param{Name: name, W: w, Decay: decay}
+}
+
+// LayOutGrads gives every parameter in params a zeroed gradient, laid
+// out back to back in one slice in list order: the gradient arena. A
+// run of consecutive parameters then owns one contiguous range of it,
+// which is what the fused allreduce reduces in place
+// (horovod.Runtime.AllreduceGrads). Call it once on the model's
+// parameter list, after building the model.
+func LayOutGrads(params []*Param) {
+	arena := make([]float32, ParamCount(params))
+	off := 0
+	for _, p := range params {
+		n := p.W.Len()
+		p.G = tensor.FromSlice(arena[off:off+n], p.W.Shape...)
+		off += n
+	}
 }
 
 // ZeroGrad clears the gradient.

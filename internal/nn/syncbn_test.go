@@ -50,7 +50,7 @@ func TestSyncBNMatchesBigBatch(t *testing.T) {
 	doutb := tensor.Randn(rng, 1, 2, c, h, w)
 
 	// Reference: one BN over the concatenated batch of 4.
-	ref := NewBatchNorm2D("ref", c)
+	ref := laidOut(NewBatchNorm2D("ref", c))
 	xFull := tensor.New(4, c, h, w)
 	copy(xFull.Data[:xa.Len()], xa.Data)
 	copy(xFull.Data[xa.Len():], xb.Data)
@@ -62,8 +62,8 @@ func TestSyncBNMatchesBigBatch(t *testing.T) {
 
 	// SyncBN: two replicas with rendezvous-summing callbacks, run
 	// concurrently like real ranks.
-	bnA := NewBatchNorm2D("a", c)
-	bnB := NewBatchNorm2D("b", c)
+	bnA := laidOut(NewBatchNorm2D("a", c))
+	bnB := laidOut(NewBatchNorm2D("b", c))
 	sa, sb := pairSync()
 	bnA.Sync = sa
 	bnB.Sync = sb

@@ -284,7 +284,7 @@ func depthwiseForward(x, w, out *Tensor, s ConvSpec, lo, hi, kh, kw, oh, ow int,
 // Pinned at zero allocations on the serial path by
 // TestConv2DWorkspaceZeroAllocs and TestWorkspaceBudgetZeroAllocs.
 func Conv2DBackwardWS(x, w, dout *Tensor, spec ConvSpec, ws *Workspace) (dx, dw *Tensor) {
-	dw = ws.GetRaw(w.Shape...) // every element written by the merge
+	dw = ws.GetRaw(w.Shape...) // every element written by the fold
 	return conv2DBackward(x, w, dout, spec, dw.Data, false, ws), dw
 }
 
@@ -295,16 +295,14 @@ func Conv2DBackwardWS(x, w, dout *Tensor, spec ConvSpec, ws *Workspace) (dx, dw 
 // g ends bit for bit where adding Conv2DBackwardWS's dw into it would
 // leave it.
 //
-// Weight gradients are accumulated deterministically: each sample's
-// dW contribution lands in its own partial buffer, and the partials
-// are merged in ascending sample order with the element range split
-// across workers. Every element therefore folds its samples in the
-// exact order the one-worker serial loop would, so the result is
-// bit-identical regardless of worker count — unlike the previous
-// per-worker partials appended under a mutex, whose merge order
-// depended on goroutine scheduling. (A pairwise tree reduction was
-// rejected: rebalancing the fold tree changes float associativity, so
-// it cannot be bit-identical to the serial merge it replaces.)
+// Weight gradients fold their samples in ascending order. At one
+// worker the samples run straight into the destination: sample 0's
+// GEMM or taps store and each later one adds its register sums. With
+// more workers each sample's dW lands in its own partial, and the
+// partials merge in ascending sample order with the element range
+// split across workers. Every element thus folds its samples in the
+// one-worker order, bit-identical at any worker count. (A pairwise
+// tree reduction was rejected: it changes float associativity.)
 //
 // Pinned at zero allocations on the serial path by
 // TestConv2DWorkspaceZeroAllocs.
@@ -316,8 +314,8 @@ func Conv2DBackwardAccWS(x, w, dout, g *Tensor, spec ConvSpec, ws *Workspace) *T
 }
 
 // conv2DBackward is the conv backward both entry points share: it
-// returns dx and merges the per-sample weight partials into dw —
-// stored, or added with add set.
+// returns dx and folds the samples' weight gradients into dw — stored,
+// or added with add set.
 func conv2DBackward(x, w, dout *Tensor, spec ConvSpec, dw []float32, add bool, ws *Workspace) *Tensor {
 	s := spec.Canon()
 	n, c, h, wd, f, cg, kh, kw, oh, ow := convCheck(x, w, s)
@@ -327,15 +325,27 @@ func conv2DBackward(x, w, dout *Tensor, spec ConvSpec, dw []float32, add bool, w
 	dx := ws.Get(n, c, h, wd) // zeroed: col2im accumulates overlaps
 	fg := f / s.Groups
 	psz := len(dw)
-	partials := ws.GetRaw(n, f, cg, kh, kw)
-	if deg := ws.degree(n); deg <= 1 {
-		convBackwardSamples(x, w, dout, dx, partials, s, 0, n, fg, cg, kh, kw, oh, ow, ws)
-	} else {
-		parallelOver(deg, n, func(lo, hi int) {
-			convBackwardSamples(x, w, dout, dx, partials, s, lo, hi, fg, cg, kh, kw, oh, ow, ws)
-		})
+	if ws.degree(n) <= 1 {
+		// Fold in place. Adding the samples into a live dw one by one
+		// would reassociate g + (p0 + p1) as (g + p0) + p1, so the add
+		// form above one sample folds into one sum and adds that.
+		dst, sum := dw, (*Tensor)(nil)
+		if add && n > 1 {
+			sum = ws.GetRaw(w.Shape...) // sample 0 stores every element
+			dst, add = sum.Data, false
+		}
+		convBackwardSamples(x, w, dout, dx, dst, 0, add, s, 0, n, fg, cg, kh, kw, oh, ow, ws)
+		if sum != nil {
+			mergeSamplePartials(dw, sum.Data, 1, 0, psz, true)
+			ws.Put(sum)
+		}
+		return dx
 	}
+	partials := ws.GetRaw(n, f, cg, kh, kw)
 	pd := partials.Data
+	parallelOver(ws.degree(n), n, func(lo, hi int) {
+		convBackwardSamples(x, w, dout, dx, pd, psz, false, s, lo, hi, fg, cg, kh, kw, oh, ow, ws)
+	})
 	if deg := ws.degree(psz); deg <= 1 {
 		mergeSamplePartials(dw, pd, n, 0, psz, add)
 	} else {
@@ -347,18 +357,21 @@ func conv2DBackward(x, w, dout *Tensor, spec ConvSpec, dw []float32, add bool, w
 	return dx
 }
 
-// convBackwardSamples computes dx rows and per-sample dW partials for
-// samples [lo,hi). Samples touch disjoint dx and partial regions, so
-// workers never race.
+// convBackwardSamples computes dx rows and the weight gradients of
+// samples [lo,hi). Sample i's dW goes to dw[i·stride:]: with a nonzero
+// stride each sample owns a partial and stores into it, so workers
+// never race; with stride 0 every sample folds into the same weight
+// slice, sample 0 adding to it when add0 is set and storing otherwise,
+// and each later sample adding.
 //
 // It is lowered like the forward: a pointwise conv runs both GEMMs on
 // the x and dx slabs directly, accumulating dx onto its zeroed slab —
 // the +0 + dcol that col2im computed — and a depthwise conv applies
 // its taps directly.
-func convBackwardSamples(x, w, dout, dx, partials *Tensor, s ConvSpec, lo, hi, fg, cg, kh, kw, oh, ow int, ws *Workspace) {
+func convBackwardSamples(x, w, dout, dx *Tensor, dw []float32, stride int, add0 bool, s ConvSpec, lo, hi, fg, cg, kh, kw, oh, ow int, ws *Workspace) {
 	slab := pointwise(s, kh, kw)
 	if !slab && depthwise(cg, fg) {
-		depthwiseBackward(x, w, dout, dx, partials, s, lo, hi, kh, kw, oh, ow, ws)
+		depthwiseBackward(x, w, dout, dx, dw, stride, add0, s, lo, hi, kh, kw, oh, ow, ws)
 		return
 	}
 	c, f := x.Dim(1), dout.Dim(1)
@@ -370,21 +383,21 @@ func convBackwardSamples(x, w, dout, dx, partials *Tensor, s ConvSpec, lo, hi, f
 		dcol = ws.GetRaw(ckk, spatial) // fully written by the AT matmul
 	}
 	for i := lo; i < hi; i++ {
-		pbase := i * f * ckk
+		pbase, add := i*stride, add0 || stride == 0 && i > 0
 		for g := 0; g < s.Groups; g++ {
 			doutSlab := dout.Data[(i*f+g*fg)*spatial : (i*f+(g+1)*fg)*spatial]
 			wSlab := w.Data[g*fg*ckk : (g+1)*fg*ckk]
-			dwSlab := partials.Data[pbase+g*fg*ckk : pbase+(g+1)*fg*ckk]
+			dwSlab := dw[pbase+g*fg*ckk : pbase+(g+1)*fg*ckk]
 			if slab {
 				xSlab := x.Data[(i*c+g*cg)*spatial : (i*c+(g+1)*cg)*spatial]
 				dxSlab := dx.Data[(i*c+g*cg)*spatial : (i*c+(g+1)*cg)*spatial]
-				matmulRows(dwSlab, doutSlab, xSlab, spatial, ckk, 0, fg, true, false)
+				matmulRows(dwSlab, doutSlab, xSlab, spatial, ckk, 0, fg, true, add)
 				matmulATRows(dxSlab, wSlab, doutSlab, fg, ckk, spatial, 0, ckk, true)
 				continue
 			}
 			im2col(x, i, g*cg, cg, kh, kw, oh, ow, s, col)
 			// dW_i = dout_i · colᵀ
-			matmulRows(dwSlab, doutSlab, col.Data, spatial, ckk, 0, fg, true, false)
+			matmulRows(dwSlab, doutSlab, col.Data, spatial, ckk, 0, fg, true, add)
 			// dcol = wᵀ · dout_i
 			matmulATRows(dcol.Data, wSlab, doutSlab, fg, ckk, spatial, 0, ckk, false)
 			col2im(dx, i, g*cg, cg, kh, kw, oh, ow, s, dcol)
@@ -396,22 +409,24 @@ func convBackwardSamples(x, w, dout, dx, partials *Tensor, s ConvSpec, lo, hi, f
 
 // depthwiseBackward is the depthwise conv's backward for samples
 // [lo,hi), in the orders of the GEMMs it replaces: each dW tap folds
-// dout·x from +0 over (oy, ox) ascending into the sample's partial, and
-// dx accumulates w·dout onto a zeroed padded plane in col2im's
-// (tap, oy, ox) order before its interior is copied out.
-func depthwiseBackward(x, w, dout, dx, partials *Tensor, s ConvSpec, lo, hi, kh, kw, oh, ow int, ws *Workspace) {
+// dout·x from +0 over (oy, ox) ascending in a register and stores or
+// adds it as convBackwardSamples says, and dx accumulates w·dout onto
+// a zeroed padded plane in col2im's (tap, oy, ox) order before its
+// interior is copied out.
+func depthwiseBackward(x, w, dout, dx *Tensor, dw []float32, stride int, add0 bool, s ConvSpec, lo, hi, kh, kw, oh, ow int, ws *Workspace) {
 	c, h, wd := x.Dim(1), x.Dim(2), x.Dim(3)
 	ph, pw := h+2*s.Pad, wd+2*s.Pad
 	xpad := ws.Get(ph, pw)    // zeroed: only the interior is ever rewritten
 	dpad := ws.GetRaw(ph, pw) // cleared per plane below
 	taps := kh * kw
 	for i := lo; i < hi; i++ {
+		add := add0 || stride == 0 && i > 0
 		for ch := 0; ch < c; ch++ {
 			plane := i*c + ch
 			padPlane(xpad.Data, x.Data[plane*h*wd:(plane+1)*h*wd], h, wd, pw, s.Pad)
 			clear(dpad.Data)
 			d := dout.Data[plane*oh*ow : (plane+1)*oh*ow]
-			dw := partials.Data[plane*taps : (plane+1)*taps]
+			dwc := dw[i*stride+ch*taps : i*stride+(ch+1)*taps]
 			for t, wv := range w.Data[ch*taps : (ch+1)*taps] {
 				base := (t/kw)*s.Dilation*pw + (t%kw)*s.Dilation
 				var acc float32
@@ -432,7 +447,11 @@ func depthwiseBackward(x, w, dout, dx, partials *Tensor, s ConvSpec, lo, hi, kh,
 						grow[ox*s.Stride] += wv * dv
 					}
 				}
-				dw[t] = acc
+				if add {
+					dwc[t] += acc
+				} else {
+					dwc[t] = acc
+				}
 			}
 			dst := dx.Data[plane*h*wd : (plane+1)*h*wd]
 			for y := 0; y < h; y++ {

@@ -19,11 +19,15 @@ func convCase(seed int64, n, c, h, w, f, k int, spec ConvSpec) (x, wt, dout *Ten
 	return
 }
 
-// TestConv2DBackwardMergeBitIdentical pins the deterministic dw merge:
-// the parallel per-sample reduction must match the GOMAXPROCS=1 serial
-// fold bit for bit. The old implementation appended per-worker
-// partials under a mutex, so its merge order — and the low bits of dw
-// — depended on goroutine scheduling.
+// TestConv2DBackwardMergeBitIdentical pins the deterministic dw fold:
+// the parallel per-sample reduction must match the GOMAXPROCS=1 fold
+// into the destination bit for bit, both must equal each sample's own
+// dw summed in ascending order, and the add form must equal g plus the
+// store form's dw. The old implementation appended per-worker partials
+// under a mutex, so its merge order — and the low bits of dw — depended
+// on goroutine scheduling. The batch-1 and batch-2 rows are the one-worker
+// fold's regimes: at batch 1 the add form adds straight into g, at
+// batch 2 it folds into one weight-sized sum first.
 func TestConv2DBackwardMergeBitIdentical(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -36,6 +40,12 @@ func TestConv2DBackwardMergeBitIdentical(t *testing.T) {
 		{"grouped", 4, 6, 8, 8, 6, 3, ConvSpec{Stride: 1, Pad: 1, Groups: 3}},
 		{"depthwise", 5, 6, 7, 7, 6, 3, ConvSpec{Stride: 1, Pad: 2, Dilation: 2, Groups: 6}},
 		{"pointwise", 5, 6, 7, 7, 8, 1, ConvSpec{Groups: 2}},
+		{"plain_batch1", 1, 3, 9, 9, 4, 3, ConvSpec{Stride: 1, Pad: 1}},
+		{"plain_batch2", 2, 3, 9, 9, 4, 3, ConvSpec{Stride: 1, Pad: 1}},
+		{"depthwise_batch1", 1, 6, 7, 7, 6, 3, ConvSpec{Stride: 2, Pad: 1, Groups: 6}},
+		{"depthwise_batch2", 2, 6, 7, 7, 6, 3, ConvSpec{Stride: 2, Pad: 1, Groups: 6}},
+		{"pointwise_batch1", 1, 6, 7, 7, 8, 1, ConvSpec{}},
+		{"pointwise_batch2", 2, 6, 7, 7, 8, 1, ConvSpec{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -46,14 +56,74 @@ func TestConv2DBackwardMergeBitIdentical(t *testing.T) {
 			prev := runtime.GOMAXPROCS(1)
 			dxSerial, dwSerial := Conv2DBackwardWS(x, wt, dout, s, nil)
 			Conv2DBackwardAccWS(x, wt, dout, gSerial, s, nil)
+			oracle := sampleFold(x, wt, dout, s)
 			runtime.GOMAXPROCS(4)
 			dxWide, dwWide := Conv2DBackwardWS(x, wt, dout, s, nil)
 			Conv2DBackwardAccWS(x, wt, dout, gWide, s, nil)
 			runtime.GOMAXPROCS(prev)
 
+			requireBitIdentical(t, dwSerial, oracle, "dw against the per-sample fold")
 			requireBitIdentical(t, dwWide, dwSerial, "dw")
 			requireBitIdentical(t, dxWide, dxSerial, "dx")
 			requireBitIdentical(t, gWide, gSerial, "dw added into g")
+			gWant := g0.Clone()
+			for e, v := range dwSerial.Data {
+				gWant.Data[e] += v
+			}
+			requireBitIdentical(t, gSerial, gWant, "dw added into g against g + dw")
+		})
+	}
+}
+
+// sampleFold is the weight-gradient oracle: each sample's dw from a
+// batch-1 backward of its own slice, summed in ascending sample order
+// in float32.
+func sampleFold(x, wt, dout *Tensor, s ConvSpec) *Tensor {
+	n := x.Dim(0)
+	xs, ds := len(x.Data)/n, len(dout.Data)/n
+	sum := New(wt.Shape...)
+	for i := 0; i < n; i++ {
+		xi := FromSlice(x.Data[i*xs:(i+1)*xs], 1, x.Dim(1), x.Dim(2), x.Dim(3))
+		di := FromSlice(dout.Data[i*ds:(i+1)*ds], 1, dout.Dim(1), dout.Dim(2), dout.Dim(3))
+		_, dw := Conv2DBackwardWS(xi, wt, di, s, nil)
+		for e, v := range dw.Data {
+			if i == 0 {
+				sum.Data[e] = v
+			} else {
+				sum.Data[e] += v
+			}
+		}
+	}
+	return sum
+}
+
+// TestConv2DBackwardAccFoldsInPlace pins that at one worker the add
+// form draws no per-sample partials from the arena: at batch 1 it adds
+// straight into g and draws no buffer of the weight's size class, and
+// at batch 2 it draws exactly one, the sum it adds into g. The shapes
+// keep every other buffer (dx, im2col) out of that class.
+func TestConv2DBackwardAccFoldsInPlace(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		c, h, f, k, want int
+		spec             ConvSpec
+	}{
+		{"dense_batch1", 64, 4, 128, 3, 0, ConvSpec{Pad: 1}},
+		{"dense_batch2", 64, 4, 128, 3, 1, ConvSpec{Pad: 1}},
+		{"pointwise_batch1", 256, 2, 256, 1, 0, ConvSpec{}},
+		{"pointwise_batch2", 256, 2, 256, 1, 1, ConvSpec{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			x, wt, dout, s := convCase(61, tc.want+1, tc.c, tc.h, tc.h, tc.f, tc.k, tc.spec)
+			ws := NewWorkspace()
+			ws.SetWorkers(1)
+			g := New(wt.Shape...)
+			Conv2DBackwardAccWS(x, wt, dout, g, s, ws)
+			ws.Reset()
+			if got := len(ws.free[wsClass(len(wt.Data))]); got != tc.want {
+				t.Fatalf("arena holds %d buffers of the weight's size class (%d floats), want %d; %v",
+					got, len(wt.Data), tc.want, ws.Stats())
+			}
 		})
 	}
 }

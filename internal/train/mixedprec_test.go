@@ -192,9 +192,10 @@ func TestLossScalerStateMachine(t *testing.T) {
 // a one-rank world where there is no wire to round anything.
 func TestGradOverflowAndScaling(t *testing.T) {
 	mk := func(vals ...float32) []*nn.Param {
-		g := tensor.New(len(vals))
-		copy(g.Data, vals)
-		return []*nn.Param{{Name: "p", W: tensor.New(len(vals)), G: g}}
+		ps := []*nn.Param{{Name: "p", W: tensor.New(len(vals))}}
+		nn.LayOutGrads(ps)
+		copy(ps[0].G.Data, vals)
+		return ps
 	}
 	scaled := func(ps []*nn.Param, pre, post float32) (overflow bool) {
 		t.Helper()

@@ -1,7 +1,9 @@
 package train
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"segscale/internal/deeplab"
 	"segscale/internal/faultinject"
 	"segscale/internal/segdata"
+	"segscale/internal/transport"
 )
 
 // fastCfg keeps unit-test runtime low: tiny model, tiny dataset.
@@ -150,6 +153,52 @@ func TestSyncBNOffStillRuns(t *testing.T) {
 	cfg.Epochs = 2
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A SyncBN rendezvous that fails mid-forward is the error the world-2
+// step returns. The peer's transport dies before the first
+// BatchNorm2D.Sync, so the batch-norm reduction fails inside the
+// forward, where nothing can return an error; the runtime's sticky slot
+// (RecordCommErr) must keep it, and the step must report it at the
+// boundary after the loss — not the gradient allreduce's failure that
+// follows when the slot drops it.
+func TestSyncBNFailureIsTheStepError(t *testing.T) {
+	cfg := fastCfg()
+	cfg.World = 2
+	cfg.SyncBN = true
+	rs, err := newRunState(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := rs.members.Members()
+	_, fresh, err := rs.prepareReplicas(members, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stepErr error
+	err = runWorld(cfg.World, func(c *transport.Comm) error {
+		rank := c.Rank()
+		rep := fresh()
+		st := rs.newRankStep(c, rep, rank, 0, segdata.ShardIDs(cfg.TrainSize, cfg.World, rank))
+		rt, err := rs.syncState(c, rep, members, 0, 0)
+		if err != nil {
+			return err
+		}
+		st.rt = rt
+		if rank == 1 {
+			c.Kill()
+			return nil
+		}
+		perm := rand.New(rand.NewSource(1)).Perm(len(st.shard))
+		_, stepErr = st.step(0, perm, augRNG(cfg.Seed, rank, 0))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(stepErr, transport.ErrRankFailed) || !strings.Contains(stepErr.Error(), "allreduce float64") {
+		t.Fatalf("step error = %v, want the SyncBN reduction's (horovod: allreduce float64: … rank failed)", stepErr)
 	}
 }
 
