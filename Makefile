@@ -9,7 +9,7 @@ FUZZTIME  ?= 10s
 COVER_FLOOR ?= 74.0
 COVER_OUT   ?= /tmp/segscale-cover.out
 
-.PHONY: build test race gomaxprocs lint vet fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke figures cover bench-e2e ci
+.PHONY: build test race gomaxprocs lint vet fma-check fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke figures cover bench-e2e ci
 
 build:
 	go build ./...
@@ -37,9 +37,17 @@ gomaxprocs:
 vet:
 	go vet ./...
 
-lint: vet
+lint: vet fma-check
 	test -z "$$(gofmt -l .)"
 	go run ./cmd/seglint -suppressions ./...
+
+# fma-check cross-builds ./... for arm64 and ppc64le and fails, naming
+# file:line, on any fused multiply-add in internal/tensor's listing
+# (tests included): the GEMM's pure-Go kernels are the AVX2 kernel's
+# oracle and must round the same way on every arch. ~80 s on a cold
+# build cache on a 2-vCPU host, ~10 s warm. Not part of go test.
+fma-check:
+	./scripts/fma_check.sh
 
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) ./internal/fp16/

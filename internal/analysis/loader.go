@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -244,7 +245,9 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 	return out, nil
 }
 
-// GoFilesIn lists the non-test .go files of a directory, sorted.
+// GoFilesIn lists the non-test .go files of a directory that build for
+// the host's GOOS/GOARCH (file-name suffixes and //go:build lines, as
+// the go tool selects them), sorted.
 func GoFilesIn(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -254,6 +257,11 @@ func GoFilesIn(dir string) ([]string, error) {
 	for _, e := range ents {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, n)

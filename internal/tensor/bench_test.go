@@ -114,3 +114,34 @@ func BenchmarkConvLowering(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGEMM times the three GEMM products at the default model's
+// decoder 3×3 conv (24 filters × 24·3·3 taps × 12·12 pixels: forward
+// A·B, weight-gradient A·Bᵀ, input-gradient Aᵀ·B) and at the DeepLab
+// head's forward GEMM, reporting GFLOP/s. Run it at -cpu 1 to time one
+// worker's kernel.
+func BenchmarkGEMM(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		name    string
+		mul     func(c, a, b *Tensor, accumulate bool)
+		m, k, n int
+		a, bb   [2]int
+	}{
+		{"fwd_24x270x144", MatMulInto, 24, 270, 144, [2]int{24, 270}, [2]int{270, 144}},
+		{"dW_24x144x270", MatMulBTInto, 24, 144, 270, [2]int{24, 144}, [2]int{270, 144}},
+		{"dx_270x24x144", MatMulATInto, 270, 24, 144, [2]int{24, 270}, [2]int{24, 144}},
+		{"head_256x2304x1089", MatMulInto, 256, 2304, 1089, [2]int{256, 2304}, [2]int{2304, 1089}},
+	} {
+		a := randTensor(rng, tc.a[:]...)
+		bm := randTensor(rng, tc.bb[:]...)
+		c := New(tc.m, tc.n)
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tc.mul(c, a, bm, false)
+			}
+			flops := 2 * float64(tc.m*tc.k*tc.n) * float64(b.N)
+			b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}

@@ -261,12 +261,12 @@ func depthwiseForward(x, w, out *Tensor, s ConvSpec, lo, hi, kh, kw, oh, ow int,
 					if s.Stride == 1 {
 						src = src[:ow]
 						for ox, xv := range src {
-							orow[ox] += wv * xv
+							orow[ox] += float32(wv * xv)
 						}
 						continue
 					}
 					for ox := range orow {
-						orow[ox] += wv * src[ox*s.Stride]
+						orow[ox] += float32(wv * src[ox*s.Stride])
 					}
 				}
 			}
@@ -437,14 +437,14 @@ func depthwiseBackward(x, w, dout, dx *Tensor, dw []float32, stride int, add0 bo
 					if s.Stride == 1 {
 						xrow, grow = xrow[:ow], grow[:ow]
 						for ox, dv := range drow {
-							acc += dv * xrow[ox]
-							grow[ox] += wv * dv
+							acc += float32(dv * xrow[ox])
+							grow[ox] += float32(wv * dv)
 						}
 						continue
 					}
 					for ox, dv := range drow {
-						acc += dv * xrow[ox*s.Stride]
-						grow[ox*s.Stride] += wv * dv
+						acc += float32(dv * xrow[ox*s.Stride])
+						grow[ox*s.Stride] += float32(wv * dv)
 					}
 				}
 				if add {

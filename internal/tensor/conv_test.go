@@ -33,7 +33,7 @@ func naiveConv2D(x, w *Tensor, spec ConvSpec) *Tensor {
 								if ix < 0 || ix >= wd {
 									continue
 								}
-								sum += x.At(i, ci, iy, ix) * w.At(ff, cc, ky, kx)
+								sum += float32(x.At(i, ci, iy, ix) * w.At(ff, cc, ky, kx))
 							}
 						}
 					}

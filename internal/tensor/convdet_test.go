@@ -173,7 +173,7 @@ func TestConv2DWorkspaceMatchesHeap(t *testing.T) {
 // warm arena, forward and both backward forms touch the heap zero
 // times on the serial path of each lowering. At GOMAXPROCS=4 a dense 3×3 conv
 // (batch 2, 32 → 64 channels, 33×33) fans its samples out over
-// Parallel, and those rows count the fan-out.
+// parallelOver, and those rows count the fan-out.
 func TestConv2DWorkspaceZeroAllocs(t *testing.T) {
 	for i, tc := range loweredCases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -113,25 +113,25 @@ func oracleDot4x4(c []float32, cs int, a []float32, as int, b []float32, bs int,
 		for p := 0; p < as; p++ {
 			v0, v1, v2, v3 := b0[p], b1[p], b2[p], b3[p]
 			av := a0[p]
-			s00 += av * v0
-			s01 += av * v1
-			s02 += av * v2
-			s03 += av * v3
+			s00 += float32(av * v0)
+			s01 += float32(av * v1)
+			s02 += float32(av * v2)
+			s03 += float32(av * v3)
 			av = a1[p]
-			s10 += av * v0
-			s11 += av * v1
-			s12 += av * v2
-			s13 += av * v3
+			s10 += float32(av * v0)
+			s11 += float32(av * v1)
+			s12 += float32(av * v2)
+			s13 += float32(av * v3)
 			av = a2[p]
-			s20 += av * v0
-			s21 += av * v1
-			s22 += av * v2
-			s23 += av * v3
+			s20 += float32(av * v0)
+			s21 += float32(av * v1)
+			s22 += float32(av * v2)
+			s23 += float32(av * v3)
 			av = a3[p]
-			s30 += av * v0
-			s31 += av * v1
-			s32 += av * v2
-			s33 += av * v3
+			s30 += float32(av * v0)
+			s31 += float32(av * v1)
+			s32 += float32(av * v2)
+			s33 += float32(av * v3)
 		}
 		rows := [4][4]float32{
 			{s00, s01, s02, s03},
@@ -160,7 +160,7 @@ func oracleDot4x4(c []float32, cs int, a []float32, as int, b []float32, bs int,
 			brow := b[q*bs : q*bs+as]
 			var s float32
 			for p, av := range arow {
-				s += av * brow[p]
+				s += float32(av * brow[p])
 			}
 			if acc {
 				crow[q] += s
@@ -349,22 +349,27 @@ func TestConvLoweringMatchesOracle(t *testing.T) {
 
 // TestMatMulBTMatchesOracle pins the packed A·Bᵀ product to the unpacked
 // dot-product kernel it replaced, bit for bit, over every tile-remainder
-// shape on salted inputs, accumulating and not.
+// shape and the wide tile's shapes on salted inputs, accumulating and
+// not.
 func TestMatMulBTMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	check := func(m, k, n int) {
+		a := saltedTensor(rng, 0.05, m, k)
+		b := saltedTensor(rng, 0.05, n, k)
+		for _, acc := range []bool{false, true} {
+			base := saltedTensor(rng, 0.05, m, n)
+			got, want := base.Clone(), base.Clone()
+			MatMulBTInto(got, a, b, acc)
+			oracleMatmulBTRows(want.Data, a.Data, b.Data, k, n, 0, m, acc)
+			requireBitIdentical(t, got, want, fmt.Sprintf("matmulBT %dx%dx%d acc=%v", m, k, n, acc))
+		}
+	}
 	for _, m := range edgeDims {
 		for _, k := range edgeDims {
 			for _, n := range edgeDims {
-				a := saltedTensor(rng, 0.05, m, k)
-				b := saltedTensor(rng, 0.05, n, k)
-				for _, acc := range []bool{false, true} {
-					base := saltedTensor(rng, 0.05, m, n)
-					got, want := base.Clone(), base.Clone()
-					MatMulBTInto(got, a, b, acc)
-					oracleMatmulBTRows(want.Data, a.Data, b.Data, k, n, 0, m, acc)
-					requireBitIdentical(t, got, want, fmt.Sprintf("matmulBT %dx%dx%d acc=%v", m, k, n, acc))
-				}
+				check(m, k, n)
 			}
 		}
 	}
+	forWideShapes(check)
 }

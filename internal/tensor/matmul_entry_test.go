@@ -6,7 +6,7 @@ import "fmt"
 // the two transposed products conv backward runs slab by slab:
 // matmulATRows (input-column gradients) and matmulRows' bt path
 // (weight gradients). Each checks shapes and fans rows out over
-// GOMAXPROCS like MatMulInto.
+// GOMAXPROCS on tile boundaries like MatMulInto.
 
 // MatMulATInto computes C = Aᵀ·B for A [k,m], B [k,n] into C [m,n],
 // accumulating when requested.
@@ -25,7 +25,7 @@ func MatMulATInto(c, a, b *Tensor, accumulate bool) {
 		matmulATRows(cd, ad, bd, k, m, n, 0, m, accumulate)
 		return
 	}
-	Parallel(m, func(lo, hi int) {
+	parallelTiles(parallelDegree(m), m, mrWide, func(lo, hi int) {
 		matmulATRows(cd, ad, bd, k, m, n, lo, hi, accumulate)
 	})
 }
@@ -47,7 +47,7 @@ func MatMulBTInto(c, a, b *Tensor, accumulate bool) {
 		matmulRows(cd, ad, bd, k, n, 0, m, true, accumulate)
 		return
 	}
-	Parallel(m, func(lo, hi int) {
+	parallelTiles(parallelDegree(m), m, mrWide, func(lo, hi int) {
 		matmulRows(cd, ad, bd, k, n, lo, hi, true, accumulate)
 	})
 }

@@ -6,19 +6,37 @@ import (
 	"testing"
 )
 
+// parallel splits [0, n) the way the GEMM entry points do: whole
+// mul4x16 row tiles over parallelDegree(n) workers.
+func parallel(n int, fn func(lo, hi int)) {
+	parallelTiles(parallelDegree(n), n, mrWide, fn)
+}
+
 // TestParallelCoversEachIndexOnce verifies the partition tiles [0,n)
-// exactly: every index visited once, none skipped, none duplicated.
+// exactly: every index visited once, none skipped, none duplicated,
+// and every chunk but the last a whole number of tiles.
 func TestParallelCoversEachIndexOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 64, 1000, 4096, 4097} {
-		hits := make([]int32, n)
-		Parallel(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, h)
+		for _, workers := range []int{1, 2, 3, 4} {
+			for _, tile := range []int{1, mrWide} {
+				hits := make([]int32, n)
+				var ragged atomic.Int32
+				parallelTiles(workers, n, tile, func(lo, hi int) {
+					if lo%tile != 0 || (hi != n && hi%tile != 0) {
+						ragged.Add(1)
+					}
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&hits[i], 1)
+					}
+				})
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("n=%d workers=%d tile=%d: index %d visited %d times", n, workers, tile, i, h)
+					}
+				}
+				if ragged.Load() != 0 {
+					t.Fatalf("n=%d workers=%d tile=%d: a chunk boundary is off the tile grid", n, workers, tile)
+				}
 			}
 		}
 	}
@@ -30,7 +48,7 @@ func TestParallelCoversEachIndexOnce(t *testing.T) {
 func TestParallelDisjointWrites(t *testing.T) {
 	const n = 100_000
 	buf := make([]float32, n)
-	Parallel(n, func(lo, hi int) {
+	parallel(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			buf[i] = float32(i)
 		}
@@ -42,8 +60,8 @@ func TestParallelDisjointWrites(t *testing.T) {
 	}
 }
 
-// TestParallelConcurrentCalls hammers Parallel from many goroutines at
-// once, each over its own output slice. Parallel keeps no package
+// TestParallelConcurrentCalls hammers the fan-out from many goroutines at
+// once, each over its own output slice. parallelTiles keeps no package
 // state, so concurrent calls must not interfere; -race checks it.
 func TestParallelConcurrentCalls(t *testing.T) {
 	const callers = 16
@@ -55,7 +73,7 @@ func TestParallelConcurrentCalls(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			buf := make([]float32, n)
-			Parallel(n, func(lo, hi int) {
+			parallel(n, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					buf[i] = float32(g*n + i)
 				}
@@ -73,16 +91,16 @@ func TestParallelConcurrentCalls(t *testing.T) {
 	}
 }
 
-// TestParallelNestedCalls runs Parallel inside Parallel — the shape a
+// TestParallelNestedCalls runs a fan-out inside a fan-out — the shape a
 // parallel conv layer calling a parallel matmul produces. It must not
 // deadlock or misPartition.
 func TestParallelNestedCalls(t *testing.T) {
 	const rows, cols = 32, 257
 	buf := make([]float32, rows*cols)
-	Parallel(rows, func(rlo, rhi int) {
+	parallel(rows, func(rlo, rhi int) {
 		for r := rlo; r < rhi; r++ {
 			row := buf[r*cols : (r+1)*cols]
-			Parallel(cols, func(lo, hi int) {
+			parallel(cols, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					row[i] = float32(r)
 				}

@@ -97,7 +97,7 @@ func bilinearWeights(in, out int) (lo, hi []int, w []float32) {
 	}
 	scale := float64(in-1) / float64(out-1)
 	for i := 0; i < out; i++ {
-		src := float64(i) * scale
+		src := float64(float64(i) * scale)
 		l := int(src)
 		if l >= in-1 {
 			l = in - 2
@@ -150,9 +150,9 @@ func resizePlanes(x, out *Tensor, yax, xax *bilinearAxis, lo, hi int) {
 				v01 := in[y0*w+x1]
 				v10 := in[y1*w+x0]
 				v11 := in[y1*w+x1]
-				top := v00 + fx*(v01-v00)
-				bot := v10 + fx*(v11-v10)
-				dst[oy*ow+ox] = top + fy*(bot-top)
+				top := v00 + float32(fx*(v01-v00))
+				bot := v10 + float32(fx*(v11-v10))
+				dst[oy*ow+ox] = top + float32(fy*(bot-top))
 			}
 		}
 	}
@@ -187,10 +187,10 @@ func resizeBackwardPlanes(dout, dx *Tensor, yax, xax *bilinearAxis, lo, hi int) 
 			for ox := 0; ox < ow; ox++ {
 				x0, x1, fx := xlo[ox], xhi[ox], wx[ox]
 				g := src[oy*ow+ox]
-				dst[y0*w+x0] += g * (1 - fy) * (1 - fx)
-				dst[y0*w+x1] += g * (1 - fy) * fx
-				dst[y1*w+x0] += g * fy * (1 - fx)
-				dst[y1*w+x1] += g * fy * fx
+				dst[y0*w+x0] += float32(g * (1 - fy) * (1 - fx))
+				dst[y0*w+x1] += float32(g * (1 - fy) * fx)
+				dst[y1*w+x0] += float32(g * fy * (1 - fx))
+				dst[y1*w+x1] += float32(g * fy * fx)
 			}
 		}
 	}

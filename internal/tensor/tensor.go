@@ -6,6 +6,12 @@
 //
 // Kernels parallelise across batch/row blocks with goroutines; with
 // GOMAXPROCS=1 they degrade to serial loops with no allocation cost.
+//
+// Every multiply-add is written float32(x*y) + z (float64(…) in float64
+// code): the explicit conversion forbids the compiler to fuse it into
+// one rounding, which gc does on arm64 and ppc64le but not on amd64, so
+// every kernel computes the same bits on every arch. `make fma-check`
+// fails on a fused instruction in this package's listing.
 package tensor
 
 import (
@@ -139,7 +145,7 @@ func (t *Tensor) Add(o *Tensor) {
 func (t *Tensor) AddScaled(s float32, o *Tensor) {
 	t.mustSameShape(o, "addscaled")
 	for i, v := range o.Data {
-		t.Data[i] += s * v
+		t.Data[i] += float32(s * v)
 	}
 }
 
@@ -182,7 +188,7 @@ func (t *Tensor) MaxAbs() float32 {
 func (t *Tensor) L2Norm() float64 {
 	s := 0.0
 	for _, v := range t.Data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }

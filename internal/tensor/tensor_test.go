@@ -142,7 +142,7 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 		for j := 0; j < n; j++ {
 			var s float32
 			for p := 0; p < k; p++ {
-				s += a.Data[i*k+p] * b.Data[p*n+j]
+				s += float32(a.Data[i*k+p] * b.Data[p*n+j])
 			}
 			c.Data[i*n+j] = s
 		}
@@ -253,7 +253,7 @@ func TestPropertyMatMulLinear(t *testing.T) {
 
 func TestParallelCoversRange(t *testing.T) {
 	seen := make([]bool, 100)
-	Parallel(100, func(lo, hi int) {
+	parallel(100, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			seen[i] = true
 		}
@@ -263,5 +263,5 @@ func TestParallelCoversRange(t *testing.T) {
 			t.Fatalf("index %d not covered", i)
 		}
 	}
-	Parallel(0, func(lo, hi int) { t.Error("fn called for n=0") })
+	parallel(0, func(lo, hi int) { t.Error("fn called for n=0") })
 }
