@@ -9,7 +9,7 @@ FUZZTIME  ?= 10s
 COVER_FLOOR ?= 74.0
 COVER_OUT   ?= /tmp/segscale-cover.out
 
-.PHONY: build test race gomaxprocs lint vet fma-check fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke figures cover bench-e2e ci
+.PHONY: build test race gomaxprocs lint vet fma-check fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke knob-smoke figures cover bench-e2e ci
 
 build:
 	go build ./...
@@ -119,6 +119,15 @@ fp16-smoke:
 health-smoke:
 	./scripts/health_smoke.sh
 
+# knob-smoke drives the knob table (internal/core/knobs.go) through
+# both binaries' environments: hvd-tune's -jobscript exports make
+# summit-sim print hvd-tune's own best 132-GPU row, and dlv3-train runs
+# an inherited HOROVOD_FUSION_THRESHOLD with -alg but rejects an
+# inherited HOROVOD_CYCLE_TIME or MV2_* variable. ~1 s on a 2-vCPU host
+# once the three binaries are built.
+knob-smoke:
+	./scripts/knob_smoke.sh
+
 # figures renders every experiment of internal/core's registry at its
 # -fast size. Tier-1 grades the simulator entries; this is the one
 # place the real-training entries (f8, x1, x6, acc) run.
@@ -139,4 +148,4 @@ cover:
 		if (t+0 < f+0) { printf "FAIL: coverage %.1f%% below floor %.1f%%\n", t, f; exit 1 } \
 		printf "coverage %.1f%% >= floor %.1f%%\n", t, f }'
 
-ci: build lint test race gomaxprocs fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke figures cover
+ci: build lint test race gomaxprocs fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke knob-smoke figures cover

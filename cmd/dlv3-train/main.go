@@ -7,11 +7,16 @@
 //
 //	dlv3-train [-world 4] [-epochs 20] [-batch 4] [-arch deeplab]
 //	           [-train 64] [-eval 16] [-lr 0.05] [-strong] [-seed 1]
-//	           [-elastic] [-rejoin-epoch 5]
+//	           [-alg recursive-doubling] [-elastic] [-rejoin-epoch 5]
 //	           [-trace trace.json] [-prom metrics.prom]
 //	           [-obs-addr 127.0.0.1:6060] [-flight flight.json]
 //	           [-runs-dir results/runs] [-attr-out ledger.json]
 //	           [-health] [-health-out health.jsonl]
+//
+// Like Horovod, it reads HOROVOD_FUSION_THRESHOLD and
+// HOROVOD_HIERARCHICAL_ALLREDUCE from the environment; a non-default
+// HOROVOD_CYCLE_TIME or HOROVOD_CACHE_CAPACITY, or any MV2_* variable,
+// is an error (docs/TUNING.md, "The knob table").
 //
 // A real run has no 1-GPU baseline, so it reports no scaling
 // efficiency: its run manifest carries the configuration, seed, chaos
@@ -28,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"segscale/internal/core"
 	"segscale/internal/segdata"
 	"segscale/pkg/summitseg"
 )
@@ -68,7 +74,11 @@ func main() {
 	healthOn := flag.Bool("health", false, "collect the training-health plane: per-layer gradient/activation statistics with divergence sentinels (served on /debug/health when -obs-addr is set)")
 	healthOut := flag.String("health-out", "", "write the per-run health ledger (deterministic JSONL, seg-compare's input) to this file; implies -health")
 	healthEvery := flag.Int("health-every", 1, "with -health, collect statistics every N-th step")
+	applyKnobs := core.RegisterKnobs(flag.CommandLine)
 	flag.Parse()
+	if err := applyKnobs(core.Knobs{Horovod: &cfg.Horovod}, os.Environ()); err != nil {
+		log.Fatal(err)
+	}
 
 	if *fp16 {
 		summitseg.EnableMixedPrecision(&cfg, *lossScale)
@@ -293,7 +303,7 @@ func main() {
 			Config: map[string]any{
 				"world": cfg.World, "epochs": cfg.Epochs, "batch_per_rank": cfg.BatchPerRank,
 				"arch": cfg.Arch, "optimizer": cfg.Optimizer, "syncbn": cfg.SyncBN,
-				"base_lr": cfg.BaseLR,
+				"base_lr": cfg.BaseLR, "knobs": core.Knobs{Horovod: &cfg.Horovod}.Render(true),
 			},
 			ChaosSpec: chaos, Restarts: res.Restarts, Alerts: alerts.Alerts(),
 		}

@@ -59,15 +59,12 @@ func main() {
 	fmt.Printf("search cost if run on the real machine: %.1f GPU-hours (%d evals; exhaustive grid: %d)\n",
 		rep.CostGPUHours(), rep.Evals, grid)
 	fmt.Println("\njob-script environment for the best configuration:")
-	for _, e := range rep.Best.Candidate.Horovod.Env() {
-		fmt.Println("  export " + e)
-	}
-	for _, e := range rep.Best.Candidate.MPI.Env() {
+	job := jobscript.FromConfig("dlv3-tuned", *gpus, rep.Best.Candidate.MPI, rep.Best.Candidate.Horovod)
+	for _, e := range job.Env {
 		fmt.Println("  export " + e)
 	}
 
 	if *jobOut != "" {
-		job := jobscript.FromConfig("dlv3-tuned", *gpus, rep.Best.Candidate.MPI, rep.Best.Candidate.Horovod)
 		script, err := job.LSF()
 		if err != nil {
 			log.Fatal(err)

@@ -11,6 +11,10 @@
 //	           [-json results.json] [-runs-dir results/runs]
 //	           [-attr-out ledger.json]
 //
+// The HOROVOD_* and MV2_* variables of the environment (docs/TUNING.md,
+// "The knob table") apply on top of -mpi and -tuned, and -alg on top of
+// them, so a job script's exports configure a sweep.
+//
 // Every efficiency it prints or writes is metrics.ScalingEfficiency
 // against one baseline: a 1-GPU run of the same model, MPI, Horovod,
 // input-pipeline, placement and seed options, simulated without chaos.
@@ -29,26 +33,26 @@ import (
 	"strings"
 
 	"segscale/internal/asciichart"
+	"segscale/internal/core"
 	"segscale/pkg/summitseg"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("summit-sim: ")
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Environ(), os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
 // run is the whole tool behind a testable seam: args are the
-// command-line arguments (without the program name), output goes to
-// stdout.
-func run(args []string, stdout io.Writer) error {
+// command-line arguments (without the program name), environ the
+// environment (os.Environ's form), output goes to stdout.
+func run(args, environ []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("summit-sim", flag.ContinueOnError)
 	modelName := fs.String("model", "dlv3plus", "model profile: dlv3plus or resnet50")
 	mpiName := fs.String("mpi", "mv2gdr", "MPI profile: spectrum or mv2gdr")
 	tuned := fs.Bool("tuned", false, "use the tuned Horovod knobs instead of defaults")
-	algName := fs.String("alg", "", `allreduce algorithm: auto, ring, recursive-doubling, rabenseifner, hier-leader, hier-torus, hier-2level (empty = the profile's pick)`)
 	gpuList := fs.String("gpus", "", "comma-separated GPU counts (default: the paper's 1,6,...,132)")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	timelineOut := fs.String("timeline", "", "write a Chrome trace of one step to this file (largest scale)")
@@ -62,6 +66,7 @@ func run(args []string, stdout io.Writer) error {
 	jsonOut := fs.String("json", "", "also write results as JSON to this file")
 	runsDir := fs.String("runs-dir", "", "write a run manifest (config, seed, chaos, baseline, final efficiency) under this directory (empty = off)")
 	attrOut := fs.String("attr-out", "", "write the largest scale's per-(step,rank) attribution ledger to this file (seg-compare's input)")
+	applyKnobs := core.RegisterKnobs(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -82,12 +87,8 @@ func run(args []string, stdout io.Writer) error {
 		hvd = summitseg.TunedHorovod()
 	}
 	hvd.FP16Compression = *fp16
-	if *algName != "" {
-		alg, err := summitseg.AlgorithmByName(*algName)
-		if err != nil {
-			return err
-		}
-		hvd.Algorithm = alg
+	if err := applyKnobs(core.Knobs{Horovod: &hvd, MPI: mpi}, environ); err != nil {
+		return err
 	}
 	var ioCfg *summitseg.IOConfig
 	if *withIO {
@@ -123,7 +124,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	fmt.Fprintf(stdout, "model=%s mpi=%s tuned=%v alg=%s\n", prof.Name, mpi.Name, *tuned, hvd.Algorithm)
+	fmt.Fprintf(stdout, "model=%s mpi=%s tuned=%v alg=%s\n", prof.Name, mpi.Name, *tuned, hvd.ResolveAlgorithm())
 	if fixedPlan != nil {
 		fmt.Fprintf(stdout, "chaos armed: %s\n", fixedPlan)
 	} else if *chaosSeed != 0 {
@@ -232,6 +233,7 @@ func run(args []string, stdout io.Writer) error {
 			Config: map[string]any{
 				"model": prof.Name, "mpi": mpi.Name, "tuned": *tuned, "fp16": *fp16,
 				"cyclic": *cyclic, "io": *withIO, "gpus": scales,
+				"knobs": core.Knobs{Horovod: &hvd, MPI: mpi}.Render(true),
 			},
 			ChaosSpec: chaos, AnchorImgPerSec: base.ImgPerSec, FinalEfficiency: lastEff,
 		}

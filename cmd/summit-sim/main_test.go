@@ -27,14 +27,14 @@ func row(t *testing.T, out string, gpus int) []string {
 // value.
 func TestRunManifestEfficiencyIsThePrintedRow(t *testing.T) {
 	var sweep strings.Builder
-	if err := run(nil, &sweep); err != nil {
+	if err := run(nil, nil, &sweep); err != nil {
 		t.Fatal(err)
 	}
 	want := row(t, sweep.String(), 132)
 
 	dir := t.TempDir()
 	var out strings.Builder
-	if err := run([]string{"-gpus", "132", "-runs-dir", dir}, &out); err != nil {
+	if err := run([]string{"-gpus", "132", "-runs-dir", dir}, []string{"PATH=/bin"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	got := row(t, out.String(), 132)
@@ -48,6 +48,9 @@ func TestRunManifestEfficiencyIsThePrintedRow(t *testing.T) {
 	}
 	var m struct {
 		FinalEfficiency float64 `json:"final_efficiency"`
+		Config          struct {
+			Knobs []string `json:"knobs"`
+		} `json:"config"`
 	}
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatal(err)
@@ -58,12 +61,51 @@ func TestRunManifestEfficiencyIsThePrintedRow(t *testing.T) {
 	if m.FinalEfficiency < 0.925 || m.FinalEfficiency >= 0.926 {
 		t.Fatalf("132-GPU efficiency at seed 1 = %v, want 0.925…", m.FinalEfficiency)
 	}
+	// The manifest says how the run was configured: every knob the
+	// table renders for the default Horovod and MV2-GDR knobs, and -alg.
+	knobs := strings.Join(m.Config.Knobs, " ")
+	if want := "HOROVOD_CACHE_CAPACITY=0 HOROVOD_CYCLE_TIME=5 HOROVOD_FUSION_THRESHOLD=67108864 HOROVOD_HIERARCHICAL_ALLREDUCE=0 " +
+		"MV2_CUDA_BLOCK_SIZE=262144 MV2_GPUDIRECT_LIMIT=8192 MV2_IBA_EAGER_LIMIT=16384 MV2_USE_CUDA=1 MV2_USE_GPUDIRECT=1 -alg=auto"; knobs != want {
+		t.Fatalf("manifest knobs %q, want %q", knobs, want)
+	}
+}
+
+// TestRunReadsTheEnvironment runs one scale under inherited knobs: the
+// variables reach the simulation, its header (the hierarchy overrides
+// -alg, as in Horovod) and its manifest.
+func TestRunReadsTheEnvironment(t *testing.T) {
+	dir := t.TempDir()
+	environ := []string{"HOME=/nowhere", "HOROVOD_CYCLE_TIME=0.5", "HOROVOD_HIERARCHICAL_ALLREDUCE=1", "MV2_USE_GPUDIRECT=0"}
+	var out strings.Builder
+	if err := run([]string{"-gpus", "132", "-tuned", "-alg", "ring", "-runs-dir", dir}, environ, &out); err != nil {
+		t.Fatal(err)
+	}
+	var plain strings.Builder
+	if err := run([]string{"-gpus", "132", "-tuned", "-alg", "ring"}, nil, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if got, base := row(t, out.String(), 132), row(t, plain.String(), 132); got[1] == base[1] {
+		t.Fatalf("inherited knobs left the 132-GPU row at %s img/s", got[1])
+	}
+	if !strings.Contains(out.String(), " alg=hier-leader\n") {
+		t.Errorf("header does not name the hierarchy that ran:\n%s", out.String())
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "summit-sim-seed1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"HOROVOD_CYCLE_TIME=0.5"`, `"HOROVOD_CACHE_CAPACITY=1024"`, `"HOROVOD_HIERARCHICAL_ALLREDUCE=1"`, `"MV2_USE_GPUDIRECT=0"`, `"-alg=ring"`} {
+		if !strings.Contains(string(data), want) {
+			t.Errorf("manifest lacks %s:\n%s", want, data)
+		}
+	}
 }
 
 func TestRunRejectsBadArgs(t *testing.T) {
 	for _, args := range [][]string{
 		{"-gpus", "6,x"},
 		{"-model", "nope"},
+		{"-alg", "nope"},
 		{"stray"},
 		// No live plane: a sweep ends before anything could scrape it.
 		{"-obs-addr", "127.0.0.1:0"},
@@ -72,8 +114,15 @@ func TestRunRejectsBadArgs(t *testing.T) {
 		{"-flight", "flight.json"},
 	} {
 		var out strings.Builder
-		if err := run(args, &out); err == nil {
+		if err := run(args, nil, &out); err == nil {
 			t.Errorf("run(%q): want error", args)
+		}
+	}
+	for _, env := range []string{"HOROVOD_HIERARCHICAL_ALLREDUCE=true", "MV2_CUDA_BLOCK_SIZE=0", "HOROVOD_CYCLE_TIME=0"} {
+		var out strings.Builder
+		err := run([]string{"-gpus", "6"}, []string{env}, &out)
+		if name, _, _ := strings.Cut(env, "="); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("run under %s: error %v, want one naming %s", env, err, name)
 		}
 	}
 }

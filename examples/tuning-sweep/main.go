@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"segscale/internal/core"
 	"segscale/pkg/summitseg"
 )
 
@@ -40,10 +41,8 @@ func main() {
 	fmt.Printf("baseline → best: %.1f → %.1f img/s (%.2f×)\n",
 		rep.Baseline.Result.ImgPerSec, rep.Best.Result.ImgPerSec, rep.Speedup())
 	fmt.Println("\njob-script environment:")
-	for _, e := range rep.Best.Candidate.Horovod.Env() {
-		fmt.Println("  export " + e)
-	}
-	for _, e := range rep.Best.Candidate.MPI.Env() {
+	best := rep.Best.Candidate
+	for _, e := range (core.Knobs{Horovod: &best.Horovod, MPI: best.MPI}).Render(false) {
 		fmt.Println("  export " + e)
 	}
 }

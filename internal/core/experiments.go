@@ -633,11 +633,13 @@ var (
 		func(c *perfsim.Config) error { c.Horovod.FusionThreshold = 0; return nil },
 		[2]string{"fused", "unfused"}, "img_per_s", imgPerSec,
 		"A3: default @96 GPUs, fused %.1f img/s vs per-tensor %.1f img/s"}
-	// a4GDRPath sets MV2_USE_GPUDIRECT=0, forcing host staging.
+	// a4GDRPath turns GPU-direct off (MV2_USE_GPUDIRECT=0), forcing
+	// host staging.
 	a4GDRPath = ablation{"a4_gdr_path.csv", "path,img_per_sec", tuned132,
 		func(c *perfsim.Config) error {
 			c.MPI = c.MPI.Clone()
-			return c.MPI.ApplyEnv([]string{"MV2_USE_GPUDIRECT=0"})
+			c.MPI.GPUDirect = false
+			return nil
 		},
 		[2]string{"gdr", "staged"}, "img_per_s", imgPerSec,
 		"A4: tuned @132 GPUs, GPU-direct %.1f img/s vs host-staged %.1f img/s"}

@@ -11,14 +11,13 @@ package horovod
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"segscale/internal/netmodel"
 )
 
 // Config is the Horovod knob set, named after the real environment
-// variables.
+// variables. internal/core/knobs.go parses and renders them.
 type Config struct {
 	// FusionThreshold (HOROVOD_FUSION_THRESHOLD) caps the fused
 	// buffer size in bytes. 0 disables fusion (per-tensor allreduce).
@@ -42,8 +41,8 @@ type Config struct {
 	// FP16Compression mirrors hvd.Compression.fp16 passed to the
 	// DistributedOptimizer: gradients are cast to binary16 before the
 	// allreduce, halving wire volume at a precision cost. (A Python
-	// argument in real Horovod, not an environment variable, so Env
-	// does not render it.)
+	// argument in real Horovod, not an environment variable, so the
+	// knob table, internal/core/knobs.go, has no row for it.)
 	FP16Compression bool
 	// BackwardPassesPerStep mirrors hvd.DistributedOptimizer's
 	// backward_passes_per_step: gradients from this many backward
@@ -93,63 +92,4 @@ func (c Config) ResolveAlgorithm() netmodel.Algorithm {
 		return netmodel.AlgHierLeader
 	}
 	return c.Algorithm
-}
-
-// Env renders the configuration as HOROVOD_* variable assignments.
-func (c Config) Env() []string {
-	h := "0"
-	if c.Hierarchical {
-		h = "1"
-	}
-	cache := "0"
-	if c.ResponseCache {
-		cache = "1024"
-	}
-	return []string{
-		"HOROVOD_CACHE_CAPACITY=" + cache,
-		"HOROVOD_CYCLE_TIME=" + strconv.FormatFloat(float64(c.CycleTime)/float64(time.Millisecond), 'g', -1, 64),
-		"HOROVOD_FUSION_THRESHOLD=" + strconv.Itoa(c.FusionThreshold),
-		"HOROVOD_HIERARCHICAL_ALLREDUCE=" + h,
-	}
-}
-
-// ApplyEnv overrides knobs from HOROVOD_* assignments (unknown
-// variables ignored, malformed values error). HOROVOD_CYCLE_TIME is
-// in milliseconds, as in real Horovod.
-func (c *Config) ApplyEnv(assignments []string) error {
-	for _, a := range assignments {
-		var key, val string
-		for i := 0; i < len(a); i++ {
-			if a[i] == '=' {
-				key, val = a[:i], a[i+1:]
-				break
-			}
-		}
-		if key == "" {
-			return fmt.Errorf("horovod: malformed assignment %q", a)
-		}
-		switch key {
-		case "HOROVOD_FUSION_THRESHOLD":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return fmt.Errorf("horovod: bad %s=%q", key, val)
-			}
-			c.FusionThreshold = n
-		case "HOROVOD_CYCLE_TIME":
-			ms, err := strconv.ParseFloat(val, 64)
-			if err != nil || ms <= 0 {
-				return fmt.Errorf("horovod: bad %s=%q", key, val)
-			}
-			c.CycleTime = time.Duration(ms * float64(time.Millisecond))
-		case "HOROVOD_HIERARCHICAL_ALLREDUCE":
-			c.Hierarchical = val == "1"
-		case "HOROVOD_CACHE_CAPACITY":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return fmt.Errorf("horovod: bad %s=%q", key, val)
-			}
-			c.ResponseCache = n > 0
-		}
-	}
-	return nil
 }

@@ -65,35 +65,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestEnvRoundTrip(t *testing.T) {
-	c := Default()
-	c.FusionThreshold = 128 << 20
-	c.CycleTime = 3500 * time.Microsecond
-	c.Hierarchical = true
-	c.ResponseCache = true
-	env := c.Env()
-	d := Default()
-	if err := d.ApplyEnv(env); err != nil {
-		t.Fatal(err)
-	}
-	if d.FusionThreshold != c.FusionThreshold || d.CycleTime != c.CycleTime ||
-		d.Hierarchical != c.Hierarchical || d.ResponseCache != c.ResponseCache {
-		t.Fatalf("round trip: %+v vs %+v", d, c)
-	}
-}
-
-func TestApplyEnvErrors(t *testing.T) {
-	c := Default()
-	for _, bad := range []string{"NOEQ", "HOROVOD_CYCLE_TIME=zero", "HOROVOD_CYCLE_TIME=-1", "HOROVOD_FUSION_THRESHOLD=x", "HOROVOD_CACHE_CAPACITY=-2"} {
-		if err := c.ApplyEnv([]string{bad}); err == nil {
-			t.Errorf("%q accepted", bad)
-		}
-	}
-	if err := c.ApplyEnv([]string{"UNRELATED=1"}); err != nil {
-		t.Errorf("unknown var rejected: %v", err)
-	}
-}
-
 func TestResolveAlgorithm(t *testing.T) {
 	c := Default()
 	if c.ResolveAlgorithm() != netmodel.AlgAuto {

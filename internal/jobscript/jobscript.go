@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"segscale/internal/core"
 	"segscale/internal/horovod"
 	"segscale/internal/mpiprofile"
 	"segscale/internal/topology"
@@ -46,14 +47,13 @@ func FromConfig(name string, gpus int, mpi *mpiprofile.Profile, hvd horovod.Conf
 	} else {
 		modules = append(modules, "spectrum-mpi/10.3.0.1")
 	}
-	env := append(append([]string{}, hvd.Env()...), mpi.Env()...)
 	return Job{
 		Name:        name,
 		Project:     "GEN123",
 		Nodes:       mach.Nodes,
 		GPUsPerNode: mach.GPUsPer,
 		WallTime:    2 * time.Hour,
-		Env:         env,
+		Env:         core.Knobs{Horovod: &hvd, MPI: mpi}.Render(false),
 		Modules:     modules,
 		Command:     "python deeplab_train.py --batch-size 4 --crop 513",
 	}

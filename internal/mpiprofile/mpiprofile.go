@@ -14,14 +14,11 @@
 //
 // A Profile is pure data: internal/netmodel turns it into transfer and
 // collective times. Knobs use their real environment-variable names so
-// sweep output reads like a job script.
+// sweep output reads like a job script; internal/core/knobs.go parses
+// and renders them.
 package mpiprofile
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-)
+import "fmt"
 
 // Byte sizes.
 const (
@@ -219,68 +216,3 @@ func ByName(name string) (*Profile, error) {
 
 // Names lists the built-in profile names.
 func Names() []string { return []string{"spectrum", "mv2gdr", "nccl"} }
-
-// Env renders the tunable knobs as environment-variable assignments in
-// the style the paper's job scripts would use.
-func (p *Profile) Env() []string {
-	vars := map[string]string{
-		"MV2_CUDA_BLOCK_SIZE": strconv.Itoa(p.CUDABlockSize),
-		"MV2_GPUDIRECT_LIMIT": strconv.Itoa(p.GPUDirectLimit),
-		"MV2_IBA_EAGER_LIMIT": strconv.Itoa(p.EagerLimit),
-		"MV2_USE_CUDA":        "1",
-	}
-	if p.GPUDirect {
-		vars["MV2_USE_GPUDIRECT"] = "1"
-	} else {
-		vars["MV2_USE_GPUDIRECT"] = "0"
-	}
-	keys := make([]string, 0, len(vars))
-	for k := range vars {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]string, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, k+"="+vars[k])
-	}
-	return out
-}
-
-// ApplyEnv overrides knobs from environment-style assignments,
-// accepting the same variable names Env emits. Unknown variables are
-// ignored (as a real MPI library would); malformed values error.
-func (p *Profile) ApplyEnv(assignments []string) error {
-	for _, a := range assignments {
-		var key, val string
-		for i := 0; i < len(a); i++ {
-			if a[i] == '=' {
-				key, val = a[:i], a[i+1:]
-				break
-			}
-		}
-		if key == "" {
-			return fmt.Errorf("mpiprofile: malformed assignment %q", a)
-		}
-		switch key {
-		case "MV2_CUDA_BLOCK_SIZE", "MV2_GPUDIRECT_LIMIT", "MV2_IBA_EAGER_LIMIT":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return fmt.Errorf("mpiprofile: bad value %q for %s", val, key)
-			}
-			switch key {
-			case "MV2_CUDA_BLOCK_SIZE":
-				if n == 0 {
-					return fmt.Errorf("mpiprofile: MV2_CUDA_BLOCK_SIZE must be positive")
-				}
-				p.CUDABlockSize = n
-			case "MV2_GPUDIRECT_LIMIT":
-				p.GPUDirectLimit = n
-			case "MV2_IBA_EAGER_LIMIT":
-				p.EagerLimit = n
-			}
-		case "MV2_USE_GPUDIRECT":
-			p.GPUDirect = val == "1"
-		}
-	}
-	return nil
-}

@@ -1,9 +1,6 @@
 package mpiprofile
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestBuiltinsValidate(t *testing.T) {
 	for _, name := range Names() {
@@ -84,58 +81,5 @@ func TestValidateCatchesBadValues(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: bad profile passed validation", i)
 		}
-	}
-}
-
-func TestEnvRoundTrip(t *testing.T) {
-	p := MV2GDR()
-	p.CUDABlockSize = 512 * KiB
-	p.GPUDirectLimit = 32 * KiB
-	env := p.Env()
-
-	q := MV2GDR()
-	if err := q.ApplyEnv(env); err != nil {
-		t.Fatal(err)
-	}
-	if q.CUDABlockSize != p.CUDABlockSize || q.GPUDirectLimit != p.GPUDirectLimit {
-		t.Fatalf("round trip lost knobs: %+v", q)
-	}
-}
-
-func TestEnvContainsRealVariableNames(t *testing.T) {
-	joined := strings.Join(MV2GDR().Env(), " ")
-	for _, want := range []string{"MV2_CUDA_BLOCK_SIZE", "MV2_GPUDIRECT_LIMIT", "MV2_USE_GPUDIRECT=1"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("env output missing %s: %s", want, joined)
-		}
-	}
-}
-
-func TestApplyEnvErrors(t *testing.T) {
-	p := MV2GDR()
-	if err := p.ApplyEnv([]string{"NOEQUALS"}); err == nil {
-		t.Error("malformed assignment accepted")
-	}
-	if err := p.ApplyEnv([]string{"MV2_CUDA_BLOCK_SIZE=abc"}); err == nil {
-		t.Error("non-numeric value accepted")
-	}
-	if err := p.ApplyEnv([]string{"MV2_CUDA_BLOCK_SIZE=0"}); err == nil {
-		t.Error("zero block size accepted")
-	}
-	if err := p.ApplyEnv([]string{"MV2_GPUDIRECT_LIMIT=-5"}); err == nil {
-		t.Error("negative limit accepted")
-	}
-	if err := p.ApplyEnv([]string{"SOME_OTHER_VAR=7"}); err != nil {
-		t.Errorf("unknown variable should be ignored: %v", err)
-	}
-}
-
-func TestApplyEnvTogglesGPUDirect(t *testing.T) {
-	p := MV2GDR()
-	if err := p.ApplyEnv([]string{"MV2_USE_GPUDIRECT=0"}); err != nil {
-		t.Fatal(err)
-	}
-	if p.GPUDirect {
-		t.Fatal("MV2_USE_GPUDIRECT=0 did not disable GPU-direct")
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"segscale/internal/horovod"
 	"segscale/internal/metrics"
 	"segscale/internal/modelhealth"
+	"segscale/internal/netmodel"
 	"segscale/internal/nn"
 	"segscale/internal/segdata"
 	"segscale/internal/telemetry"
@@ -251,6 +252,12 @@ func (c Config) validate() error {
 	if c.Horovod.CycleTime != horovod.Default().CycleTime || c.Horovod.ResponseCache {
 		return fmt.Errorf("train: Horovod.CycleTime=%v ResponseCache=%v: only perfsim reads these knobs; the real runtime has no background loop or negotiation to apply them to",
 			c.Horovod.CycleTime, c.Horovod.ResponseCache)
+	}
+	switch a := c.Horovod.Algorithm; a {
+	case netmodel.AlgAuto, netmodel.AlgRing, netmodel.AlgRecursiveDoubling, netmodel.AlgRabenseifner,
+		netmodel.AlgHierLeader, netmodel.AlgHierTwoLevel:
+	default:
+		return fmt.Errorf("train: Horovod.Algorithm=%v: the real runtime has no collective for it", a)
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"segscale/internal/deeplab"
 	"segscale/internal/faultinject"
+	"segscale/internal/netmodel"
 	"segscale/internal/segdata"
 	"segscale/internal/transport"
 )
@@ -64,6 +65,29 @@ func TestValidationRejectsSimulatorOnlyKnobs(t *testing.T) {
 		mutate(&cfg)
 		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "only perfsim reads") {
 			t.Errorf("%s: got %v, want the simulator-only rejection", name, err)
+		}
+	}
+}
+
+// TestValidationRejectsAlgorithmsWithoutACollective: the runtime's
+// dispatch runs the ring for any algorithm it has no case for, so a
+// config naming one would train on a ring and say nothing.
+func TestValidationRejectsAlgorithmsWithoutACollective(t *testing.T) {
+	for _, a := range []netmodel.Algorithm{netmodel.AlgHierTorus, netmodel.AlgHierTwoLevel + 1, -1} {
+		cfg := fastCfg()
+		cfg.Horovod.Algorithm = a
+		if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), a.String()) {
+			t.Errorf("Algorithm=%v: got %v, want an error naming it", a, err)
+		}
+	}
+	for _, name := range []string{"auto", "ring", "recursive-doubling", "rabenseifner", "hier-leader", "hier-2level"} {
+		cfg := fastCfg()
+		var err error
+		if cfg.Horovod.Algorithm, err = netmodel.AlgorithmByName(name); err != nil {
+			t.Fatal(err)
+		}
+		if err := cfg.validate(); err != nil {
+			t.Errorf("-alg %s: %v", name, err)
 		}
 	}
 }
